@@ -20,27 +20,21 @@ one shared coordinate pair.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .links import (
-    LeoBsObservables,
-    RxLinkObservables,
+    LinkKind,
+    LinkObservables,
     bs_rx_observables,
     leo_bs_observables,
     leo_rx_observables,
+    link_observables,
 )
 from .scenario import Case, Scenario
 
 TWO_PI_SQ = 2.0 * np.pi**2
-
-
-class LinkKind(enum.Enum):
-    LEO_RX = "leo_rx"
-    BS_RX = "bs_rx"
-    LEO_BS = "leo_bs"
 
 
 @dataclass(frozen=True)
@@ -94,87 +88,91 @@ class ChannelLayout:
         return self.n_delays + self.n_dopplers + self.n_gain + 2
 
     def delay_index(self, row: int, k: int) -> int:
-        """Position of the (row, slot) delay within the link vector."""
+        """Position of the (row, slot) delay within the link vector
+        (elementwise for index arrays)."""
         return row * self.n_slots + k
 
     def doppler_index(self, k: int, row: int = 0) -> int:
-        """Position of the slot-``k`` Doppler (of ``row`` when per-row)."""
+        """Position of the slot-``k`` Doppler (of ``row`` when per-row;
+        elementwise for index arrays)."""
         base = self.n_delays
         return base + (row * self.n_slots + k if self.doppler_per_row else k)
 
 
 @dataclass(frozen=True)
 class LinkFim:
-    """Fisher information of one link's channel parameters."""
+    """Fisher information of one link's channel parameters, with the link's
+    observables and Jacobians so later stages need not re-evaluate them."""
 
     matrix: np.ndarray
     layout: ChannelLayout
-    link_kind: LinkKind
-    index: int
+    obs: LinkObservables
+
+    @property
+    def link_kind(self) -> LinkKind:
+        return self.obs.kind
+
+    @property
+    def index(self) -> int:
+        return self.obs.index
 
 
-def _fill_link_fim(
-    layout: ChannelLayout,
-    snr: np.ndarray,
-    omega: np.ndarray,
-    carrier: float,
-    rms_duration: float,
-    gain: float,
-) -> np.ndarray:
+def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     """Common fill for all link kinds.
 
-    ``snr`` has shape (n_rows, n_slots); ``omega`` is per slot (n_slots,) or
-    per observation (n_rows, n_slots), matching the Doppler layout.
+    Every observation (row, slot) adds its delay, Doppler and gain terms to
+    the matrix; entries shared by several observations (the offsets, a
+    per-slot Doppler, a link-level gain) accumulate in row-major observation
+    order, which ``np.add.at`` preserves.
     """
     fim = np.zeros((layout.dim, layout.dim))
-    dop_weight = 0.5 * carrier**2 * rms_duration**2
-    cross_weight = -0.5 * carrier * rms_duration**2
-    eps_weight = 0.5 * rms_duration**2
-    i_delta = layout.time_offset
-    i_eps = layout.freq_offset
-    gain_info = 1.0 / (2.0 * TWO_PI_SQ * gain**2)
+    snr = obs.snr
+    w = obs.omega if obs.omega.ndim == 2 else obs.omega[None, :]
+    dop_weight = 0.5 * obs.carrier_freq**2 * obs.rms_duration**2
+    cross_weight = -0.5 * obs.carrier_freq * obs.rms_duration**2
+    eps_weight = 0.5 * obs.rms_duration**2
+    gain_info = 1.0 / (2.0 * TWO_PI_SQ * obs.gain**2)
 
-    for row in range(layout.n_rows):
-        for k in range(layout.n_slots):
-            s = snr[row, k]
-            w = omega[row, k] if omega.ndim == 2 else omega[k]
-            i_tau = layout.delay_index(row, k)
-            fim[i_tau, i_tau] += s * w
-            fim[i_tau, i_delta] += -s * w
-            fim[i_delta, i_tau] += -s * w
-            fim[i_delta, i_delta] += s * w
-
-            i_nu = layout.doppler_index(k, row)
-            fim[i_nu, i_nu] += s * dop_weight
-            fim[i_nu, i_eps] += s * cross_weight
-            fim[i_eps, i_nu] += s * cross_weight
-            fim[i_eps, i_eps] += s * eps_weight
-
-            i_gain = layout.gains.start + (
-                row * layout.n_slots + k if layout.n_gain > 1 else 0
-            )
-            fim[i_gain, i_gain] += s * gain_info
+    rows, ks = np.indices(snr.shape).reshape(2, -1)
+    tau = layout.delay_index(rows, ks)
+    nu = layout.doppler_index(ks, rows)
+    delta = np.full_like(tau, layout.time_offset)
+    eps = np.full_like(tau, layout.freq_offset)
+    gain = layout.gains.start + (tau if layout.n_gain > 1 else 0 * tau)
+    s = snr.ravel()
+    sw = (snr * w).ravel()
+    neg_sw = (-snr * w).ravel()
+    cross = s * cross_weight
+    updates = [
+        (tau, tau, sw),
+        (tau, delta, neg_sw),
+        (delta, tau, neg_sw),
+        (delta, delta, sw),
+        (nu, nu, s * dop_weight),
+        (nu, eps, cross),
+        (eps, nu, cross),
+        (eps, eps, s * eps_weight),
+        (gain, gain, s * gain_info),
+    ]
+    i, j, values = (np.stack(part, axis=1).ravel() for part in zip(*updates))
+    np.add.at(fim, (i, j), values)
     return fim
 
 
-def _rx_link_fim(obs: RxLinkObservables, per_element_gain: bool) -> tuple[np.ndarray, ChannelLayout]:
-    n_ant, n_slots = obs.snr.shape
+def _link_fim(obs: LinkObservables, per_element_gain: bool) -> LinkFim:
+    n_rows, n_slots = obs.snr.shape
     layout = ChannelLayout(
-        n_rows=n_ant,
+        n_rows=n_rows,
         n_slots=n_slots,
-        doppler_per_row=False,
-        n_gain=n_ant * n_slots if per_element_gain else 1,
+        doppler_per_row=obs.per_row_doppler,
+        n_gain=n_rows * n_slots if per_element_gain else 1,
     )
-    matrix = _fill_link_fim(
-        layout, obs.snr, obs.omega, obs.carrier_freq, obs.rms_duration, obs.gain
-    )
-    return matrix, layout
+    return LinkFim(matrix=_fill_link_fim(layout, obs), layout=layout, obs=obs)
 
 
 def link_fim_leo_rx(scenario: Scenario, b: int, per_element_gain: bool = False) -> LinkFim:
     """Channel FIM of satellite ``b``'s downlink to the receiver."""
-    matrix, layout = _rx_link_fim(leo_rx_observables(scenario, b), per_element_gain)
-    return LinkFim(matrix=matrix, layout=layout, link_kind=LinkKind.LEO_RX, index=b)
+    return _link_fim(leo_rx_observables(scenario, b), per_element_gain)
 
 
 def link_fim_bs_rx(scenario: Scenario, q: int, per_element_gain: bool = False) -> LinkFim:
@@ -184,24 +182,12 @@ def link_fim_bs_rx(scenario: Scenario, q: int, per_element_gain: bool = False) -
     the offsets shared by the whole station network; the assembler accumulates
     them into one global pair.
     """
-    matrix, layout = _rx_link_fim(bs_rx_observables(scenario, q), per_element_gain)
-    return LinkFim(matrix=matrix, layout=layout, link_kind=LinkKind.BS_RX, index=q)
+    return _link_fim(bs_rx_observables(scenario, q), per_element_gain)
 
 
 def link_fim_leo_bs(scenario: Scenario, b: int, per_element_gain: bool = False) -> LinkFim:
     """Channel FIM of satellite ``b``'s links to all base stations."""
-    obs: LeoBsObservables = leo_bs_observables(scenario, b)
-    n_bs, n_slots = obs.snr.shape
-    layout = ChannelLayout(
-        n_rows=n_bs,
-        n_slots=n_slots,
-        doppler_per_row=True,
-        n_gain=n_bs * n_slots if per_element_gain else 1,
-    )
-    matrix = _fill_link_fim(
-        layout, obs.snr, obs.omega, obs.carrier_freq, obs.rms_duration, obs.gain
-    )
-    return LinkFim(matrix=matrix, layout=layout, link_kind=LinkKind.LEO_BS, index=b)
+    return _link_fim(leo_bs_observables(scenario, b), per_element_gain)
 
 
 @dataclass(frozen=True)
@@ -271,17 +257,7 @@ def assemble_channel_fim(
     station-receiver link's offset information on one coordinate pair.
     """
     case = scenario.case if case is None else case
-    link_fims: list[LinkFim] = [
-        link_fim_leo_rx(scenario, b, per_element_gain) for b in range(scenario.n_leo)
-    ]
-    bs_fims = [link_fim_bs_rx(scenario, q, per_element_gain) for q in range(scenario.n_bs)]
-    link_fims.extend(bs_fims)
-    leo_bs_fims: list[LinkFim] = []
-    if case is Case.WITH_BS:
-        leo_bs_fims = [
-            link_fim_leo_bs(scenario, b, per_element_gain) for b in range(scenario.n_leo)
-        ]
-        link_fims.extend(leo_bs_fims)
+    link_fims = [_link_fim(obs, per_element_gain) for obs in link_observables(scenario, case)]
 
     sections: list[LinkSection] = []
     offset = 0
@@ -303,12 +279,20 @@ def assemble_channel_fim(
 
     matrix = np.zeros((offset, offset))
     for sec in layout.sections:
-        lay = sec.fim.layout
-        local = np.arange(lay.dim)
-        global_idx = sec.offset + local
-        if sec.fim.link_kind is LinkKind.BS_RX:
-            global_idx = global_idx.copy()
-            global_idx[lay.time_offset] = layout.delta_index(sec)
-            global_idx[lay.freq_offset] = layout.epsilon_index(sec)
-        matrix[np.ix_(global_idx, global_idx)] += sec.fim.matrix
+        fim = sec.fim.matrix
+        n = fim.shape[0]
+        if sec.fim.link_kind is not LinkKind.BS_RX:
+            block = slice(sec.offset, sec.offset + n)
+            matrix[block, block] += fim
+            continue
+        # A station link's own coordinates, then its (clock, frequency) pair,
+        # the last two local coordinates, on the shared global pair.
+        n -= 2
+        parts = (
+            (slice(sec.offset, sec.offset + n), slice(0, n)),
+            (slice(shared[0], shared[0] + 2), slice(n, n + 2)),
+        )
+        for rows, local_rows in parts:
+            for cols, local_cols in parts:
+                matrix[rows, cols] += fim[local_rows, local_cols]
     return matrix, layout

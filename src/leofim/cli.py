@@ -41,6 +41,7 @@ from .analysis import (
     is_identifiable,
     parameter_sweep,
 )
+from .geometry import DegenerateGeometryError
 from .linalg import NumericalError
 from .location_fim import compute_efim
 from .scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
@@ -577,6 +578,9 @@ def run_command(config: RunConfig, command: str | None = None) -> int:
             records, status = _run_sweep(config)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
+    except DegenerateGeometryError as exc:
+        print(f"degenerate geometry: {exc}", file=sys.stderr)
         return 4
     if config.out is not None:
         write_records(records, config.out, config.format)

@@ -1,76 +1,97 @@
-"""Per-link observable bundles (internal).
+"""Per-link observables and their parameter Jacobians (internal).
 
-Everything downstream — channel information matrices, parameter Jacobians,
+Everything downstream — channel information matrices, ``Upsilon``,
 information-loss terms — consumes links through these bundles, so the mapping
-from scene geometry to delays, Doppler shifts and weights lives in exactly one
-place.  Delays are evaluated per receive element (antenna, or station for the
-satellite-station link); Doppler shifts are evaluated once per slot at the
-array reference point for receiver links, and per station otherwise.
+from scene geometry to delays, Doppler shifts, weights and their kappa1
+partials lives in exactly one place and is evaluated once per link, as one
+broadcast pass over ``(element, slot, 3)`` arrays.  Delays are evaluated per
+receive element (antenna, or station for the satellite-station link); Doppler
+shifts are evaluated once per slot at the array reference point for receiver
+links, and per station otherwise.
 
 Satellite positions include the ephemeris offsets: the constant position error
 plus the velocity-offset drift ``k*dt*vel_offset``.
 
 Observations cover slot numbers 1..n_slots (times ``dt`` through
-``n_slots*dt``); row ``i`` of every per-slot array holds slot number ``i+1``.
-The epoch (slot 0), where all track parameters are defined, is not observed.
+``n_slots*dt``); slot axis entry ``i`` holds slot number ``i+1``.  The epoch
+(slot 0), where all track parameters are defined, is not observed.
+
+The broadcast pass reproduces the scalar primitives of :mod:`.geometry` bit
+for bit: 3-vector dots and norms go through ``np.vecdot`` (which matches the
+1-D ``dot`` behind ``np.linalg.norm`` and ``@``), and every other operation is
+elementwise in the primitives' evaluation order.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
+    _DEGENERATE_NORM,
     SPEED_OF_LIGHT_M_S,
-    antenna_position,
-    leo_position,
-    receiver_reference,
-    unit_direction,
+    DegenerateGeometryError,
+    rotation_matrix,
+    rotation_matrix_partials,
 )
-from .scenario import Scenario
+from .scenario import Case, Scenario
 from .signals import effective_frequency, omega
 
+_C = SPEED_OF_LIGHT_M_S
 
-@dataclass(frozen=True)
-class RxLinkObservables:
-    """Geometry and weights of one transmitter-to-receiver link.
 
-    Shapes: ``ant_dirs (n_ant, n_slots, 3)``, ``ant_dists (n_ant, n_slots)``,
-    ``cen_dir (n_slots, 3)``, ``cen_dist (n_slots)``, ``v_rel (n_slots, 3)``,
-    per-slot ``nu`` / ``f_o`` / ``omega`` of shape ``(n_slots,)``, and
-    ``snr (n_ant, n_slots)``.  ``v_rel`` is transmitter minus receiver
-    velocity, the convention under which a closing link has positive Doppler.
-    """
-
-    ant_dirs: np.ndarray
-    ant_dists: np.ndarray
-    cen_dir: np.ndarray
-    cen_dist: np.ndarray
-    v_rel: np.ndarray
-    nu: np.ndarray
-    f_o: np.ndarray
-    omega: np.ndarray
-    snr: np.ndarray
-    k_times: np.ndarray
-    eff_bandwidth: float
-    bcc: float
-    rms_duration: float
-    carrier_freq: float
-    gain: float
+class LinkKind(enum.Enum):
+    LEO_RX = "leo_rx"
+    BS_RX = "bs_rx"
+    LEO_BS = "leo_bs"
 
 
 @dataclass(frozen=True)
-class LeoBsObservables:
-    """Geometry and weights of one satellite's links to every base station.
+class LinkJacobians:
+    """Partials of one link's delays/Dopplers w.r.t. the kappa1 blocks.
 
-    Station-indexed analogue of :class:`RxLinkObservables`: delays and Doppler
-    shifts are both per (station, slot), so ``dirs (n_bs, n_slots, 3)``,
-    ``dists / nu / f_o / omega / snr (n_bs, n_slots)``.
+    Delay arrays have shape ``(n_rows, n_slots, 3)``; Doppler arrays are
+    ``(n_slots, 3)`` for array links and ``(n_rows, n_slots, 3)`` for
+    satellite-station links.  Entries are ``None`` where the link does not
+    depend on that block.
     """
 
+    dtau_dp: np.ndarray | None
+    dtau_dvu: np.ndarray | None
+    dtau_dphi: np.ndarray | None
+    dtau_dpcheck: np.ndarray | None
+    dtau_dvcheck: np.ndarray | None
+    dnu_dp: np.ndarray | None
+    dnu_dvu: np.ndarray | None
+    dnu_dpcheck: np.ndarray | None
+    dnu_dvcheck: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class LinkObservables:
+    """Geometry, weights and Jacobians of one link.
+
+    The element axis runs over antennas for links received by the array and
+    over stations for a satellite's links to the station network:
+    ``dirs (n_rows, n_slots, 3)`` and ``dists (n_rows, n_slots)`` are the
+    transmitter-to-element directions and ranges, ``snr (n_rows, n_slots)``.
+    Doppler quantities (``dop_dirs``, ``dop_dists``, ``nu``, ``f_o``,
+    ``omega``) have one entry per Doppler observation: shape ``(n_slots,)``
+    (plus a trailing 3 for directions) at the array reference point for array
+    links, and the element grid ``(n_rows, n_slots)`` for satellite-station
+    links, where they coincide with ``dirs`` / ``dists``.  ``v_rel
+    (n_slots, 3)`` is transmitter minus receiver velocity, the convention
+    under which a closing link has positive Doppler.
+    """
+
+    kind: LinkKind
+    index: int
     dirs: np.ndarray
     dists: np.ndarray
+    dop_dirs: np.ndarray
+    dop_dists: np.ndarray
     v_rel: np.ndarray
     nu: np.ndarray
     f_o: np.ndarray
@@ -82,138 +103,180 @@ class LeoBsObservables:
     rms_duration: float
     carrier_freq: float
     gain: float
+    jacobians: LinkJacobians
+
+    @property
+    def per_row_doppler(self) -> bool:
+        """Whether Doppler shifts are observed per element (station links)."""
+        return self.kind is LinkKind.LEO_BS
 
 
-def _slot_times(scenario: Scenario) -> np.ndarray:
-    return np.array([scenario.grid.time_of(k) for k in scenario.grid.slot_numbers()])
+def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions from ``tx`` toward ``rx`` and their ranges, broadcast
+    over leading axes; the vector form of ``unit_direction`` and ``delay``.
+
+    Raises
+    ------
+    DegenerateGeometryError
+        If any pair is closer than ~1 nm and no direction is defined.
+    """
+    diff = rx - tx
+    dist = np.sqrt(np.vecdot(diff, diff))
+    if np.any(dist < _DEGENERATE_NORM):
+        raise DegenerateGeometryError(
+            f"points separated by {dist.min():.3e} m define no direction"
+        )
+    return diff / dist[..., None], dist
 
 
-def leo_rx_observables(scenario: Scenario, b: int) -> RxLinkObservables:
-    """Observables of satellite ``b``'s downlink to the receiver array."""
+def _leo_states(scenario: Scenario, b: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offset-corrected positions and velocities of satellite ``b`` per slot."""
     leo = scenario.leos[b]
-    props = scenario.leo_rx_signals[b]
-    offsets = scenario.leo_rx_offsets[b]
-    grid = scenario.grid
-    n_ant, n_slots = scenario.n_ant, scenario.n_slots
+    track = leo.track[: scenario.n_slots]
+    position = leo.position + (t * leo.speed)[:, None] * track
+    position = position + leo.pos_offset + t[:, None] * leo.vel_offset
+    return position, leo.speed * track + leo.vel_offset
 
-    ant_dirs = np.zeros((n_ant, n_slots, 3))
-    ant_dists = np.zeros((n_ant, n_slots))
-    cen_dir = np.zeros((n_slots, 3))
-    cen_dist = np.zeros(n_slots)
-    v_rel = np.zeros((n_slots, 3))
-    nu = np.zeros(n_slots)
-    for i, k in enumerate(grid.slot_numbers()):
-        tx = leo_position(leo, k, grid, include_offset=True)
-        centroid = receiver_reference(scenario.receiver, k, grid)
-        cen_dir[i] = unit_direction(tx, centroid)
-        cen_dist[i] = np.linalg.norm(centroid - tx)
-        v_rel[i] = leo.velocity_at(k, include_offset=True) - scenario.receiver.velocity
-        nu[i] = cen_dir[i] @ v_rel[i] / SPEED_OF_LIGHT_M_S
-        for u in range(n_ant):
-            rx = antenna_position(scenario.receiver, u, k, grid)
-            ant_dirs[u, i] = unit_direction(tx, rx)
-            ant_dists[u, i] = np.linalg.norm(rx - tx)
 
-    f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
-    om = omega(props.eff_bandwidth, props.bcc, f_o)
-    return RxLinkObservables(
-        ant_dirs=ant_dirs,
-        ant_dists=ant_dists,
-        cen_dir=cen_dir,
-        cen_dist=cen_dist,
-        v_rel=v_rel,
-        nu=nu,
-        f_o=f_o,
-        omega=om,
-        snr=props.snr_grid((n_ant, n_slots)),
-        k_times=_slot_times(scenario),
-        eff_bandwidth=props.eff_bandwidth,
-        bcc=props.bcc,
-        rms_duration=props.rms_duration,
-        carrier_freq=props.carrier_freq,
-        gain=scenario.leo_rx_gains[b],
+def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.ndarray) -> np.ndarray:
+    """``(I - dir dir^T) @ v_rel / (c * dist)`` broadcast over leading axes."""
+    proj = np.einsum("...i,...i->...", dirs, v_rel)
+    perp = v_rel - proj[..., None] * dirs
+    return perp / (_C * dists[..., None])
+
+
+def _jacobians(
+    scenario: Scenario,
+    kind: LinkKind,
+    k_times: np.ndarray,
+    dirs: np.ndarray,
+    dop_dirs: np.ndarray,
+    dop_dists: np.ndarray,
+    v_rel: np.ndarray,
+) -> LinkJacobians:
+    """All kappa1 partials of one link from its geometry.
+
+    Receiver partials exist for links received by the array; satellite-offset
+    partials for links transmitted by a satellite.  A satellite-receiver
+    link's offset partials mirror its receiver partials.
+    """
+    k_fac = k_times[None, :, None]
+    if kind is LinkKind.LEO_BS:
+        dtau_dpcheck = -dirs / _C
+        return LinkJacobians(
+            dtau_dp=None,
+            dtau_dvu=None,
+            dtau_dphi=None,
+            dtau_dpcheck=dtau_dpcheck,
+            dtau_dvcheck=k_fac * dtau_dpcheck,
+            dnu_dp=None,
+            dnu_dvu=None,
+            dnu_dpcheck=-_doppler_position_partial(dirs, dop_dists, v_rel[None, :, :]),
+            dnu_dvcheck=dirs / _C,
+        )
+    receiver = scenario.receiver
+    partials = rotation_matrix_partials(receiver.orientation)
+    rotated = np.einsum("iab,ub->uia", partials, receiver.antenna_offsets)
+    dtau_dp = dirs / _C
+    dtau_dvu = k_fac * dirs / _C
+    dnu_dp = _doppler_position_partial(dop_dirs, dop_dists, v_rel)
+    dnu_dvu = -dop_dirs / _C
+    satellite = kind is LinkKind.LEO_RX
+    return LinkJacobians(
+        dtau_dp=dtau_dp,
+        dtau_dvu=dtau_dvu,
+        dtau_dphi=np.einsum("uka,uia->uki", dirs, rotated) / _C,
+        dtau_dpcheck=-dtau_dp if satellite else None,
+        dtau_dvcheck=-dtau_dvu if satellite else None,
+        dnu_dp=dnu_dp,
+        dnu_dvu=dnu_dvu,
+        dnu_dpcheck=-dnu_dp if satellite else None,
+        dnu_dvcheck=-dnu_dvu if satellite else None,
     )
 
 
-def bs_rx_observables(scenario: Scenario, q: int) -> RxLinkObservables:
-    """Observables of station ``q``'s link to the receiver array."""
-    bs = scenario.bss[q]
-    props = scenario.bs_rx_signals[q]
-    offsets = scenario.bs_rx_offset
+def _observables(scenario: Scenario, kind: LinkKind, index: int) -> LinkObservables:
+    """The one broadcast pass: geometry, Doppler, weights and Jacobians."""
     grid = scenario.grid
-    n_ant, n_slots = scenario.n_ant, scenario.n_slots
-
-    ant_dirs = np.zeros((n_ant, n_slots, 3))
-    ant_dists = np.zeros((n_ant, n_slots))
-    cen_dir = np.zeros((n_slots, 3))
-    cen_dist = np.zeros(n_slots)
-    v_rel = np.tile(-scenario.receiver.velocity, (n_slots, 1))
-    nu = np.zeros(n_slots)
-    for i, k in enumerate(grid.slot_numbers()):
-        centroid = receiver_reference(scenario.receiver, k, grid)
-        cen_dir[i] = unit_direction(bs.position, centroid)
-        cen_dist[i] = np.linalg.norm(centroid - bs.position)
-        nu[i] = cen_dir[i] @ v_rel[i] / SPEED_OF_LIGHT_M_S
-        for u in range(n_ant):
-            rx = antenna_position(scenario.receiver, u, k, grid)
-            ant_dirs[u, i] = unit_direction(bs.position, rx)
-            ant_dists[u, i] = np.linalg.norm(rx - bs.position)
+    k_times = grid.slot_numbers() * grid.spacing_s
+    if kind is LinkKind.LEO_BS:
+        tx, v_rel = _leo_states(scenario, index, k_times)
+        stations = np.array([bs.position for bs in scenario.bss]).reshape(-1, 1, 3)
+        dirs, dists = _directions(tx[None, :, :], stations)
+        dop_dirs, dop_dists = dirs, dists
+        nu = np.vecdot(dirs, v_rel[None, :, :]) / _C
+        props = scenario.leo_bs_signals[index]
+        offsets = scenario.leo_bs_offsets[index]
+        gain = scenario.leo_bs_gains[index]
+    else:
+        receiver = scenario.receiver
+        centroid = receiver.position + k_times[:, None] * receiver.velocity
+        if kind is LinkKind.LEO_RX:
+            tx, v_leo = _leo_states(scenario, index, k_times)
+            v_rel = v_leo - receiver.velocity
+            props = scenario.leo_rx_signals[index]
+            offsets = scenario.leo_rx_offsets[index]
+            gain = scenario.leo_rx_gains[index]
+        else:
+            tx = scenario.bss[index].position
+            v_rel = np.tile(-receiver.velocity, (scenario.n_slots, 1))
+            props = scenario.bs_rx_signals[index]
+            offsets = scenario.bs_rx_offset
+            gain = scenario.bs_rx_gains[index]
+        dop_dirs, dop_dists = _directions(tx, centroid)
+        lever = receiver.antenna_offsets @ rotation_matrix(receiver.orientation).T
+        dirs, dists = _directions(tx, centroid[None, :, :] + lever[:, None, :])
+        nu = np.vecdot(dop_dirs, v_rel) / _C
 
     f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
-    om = omega(props.eff_bandwidth, props.bcc, f_o)
-    return RxLinkObservables(
-        ant_dirs=ant_dirs,
-        ant_dists=ant_dists,
-        cen_dir=cen_dir,
-        cen_dist=cen_dist,
-        v_rel=v_rel,
-        nu=nu,
-        f_o=f_o,
-        omega=om,
-        snr=props.snr_grid((n_ant, n_slots)),
-        k_times=_slot_times(scenario),
-        eff_bandwidth=props.eff_bandwidth,
-        bcc=props.bcc,
-        rms_duration=props.rms_duration,
-        carrier_freq=props.carrier_freq,
-        gain=scenario.bs_rx_gains[q],
-    )
-
-
-def leo_bs_observables(scenario: Scenario, b: int) -> LeoBsObservables:
-    """Observables of satellite ``b``'s links to all base stations."""
-    leo = scenario.leos[b]
-    props = scenario.leo_bs_signals[b]
-    offsets = scenario.leo_bs_offsets[b]
-    grid = scenario.grid
-    n_bs, n_slots = scenario.n_bs, scenario.n_slots
-
-    dirs = np.zeros((n_bs, n_slots, 3))
-    dists = np.zeros((n_bs, n_slots))
-    v_rel = np.zeros((n_slots, 3))
-    nu = np.zeros((n_bs, n_slots))
-    for i, k in enumerate(grid.slot_numbers()):
-        tx = leo_position(leo, k, grid, include_offset=True)
-        v_rel[i] = leo.velocity_at(k, include_offset=True)
-        for q in range(n_bs):
-            dirs[q, i] = unit_direction(tx, scenario.bss[q].position)
-            dists[q, i] = np.linalg.norm(scenario.bss[q].position - tx)
-            nu[q, i] = dirs[q, i] @ v_rel[i] / SPEED_OF_LIGHT_M_S
-
-    f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
-    om = omega(props.eff_bandwidth, props.bcc, f_o)
-    return LeoBsObservables(
+    return LinkObservables(
+        kind=kind,
+        index=index,
         dirs=dirs,
         dists=dists,
+        dop_dirs=dop_dirs,
+        dop_dists=dop_dists,
         v_rel=v_rel,
         nu=nu,
         f_o=f_o,
-        omega=om,
-        snr=props.snr_grid((n_bs, n_slots)),
-        k_times=_slot_times(scenario),
+        omega=omega(props.eff_bandwidth, props.bcc, f_o),
+        snr=props.snr_grid(dists.shape),
+        k_times=k_times,
         eff_bandwidth=props.eff_bandwidth,
         bcc=props.bcc,
         rms_duration=props.rms_duration,
         carrier_freq=props.carrier_freq,
-        gain=scenario.leo_bs_gains[b],
+        gain=gain,
+        jacobians=_jacobians(scenario, kind, k_times, dirs, dop_dirs, dop_dists, v_rel),
     )
+
+
+def leo_rx_observables(scenario: Scenario, b: int) -> LinkObservables:
+    """Observables of satellite ``b``'s downlink to the receiver array."""
+    return _observables(scenario, LinkKind.LEO_RX, b)
+
+
+def bs_rx_observables(scenario: Scenario, q: int) -> LinkObservables:
+    """Observables of station ``q``'s link to the receiver array."""
+    return _observables(scenario, LinkKind.BS_RX, q)
+
+
+def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
+    """Observables of satellite ``b``'s links to all base stations."""
+    return _observables(scenario, LinkKind.LEO_BS, b)
+
+
+def link_jacobians(scenario: Scenario, kind: LinkKind, index: int) -> LinkJacobians:
+    """All kappa1 partials of one link."""
+    if not isinstance(kind, LinkKind):
+        raise ValueError(f"unknown link kind {kind!r}")
+    return _observables(scenario, kind, index).jacobians
+
+
+def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
+    """Every link the case observes, in assembly order: satellite-receiver,
+    station-receiver, then (with station observations) satellite-station."""
+    kinds = [(LinkKind.LEO_RX, scenario.n_leo), (LinkKind.BS_RX, scenario.n_bs)]
+    if case is Case.WITH_BS:
+        kinds.append((LinkKind.LEO_BS, scenario.n_leo))
+    return [_observables(scenario, kind, i) for kind, count in kinds for i in range(count)]

@@ -22,20 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import LinkKind, assemble_channel_fim
+from .channel_fim import assemble_channel_fim
 from .linalg import EIG_FLOOR_REL, balanced_eigvalsh, invert_psd, sym
-from .links import (
-    LeoBsObservables,
-    bs_rx_observables,
-    leo_bs_observables,
-    leo_rx_observables,
-)
+from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
 from .transform import (
-    LinkJacobians,
     LocationLayout,
     build_transformation_matrix,
-    link_jacobians,
+    kappa1_blocks,
     transform_fim,
 )
 
@@ -91,7 +85,7 @@ def _doppler_quad(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("k,ki,kj->ij", w, x, y)
 
 
-def _link_weights(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delay, Doppler and frequency-offset weights of one link.
 
     Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
@@ -100,7 +94,7 @@ def _link_weights(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``snr_k`` sums the slot's SNR over antennas, since the shift is common to
     the array).
     """
-    if isinstance(obs, LeoBsObservables):  # per-(station, slot) Doppler grid
+    if obs.per_row_doppler:
         w_tau = obs.snr * obs.omega
         snr_dop = obs.snr
     else:
@@ -112,42 +106,23 @@ def _link_weights(obs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w_tau, w_nu, w_eps
 
 
-def _rx_block_jacobians(
-    layout: LocationLayout, jac: LinkJacobians, b: int | None
-) -> list[tuple[slice, np.ndarray, np.ndarray | None]]:
-    """(kappa1 slice, delay jacobian, Doppler jacobian) per block the link sees.
-
-    Orientation has no Doppler jacobian (shifts are measured at the array
-    reference point); offset blocks appear only for satellite links (``b``).
-    """
-    blocks = [
-        (layout.position, jac.dtau_dp, jac.dnu_dp),
-        (layout.velocity, jac.dtau_dvu, jac.dnu_dvu),
-        (layout.orientation, jac.dtau_dphi, None),
-    ]
-    if b is not None:
-        blocks.append((layout.pos_offset(b), jac.dtau_dpcheck, jac.dnu_dpcheck))
-        blocks.append((layout.vel_offset(b), jac.dtau_dvcheck, jac.dnu_dvcheck))
-    return blocks
-
-
-def _accumulate_interest(
-    matrix: np.ndarray,
-    blocks: list[tuple[slice, np.ndarray, np.ndarray | None]],
-    w_tau: np.ndarray,
-    w_nu: np.ndarray,
-    per_row_doppler: bool,
-) -> None:
-    """Add one link's ``w_tau``/``w_nu`` quadratic forms to every block pair."""
-    dop_quad = _delay_quad if per_row_doppler else _doppler_quad
-    for i, (sl_i, dtau_i, dnu_i) in enumerate(blocks):
-        for sl_j, dtau_j, dnu_j in blocks[i:]:
-            block = _delay_quad(w_tau, dtau_i, dtau_j)
-            if dnu_i is not None and dnu_j is not None:
-                block = block + dop_quad(w_nu, dnu_i, dnu_j)
-            matrix[sl_i, sl_j] += block
-            if sl_i != sl_j:
-                matrix[sl_j, sl_i] += block.T
+def _interest_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np.ndarray:
+    """Sum every link's delay and Doppler quadratic forms over the block pairs
+    it informs."""
+    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
+    for obs in links:
+        w_tau, w_nu, _ = _link_weights(obs)
+        dop_quad = _delay_quad if obs.per_row_doppler else _doppler_quad
+        blocks = kappa1_blocks(layout, obs)
+        for i, (sl_i, dtau_i, dnu_i) in enumerate(blocks):
+            for sl_j, dtau_j, dnu_j in blocks[i:]:
+                block = _delay_quad(w_tau, dtau_i, dtau_j)
+                if dnu_i is not None and dnu_j is not None:
+                    block = block + dop_quad(w_nu, dnu_i, dnu_j)
+                matrix[sl_i, sl_j] += block
+                if sl_i != sl_j:
+                    matrix[sl_j, sl_i] += block.T
+    return sym(matrix)
 
 
 def assemble_interest_fim(scenario: Scenario, case: Case | None = None) -> InterestFim:
@@ -162,38 +137,16 @@ def assemble_interest_fim(scenario: Scenario, case: Case | None = None) -> Inter
     """
     case = scenario.case if case is None else case
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
-
-    for b in range(scenario.n_leo):
-        obs = leo_rx_observables(scenario, b)
-        jac = link_jacobians(scenario, LinkKind.LEO_RX, b)
-        w_tau, w_nu, _ = _link_weights(obs)
-        blocks = _rx_block_jacobians(layout, jac, b)
-        _accumulate_interest(matrix, blocks, w_tau, w_nu, per_row_doppler=False)
-
-    for q in range(scenario.n_bs):
-        obs = bs_rx_observables(scenario, q)
-        jac = link_jacobians(scenario, LinkKind.BS_RX, q)
-        w_tau, w_nu, _ = _link_weights(obs)
-        blocks = _rx_block_jacobians(layout, jac, None)
-        _accumulate_interest(matrix, blocks, w_tau, w_nu, per_row_doppler=False)
-
-    if case is Case.WITH_BS:
-        for b in range(scenario.n_leo):
-            obs = leo_bs_observables(scenario, b)
-            jac = link_jacobians(scenario, LinkKind.LEO_BS, b)
-            w_tau, w_nu, _ = _link_weights(obs)
-            blocks = [
-                (layout.pos_offset(b), jac.dtau_dpcheck, jac.dnu_dpcheck),
-                (layout.vel_offset(b), jac.dtau_dvcheck, jac.dnu_dvcheck),
-            ]
-            _accumulate_interest(matrix, blocks, w_tau, w_nu, per_row_doppler=True)
-
-    return InterestFim(matrix=sym(matrix), layout=layout, case=case)
+    matrix = _interest_matrix(layout, link_observables(scenario, case))
+    return InterestFim(matrix=matrix, layout=layout, case=case)
 
 
 def _delay_moment(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("uk,uki->i", w, x)
+
+
+def _doppler_moment(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.einsum("k,ki->i", w, x)
 
 
 def _loss_outer(
@@ -217,6 +170,49 @@ def _loss_outer(
                 matrix[sl_j, sl_i] += block.T
 
 
+def _offset_terms(layout: LocationLayout, obs: LinkObservables):
+    """One link's clock-offset moments, frequency-offset moments and their
+    normalizers ``sum w_tau`` and ``sum w_eps``."""
+    w_tau, _, w_eps = _link_weights(obs)
+    eps_w = obs.carrier_freq * w_eps
+    dop_moment = _delay_moment if obs.per_row_doppler else _doppler_moment
+    blocks = kappa1_blocks(layout, obs)
+    delta = [(sl, _delay_moment(w_tau, dtau)) for sl, dtau, _ in blocks]
+    eps = [(sl, dop_moment(eps_w, dnu)) for sl, _, dnu in blocks if dnu is not None]
+    return delta, eps, float(w_tau.sum()), float(w_eps.sum())
+
+
+def _shared_offset_terms(layout: LocationLayout, stations: list[LinkObservables]):
+    """Offset terms of the station network's single shared offset pair: each
+    moment and normalizer accumulates over stations, in station order."""
+    delta, eps, n_delta, n_eps = zip(*(_offset_terms(layout, obs) for obs in stations))
+
+    def total(moments):
+        return [
+            (sl, sum((per_station[i][1] for per_station in moments), 0.0))
+            for i, (sl, _) in enumerate(moments[0])
+        ]
+
+    return total(delta), total(eps), sum(n_delta, 0.0), sum(n_eps, 0.0)
+
+
+def _loss_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np.ndarray:
+    """Subtract-ready sum of every offset's rank-one information loss."""
+    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
+    stations = [obs for obs in links if obs.kind is LinkKind.BS_RX]
+    for obs in links:
+        if obs.kind is not LinkKind.BS_RX:
+            terms = _offset_terms(layout, obs)
+        elif obs is stations[-1]:  # links are in assembly order
+            terms = _shared_offset_terms(layout, stations)
+        else:
+            continue
+        delta, eps, n_delta, n_eps = terms
+        _loss_outer(matrix, delta, n_delta)
+        _loss_outer(matrix, eps, n_eps)
+    return sym(matrix)
+
+
 def assemble_information_loss(scenario: Scenario, case: Case | None = None) -> LossMatrix:
     """Information lost to the per-link clock and frequency offsets.
 
@@ -230,72 +226,22 @@ def assemble_information_loss(scenario: Scenario, case: Case | None = None) -> L
     """
     case = scenario.case if case is None else case
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
-
-    for b in range(scenario.n_leo):
-        obs = leo_rx_observables(scenario, b)
-        jac = link_jacobians(scenario, LinkKind.LEO_RX, b)
-        w_tau, w_nu, w_eps = _link_weights(obs)
-        blocks = _rx_block_jacobians(layout, jac, b)
-        delta_moments = [(sl, _delay_moment(w_tau, dtau)) for sl, dtau, _ in blocks]
-        eps_w = obs.carrier_freq * w_eps
-        eps_moments = [
-            (sl, np.einsum("k,ki->i", eps_w, dnu))
-            for sl, _, dnu in blocks
-            if dnu is not None
-        ]
-        _loss_outer(matrix, delta_moments, float(w_tau.sum()))
-        _loss_outer(matrix, eps_moments, float(w_eps.sum()))
-
-    if scenario.n_bs > 0:
-        shared_delta: dict[int, np.ndarray] = {}
-        shared_eps: dict[int, np.ndarray] = {}
-        n_delta = 0.0
-        n_eps = 0.0
-        slices: dict[int, slice] = {}
-        for q in range(scenario.n_bs):
-            obs = bs_rx_observables(scenario, q)
-            jac = link_jacobians(scenario, LinkKind.BS_RX, q)
-            w_tau, w_nu, w_eps = _link_weights(obs)
-            n_delta += float(w_tau.sum())
-            n_eps += float(w_eps.sum())
-            eps_w = obs.carrier_freq * w_eps
-            for key, (sl, dtau, dnu) in enumerate(_rx_block_jacobians(layout, jac, None)):
-                slices[key] = sl
-                shared_delta[key] = shared_delta.get(key, 0.0) + _delay_moment(w_tau, dtau)
-                if dnu is not None:
-                    shared_eps[key] = shared_eps.get(key, 0.0) + np.einsum(
-                        "k,ki->i", eps_w, dnu
-                    )
-        _loss_outer(matrix, [(slices[k], a) for k, a in shared_delta.items()], n_delta)
-        _loss_outer(matrix, [(slices[k], a) for k, a in shared_eps.items()], n_eps)
-
-    if case is Case.WITH_BS:
-        for b in range(scenario.n_leo):
-            obs = leo_bs_observables(scenario, b)
-            jac = link_jacobians(scenario, LinkKind.LEO_BS, b)
-            w_tau, w_nu, w_eps = _link_weights(obs)
-            blocks = [
-                (layout.pos_offset(b), jac.dtau_dpcheck, jac.dnu_dpcheck),
-                (layout.vel_offset(b), jac.dtau_dvcheck, jac.dnu_dvcheck),
-            ]
-            delta_moments = [(sl, _delay_moment(w_tau, dtau)) for sl, dtau, _ in blocks]
-            eps_w = obs.carrier_freq * w_eps
-            eps_moments = [(sl, _delay_moment(eps_w, dnu)) for sl, _, dnu in blocks]
-            _loss_outer(matrix, delta_moments, float(w_tau.sum()))
-            _loss_outer(matrix, eps_moments, float(w_eps.sum()))
-
-    return LossMatrix(matrix=sym(matrix), layout=layout, case=case)
+    matrix = _loss_matrix(layout, link_observables(scenario, case))
+    return LossMatrix(matrix=matrix, layout=layout, case=case)
 
 
 def efim_lemma_route(scenario: Scenario, case: Case | None = None) -> Efim:
-    """EFIM by the closed-form route: interest FIM minus information loss."""
+    """EFIM by the closed-form route: interest FIM minus information loss.
+
+    Every link's observables and Jacobians are evaluated once and shared by
+    the interest and loss terms.
+    """
     case = scenario.case if case is None else case
-    interest = assemble_interest_fim(scenario, case)
-    loss = assemble_information_loss(scenario, case)
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    links = link_observables(scenario, case)
     return Efim(
-        matrix=sym(interest.matrix - loss.matrix),
-        layout=interest.layout,
+        matrix=sym(_interest_matrix(layout, links) - _loss_matrix(layout, links)),
+        layout=layout,
         route=EfimRoute.LEMMA,
         case=case,
     )

@@ -10,7 +10,8 @@ The estimation target is ``kappa = [kappa1; kappa2]`` with
              assembled channel-vector ordering.
 
 Delays and Doppler shifts relate to ``kappa1`` through the link geometry; the
-transformation matrix ``Upsilon`` collects those partials so that
+partials are evaluated with each link's observables (see ``links``) and the
+transformation matrix ``Upsilon`` collects them so that
 ``J_kappa = Upsilon @ J_eta @ Upsilon.T``.
 
 Differentiation convention: delays are differentiated through the full
@@ -27,19 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import GlobalChannelLayout, LinkKind, LinkSection
-from .geometry import SPEED_OF_LIGHT_M_S, rotation_matrix_partials
-from .links import (
-    LeoBsObservables,
-    RxLinkObservables,
-    bs_rx_observables,
-    leo_bs_observables,
-    leo_rx_observables,
-)
+from .channel_fim import GlobalChannelLayout, LinkSection
 from .linalg import sym
+from .links import LinkJacobians, LinkObservables, link_jacobians  # noqa: F401 (re-exported)
 from .scenario import Case, Scenario
-
-_C = SPEED_OF_LIGHT_M_S
 
 
 @dataclass(frozen=True)
@@ -111,204 +103,41 @@ class TransformationMatrix:
     channel_layout: GlobalChannelLayout
 
 
-@dataclass(frozen=True)
-class LinkJacobians:
-    """Partials of one link's delays/Dopplers w.r.t. the kappa1 blocks.
+def kappa1_blocks(
+    layout: LocationLayout, obs: LinkObservables
+) -> list[tuple[slice, np.ndarray, np.ndarray | None]]:
+    """(kappa1 slice, delay Jacobian, Doppler Jacobian) per block the link sees.
 
-    Delay arrays have shape ``(n_rows, n_slots, 3)``; Doppler arrays are
-    ``(n_slots, 3)`` for array links and ``(n_rows, n_slots, 3)`` for
-    satellite-station links.  Entries are ``None`` where the link does not
-    depend on that block.
+    Links received by the array inform the receiver position, velocity and
+    orientation (orientation has no Doppler Jacobian: shifts are measured at
+    the array reference point); links transmitted by satellite ``b`` inform
+    its position and velocity offsets.
     """
-
-    kind: LinkKind
-    dtau_dp: np.ndarray | None
-    dtau_dvu: np.ndarray | None
-    dtau_dphi: np.ndarray | None
-    dtau_dpcheck: np.ndarray | None
-    dtau_dvcheck: np.ndarray | None
-    dnu_dp: np.ndarray | None
-    dnu_dvu: np.ndarray | None
-    dnu_dpcheck: np.ndarray | None
-    dnu_dvcheck: np.ndarray | None
-
-
-def _phi_partials(scenario: Scenario, ant_dirs: np.ndarray) -> np.ndarray:
-    """Orientation partials of a link's delays: entry (u, k, i) is
-    ``dirs[u,k] @ (dQ/dangle_i) @ offsets[u] / c``."""
-    partials = rotation_matrix_partials(scenario.receiver.orientation)
-    rotated = np.einsum("iab,ub->uia", partials, scenario.receiver.antenna_offsets)
-    return np.einsum("uka,uia->uki", ant_dirs, rotated) / _C
+    jac = obs.jacobians
+    blocks = []
+    if jac.dtau_dp is not None:
+        blocks += [
+            (layout.position, jac.dtau_dp, jac.dnu_dp),
+            (layout.velocity, jac.dtau_dvu, jac.dnu_dvu),
+            (layout.orientation, jac.dtau_dphi, None),
+        ]
+    if jac.dtau_dpcheck is not None:
+        blocks += [
+            (layout.pos_offset(obs.index), jac.dtau_dpcheck, jac.dnu_dpcheck),
+            (layout.vel_offset(obs.index), jac.dtau_dvcheck, jac.dnu_dvcheck),
+        ]
+    return blocks
 
 
-def _doppler_position_partial(obs_dirs: np.ndarray, dists: np.ndarray, v_rel: np.ndarray) -> np.ndarray:
-    """``(I - dir dir^T) @ v_rel / (c * dist)`` broadcast over leading axes."""
-    proj = np.einsum("...i,...i->...", obs_dirs, v_rel)
-    perp = v_rel - proj[..., None] * obs_dirs
-    return perp / (_C * dists[..., None])
-
-
-def link_jacobians(scenario: Scenario, kind: LinkKind, index: int) -> LinkJacobians:
-    """All kappa1 partials of one link, from its observables."""
-    if kind is LinkKind.LEO_RX:
-        obs: RxLinkObservables = leo_rx_observables(scenario, index)
-        k_fac = obs.k_times[None, :, None]
-        dtau_dp = obs.ant_dirs / _C
-        dtau_dvu = k_fac * obs.ant_dirs / _C
-        dnu_dp = _doppler_position_partial(obs.cen_dir, obs.cen_dist, obs.v_rel)
-        dnu_dvu = -obs.cen_dir / _C
-        return LinkJacobians(
-            kind=kind,
-            dtau_dp=dtau_dp,
-            dtau_dvu=dtau_dvu,
-            dtau_dphi=_phi_partials(scenario, obs.ant_dirs),
-            dtau_dpcheck=-dtau_dp,
-            dtau_dvcheck=-dtau_dvu,
-            dnu_dp=dnu_dp,
-            dnu_dvu=dnu_dvu,
-            dnu_dpcheck=-dnu_dp,
-            dnu_dvcheck=-dnu_dvu,
-        )
-    if kind is LinkKind.BS_RX:
-        obs = bs_rx_observables(scenario, index)
-        k_fac = obs.k_times[None, :, None]
-        dtau_dp = obs.ant_dirs / _C
-        return LinkJacobians(
-            kind=kind,
-            dtau_dp=dtau_dp,
-            dtau_dvu=k_fac * obs.ant_dirs / _C,
-            dtau_dphi=_phi_partials(scenario, obs.ant_dirs),
-            dtau_dpcheck=None,
-            dtau_dvcheck=None,
-            dnu_dp=_doppler_position_partial(obs.cen_dir, obs.cen_dist, obs.v_rel),
-            dnu_dvu=-obs.cen_dir / _C,
-            dnu_dpcheck=None,
-            dnu_dvcheck=None,
-        )
-    if kind is LinkKind.LEO_BS:
-        lobs: LeoBsObservables = leo_bs_observables(scenario, index)
-        k_fac = lobs.k_times[None, :, None]
-        dtau_dpcheck = -lobs.dirs / _C
-        dnu_dpcheck = -_doppler_position_partial(
-            lobs.dirs, lobs.dists, lobs.v_rel[None, :, :]
-        )
-        return LinkJacobians(
-            kind=kind,
-            dtau_dp=None,
-            dtau_dvu=None,
-            dtau_dphi=None,
-            dtau_dpcheck=dtau_dpcheck,
-            dtau_dvcheck=k_fac * dtau_dpcheck,
-            dnu_dp=None,
-            dnu_dvu=None,
-            dnu_dpcheck=dnu_dpcheck,
-            dnu_dvcheck=lobs.dirs / _C,
-        )
-    raise ValueError(f"unknown link kind {kind!r}")
-
-
-def dtau_dpU(scenario: Scenario, kind: LinkKind, index: int, u: int, k: int) -> np.ndarray:
-    """Receiver-position partial of one delay: ``direction / c``.
-
-    Defined for links received by the array; the matching satellite-offset
-    partial is its negation.
-    """
-    jac = link_jacobians(scenario, kind, index)
-    if jac.dtau_dp is None:
-        raise ValueError(f"{kind} delays do not depend on the receiver position")
-    return jac.dtau_dp[u, k]
-
-
-def dtau_dv(scenario: Scenario, kind: LinkKind, index: int, u: int, k: int) -> np.ndarray:
-    """Receiver-velocity partial of one delay: ``k*dt*direction / c``.
-
-    The satellite velocity-offset partial is the negation of the satellite
-    link's value (for satellite-station links, of the station-row value).
-    """
-    jac = link_jacobians(scenario, kind, index)
-    if jac.dtau_dvu is not None:
-        return jac.dtau_dvu[u, k]
-    return -jac.dtau_dvcheck[u, k]
-
-
-def dnu_dpU(scenario: Scenario, kind: LinkKind, index: int, k: int, row: int | None = None) -> np.ndarray:
-    """Receiver-position partial of one Doppler shift.
-
-    ``(I - dir dir^T) v_rel / (c d)``: only the transverse part of the relative
-    velocity contributes.  For satellite-station links (``row`` = station) the
-    receiver plays no role and the returned value is the building block whose
-    negation is the satellite position-offset partial.
-    """
-    jac = link_jacobians(scenario, kind, index)
-    if jac.dnu_dp is not None:
-        return jac.dnu_dp[k]
-    return -jac.dnu_dpcheck[row if row is not None else 0, k]
-
-
-def dnu_dv(scenario: Scenario, kind: LinkKind, index: int, k: int, row: int | None = None) -> np.ndarray:
-    """Receiver-velocity partial of one Doppler shift: ``-direction / c``.
-
-    The satellite velocity-offset partial is the negation (``+direction/c``).
-    """
-    jac = link_jacobians(scenario, kind, index)
-    if jac.dnu_dvu is not None:
-        return jac.dnu_dvu[k]
-    return -jac.dnu_dvcheck[row if row is not None else 0, k]
-
-
-def dtau_dPhi(scenario: Scenario, kind: LinkKind, index: int, u: int, k: int) -> np.ndarray:
-    """Orientation partials of one delay: component i is
-    ``dir @ (dQ/dangle_i) @ offset_u / c``."""
-    jac = link_jacobians(scenario, kind, index)
-    if jac.dtau_dphi is None:
-        raise ValueError(f"{kind} delays do not depend on the receiver orientation")
-    return jac.dtau_dphi[u, k]
-
-
-def _place_rx_link(
-    upsilon: np.ndarray,
-    loc: LocationLayout,
-    glob: GlobalChannelLayout,
-    sec: LinkSection,
-    jac: LinkJacobians,
-) -> None:
+def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> None:
+    """Write one link's partials into its delay and Doppler columns."""
     lay = sec.fim.layout
-    delay_cols = glob.delay_indices(sec).reshape(lay.n_rows, lay.n_slots)
-    doppler_cols = glob.doppler_indices(sec)
-    for u in range(lay.n_rows):
-        for k in range(lay.n_slots):
-            col = delay_cols[u, k]
-            upsilon[loc.position, col] = jac.dtau_dp[u, k]
-            upsilon[loc.velocity, col] = jac.dtau_dvu[u, k]
-            upsilon[loc.orientation, col] = jac.dtau_dphi[u, k]
-            if jac.kind is LinkKind.LEO_RX:
-                upsilon[loc.pos_offset(sec.fim.index), col] = jac.dtau_dpcheck[u, k]
-                upsilon[loc.vel_offset(sec.fim.index), col] = jac.dtau_dvcheck[u, k]
-    for k, col in enumerate(doppler_cols):
-        upsilon[loc.position, col] = jac.dnu_dp[k]
-        upsilon[loc.velocity, col] = jac.dnu_dvu[k]
-        if jac.kind is LinkKind.LEO_RX:
-            upsilon[loc.pos_offset(sec.fim.index), col] = jac.dnu_dpcheck[k]
-            upsilon[loc.vel_offset(sec.fim.index), col] = jac.dnu_dvcheck[k]
-
-
-def _place_leo_bs_link(
-    upsilon: np.ndarray,
-    loc: LocationLayout,
-    glob: GlobalChannelLayout,
-    sec: LinkSection,
-    jac: LinkJacobians,
-) -> None:
-    lay = sec.fim.layout
-    b = sec.fim.index
-    delay_cols = glob.delay_indices(sec).reshape(lay.n_rows, lay.n_slots)
-    doppler_cols = glob.doppler_indices(sec).reshape(lay.n_rows, lay.n_slots)
-    for q in range(lay.n_rows):
-        for k in range(lay.n_slots):
-            upsilon[loc.pos_offset(b), delay_cols[q, k]] = jac.dtau_dpcheck[q, k]
-            upsilon[loc.vel_offset(b), delay_cols[q, k]] = jac.dtau_dvcheck[q, k]
-            upsilon[loc.pos_offset(b), doppler_cols[q, k]] = jac.dnu_dpcheck[q, k]
-            upsilon[loc.vel_offset(b), doppler_cols[q, k]] = jac.dnu_dvcheck[q, k]
+    delays = slice(sec.offset + lay.delays.start, sec.offset + lay.delays.stop)
+    dopplers = slice(sec.offset + lay.dopplers.start, sec.offset + lay.dopplers.stop)
+    for rows, dtau, dnu in kappa1_blocks(loc, sec.fim.obs):
+        upsilon[rows, delays] = dtau.reshape(-1, 3).T
+        if dnu is not None:
+            upsilon[rows, dopplers] = dnu.reshape(-1, 3).T
 
 
 def location_layout(glob: GlobalChannelLayout, n_leo: int) -> LocationLayout:
@@ -329,7 +158,8 @@ def build_transformation_matrix(
     Every delay/Doppler column carries that observable's partials with respect
     to the kappa1 blocks it depends on; gain and offset columns are unit
     selections of their kappa2 rows.  ``glob`` may be passed to reuse an
-    already-assembled channel layout (it must match the scenario and case).
+    already-assembled channel layout, together with the link observables and
+    Jacobians its sections carry (it must match the scenario and case).
     """
     case = scenario.case if case is None else case
     if glob is None:
@@ -340,13 +170,9 @@ def build_transformation_matrix(
 
     upsilon = np.zeros((loc.dim, glob.dim))
     for sec in glob.sections:
-        jac = link_jacobians(scenario, sec.fim.link_kind, sec.fim.index)
-        if sec.fim.link_kind is LinkKind.LEO_BS:
-            _place_leo_bs_link(upsilon, loc, glob, sec, jac)
-        else:
-            _place_rx_link(upsilon, loc, glob, sec, jac)
-    for row, col in enumerate(loc.kappa2_channel_cols):
-        upsilon[loc.dim_interest + row, col] = 1.0
+        _place_link(upsilon, loc, sec)
+    cols = loc.kappa2_channel_cols
+    upsilon[loc.dim_interest + np.arange(len(cols)), list(cols)] = 1.0
     return TransformationMatrix(matrix=upsilon, location_layout=loc, channel_layout=glob)
 
 

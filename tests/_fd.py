@@ -82,8 +82,8 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
             if kind is LinkKind.LEO_RX
             else bs_rx_observables(scenario, index)
         )
-        n_ant, n_slots = obs.ant_dists.shape
-        h_pos = 3e-5 * float(np.min(obs.ant_dists))
+        n_ant, n_slots = obs.dists.shape
+        h_pos = 3e-5 * float(np.min(obs.dists))
         # A velocity step moves the slot-k position by k*dt*h, so keep its
         # largest displacement at the same fraction of the range as h_pos.
         h_vel = h_pos / grid.time_of(grid.n_slots)
@@ -140,7 +140,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         for i, k in enumerate(slot_numbers):
             tx = tx_point(scenario, k)
             v_rel = obs.v_rel[i]
-            d_fix = obs.cen_dir[i]
+            d_fix = obs.dop_dirs[i]
 
             def nu_of_pos(x, k=k, tx=tx, v_rel=v_rel):
                 sc = _with_receiver(scenario, position=x)
@@ -161,7 +161,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
             for i, k in enumerate(slot_numbers):
                 cen = receiver_reference(scenario.receiver, k, grid)
                 v_rel = obs.v_rel[i]
-                d_fix = obs.cen_dir[i]
+                d_fix = obs.dop_dirs[i]
 
                 def nu_of_pcheck(x, k=k, cen=cen, v_rel=v_rel):
                     sc = _with_leo(scenario, index, pos_offset=x)

@@ -1,5 +1,6 @@
 """Command-line interface: config validation, output files, exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -106,6 +107,28 @@ def test_bound_exit_3_when_not_identifiable(tmp_path, capsys):
     path = _write_config(tmp_path, {"n_trials": 2})
     assert main(["--config", path]) == 3
     assert "not identifiable" in capsys.readouterr().err
+
+
+def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    """A station sitting on the array reference point is reported as exit 4."""
+    import leofim.cli as cli_module
+    from leofim.geometry import BsState, receiver_reference
+
+    sample = cli_module.random_scenario
+
+    def station_on_receiver(config, seed):
+        sc = sample(config, seed)
+        point = receiver_reference(sc.receiver, 1, sc.grid)
+        return dataclasses.replace(sc, bss=(BsState(position=point),) + sc.bss[1:])
+
+    monkeypatch.setattr(cli_module, "random_scenario", station_on_receiver)
+    out = tmp_path / "bounds.csv"
+    path = _write_config(tmp_path, {"n_trials": 1, "out": str(out)})
+    assert main(["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate geometry: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_bound_writes_csv_and_exits_0(tmp_path, capsys):

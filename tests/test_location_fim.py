@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
 from leofim.channel_fim import assemble_channel_fim
 from leofim.linalg import balanced_eigvalsh
@@ -182,3 +183,16 @@ def test_receiver_only_case_has_no_satellite_station_information():
     assert with_bs.shape == rx_only.shape
     assert _loewner_min(with_bs, rx_only) >= -1e-9
     assert np.linalg.norm(with_bs - rx_only, "fro") > 0.0
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_routes_agree_without_stations(case):
+    """With no base station there is no shared station offset pair and every
+    satellite-station link has zero rows; both routes still agree."""
+    sc = _scenario(41, n_leo=2, n_bs=0, n_ant=3, n_slots=3, case=case)
+    _, glob = assemble_channel_fim(sc)
+    assert glob.shared_bs_offsets is None
+    lemma = compute_efim(sc, route=EfimRoute.LEMMA).matrix
+    schur = compute_efim(sc, route=EfimRoute.SCHUR).matrix
+    gap = np.linalg.norm(lemma - schur, "fro") / np.linalg.norm(schur, "fro")
+    assert gap <= 1e-8
