@@ -2,10 +2,9 @@
 
 Positive definiteness is decided on the unit-diagonal-balanced EFIM (the raw
 matrix mixes units whose scales differ by many decades); the reported
-eigenvalues and condition number refer to that balanced spectrum, and the
-balancing choice is recorded in the verdict.  A configuration counts as
-identifiable only if every one of its random trial geometries is positive
-definite — a single lucky geometry is not enough.
+eigenvalues and condition number refer to that balanced spectrum.  A
+configuration counts as identifiable only if every one of its random trial
+geometries is positive definite — a single lucky geometry is not enough.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class IdentifiabilityVerdict:
     """Eigenvalue-based positive-definiteness verdict for one configuration.
 
     ``min_eigenvalue`` / ``max_eigenvalue`` / ``condition_number`` describe the
-    balanced spectrum (see ``balancing``).  ``config`` carries the scenario
+    unit-diagonal-balanced spectrum.  ``config`` carries the scenario
     configuration the verdict refers to, when one applies.
     """
 
@@ -52,7 +51,6 @@ class IdentifiabilityVerdict:
     max_eigenvalue: float
     condition_number: float
     rel_tol: float = DEFAULT_REL_TOL
-    balancing: str = "unit-diagonal"
     config: ScenarioConfig | None = None
 
 
@@ -231,6 +229,23 @@ class SweepPoint:
     worst_verdict: IdentifiabilityVerdict
 
 
+def swept_config(template: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """``template`` with sweep axis ``axis`` set to ``value``.
+
+    Raises
+    ------
+    ValueError
+        If an antenna count is not integral, or the scenario configuration
+        rejects the value.
+    """
+    cast = float(value)
+    if axis == "n_ant":
+        if not cast.is_integer():
+            raise ValueError(f"n_ant must be an integer, got {value}")
+        cast = int(cast)
+    return dataclasses.replace(template, **{axis: cast})
+
+
 def parameter_sweep(
     axis: str,
     values: list[float],
@@ -252,8 +267,7 @@ def parameter_sweep(
 
     points: list[SweepPoint] = []
     for value in values:
-        cast = int(value) if axis == "n_ant" else float(value)
-        config = dataclasses.replace(template, **{axis: cast})
+        config = swept_config(template, axis, value)
         reports: list[CrlbReport] = []
         verdicts: list[IdentifiabilityVerdict] = []
         for trial_seed in trial_seeds:

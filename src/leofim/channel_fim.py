@@ -2,7 +2,7 @@
 
 For every link the observable parameter vector is ordered as
 
-    [delays (element-major, slot-minor), Doppler shifts, gain magnitude(s),
+    [delays (element-major, slot-minor), Doppler shifts, gain magnitude,
      clock offset, frequency offset]
 
 with one Doppler per slot for links received by the antenna array (the shift
@@ -45,14 +45,11 @@ class ChannelLayout:
     satellite-station link); delays occupy a row-major (row, slot) grid.
     ``doppler_per_row`` distinguishes the per-(station, slot) Doppler grid of
     satellite-station links from the per-slot Doppler of array links.
-    ``n_gain`` is 1 for a link-level gain or ``n_rows * n_slots`` when
-    per-observation gains are requested.
     """
 
     n_rows: int
     n_slots: int
     doppler_per_row: bool = False
-    n_gain: int = 1
 
     @property
     def n_delays(self) -> int:
@@ -71,13 +68,12 @@ class ChannelLayout:
         return slice(self.n_delays, self.n_delays + self.n_dopplers)
 
     @property
-    def gains(self) -> slice:
-        start = self.n_delays + self.n_dopplers
-        return slice(start, start + self.n_gain)
+    def gain(self) -> int:
+        return self.n_delays + self.n_dopplers
 
     @property
     def time_offset(self) -> int:
-        return self.n_delays + self.n_dopplers + self.n_gain
+        return self.gain + 1
 
     @property
     def freq_offset(self) -> int:
@@ -85,7 +81,7 @@ class ChannelLayout:
 
     @property
     def dim(self) -> int:
-        return self.n_delays + self.n_dopplers + self.n_gain + 2
+        return self.freq_offset + 1
 
     def delay_index(self, row: int, k: int) -> int:
         """Position of the (row, slot) delay within the link vector
@@ -122,7 +118,7 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
 
     Every observation (row, slot) adds its delay, Doppler and gain terms to
     the matrix; entries shared by several observations (the offsets, a
-    per-slot Doppler, a link-level gain) accumulate in row-major observation
+    per-slot Doppler, the gain) accumulate in row-major observation
     order, which ``np.add.at`` preserves.
     """
     fim = np.zeros((layout.dim, layout.dim))
@@ -138,7 +134,7 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     nu = layout.doppler_index(ks, rows)
     delta = np.full_like(tau, layout.time_offset)
     eps = np.full_like(tau, layout.freq_offset)
-    gain = layout.gains.start + (tau if layout.n_gain > 1 else 0 * tau)
+    gain = np.full_like(tau, layout.gain)
     s = snr.ravel()
     sw = (snr * w).ravel()
     neg_sw = (-snr * w).ravel()
@@ -159,35 +155,30 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     return fim
 
 
-def _link_fim(obs: LinkObservables, per_element_gain: bool) -> LinkFim:
+def _link_fim(obs: LinkObservables) -> LinkFim:
     n_rows, n_slots = obs.snr.shape
-    layout = ChannelLayout(
-        n_rows=n_rows,
-        n_slots=n_slots,
-        doppler_per_row=obs.per_row_doppler,
-        n_gain=n_rows * n_slots if per_element_gain else 1,
-    )
+    layout = ChannelLayout(n_rows=n_rows, n_slots=n_slots, doppler_per_row=obs.per_row_doppler)
     return LinkFim(matrix=_fill_link_fim(layout, obs), layout=layout, obs=obs)
 
 
-def link_fim_leo_rx(scenario: Scenario, b: int, per_element_gain: bool = False) -> LinkFim:
+def link_fim_leo_rx(scenario: Scenario, b: int) -> LinkFim:
     """Channel FIM of satellite ``b``'s downlink to the receiver."""
-    return _link_fim(leo_rx_observables(scenario, b), per_element_gain)
+    return _link_fim(leo_rx_observables(scenario, b))
 
 
-def link_fim_bs_rx(scenario: Scenario, q: int, per_element_gain: bool = False) -> LinkFim:
+def link_fim_bs_rx(scenario: Scenario, q: int) -> LinkFim:
     """Channel FIM of station ``q``'s link to the receiver.
 
     The trailing (clock, frequency) offset coordinates are this link's view of
     the offsets shared by the whole station network; the assembler accumulates
     them into one global pair.
     """
-    return _link_fim(bs_rx_observables(scenario, q), per_element_gain)
+    return _link_fim(bs_rx_observables(scenario, q))
 
 
-def link_fim_leo_bs(scenario: Scenario, b: int, per_element_gain: bool = False) -> LinkFim:
+def link_fim_leo_bs(scenario: Scenario, b: int) -> LinkFim:
     """Channel FIM of satellite ``b``'s links to all base stations."""
-    return _link_fim(leo_bs_observables(scenario, b), per_element_gain)
+    return _link_fim(leo_bs_observables(scenario, b))
 
 
 @dataclass(frozen=True)
@@ -206,8 +197,7 @@ class GlobalChannelLayout:
     station-receiver links followed by their single shared offset pair, then
     (with station observations) satellite-station links.  For station-receiver
     sections the per-link offset columns do not own global coordinates;
-    ``delta_index`` / ``epsilon_index`` of those sections resolve to the shared
-    pair.
+    ``delta_index`` of those sections resolves to the shared pair.
     """
 
     sections: tuple[LinkSection, ...]
@@ -229,25 +219,15 @@ class GlobalChannelLayout:
         lay = sec.fim.layout
         return sec.offset + np.arange(lay.dopplers.start, lay.dopplers.stop)
 
-    def gain_indices(self, sec: LinkSection) -> np.ndarray:
-        lay = sec.fim.layout
-        return sec.offset + np.arange(lay.gains.start, lay.gains.stop)
-
     def delta_index(self, sec: LinkSection) -> int:
         if sec.fim.link_kind is LinkKind.BS_RX:
             assert self.shared_bs_offsets is not None
             return self.shared_bs_offsets[0]
         return sec.offset + sec.fim.layout.time_offset
 
-    def epsilon_index(self, sec: LinkSection) -> int:
-        if sec.fim.link_kind is LinkKind.BS_RX:
-            assert self.shared_bs_offsets is not None
-            return self.shared_bs_offsets[1]
-        return sec.offset + sec.fim.layout.freq_offset
-
 
 def assemble_channel_fim(
-    scenario: Scenario, case: Case | None = None, per_element_gain: bool = False
+    scenario: Scenario, case: Case | None = None
 ) -> tuple[np.ndarray, GlobalChannelLayout]:
     """Assemble the channel FIM over every link the case observes.
 
@@ -257,7 +237,7 @@ def assemble_channel_fim(
     station-receiver link's offset information on one coordinate pair.
     """
     case = scenario.case if case is None else case
-    link_fims = [_link_fim(obs, per_element_gain) for obs in link_observables(scenario, case)]
+    link_fims = [_link_fim(obs) for obs in link_observables(scenario, case)]
 
     sections: list[LinkSection] = []
     offset = 0

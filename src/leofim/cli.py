@@ -40,6 +40,7 @@ from .analysis import (
     identifiability_sweep,
     is_identifiable,
     parameter_sweep,
+    swept_config,
 )
 from .geometry import DegenerateGeometryError
 from .linalg import NumericalError
@@ -175,7 +176,7 @@ _ACCEPTED_KEYS = _FIELD_NAMES | {"snr_linear"}
 
 _INT_FIELDS = {
     "n_leo": 1,
-    "n_bs": 1,
+    "n_bs": 0,
     "n_ant": 1,
     "n_slots": 1,
     "n_trials": 1,
@@ -307,8 +308,9 @@ def config_from_dict(raw: dict) -> RunConfig:
             raw_values = values[field]
             if not isinstance(raw_values, (list, tuple)) or not raw_values:
                 raise ConfigError(f"{field}: must be a non-empty list (got {raw_values!r})")
+            minimum = _INT_FIELDS[field.removeprefix("grid_")]
             values[field] = tuple(
-                _require_int(f"{field}[{i}]", v, 1) for i, v in enumerate(raw_values)
+                _require_int(f"{field}[{i}]", v, minimum) for i, v in enumerate(raw_values)
             )
 
     try:
@@ -322,11 +324,18 @@ def config_from_dict(raw: dict) -> RunConfig:
             "band [1e9, 1e11]; results may be extrapolated",
             stacklevel=2,
         )
-    # Let the scenario layer re-check the combined knobs (reports field names).
+    # Let the scenario layer re-check the combined knobs (reports field names),
+    # also at every sweep value.
     try:
-        config.scenario_config()
+        template = config.scenario_config()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if config.sweep_axis is not None and config.sweep_values is not None:
+        for i, value in enumerate(config.sweep_values):
+            try:
+                swept_config(template, config.sweep_axis, value)
+            except ValueError as exc:
+                raise ConfigError(f"sweep_values[{i}]: {exc}") from exc
     return config
 
 

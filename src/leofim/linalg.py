@@ -25,14 +25,6 @@ def sym(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def relative_asymmetry(matrix: np.ndarray) -> float:
-    """``norm(A - A.T) / norm(A)`` with a zero-matrix guard."""
-    scale = float(np.linalg.norm(matrix))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(matrix - matrix.T)) / scale
-
-
 def balance_scale(matrix: np.ndarray) -> np.ndarray:
     """Diagonal scaling vector ``d`` such that ``diag(d) A diag(d)`` has unit
     diagonal wherever the input diagonal is positive (and 1.0 elsewhere)."""
@@ -95,37 +87,3 @@ def invert_psd(
     inv_balanced = (eigvecs * inv_vals[None, :]) @ eigvecs.T
     inverse = inv_balanced * scale[:, None] * scale[None, :]
     return sym(inverse), used_pseudo
-
-
-def schur_complement(
-    matrix: np.ndarray,
-    keep: np.ndarray,
-    drop: np.ndarray,
-    floor_rel: float = EIG_FLOOR_REL,
-) -> tuple[np.ndarray, bool]:
-    """Schur complement of the ``drop`` block: ``A - B C^-1 B.T``.
-
-    Parameters
-    ----------
-    matrix : numpy.ndarray
-        Full symmetric matrix.
-    keep, drop : numpy.ndarray
-        Integer index arrays selecting the retained block A and the
-        marginalized block C.
-    floor_rel : float
-        Relative eigenvalue floor for inverting C.
-
-    Returns
-    -------
-    (numpy.ndarray, bool)
-        The complement, and whether C's inversion floored any eigenvalue.
-    """
-    keep = np.asarray(keep, dtype=int)
-    drop = np.asarray(drop, dtype=int)
-    a = matrix[np.ix_(keep, keep)]
-    if drop.size == 0:
-        return sym(a.copy()), False
-    b = matrix[np.ix_(keep, drop)]
-    c = matrix[np.ix_(drop, drop)]
-    c_inv, used_pseudo = invert_psd(c, floor_rel)
-    return sym(a - b @ c_inv @ b.T), used_pseudo

@@ -7,8 +7,10 @@ parameters:
   rank-one information-loss terms per link, built from each link's delay and
   Doppler weights and the per-link offset normalizers;
 * the **Schur route**: the assembled channel FIM is mapped through the
-  transformation matrix and the nuisance block (gains and offsets of every
-  link) is marginalized by a generic Schur complement.
+  transformation matrix and the nuisance coordinates (gains and offsets of
+  every link) are marginalized by a Schur complement; no observation carries
+  two nuisance coordinates, so the nuisance block is diagonal and is
+  eliminated one coordinate at a time.
 
 They compute the same quantity through different structure, so disagreement
 localizes transcription errors; both are exposed and tested against each
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_fim import assemble_channel_fim
-from .linalg import EIG_FLOOR_REL, balanced_eigvalsh, invert_psd, sym
+from .linalg import invert_psd, sym
 from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
 from .transform import (
@@ -59,20 +61,12 @@ class LossMatrix:
 
 @dataclass(frozen=True)
 class Efim:
-    """Equivalent FIM of the interest parameters.
-
-    ``pseudo_inverse_used`` reports a degenerate nuisance block (some offset
-    coordinate carried no information and was excluded); ``nuisance_condition``
-    is the worst balanced condition number met while inverting the nuisance
-    block on the Schur route.
-    """
+    """Equivalent FIM of the interest parameters."""
 
     matrix: np.ndarray
     layout: LocationLayout
     route: EfimRoute
     case: Case
-    pseudo_inverse_used: bool = False
-    nuisance_condition: float | None = None
 
 
 def _delay_quad(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -247,45 +241,28 @@ def efim_lemma_route(scenario: Scenario, case: Case | None = None) -> Efim:
     )
 
 
-def _nuisance_components(j22: np.ndarray) -> list[np.ndarray]:
-    """Connected components of the nuisance coupling graph (exact nonzeros)."""
-    n = j22.shape[0]
-    adjacency = j22 != 0.0
-    seen = np.zeros(n, dtype=bool)
-    components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            node = stack.pop()
-            members.append(node)
-            neighbors = np.flatnonzero(adjacency[node])
-            for nb in neighbors:
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(int(nb))
-        components.append(np.asarray(sorted(members), dtype=int))
-    return components
-
-
 def efim_schur_route(
     j_kappa: np.ndarray,
     layout: LocationLayout,
     case: Case = Case.WITH_BS,
-    floor_rel: float = EIG_FLOOR_REL,
 ) -> Efim:
-    """EFIM by the generic route: Schur complement over every nuisance
-    coordinate of the location-parameter FIM.
+    """EFIM by the generic route: Schur complement of the nuisance block of
+    the location-parameter FIM.
 
-    The nuisance block is marginalized per connected component of its exact
-    sparsity pattern (uncoupled coordinates — gains in particular — cannot
-    leak information across components, and zero-coupling components
-    contribute exactly nothing, so dropping them leaves the result
-    bit-identical).  Components are inverted by balanced eigendecomposition
-    with the relative floor; flooring is reported via the pseudo-inverse flag.
+    No observation carries two nuisance coordinates (a gain pairs only with
+    itself, a clock offset only with delays, a frequency offset only with
+    Dopplers).  With ``J_kappa = [[J11, J12], [J12^T, J22]]`` split at the
+    interest/nuisance boundary, ``J22 = diag(c_i)`` and the complement is
+    ``J11 - sum_i b_i c_i^-1 b_i^T`` over the columns ``b_i`` of ``J12`` that
+    are nonzero; an uncoupled column contributes exactly nothing.  Each
+    ``c_i`` is inverted by ``invert_psd`` and the terms accumulate in column
+    order.
+
+    Raises
+    ------
+    ValueError
+        If ``j_kappa`` does not match the layout, or its nuisance block has an
+        off-diagonal nonzero.
     """
     dim = layout.dim
     if j_kappa.shape != (dim, dim):
@@ -294,33 +271,15 @@ def efim_schur_route(
     j11 = j_kappa[:n1, :n1]
     j12 = j_kappa[:n1, n1:]
     j22 = j_kappa[n1:, n1:]
+    if np.count_nonzero(j22) > np.count_nonzero(np.diag(j22)):
+        raise ValueError("nuisance block of J_kappa is not diagonal")
 
     loss = np.zeros_like(j11)
-    used_pseudo = False
-    worst_cond = None
-    for comp in _nuisance_components(j22):
-        b = j12[:, comp]
-        if not np.any(b != 0.0):
-            continue
-        c = j22[np.ix_(comp, comp)]
-        c_inv, flagged = invert_psd(c, floor_rel)
-        used_pseudo |= flagged
-        eigvals = balanced_eigvalsh(c)
-        top = float(eigvals[-1]) if eigvals.size else 0.0
-        if top > 0.0:
-            bottom = max(float(eigvals[0]), floor_rel * top)
-            cond = top / bottom
-            worst_cond = cond if worst_cond is None else max(worst_cond, cond)
+    for i in np.flatnonzero(np.any(j12 != 0.0, axis=0)):
+        b = j12[:, i : i + 1]
+        c_inv, _ = invert_psd(j22[i : i + 1, i : i + 1])
         loss += b @ c_inv @ b.T
-
-    return Efim(
-        matrix=sym(j11 - loss),
-        layout=layout,
-        route=EfimRoute.SCHUR,
-        case=case,
-        pseudo_inverse_used=used_pseudo,
-        nuisance_condition=worst_cond,
-    )
+    return Efim(matrix=sym(j11 - loss), layout=layout, route=EfimRoute.SCHUR, case=case)
 
 
 def compute_efim(

@@ -148,3 +148,8 @@ def test_parameter_sweep_propagates_infinite_bounds():
 def test_parameter_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError):
         parameter_sweep("n_leo", [1, 2], WIDE, seed=5)
+
+
+def test_parameter_sweep_rejects_non_integral_antenna_count():
+    with pytest.raises(ValueError, match="n_ant must be an integer"):
+        parameter_sweep("n_ant", [2.5], WIDE, seed=5)

@@ -41,7 +41,7 @@ def test_single_antenna_single_slot_hand_formula():
 
     i_tau = lay.delays.start
     i_nu = lay.dopplers.start
-    i_beta = lay.gains.start
+    i_beta = lay.gain
     i_delta = lay.time_offset
     i_eps = lay.freq_offset
 
@@ -80,13 +80,6 @@ def test_link_layout_dimensions():
     sb = link_fim_leo_bs(sc, 0)
     # 3*3 delays + 3*3 dopplers + 1 gain + 2 offsets
     assert sb.matrix.shape == (21, 21)
-
-
-def test_per_element_gain_grows_layout():
-    sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=1, n_ant=2, n_slots=2), 6)
-    shared = link_fim_leo_rx(sc, 0)
-    per_obs = link_fim_leo_rx(sc, 0, per_element_gain=True)
-    assert per_obs.matrix.shape[0] == shared.matrix.shape[0] + (2 * 2 - 1)
 
 
 def test_assembled_dimension_counts_shared_station_clock():

@@ -14,6 +14,7 @@ from leofim.cli import (
     effective_config_dict,
     load_config,
     main,
+    run_command,
 )
 
 WIDE = {
@@ -244,3 +245,24 @@ def test_run_config_dataclass_is_frozen():
     config = RunConfig()
     with pytest.raises(Exception):
         config.n_leo = 2
+
+
+@pytest.mark.parametrize(
+    "axis, value",
+    [("carrier_freq_hz", -1e9), ("n_ant", 0), ("slot_spacing_s", 0), ("n_ant", 2.5)],
+)
+def test_out_of_domain_sweep_value_exits_2(tmp_path, capsys, axis, value):
+    """Every sweep value is checked as the scenario it will build; the error
+    names the offending entry instead of escaping as a traceback."""
+    payload = {"command": "sweep", "sweep_axis": axis, "sweep_values": [4, value]}
+    assert main(["--config", _write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep_values[1]: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", ["with_bs", "receiver_only"])
+def test_no_base_stations_is_accepted(case):
+    config = config_from_dict({"n_bs": 0, "grid_n_bs": [0], "case": case})
+    assert run_command(config, "bound") == 3
+    assert run_command(config, "identifiability") == 0

@@ -8,8 +8,6 @@ from leofim.linalg import (
     balance_scale,
     balanced_eigvalsh,
     invert_psd,
-    relative_asymmetry,
-    schur_complement,
     sym,
 )
 
@@ -18,9 +16,6 @@ def test_sym_and_relative_asymmetry():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     s = sym(m)
     assert np.allclose(s, s.T)
-    assert relative_asymmetry(s) == 0.0
-    assert relative_asymmetry(m) > 0.1
-    assert relative_asymmetry(np.zeros((2, 2))) == 0.0
 
 
 def test_balance_scale_unit_diagonal():
@@ -74,27 +69,3 @@ def test_invert_psd_floors_singular_modes():
 def test_invert_psd_rejects_indefinite():
     with pytest.raises(NumericalError):
         invert_psd(np.diag([1.0, -1.0]))
-
-
-def test_schur_complement_frozen_two_by_two():
-    m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    out, used_pseudo = schur_complement(m, keep=[0], drop=[1])
-    assert np.allclose(out, [[1.0]])
-    assert not used_pseudo
-
-
-def test_schur_complement_empty_drop_is_identity_on_keep():
-    m = np.diag([3.0, 4.0])
-    out, used_pseudo = schur_complement(m, keep=[0, 1], drop=[])
-    assert np.allclose(out, m)
-    assert not used_pseudo
-
-
-def test_schur_complement_matches_inverse_block():
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(6, 6))
-    spd = x @ x.T + 6 * np.eye(6)
-    keep, drop = [0, 1, 2], [3, 4, 5]
-    eff, _ = schur_complement(spd, keep=keep, drop=drop)
-    top_left_of_inverse = np.linalg.inv(spd)[np.ix_(keep, keep)]
-    assert np.allclose(np.linalg.inv(eff), top_left_of_inverse, rtol=1e-10)

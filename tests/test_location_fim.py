@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leofim.channel_fim import assemble_channel_fim
-from leofim.linalg import balanced_eigvalsh
+from leofim.linalg import balanced_eigvalsh, invert_psd
 from leofim.location_fim import (
     EfimRoute,
     assemble_information_loss,
@@ -196,3 +196,45 @@ def test_routes_agree_without_stations(case):
     schur = compute_efim(sc, route=EfimRoute.SCHUR).matrix
     gap = np.linalg.norm(lemma - schur, "fro") / np.linalg.norm(schur, "fro")
     assert gap <= 1e-8
+
+
+def _j_kappa(sc):
+    j_eta, glob = assemble_channel_fim(sc)
+    ups = build_transformation_matrix(sc, glob=glob)
+    return transform_fim(j_eta, ups), ups.location_layout
+
+
+@pytest.mark.parametrize(
+    "seed, overrides, silent_downlink",
+    [
+        (51, {}, False),
+        (52, dict(n_leo=3, n_bs=3, n_ant=4, n_slots=4), False),
+        (53, dict(n_leo=2, n_bs=0, case=Case.WITH_BS), False),
+        (53, dict(n_leo=2, n_bs=0, case=Case.RECEIVER_ONLY), False),
+        (54, dict(n_leo=2, case=Case.RECEIVER_ONLY), False),
+        (55, dict(n_leo=2), True),
+    ],
+)
+def test_schur_route_matches_dense_complement(seed, overrides, silent_downlink):
+    """Eliminating the diagonal nuisance block one coordinate at a time equals
+    the dense complement ``J11 - J12 J22^+ J12^T``.  The gap is measured in
+    the scale of ``J11``: a near-singular EFIM is itself mostly cancellation."""
+    sc = _scenario(seed, **overrides)
+    if silent_downlink:
+        z = dataclasses.replace(sc.leo_rx_signals[0], snr_linear=0.0)
+        sc = dataclasses.replace(sc, leo_rx_signals=(z,) + sc.leo_rx_signals[1:])
+    j_kappa, layout = _j_kappa(sc)
+    n1 = layout.dim_interest
+    j11, j12 = j_kappa[:n1, :n1], j_kappa[:n1, n1:]
+    dense = j11 - j12 @ invert_psd(j_kappa[n1:, n1:])[0] @ j12.T
+    efim = efim_schur_route(j_kappa, layout, sc.case)
+    gap = np.linalg.norm(efim.matrix - dense, "fro")
+    assert gap <= 1e-12 * np.linalg.norm(j11, "fro")
+
+
+def test_schur_route_rejects_coupled_nuisance():
+    j_kappa, layout = _j_kappa(_scenario(56))
+    n1 = layout.dim_interest
+    j_kappa[n1, n1 + 1] = 1.0
+    with pytest.raises(ValueError, match="not diagonal"):
+        efim_schur_route(j_kappa, layout)
