@@ -24,6 +24,7 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_N_TRIALS = 5
 
 SWEEP_AXES = ("n_ant", "carrier_freq_hz", "slot_spacing_s", "snr_db")
+GRID_AXES = ("n_leo", "n_bs", "n_slots", "n_ant")
 
 
 class NotIdentifiableError(RuntimeError):
@@ -176,11 +177,10 @@ def identifiability_sweep(
     trial.  Trial seeds derive from ``seed`` alone, so results are
     reproducible and trials are paired across cells.
     """
-    axes = ("n_leo", "n_bs", "n_slots", "n_ant")
-    unknown = set(grid) - set(axes)
+    unknown = set(grid) - set(GRID_AXES)
     if unknown:
-        raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {axes}")
-    values = [grid.get(axis, [getattr(template, axis)]) for axis in axes]
+        raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {GRID_AXES}")
+    values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
     trial_seeds = derive_trial_seeds(seed, n_trials)
 
     table: list[IdentifiabilityVerdict] = []

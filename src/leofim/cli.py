@@ -7,10 +7,13 @@ Three commands share one configuration schema:
 * ``sweep``           — mean bounds along one scalar axis.
 
 Configs are flat JSON objects (see ``RunConfig`` for keys and defaults).
-Unknown keys are rejected.  ``snr_db`` is canonical; ``snr_linear`` is accepted
-on input (and echoed on output) but must agree with ``snr_db`` when both are
-present.  The effective configuration echoed by a run can be fed back in as a
-config file and reloads to an equivalent ``RunConfig``.
+Unknown keys are rejected.  Scenario settings and their ranges are those of
+:class:`~leofim.scenario.ScenarioConfig`; every scenario configuration a run
+builds (the template, each sweep value, each grid entry) is checked.
+``snr_db`` is canonical; ``snr_linear`` is accepted on input (and echoed on
+output) but must agree with ``snr_db`` when both are present.  The effective
+configuration echoed by a run can be fed back in as a config file and reloads
+to an equivalent ``RunConfig``.
 
 Result files are CSV (RFC 4180: CRLF line endings, fixed header, floats at 9
 significant digits) or JSON (same records; non-finite bounds become null).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -34,6 +38,8 @@ from dataclasses import dataclass
 from .analysis import (
     DEFAULT_N_TRIALS,
     DEFAULT_REL_TOL,
+    GRID_AXES,
+    SWEEP_AXES,
     CrlbReport,
     IdentifiabilityVerdict,
     crlb,
@@ -53,10 +59,7 @@ FORMATS = ("csv", "json")
 
 # Accepted spellings for the sweep axis, canonicalized to config field names.
 _AXIS_ALIASES = {
-    "n_ant": "n_ant",
-    "carrier_freq_hz": "carrier_freq_hz",
-    "slot_spacing_s": "slot_spacing_s",
-    "snr_db": "snr_db",
+    **{axis: axis for axis in SWEEP_AXES},
     "antennas": "n_ant",
     "carrier": "carrier_freq_hz",
     "slot_spacing": "slot_spacing_s",
@@ -92,6 +95,8 @@ COLUMNS = (
     "leo_pos_offset_bound",
     "leo_vel_offset_bound",
 )
+# The bound columns, shared by the printed tables.
+_BOUND_COLUMNS = COLUMNS[COLUMNS.index("pos_rmse_bound"):]
 
 
 class ConfigError(ValueError):
@@ -99,37 +104,16 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ScenarioConfig):
     """Flat run configuration (one JSON object).
 
-    Scenario knobs mirror :class:`~leofim.scenario.ScenarioConfig`; the rest
-    steer the run itself.  ``grid_*`` keys select the identifiability grid
-    (missing axes stay at the scalar value); ``sweep_axis``/``sweep_values``
-    configure the ``sweep`` command.
+    The scenario settings, their defaults and their ranges are inherited from
+    :class:`~leofim.scenario.ScenarioConfig`; the fields declared here steer
+    the run itself.  ``grid_*`` keys select the identifiability grid (missing
+    axes stay at the scalar value); ``sweep_axis``/``sweep_values`` configure
+    the ``sweep`` command.
     """
 
-    n_leo: int = 1
-    n_bs: int = 3
-    n_ant: int = 4
-    n_slots: int = 3
-    slot_spacing_s: float = 1.0
-    carrier_freq_hz: float = 40e9
-    eff_bandwidth_hz: float = 100e6
-    bcc: float = 0.0
-    observation_duration_s: float = 1e-3
-    rms_duration_s: float | None = None
-    snr_db: float = 20.0
-    snr_db_leo_rx: float | None = None
-    snr_db_bs_rx: float | None = None
-    snr_db_leo_bs: float | None = None
-    case: str = "with_bs"
-    leo_distance_m: float = 2e6
-    receiver_distance_m: float = 30.0
-    bs_distance_m: float = 100.0
-    leo_speed_m_s: float = 8000.0
-    receiver_speed_m_s: float = 25.0
-    leo_dir_perturb_rad: float = 0.1
-    array_radius_wavelengths: float = 20.0
     seed: int = 0
     n_trials: int = DEFAULT_N_TRIALS
     rel_tol: float = DEFAULT_REL_TOL
@@ -143,69 +127,23 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not self.rel_tol > 0.0:
+            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
+
     def scenario_config(self) -> ScenarioConfig:
         """The scenario-generator slice of this run configuration."""
         return ScenarioConfig(
-            n_leo=self.n_leo,
-            n_bs=self.n_bs,
-            n_ant=self.n_ant,
-            n_slots=self.n_slots,
-            slot_spacing_s=self.slot_spacing_s,
-            carrier_freq_hz=self.carrier_freq_hz,
-            eff_bandwidth_hz=self.eff_bandwidth_hz,
-            bcc=self.bcc,
-            observation_duration_s=self.observation_duration_s,
-            rms_duration_s=self.rms_duration_s,
-            snr_db=self.snr_db,
-            snr_db_leo_rx=self.snr_db_leo_rx,
-            snr_db_bs_rx=self.snr_db_bs_rx,
-            snr_db_leo_bs=self.snr_db_leo_bs,
-            case=Case(self.case),
-            leo_distance_m=self.leo_distance_m,
-            receiver_distance_m=self.receiver_distance_m,
-            bs_distance_m=self.bs_distance_m,
-            leo_speed_m_s=self.leo_speed_m_s,
-            receiver_speed_m_s=self.receiver_speed_m_s,
-            leo_dir_perturb_rad=self.leo_dir_perturb_rad,
-            array_radius_wavelengths=self.array_radius_wavelengths,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(ScenarioConfig)}
         )
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(RunConfig)}
-_ACCEPTED_KEYS = _FIELD_NAMES | {"snr_linear"}
-
-_INT_FIELDS = {
-    "n_leo": 1,
-    "n_bs": 0,
-    "n_ant": 1,
-    "n_slots": 1,
-    "n_trials": 1,
-}
-_POSITIVE_FLOAT_FIELDS = (
-    "slot_spacing_s",
-    "carrier_freq_hz",
-    "observation_duration_s",
-    "leo_distance_m",
-    "receiver_distance_m",
-    "bs_distance_m",
-    "rel_tol",
-)
-_NONNEGATIVE_FLOAT_FIELDS = (
-    "eff_bandwidth_hz",
-    "leo_speed_m_s",
-    "receiver_speed_m_s",
-    "leo_dir_perturb_rad",
-    "array_radius_wavelengths",
-)
-_GRID_FIELDS = ("grid_n_leo", "grid_n_bs", "grid_n_slots", "grid_n_ant")
-
-
-def _require_int(field: str, value, minimum: int, maximum: int | None = None) -> int:
+def _require_int(field: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{field}: must be an integer (got {value!r})")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{field}: must be {bound} (got {value})")
     return value
 
 
@@ -223,119 +161,118 @@ def _require_choice(field: str, value, choices: tuple[str, ...]) -> str:
     return value
 
 
+def _require_seed(field: str, value) -> int:
+    seed = _require_int(field, value)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{field}: must be in [0, {2**64 - 1}] (got {seed})")
+    return seed
+
+
+def _require_path(field: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{field}: must be a string path (got {value!r})")
+    return value
+
+
+def _require_list(require):
+    """Check of a non-empty JSON list whose entries pass ``require``."""
+
+    def check(field: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{field}: must be a non-empty list (got {value!r})")
+        return tuple(require(f"{field}[{i}]", v) for i, v in enumerate(value))
+
+    return check
+
+
+# JSON type checks, by field name or else by field annotation (an optional
+# ``X | None`` field also takes null).  Ranges are the configurations' own.
+_CHECKS_BY_NAME = {
+    "case": lambda field, value: Case(
+        _require_choice(field, value, tuple(c.value for c in Case))
+    ),
+    "command": lambda field, value: _require_choice(field, value, COMMANDS),
+    "format": lambda field, value: _require_choice(field, value, FORMATS),
+    "sweep_axis": lambda field, value: _AXIS_ALIASES[
+        _require_choice(field, value, tuple(sorted(_AXIS_ALIASES)))
+    ],
+    "seed": _require_seed,
+}
+_CHECKS_BY_TYPE = {
+    "int": _require_int,
+    "float": _require_float,
+    "str": _require_path,
+    "tuple[int, ...]": _require_list(_require_int),
+    "tuple[float, ...]": _require_list(_require_float),
+}
+
+
+def _checked(label: str, build, template: ScenarioConfig | None = None) -> ScenarioConfig:
+    """One scenario configuration of a run, built by ``build()``.
+
+    A value the configuration rejects becomes a :class:`ConfigError` prefixed
+    with ``label``.  A carrier outside the supported band warns, unless it is
+    ``template``'s, which has warned already.
+    """
+    try:
+        config = build()
+    except ValueError as exc:
+        raise ConfigError(f"{label}{exc}") from exc
+    carrier = config.carrier_freq_hz
+    if not 1e9 <= carrier <= 1e11 and (template is None or carrier != template.carrier_freq_hz):
+        warnings.warn(
+            f"{label}carrier_freq_hz {carrier:g} is outside the supported "
+            "band [1e9, 1e11]; results may be extrapolated",
+            stacklevel=3,
+        )
+    return config
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Validate a flat key/value mapping into a :class:`RunConfig`.
 
-    Unknown keys are rejected; every violated constraint is reported with the
-    offending field name.
+    Unknown keys are rejected.  Every scenario configuration the run will
+    build is checked, and every violated constraint is reported with the
+    offending field name (and sweep or grid entry).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"configuration must be a JSON object (got {type(raw).__name__})")
-    unknown = sorted(set(raw) - _ACCEPTED_KEYS)
+    fields = dataclasses.fields(RunConfig)
+    unknown = sorted(set(raw) - {f.name for f in fields} - {"snr_linear"})
     if unknown:
         raise ConfigError(f"unknown configuration keys: {unknown}")
 
     values = dict(raw)
-    snr_linear = values.pop("snr_linear", None)
-    if snr_linear is not None:
-        linear = _require_float("snr_linear", snr_linear)
+    linear = values.pop("snr_linear", None)
+    if linear is not None:
+        linear = _require_float("snr_linear", linear)
         if linear <= 0.0:
             raise ConfigError(f"snr_linear: must be > 0 (got {linear})")
-        implied_db = 10.0 * math.log10(linear)
-        if "snr_db" in values:
-            given_db = _require_float("snr_db", values["snr_db"])
-            if abs(snr_from_db(given_db) - linear) > 1e-9 * linear:
-                raise ConfigError(
-                    "snr_linear: inconsistent with snr_db "
-                    f"(snr_db {given_db} implies {snr_from_db(given_db):.12g}, got {linear})"
-                )
-        else:
-            values["snr_db"] = implied_db
+        values.setdefault("snr_db", 10.0 * math.log10(linear))
+    for field in fields:
+        kind = field.type.removesuffix(" | None")
+        value = values.get(field.name)
+        if field.name in values and (value is not None or kind == field.type):
+            check = _CHECKS_BY_NAME.get(field.name) or _CHECKS_BY_TYPE[kind]
+            values[field.name] = check(field.name, value)
 
-    for field, minimum in _INT_FIELDS.items():
-        if field in values:
-            values[field] = _require_int(field, values[field], minimum)
-    if "seed" in values:
-        values["seed"] = _require_int("seed", values["seed"], 0, 2**64 - 1)
-
-    for field in _POSITIVE_FLOAT_FIELDS:
-        if field in values:
-            values[field] = _require_float(field, values[field])
-            if values[field] <= 0.0:
-                raise ConfigError(f"{field}: must be > 0 (got {values[field]})")
-    for field in _NONNEGATIVE_FLOAT_FIELDS:
-        if field in values:
-            values[field] = _require_float(field, values[field])
-            if values[field] < 0.0:
-                raise ConfigError(f"{field}: must be >= 0 (got {values[field]})")
-    for field in ("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"):
-        if values.get(field) is not None:
-            values[field] = _require_float(field, values[field])
-    if "bcc" in values:
-        values["bcc"] = _require_float("bcc", values["bcc"])
-        if abs(values["bcc"]) > 1.0:
-            raise ConfigError(f"bcc: must satisfy |bcc| <= 1 (got {values['bcc']})")
-    if values.get("rms_duration_s") is not None:
-        values["rms_duration_s"] = _require_float("rms_duration_s", values["rms_duration_s"])
-        if values["rms_duration_s"] <= 0.0:
-            raise ConfigError(f"rms_duration_s: must be > 0 (got {values['rms_duration_s']})")
-
-    if "case" in values:
-        values["case"] = _require_choice("case", values["case"], ("with_bs", "receiver_only"))
-    if "command" in values:
-        values["command"] = _require_choice("command", values["command"], COMMANDS)
-    if "format" in values:
-        values["format"] = _require_choice("format", values["format"], FORMATS)
-    if values.get("out") is not None and not isinstance(values["out"], str):
-        raise ConfigError(f"out: must be a string path (got {values['out']!r})")
-
-    if values.get("sweep_axis") is not None:
-        axis = values["sweep_axis"]
-        if not isinstance(axis, str) or axis not in _AXIS_ALIASES:
+    config = _checked("", functools.partial(RunConfig, **values))
+    if linear is not None and "snr_db" in raw:
+        implied = snr_from_db(config.snr_db)
+        if abs(implied - linear) > 1e-9 * linear:
             raise ConfigError(
-                f"sweep_axis: must be one of {sorted(set(_AXIS_ALIASES))} (got {axis!r})"
+                "snr_linear: inconsistent with snr_db "
+                f"(snr_db {config.snr_db} implies {implied:.12g}, got {linear})"
             )
-        values["sweep_axis"] = _AXIS_ALIASES[axis]
-    if values.get("sweep_values") is not None:
-        raw_values = values["sweep_values"]
-        if not isinstance(raw_values, (list, tuple)) or not raw_values:
-            raise ConfigError(f"sweep_values: must be a non-empty list (got {raw_values!r})")
-        values["sweep_values"] = tuple(
-            _require_float(f"sweep_values[{i}]", v) for i, v in enumerate(raw_values)
-        )
-    for field in _GRID_FIELDS:
-        if values.get(field) is not None:
-            raw_values = values[field]
-            if not isinstance(raw_values, (list, tuple)) or not raw_values:
-                raise ConfigError(f"{field}: must be a non-empty list (got {raw_values!r})")
-            minimum = _INT_FIELDS[field.removeprefix("grid_")]
-            values[field] = tuple(
-                _require_int(f"{field}[{i}]", v, minimum) for i, v in enumerate(raw_values)
-            )
-
-    try:
-        config = RunConfig(**values)
-    except TypeError as exc:  # keyword mismatch already excluded; defensive
-        raise ConfigError(str(exc)) from exc
-
-    if not 1e9 <= config.carrier_freq_hz <= 1e11:
-        warnings.warn(
-            f"carrier_freq_hz {config.carrier_freq_hz:g} is outside the supported "
-            "band [1e9, 1e11]; results may be extrapolated",
-            stacklevel=2,
-        )
-    # Let the scenario layer re-check the combined knobs (reports field names),
-    # also at every sweep value.
-    try:
-        template = config.scenario_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    template = config.scenario_config()
     if config.sweep_axis is not None and config.sweep_values is not None:
         for i, value in enumerate(config.sweep_values):
-            try:
-                swept_config(template, config.sweep_axis, value)
-            except ValueError as exc:
-                raise ConfigError(f"sweep_values[{i}]: {exc}") from exc
+            build = functools.partial(swept_config, template, config.sweep_axis, value)
+            _checked(f"sweep_values[{i}]: ", build, template)
+    for axis in GRID_AXES:
+        for i, value in enumerate(getattr(config, f"grid_{axis}") or ()):
+            build = functools.partial(dataclasses.replace, template, **{axis: value})
+            _checked(f"grid_{axis}[{i}]: ", build, template)
     return config
 
 
@@ -370,7 +307,9 @@ def effective_config_dict(config: RunConfig) -> dict:
         value = getattr(config, field.name)
         if value is None:
             continue
-        if isinstance(value, tuple):
+        if isinstance(value, Case):
+            value = value.value
+        elif isinstance(value, tuple):
             value = list(value)
         out[field.name] = value
         if field.name == "snr_db":
@@ -481,29 +420,19 @@ def _run_bound(config: RunConfig) -> tuple[list[dict], int]:
         )
     headers = ["trial", "is_pd", "pos [m]", "vel [m/s]", "orient [rad]",
                "leo_pos_off [m]", "leo_vel_off [m/s]"]
-    rows = [
-        [
-            _fmt(r["trial"]),
-            _fmt(r["is_pd"]),
-            _fmt(r["pos_rmse_bound"]),
-            _fmt(r["vel_rmse_bound"]),
-            _fmt(r["orient_rmse_bound"]),
-            _fmt(r["leo_pos_offset_bound"]),
-            _fmt(r["leo_vel_offset_bound"]),
-        ]
-        for r in records
-    ]
+    columns = ("trial", "is_pd", *_BOUND_COLUMNS)
+    rows = [[_fmt(r[c]) for c in columns] for r in records]
     _print_table(headers, rows)
     return records, 0 if all_pd else 3
 
 
 def _run_identifiability(config: RunConfig) -> tuple[list[dict], int]:
     template = config.scenario_config()
-    grid = {}
-    for field, axis in zip(_GRID_FIELDS, ("n_leo", "n_bs", "n_slots", "n_ant")):
-        values = getattr(config, field)
-        if values is not None:
-            grid[axis] = list(values)
+    grid = {
+        axis: list(getattr(config, f"grid_{axis}"))
+        for axis in GRID_AXES
+        if getattr(config, f"grid_{axis}") is not None
+    }
     verdicts = identifiability_sweep(
         grid, template, config.seed, config.n_trials, config.rel_tol
     )
@@ -512,19 +441,8 @@ def _run_identifiability(config: RunConfig) -> tuple[list[dict], int]:
         for v in verdicts
     ]
     headers = ["n_leo", "n_bs", "n_slots", "n_ant", "is_pd", "min_eig", "max_eig", "cond"]
-    rows = [
-        [
-            _fmt(r["n_leo"]),
-            _fmt(r["n_bs"]),
-            _fmt(r["n_slots"]),
-            _fmt(r["n_ant"]),
-            _fmt(r["is_pd"]),
-            _fmt(r["min_eigenvalue"]),
-            _fmt(r["max_eigenvalue"]),
-            _fmt(r["condition_number"]),
-        ]
-        for r in records
-    ]
+    columns = (*GRID_AXES, "is_pd", "min_eigenvalue", "max_eigenvalue", "condition_number")
+    rows = [[_fmt(r[c]) for c in columns] for r in records]
     _print_table(headers, rows)
     return records, 0
 
@@ -556,16 +474,8 @@ def _run_sweep(config: RunConfig) -> tuple[list[dict], int]:
     headers = [config.sweep_axis, "pd_trials", "pos [m]", "vel [m/s]",
                "orient [rad]", "leo_pos_off [m]", "leo_vel_off [m/s]"]
     rows = [
-        [
-            _fmt(p.value),
-            f"{p.n_pd_trials}/{p.n_trials}",
-            _fmt(p.report.pos_rmse_bound),
-            _fmt(p.report.vel_rmse_bound),
-            _fmt(p.report.orient_rmse_bound),
-            _fmt(p.report.leo_pos_offset_bound),
-            _fmt(p.report.leo_vel_offset_bound),
-        ]
-        for p in points
+        [_fmt(p.value), f"{p.n_pd_trials}/{p.n_trials}", *(_fmt(r[c]) for c in _BOUND_COLUMNS)]
+        for p, r in zip(points, records)
     ]
     _print_table(headers, rows)
     return records, 0
@@ -622,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is not None:
             overrides["command"] = args.command
         if args.seed is not None:
-            overrides["seed"] = _require_int("seed", args.seed, 0, 2**64 - 1)
+            overrides["seed"] = _require_seed("seed", args.seed)
         if args.out is not None:
             overrides["out"] = args.out
         if args.format is not None:

@@ -40,6 +40,9 @@ _TAG_ANTENNAS = 0x414E5453
 _TAG_LEO = 0x4C454F00
 _TAG_BS = 0x42530000
 
+# Largest accepted SNR in dB: 10**(dB/10) of a larger one overflows a double.
+_MAX_SNR_DB = 3082.0
+
 
 class SplitMix64:
     """SplitMix64 pseudo-random stream (Steele, Lea & Flood's mixing constants).
@@ -148,14 +151,16 @@ class ScenarioConfig:
             value = getattr(self, label)
             if not (np.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} must be >= 0, got {value}")
+        if not (np.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
+            raise ValueError(f"bcc must lie in [-1, 1], got {self.bcc}")
         if self.rms_duration_s is not None and not (
             np.isfinite(self.rms_duration_s) and self.rms_duration_s > 0.0
         ):
             raise ValueError(f"rms_duration_s must be positive, got {self.rms_duration_s}")
         for label in ("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"):
             value = getattr(self, label)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{label} must be finite, got {value}")
+            if value is not None and not (np.isfinite(value) and value <= _MAX_SNR_DB):
+                raise ValueError(f"{label} must be finite and <= {_MAX_SNR_DB:g} dB, got {value}")
         if not isinstance(self.case, Case):
             raise ValueError(f"case must be a Case, got {self.case!r}")
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from leofim.cli import (
     main,
     run_command,
 )
+from leofim.scenario import ScenarioConfig
 
 WIDE = {
     "n_leo": 1,
@@ -25,6 +27,76 @@ WIDE = {
     "slot_spacing_s": 50.0,
     "bs_distance_m": 5e5,
     "n_trials": 2,
+}
+
+
+# Fields a run adds to the scenario settings it inherits, in echo order.
+RUN_FIELDS = (
+    "seed",
+    "n_trials",
+    "rel_tol",
+    "command",
+    "sweep_axis",
+    "sweep_values",
+    "grid_n_leo",
+    "grid_n_bs",
+    "grid_n_slots",
+    "grid_n_ant",
+    "out",
+    "format",
+)
+
+# The effective-configuration echo of the defaults, key order included.
+DEFAULT_ECHO = [
+    ("n_leo", 1),
+    ("n_bs", 3),
+    ("n_ant", 4),
+    ("n_slots", 3),
+    ("slot_spacing_s", 1.0),
+    ("carrier_freq_hz", 40e9),
+    ("eff_bandwidth_hz", 100e6),
+    ("bcc", 0.0),
+    ("observation_duration_s", 1e-3),
+    ("snr_db", 20.0),
+    ("snr_linear", 100.0),
+    ("case", "with_bs"),
+    ("leo_distance_m", 2e6),
+    ("receiver_distance_m", 30.0),
+    ("bs_distance_m", 100.0),
+    ("leo_speed_m_s", 8000.0),
+    ("receiver_speed_m_s", 25.0),
+    ("leo_dir_perturb_rad", 0.1),
+    ("array_radius_wavelengths", 20.0),
+    ("seed", 0),
+    ("n_trials", 5),
+    ("rel_tol", 1e-10),
+    ("command", "bound"),
+    ("format", "csv"),
+]
+
+# One out-of-range value per ranged ScenarioConfig field.
+OUT_OF_RANGE = {
+    "n_leo": 0,
+    "n_bs": -1,
+    "n_ant": 0,
+    "n_slots": 0,
+    "slot_spacing_s": 0.0,
+    "carrier_freq_hz": 0.0,
+    "eff_bandwidth_hz": -1.0,
+    "bcc": 1.5,
+    "observation_duration_s": 0.0,
+    "rms_duration_s": 0.0,
+    "snr_db": 4000.0,
+    "snr_db_leo_rx": 4000.0,
+    "snr_db_bs_rx": 4000.0,
+    "snr_db_leo_bs": 4000.0,
+    "leo_distance_m": 0.0,
+    "receiver_distance_m": -1.0,
+    "bs_distance_m": 0.0,
+    "leo_speed_m_s": -1.0,
+    "receiver_speed_m_s": -1.0,
+    "leo_dir_perturb_rad": -0.1,
+    "array_radius_wavelengths": -1.0,
 }
 
 
@@ -249,13 +321,24 @@ def test_run_config_dataclass_is_frozen():
 
 @pytest.mark.parametrize(
     "axis, value",
-    [("carrier_freq_hz", -1e9), ("n_ant", 0), ("slot_spacing_s", 0), ("n_ant", 2.5)],
+    [
+        ("carrier_freq_hz", -1e9),
+        ("n_ant", 0),
+        ("slot_spacing_s", 0),
+        ("n_ant", 2.5),
+        ("snr_db", 4000.0),  # 10**(dB/10) overflows
+    ],
 )
 def test_out_of_domain_sweep_value_exits_2(tmp_path, capsys, axis, value):
     """Every sweep value is checked as the scenario it will build; the error
     names the offending entry instead of escaping as a traceback."""
     payload = {"command": "sweep", "sweep_axis": axis, "sweep_values": [4, value]}
-    assert main(["--config", _write_config(tmp_path, payload)]) == 2
+    path = _write_config(tmp_path, payload)
+    if axis == "carrier_freq_hz":  # the valid first entry, 4 Hz, is out of band
+        with pytest.warns(UserWarning, match=r"^sweep_values\[0\]: carrier_freq_hz 4 "):
+            assert main(["--config", path]) == 2
+    else:
+        assert main(["--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: sweep_values[1]: ")
     assert len(err.strip().splitlines()) == 1
@@ -266,3 +349,65 @@ def test_no_base_stations_is_accepted(case):
     config = config_from_dict({"n_bs": 0, "grid_n_bs": [0], "case": case})
     assert run_command(config, "bound") == 3
     assert run_command(config, "identifiability") == 0
+
+
+def test_accepted_keys_are_scenario_fields_run_fields_and_snr_linear():
+    scenario_keys = [f.name for f in dataclasses.fields(ScenarioConfig)]
+    assert [f.name for f in dataclasses.fields(RunConfig)] == scenario_keys + list(RUN_FIELDS)
+    every_key = {
+        **effective_config_dict(RunConfig()),
+        "rms_duration_s": 1e-3,
+        "snr_db_leo_rx": 10.0,
+        "snr_db_bs_rx": 10.0,
+        "snr_db_leo_bs": 10.0,
+        "sweep_axis": "snr_db",
+        "sweep_values": [10.0],
+        "grid_n_leo": [1],
+        "grid_n_bs": [0],
+        "grid_n_slots": [3],
+        "grid_n_ant": [4],
+        "out": "bounds.csv",
+    }
+    assert set(every_key) == set(scenario_keys) | set(RUN_FIELDS) | {"snr_linear"}
+    assert effective_config_dict(config_from_dict(every_key)) == every_key
+    for key in ("effective_rms_duration_s", "scenario_config", "snr_linear_db"):
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            config_from_dict({key: 1})
+
+
+def test_default_echo_keys_and_values_are_pinned():
+    echo = effective_config_dict(RunConfig())
+    assert json.dumps(echo) == json.dumps(dict(DEFAULT_ECHO))
+
+
+def test_every_ranged_scenario_field_has_an_out_of_range_case():
+    ranged = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"case"}
+    assert set(OUT_OF_RANGE) == ranged
+
+
+@pytest.mark.parametrize(
+    "field, value", [*OUT_OF_RANGE.items(), ("n_trials", 0), ("rel_tol", 0.0)]
+)
+def test_out_of_range_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    assert main(["--config", _write_config(tmp_path, {field: value})]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"configuration error: {field}\b", err)
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_out_of_range_grid_entry_is_reported_by_entry(tmp_path, capsys):
+    payload = {"command": "identifiability", "grid_n_bs": [2, -1]}
+    assert main(["--config", _write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: grid_n_bs[1]: n_bs must be >= 0")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_out_of_band_carrier_sweep_value_warns():
+    payload = {"command": "sweep", "sweep_axis": "carrier", "sweep_values": [1e8, 4e10]}
+    with pytest.warns(UserWarning) as record:
+        config_from_dict(payload)
+    assert [str(w.message) for w in record] == [
+        "sweep_values[0]: carrier_freq_hz 1e+08 is outside the supported band "
+        "[1e9, 1e11]; results may be extrapolated"
+    ]

@@ -62,6 +62,17 @@ def test_scenario_config_validation():
         ScenarioConfig(snr_db_leo_rx=np.inf)
 
 
+def test_scenario_config_rejects_bcc_out_of_range_and_overflowing_snr():
+    with pytest.raises(ValueError, match="bcc"):
+        ScenarioConfig(bcc=1.5)
+    with pytest.raises(ValueError, match="bcc"):
+        ScenarioConfig(bcc=np.nan)
+    with pytest.raises(ValueError, match="snr_db_bs_rx"):
+        ScenarioConfig(snr_db_bs_rx=4000.0)
+    edge = ScenarioConfig(bcc=-1.0, snr_db=3082.0)
+    assert np.isfinite(edge.signal_props().snr_linear)
+
+
 def test_signal_props_default_and_override():
     cfg = ScenarioConfig(snr_db=20.0, snr_db_leo_bs=10.0)
     shared = cfg.signal_props()
