@@ -235,13 +235,11 @@ def swept_config(template: ScenarioConfig, axis: str, value: float) -> ScenarioC
     Raises
     ------
     ValueError
-        If an antenna count is not integral, or the scenario configuration
-        rejects the value.
+        If the scenario configuration rejects the value (a non-integral
+        antenna count among others).
     """
     cast = float(value)
-    if axis == "n_ant":
-        if not cast.is_integer():
-            raise ValueError(f"n_ant must be an integer, got {value}")
+    if axis == "n_ant" and cast.is_integer():
         cast = int(cast)
     return dataclasses.replace(template, **{axis: cast})
 

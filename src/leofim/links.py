@@ -4,10 +4,12 @@ Everything downstream — channel information matrices, ``Upsilon``,
 information-loss terms — consumes links through these bundles, so the mapping
 from scene geometry to delays, Doppler shifts, weights and their kappa1
 partials lives in exactly one place and is evaluated once per link, as one
-broadcast pass over ``(element, slot, 3)`` arrays.  Delays are evaluated per
-receive element (antenna, or station for the satellite-station link); Doppler
-shifts are evaluated once per slot at the array reference point for receiver
-links, and per station otherwise.
+broadcast pass over ``(element, slot, 3)`` arrays; the receiver-array geometry
+the passes share (slot times, reference-point track, antenna lever arms and
+their orientation partials) is computed once per scenario.  Delays are
+evaluated per receive element (antenna, or station for the satellite-station
+link); Doppler shifts are evaluated once per slot at the array reference point
+for receiver links, and per station otherwise.
 
 Satellite positions include the ephemeris offsets: the constant position error
 plus the velocity-offset drift ``k*dt*vel_offset``.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,10 +148,31 @@ def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.nda
     return perp / (_C * dists[..., None])
 
 
+class _ArrayGeometry:
+    """Receiver-array quantities every link of a scenario shares: slot times
+    ``k_times (n_slots,)`` and the reference-point track ``centroid
+    (n_slots, 3)``, plus, computed on first use since satellite-station links
+    need neither, the world-frame antenna lever arms ``lever (n_ant, 3)`` and
+    their orientation partials ``rotated (n_ant, 3, 3)``."""
+
+    def __init__(self, scenario: Scenario):
+        self.receiver = receiver = scenario.receiver
+        self.k_times = scenario.grid.slot_numbers() * scenario.grid.spacing_s
+        self.centroid = receiver.position + self.k_times[:, None] * receiver.velocity
+
+    @cached_property
+    def lever(self) -> np.ndarray:
+        return self.receiver.antenna_offsets @ rotation_matrix(self.receiver.orientation).T
+
+    @cached_property
+    def rotated(self) -> np.ndarray:
+        partials = rotation_matrix_partials(self.receiver.orientation)
+        return np.einsum("iab,ub->uia", partials, self.receiver.antenna_offsets)
+
+
 def _jacobians(
-    scenario: Scenario,
+    geometry: _ArrayGeometry,
     kind: LinkKind,
-    k_times: np.ndarray,
     dirs: np.ndarray,
     dop_dirs: np.ndarray,
     dop_dists: np.ndarray,
@@ -160,7 +184,7 @@ def _jacobians(
     partials for links transmitted by a satellite.  A satellite-receiver
     link's offset partials mirror its receiver partials.
     """
-    k_fac = k_times[None, :, None]
+    k_fac = geometry.k_times[None, :, None]
     if kind is LinkKind.LEO_BS:
         dtau_dpcheck = -dirs / _C
         return LinkJacobians(
@@ -174,9 +198,6 @@ def _jacobians(
             dnu_dpcheck=-_doppler_position_partial(dirs, dop_dists, v_rel[None, :, :]),
             dnu_dvcheck=dirs / _C,
         )
-    receiver = scenario.receiver
-    partials = rotation_matrix_partials(receiver.orientation)
-    rotated = np.einsum("iab,ub->uia", partials, receiver.antenna_offsets)
     dtau_dp = dirs / _C
     dtau_dvu = k_fac * dirs / _C
     dnu_dp = _doppler_position_partial(dop_dirs, dop_dists, v_rel)
@@ -185,7 +206,7 @@ def _jacobians(
     return LinkJacobians(
         dtau_dp=dtau_dp,
         dtau_dvu=dtau_dvu,
-        dtau_dphi=np.einsum("uka,uia->uki", dirs, rotated) / _C,
+        dtau_dphi=np.einsum("uka,uia->uki", dirs, geometry.rotated) / _C,
         dtau_dpcheck=-dtau_dp if satellite else None,
         dtau_dvcheck=-dtau_dvu if satellite else None,
         dnu_dp=dnu_dp,
@@ -195,10 +216,11 @@ def _jacobians(
     )
 
 
-def _observables(scenario: Scenario, kind: LinkKind, index: int) -> LinkObservables:
+def _observables(
+    scenario: Scenario, geometry: _ArrayGeometry, kind: LinkKind, index: int
+) -> LinkObservables:
     """The one broadcast pass: geometry, Doppler, weights and Jacobians."""
-    grid = scenario.grid
-    k_times = grid.slot_numbers() * grid.spacing_s
+    k_times = geometry.k_times
     if kind is LinkKind.LEO_BS:
         tx, v_rel = _leo_states(scenario, index, k_times)
         stations = np.array([bs.position for bs in scenario.bss]).reshape(-1, 1, 3)
@@ -210,7 +232,6 @@ def _observables(scenario: Scenario, kind: LinkKind, index: int) -> LinkObservab
         gain = scenario.leo_bs_gains[index]
     else:
         receiver = scenario.receiver
-        centroid = receiver.position + k_times[:, None] * receiver.velocity
         if kind is LinkKind.LEO_RX:
             tx, v_leo = _leo_states(scenario, index, k_times)
             v_rel = v_leo - receiver.velocity
@@ -223,9 +244,8 @@ def _observables(scenario: Scenario, kind: LinkKind, index: int) -> LinkObservab
             props = scenario.bs_rx_signals[index]
             offsets = scenario.bs_rx_offset
             gain = scenario.bs_rx_gains[index]
-        dop_dirs, dop_dists = _directions(tx, centroid)
-        lever = receiver.antenna_offsets @ rotation_matrix(receiver.orientation).T
-        dirs, dists = _directions(tx, centroid[None, :, :] + lever[:, None, :])
+        dop_dirs, dop_dists = _directions(tx, geometry.centroid)
+        dirs, dists = _directions(tx, geometry.centroid[None, :, :] + geometry.lever[:, None, :])
         nu = np.vecdot(dop_dirs, v_rel) / _C
 
     f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
@@ -247,30 +267,30 @@ def _observables(scenario: Scenario, kind: LinkKind, index: int) -> LinkObservab
         rms_duration=props.rms_duration,
         carrier_freq=props.carrier_freq,
         gain=gain,
-        jacobians=_jacobians(scenario, kind, k_times, dirs, dop_dirs, dop_dists, v_rel),
+        jacobians=_jacobians(geometry, kind, dirs, dop_dirs, dop_dists, v_rel),
     )
 
 
 def leo_rx_observables(scenario: Scenario, b: int) -> LinkObservables:
     """Observables of satellite ``b``'s downlink to the receiver array."""
-    return _observables(scenario, LinkKind.LEO_RX, b)
+    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.LEO_RX, b)
 
 
 def bs_rx_observables(scenario: Scenario, q: int) -> LinkObservables:
     """Observables of station ``q``'s link to the receiver array."""
-    return _observables(scenario, LinkKind.BS_RX, q)
+    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.BS_RX, q)
 
 
 def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
     """Observables of satellite ``b``'s links to all base stations."""
-    return _observables(scenario, LinkKind.LEO_BS, b)
+    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.LEO_BS, b)
 
 
 def link_jacobians(scenario: Scenario, kind: LinkKind, index: int) -> LinkJacobians:
     """All kappa1 partials of one link."""
     if not isinstance(kind, LinkKind):
         raise ValueError(f"unknown link kind {kind!r}")
-    return _observables(scenario, kind, index).jacobians
+    return _observables(scenario, _ArrayGeometry(scenario), kind, index).jacobians
 
 
 def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
@@ -279,4 +299,7 @@ def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
     kinds = [(LinkKind.LEO_RX, scenario.n_leo), (LinkKind.BS_RX, scenario.n_bs)]
     if case is Case.WITH_BS:
         kinds.append((LinkKind.LEO_BS, scenario.n_leo))
-    return [_observables(scenario, kind, i) for kind, count in kinds for i in range(count)]
+    geometry = _ArrayGeometry(scenario)
+    return [
+        _observables(scenario, geometry, kind, i) for kind, count in kinds for i in range(count)
+    ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_fim import assemble_channel_fim
-from .linalg import invert_psd, sym
+from .linalg import NumericalError, sym
 from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
 from .transform import (
@@ -254,15 +254,18 @@ def efim_schur_route(
     Dopplers).  With ``J_kappa = [[J11, J12], [J12^T, J22]]`` split at the
     interest/nuisance boundary, ``J22 = diag(c_i)`` and the complement is
     ``J11 - sum_i b_i c_i^-1 b_i^T`` over the columns ``b_i`` of ``J12`` that
-    are nonzero; an uncoupled column contributes exactly nothing.  Each
-    ``c_i`` is inverted by ``invert_psd`` and the terms accumulate in column
-    order.
+    are nonzero; an uncoupled column contributes exactly nothing.  All
+    ``c_i^-1`` are formed at once in closed form and the terms accumulate in
+    column order.
 
     Raises
     ------
     ValueError
         If ``j_kappa`` does not match the layout, or its nuisance block has an
         off-diagonal nonzero.
+    NumericalError
+        If a coupled nuisance coordinate has no positive information
+        ``c_i``, which a PSD ``J_kappa`` cannot produce.
     """
     dim = layout.dim
     if j_kappa.shape != (dim, dim):
@@ -274,11 +277,18 @@ def efim_schur_route(
     if np.count_nonzero(j22) > np.count_nonzero(np.diag(j22)):
         raise ValueError("nuisance block of J_kappa is not diagonal")
 
+    coupled = np.flatnonzero(np.any(j12 != 0.0, axis=0))
+    c = np.diag(j22)[coupled]
+    if not np.all(c > 0.0):
+        raise NumericalError("a coupled nuisance coordinate carries no information")
+    # Exactly what ``invert_psd`` evaluates on a 1x1 block (balance by 1/sqrt(c),
+    # invert, unbalance); ``1/c`` differs in the last bit, and the tests read
+    # last-ULP rounding noise of numerically singular EFIMs.
+    s = 1.0 / np.sqrt(c)
+    c_inv = ((1.0 / ((c * s) * s)) * s) * s
     loss = np.zeros_like(j11)
-    for i in np.flatnonzero(np.any(j12 != 0.0, axis=0)):
-        b = j12[:, i : i + 1]
-        c_inv, _ = invert_psd(j22[i : i + 1, i : i + 1])
-        loss += b @ c_inv @ b.T
+    for i, ci in zip(coupled, c_inv):
+        loss += np.outer(j12[:, i] * ci, j12[:, i])
     return Efim(matrix=sym(j11 - loss), layout=layout, route=EfimRoute.SCHUR, case=case)
 
 

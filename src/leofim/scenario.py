@@ -122,14 +122,12 @@ class ScenarioConfig:
     array_radius_wavelengths: float = 20.0
 
     def __post_init__(self):
-        if self.n_leo < 1:
-            raise ValueError(f"n_leo must be >= 1, got {self.n_leo}")
-        if self.n_bs < 0:
-            raise ValueError(f"n_bs must be >= 0, got {self.n_bs}")
-        if self.n_ant < 1:
-            raise ValueError(f"n_ant must be >= 1, got {self.n_ant}")
-        if self.n_slots < 1:
-            raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
+        for label, minimum in (("n_leo", 1), ("n_bs", 0), ("n_ant", 1), ("n_slots", 1)):
+            value = getattr(self, label)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
+            if value < minimum:
+                raise ValueError(f"{label} must be >= {minimum}, got {value}")
         for label in (
             "slot_spacing_s",
             "carrier_freq_hz",
@@ -272,22 +270,18 @@ class Scenario:
         return self.grid.n_slots
 
 
-def _rodrigues(vector: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate ``vector`` about unit ``axis`` by ``angle`` (Rodrigues formula)."""
-    c, s = np.cos(angle), np.sin(angle)
-    return c * vector + s * np.cross(axis, vector) + (1.0 - c) * (axis @ vector) * axis
-
-
 def _leo_track(stream: SplitMix64, n_slots: int, perturb_rad: float) -> np.ndarray:
     """Per-slot unit velocity directions: a base direction, independently tilted
-    by up to ``perturb_rad`` each slot."""
+    by up to ``perturb_rad`` each slot (one Rodrigues rotation per slot about a
+    random axis, all slots in one broadcast)."""
     base = stream.unit_vector()
-    rows = []
+    axes, angles = [], []
     for _ in range(n_slots):
-        axis = stream.unit_vector()
-        angle = perturb_rad * stream.uniform()
-        rows.append(_rodrigues(base, axis, angle))
-    track = np.asarray(rows)
+        axes.append(stream.unit_vector())
+        angles.append(perturb_rad * stream.uniform())
+    axis = np.asarray(axes)
+    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
+    track = c * base + s * np.cross(axis, base) + (1.0 - c) * np.vecdot(axis, base)[:, None] * axis
     return track / np.linalg.norm(track, axis=1, keepdims=True)
 
 

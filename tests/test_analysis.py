@@ -12,6 +12,7 @@ from leofim.analysis import (
     identifiability_sweep,
     is_identifiable,
     parameter_sweep,
+    swept_config,
 )
 from leofim.location_fim import Efim, EfimRoute
 from leofim.scenario import Case, ScenarioConfig
@@ -148,6 +149,11 @@ def test_parameter_sweep_propagates_infinite_bounds():
 def test_parameter_sweep_rejects_unknown_axis():
     with pytest.raises(ValueError):
         parameter_sweep("n_leo", [1, 2], WIDE, seed=5)
+
+
+def test_swept_antenna_count_becomes_an_integer():
+    config = swept_config(WIDE, "n_ant", 8.0)
+    assert config.n_ant == 8 and type(config.n_ant) is int
 
 
 def test_parameter_sweep_rejects_non_integral_antenna_count():

@@ -21,10 +21,12 @@ from leofim.geometry import (
     unit_direction,
 )
 from leofim.links import (
+    LinkJacobians,
     LinkKind,
     bs_rx_observables,
     leo_bs_observables,
     leo_rx_observables,
+    link_jacobians,
     link_observables,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
@@ -143,6 +145,31 @@ def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
             got = getattr(obs, name)
             assert got.shape == reference[name].shape, (obs.kind, obs.index, name)
             assert np.array_equal(got, reference[name]), (obs.kind, obs.index, name)
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_link_observables_match_single_link_entry_points_bit_for_bit(case):
+    """The scenario-wide pass shares one receiver-array geometry across its
+    links; each single-link entry point builds its own, to the same bits."""
+    sc = _offset_scenario(42, n_leo=2, n_bs=3, n_ant=4, n_slots=3, case=case)
+    single = {
+        LinkKind.LEO_RX: leo_rx_observables,
+        LinkKind.BS_RX: bs_rx_observables,
+        LinkKind.LEO_BS: leo_bs_observables,
+    }
+    for obs in link_observables(sc, case):
+        reference = single[obs.kind](sc, obs.index)
+        fields = [f.name for f in dataclasses.fields(obs) if f.name != "jacobians"]
+        pairs = [(obs, reference, name) for name in fields]
+        for jacobians in (reference.jacobians, link_jacobians(sc, obs.kind, obs.index)):
+            pairs += [(obs.jacobians, jacobians, f.name) for f in dataclasses.fields(LinkJacobians)]
+        for got_from, expected_from, name in pairs:
+            got, expected = getattr(got_from, name), getattr(expected_from, name)
+            label = (obs.kind, obs.index, name)
+            if got is None or expected is None:
+                assert (got is None) is (expected is None), label
+            else:
+                assert np.array_equal(got, expected), label
 
 
 def test_public_entry_points_return_one_link_each():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from leofim.channel_fim import assemble_channel_fim
-from leofim.linalg import balanced_eigvalsh, invert_psd
+from leofim.linalg import NumericalError, balanced_eigvalsh, invert_psd, sym
 from leofim.location_fim import (
     EfimRoute,
     assemble_information_loss,
@@ -16,7 +16,7 @@ from leofim.location_fim import (
     efim_schur_route,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.transform import build_transformation_matrix, transform_fim
+from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 
 def _scenario(seed, **overrides):
@@ -198,6 +198,15 @@ def test_routes_agree_without_stations(case):
     assert gap <= 1e-8
 
 
+def _schur_scenario(seed, overrides, silent_downlink):
+    """A sampled scenario, optionally with a zero-SNR first downlink."""
+    sc = _scenario(seed, **overrides)
+    if silent_downlink:
+        z = dataclasses.replace(sc.leo_rx_signals[0], snr_linear=0.0)
+        sc = dataclasses.replace(sc, leo_rx_signals=(z,) + sc.leo_rx_signals[1:])
+    return sc
+
+
 def _j_kappa(sc):
     j_eta, glob = assemble_channel_fim(sc)
     ups = build_transformation_matrix(sc, glob=glob)
@@ -219,10 +228,7 @@ def test_schur_route_matches_dense_complement(seed, overrides, silent_downlink):
     """Eliminating the diagonal nuisance block one coordinate at a time equals
     the dense complement ``J11 - J12 J22^+ J12^T``.  The gap is measured in
     the scale of ``J11``: a near-singular EFIM is itself mostly cancellation."""
-    sc = _scenario(seed, **overrides)
-    if silent_downlink:
-        z = dataclasses.replace(sc.leo_rx_signals[0], snr_linear=0.0)
-        sc = dataclasses.replace(sc, leo_rx_signals=(z,) + sc.leo_rx_signals[1:])
+    sc = _schur_scenario(seed, overrides, silent_downlink)
     j_kappa, layout = _j_kappa(sc)
     n1 = layout.dim_interest
     j11, j12 = j_kappa[:n1, :n1], j_kappa[:n1, n1:]
@@ -237,4 +243,46 @@ def test_schur_route_rejects_coupled_nuisance():
     n1 = layout.dim_interest
     j_kappa[n1, n1 + 1] = 1.0
     with pytest.raises(ValueError, match="not diagonal"):
+        efim_schur_route(j_kappa, layout)
+
+
+def _per_column_schur(j_kappa, layout):
+    """The elimination the closed form replaced: ``invert_psd`` on each
+    coupled 1x1 nuisance block, accumulated in column order."""
+    n1 = layout.dim_interest
+    j11, j12, j22 = j_kappa[:n1, :n1], j_kappa[:n1, n1:], j_kappa[n1:, n1:]
+    loss = np.zeros_like(j11)
+    for i in np.flatnonzero(np.any(j12 != 0.0, axis=0)):
+        b = j12[:, i : i + 1]
+        c_inv, _ = invert_psd(j22[i : i + 1, i : i + 1])
+        loss += b @ c_inv @ b.T
+    return sym(j11 - loss)
+
+
+@pytest.mark.parametrize(
+    "seed, overrides, silent_downlink",
+    [
+        (53, dict(n_leo=2, n_bs=0), False),
+        (54, dict(n_leo=2, case=Case.RECEIVER_ONLY), False),
+        (55, dict(n_leo=2), True),
+        (42, dict(n_leo=2, n_bs=3, n_ant=16, n_slots=10), False),
+    ],
+)
+def test_closed_form_schur_step_matches_per_column_inverse_bit_for_bit(
+    seed, overrides, silent_downlink
+):
+    j_kappa, layout = _j_kappa(_schur_scenario(seed, overrides, silent_downlink))
+    efim = efim_schur_route(j_kappa, layout)
+    assert np.array_equal(efim.matrix, _per_column_schur(j_kappa, layout))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0])
+def test_schur_route_rejects_uninformed_coupled_nuisance(c):
+    """A coupled nuisance coordinate without positive information cannot come
+    from a PSD ``J_kappa``; it is reported instead of pseudo-inverted."""
+    layout = LocationLayout(n_leo=1, kappa2_channel_cols=(0,))
+    j_kappa = np.eye(layout.dim)
+    j_kappa[0, -1] = j_kappa[-1, 0] = 1e-3
+    j_kappa[-1, -1] = c
+    with pytest.raises(NumericalError, match="no information"):
         efim_schur_route(j_kappa, layout)

@@ -10,6 +10,7 @@ from leofim.scenario import (
     Scenario,
     ScenarioConfig,
     SplitMix64,
+    _leo_track,
     derive_trial_seeds,
     random_scenario,
 )
@@ -73,6 +74,21 @@ def test_scenario_config_rejects_bcc_out_of_range_and_overflowing_snr():
     assert np.isfinite(edge.signal_props().snr_linear)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_ant", 2.5), ("n_slots", 3.0), ("n_leo", True), ("n_bs", False), ("n_ant", "4")],
+)
+def test_scenario_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ScenarioConfig(**{field: value})
+
+
+def test_scenario_config_accepts_numpy_integer_counts():
+    counts = dict(n_leo=np.int64(2), n_bs=np.int32(0), n_ant=np.int64(3), n_slots=np.uint8(2))
+    sc = random_scenario(ScenarioConfig(**counts), 3)
+    assert (sc.n_leo, sc.n_bs, sc.n_ant, sc.n_slots) == (2, 0, 3, 2)
+
+
 def test_signal_props_default_and_override():
     cfg = ScenarioConfig(snr_db=20.0, snr_db_leo_bs=10.0)
     shared = cfg.signal_props()
@@ -119,6 +135,29 @@ def test_leo_track_direction_changes_are_bounded():
     for k in range(1, 4):
         cosang = float(np.clip(track[k - 1] @ track[k], -1.0, 1.0))
         assert np.arccos(cosang) <= 0.1 + 1e-9
+
+
+def _per_slot_leo_track(stream, n_slots, perturb_rad):
+    """The per-slot Rodrigues loop the broadcast track replaced."""
+    base = stream.unit_vector()
+    rows = []
+    for _ in range(n_slots):
+        axis = stream.unit_vector()
+        angle = perturb_rad * stream.uniform()
+        c, s = np.cos(angle), np.sin(angle)
+        rows.append(c * base + s * np.cross(axis, base) + (1.0 - c) * (axis @ base) * axis)
+    track = np.asarray(rows)
+    return track / np.linalg.norm(track, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_slots", range(1, 21))
+def test_leo_track_matches_per_slot_rodrigues_bit_for_bit(n_slots):
+    for seed in range(10):
+        for perturb_rad in (0.1, 1.0):
+            stream, reference = SplitMix64(seed), SplitMix64(seed)
+            got = _leo_track(stream, n_slots, perturb_rad)
+            assert np.array_equal(got, _per_slot_leo_track(reference, n_slots, perturb_rad))
+            assert stream.next_u64() == reference.next_u64()  # same draws consumed
 
 
 def test_antenna_offsets_norm_and_nested_prefix():

@@ -2,9 +2,11 @@
 
 A refactor of the numerical pipeline should leave its results unchanged to
 the last bit, not merely close.  This script hashes the raw bytes of every
-link's observables and Jacobians, ``J_eta``, ``Upsilon``, ``J_kappa``, the
-interest FIM, the information loss and both EFIMs for each corpus entry, so
-two checkouts can be compared exactly:
+sampled scenario array (receiver position, velocity, antenna offsets and
+Euler angles; each satellite's position and track; each station's position),
+every link's observables and Jacobians, ``J_eta``, ``Upsilon``, ``J_kappa``,
+the interest FIM, the information loss and both EFIMs for each corpus entry,
+so two checkouts can be compared exactly:
 
     PYTHONPATH=<checkout A>/src python tools/bitexact_corpus.py dump a.json
     PYTHONPATH=<checkout B>/src python tools/bitexact_corpus.py dump b.json
@@ -12,7 +14,9 @@ two checkouts can be compared exactly:
 
 The corpus is seeds 42 and 7 times the sizes L1 Q3 U4 K3, L3 Q3 U4 K4,
 L2 Q3 U16 K10 and L4 Q4 U32 K20 (``L`` satellites, ``Q`` stations, ``U``
-antennas, ``K`` slots) in both cases, plus L2 Q0 U4 K3 without stations.
+antennas, ``K`` slots) in both cases, plus L2 Q0 U4 K3 without stations;
+the scenario arrays alone are also hashed for seeds 0..19 at L2 Q2 U4 with
+every slot count from 1 to 20.
 Observable fields are read under their current names, falling back to the
 names the per-link structs used before the satellite-receiver and
 satellite-station structs were merged, so older checkouts can be dumped too.
@@ -29,6 +33,8 @@ import numpy as np
 
 SEEDS = (42, 7)
 SIZES = ((1, 3, 4, 3), (3, 3, 4, 4), (2, 3, 16, 10), (4, 4, 32, 20), (2, 0, 4, 3))
+SCENARIO_SEEDS = range(20)
+SCENARIO_SLOTS = range(1, 21)
 OBS_FIELDS = {
     "dirs": ("dirs", "ant_dirs"),
     "dists": ("dists", "ant_dists"),
@@ -50,6 +56,19 @@ JAC_FIELDS = (
 def fingerprint(array) -> str:
     arr = np.ascontiguousarray(array, dtype=float)
     return f"{arr.shape}:{hashlib.sha256(arr.tobytes()).hexdigest()[:32]}"
+
+
+def _scenario(scenario, out: dict, tag: str) -> None:
+    receiver = scenario.receiver
+    out[f"{tag}/rx/position"] = fingerprint(receiver.position)
+    out[f"{tag}/rx/velocity"] = fingerprint(receiver.velocity)
+    out[f"{tag}/rx/antenna_offsets"] = fingerprint(receiver.antenna_offsets)
+    out[f"{tag}/rx/orientation"] = fingerprint(receiver.orientation.as_array())
+    for b, leo in enumerate(scenario.leos):
+        out[f"{tag}/leo{b}/position"] = fingerprint(leo.position)
+        out[f"{tag}/leo{b}/track"] = fingerprint(leo.track)
+    for q, bs in enumerate(scenario.bss):
+        out[f"{tag}/bs{q}/position"] = fingerprint(bs.position)
 
 
 def _observables(scenario, out: dict, tag: str) -> None:
@@ -90,6 +109,7 @@ def dump() -> dict:
         tag = f"s{seed}/L{n_leo}Q{n_bs}U{n_ant}K{n_slots}/{case.value}"
         config = ScenarioConfig(n_leo=n_leo, n_bs=n_bs, n_ant=n_ant, n_slots=n_slots, case=case)
         scenario = random_scenario(config, seed)
+        _scenario(scenario, out, tag)
         _observables(scenario, out, tag)
         j_eta, glob = assemble_channel_fim(scenario)
         out[f"{tag}/j_eta"] = fingerprint(j_eta)
@@ -104,6 +124,9 @@ def dump() -> dict:
         out[f"{tag}/interest"] = fingerprint(assemble_interest_fim(scenario).matrix)
         out[f"{tag}/loss"] = fingerprint(assemble_information_loss(scenario).matrix)
         out[f"{tag}/lemma"] = fingerprint(efim_lemma_route(scenario).matrix)
+    for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
+        config = ScenarioConfig(n_leo=2, n_bs=2, n_ant=4, n_slots=n_slots)
+        _scenario(random_scenario(config, seed), out, f"s{seed}/L2Q2U4K{n_slots}/scenario")
     return out
 
 
