@@ -20,6 +20,7 @@ one shared coordinate pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,25 @@ class LinkFim:
         return self.obs.index
 
 
+@functools.lru_cache(maxsize=64)
+def _fill_indices(layout: ChannelLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(i, j)`` matrix positions of every update
+    :func:`_fill_link_fim` makes, observation-major: the nine updates of
+    observation (row, slot) are consecutive, observations in row-major order."""
+    rows, ks = np.indices((layout.n_rows, layout.n_slots)).reshape(2, -1)
+    tau = layout.delay_index(rows, ks)
+    nu = layout.doppler_index(ks, rows)
+    offsets = (layout.time_offset, layout.freq_offset, layout.gain)
+    delta, eps, gain = (np.full_like(tau, at) for at in offsets)
+    pairs = [
+        (tau, tau), (tau, delta), (delta, tau), (delta, delta),
+        (nu, nu), (nu, eps), (eps, nu), (eps, eps), (gain, gain),
+    ]
+    i, j = (np.stack(part, axis=1).ravel() for part in zip(*pairs))
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     """Common fill for all link kinds.
 
@@ -129,29 +149,12 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     eps_weight = 0.5 * obs.rms_duration**2
     gain_info = 1.0 / (2.0 * TWO_PI_SQ * obs.gain**2)
 
-    rows, ks = np.indices(snr.shape).reshape(2, -1)
-    tau = layout.delay_index(rows, ks)
-    nu = layout.doppler_index(ks, rows)
-    delta = np.full_like(tau, layout.time_offset)
-    eps = np.full_like(tau, layout.freq_offset)
-    gain = np.full_like(tau, layout.gain)
     s = snr.ravel()
     sw = (snr * w).ravel()
     neg_sw = (-snr * w).ravel()
     cross = s * cross_weight
-    updates = [
-        (tau, tau, sw),
-        (tau, delta, neg_sw),
-        (delta, tau, neg_sw),
-        (delta, delta, sw),
-        (nu, nu, s * dop_weight),
-        (nu, eps, cross),
-        (eps, nu, cross),
-        (eps, eps, s * eps_weight),
-        (gain, gain, s * gain_info),
-    ]
-    i, j, values = (np.stack(part, axis=1).ravel() for part in zip(*updates))
-    np.add.at(fim, (i, j), values)
+    values = [sw, neg_sw, neg_sw, sw, s * dop_weight, cross, cross, s * eps_weight, s * gain_info]
+    np.add.at(fim, _fill_indices(layout), np.stack(values, axis=1).ravel())
     return fim
 
 
@@ -237,21 +240,27 @@ def assemble_channel_fim(
     station-receiver link's offset information on one coordinate pair.
     """
     case = scenario.case if case is None else case
-    link_fims = [_link_fim(obs) for obs in link_observables(scenario, case)]
+    return _assemble(link_observables(scenario, case), case)
+
+
+def _assemble(links: list[LinkObservables], case: Case) -> tuple[np.ndarray, GlobalChannelLayout]:
+    """:func:`assemble_channel_fim` of a link list in assembly order; the
+    shared station offset pair follows the last station-receiver link."""
+    stations = [n for n, obs in enumerate(links) if obs.kind is LinkKind.BS_RX]
 
     sections: list[LinkSection] = []
     offset = 0
     shared: tuple[int, int] | None = None
-    for fim in link_fims:
-        if fim.link_kind is LinkKind.BS_RX:
-            sections.append(LinkSection(fim=fim, offset=offset))
-            offset += fim.layout.dim - 2  # shared offsets placed once, below
-            if fim.index == scenario.n_bs - 1:
-                shared = (offset, offset + 1)
-                offset += 2
-        else:
-            sections.append(LinkSection(fim=fim, offset=offset))
+    for n, obs in enumerate(links):
+        fim = _link_fim(obs)
+        sections.append(LinkSection(fim=fim, offset=offset))
+        if obs.kind is not LinkKind.BS_RX:
             offset += fim.layout.dim
+            continue
+        offset += fim.layout.dim - 2  # shared offsets placed once, below
+        if n == stations[-1]:
+            shared = (offset, offset + 1)
+            offset += 2
 
     layout = GlobalChannelLayout(
         sections=tuple(sections), shared_bs_offsets=shared, dim=offset, case=case

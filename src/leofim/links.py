@@ -27,7 +27,7 @@ elementwise in the primitives' evaluation order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -302,4 +302,38 @@ def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
     geometry = _ArrayGeometry(scenario)
     return [
         _observables(scenario, geometry, kind, i) for kind, count in kinds for i in range(count)
+    ]
+
+
+def _truncated_link(obs: LinkObservables, n_rows: int, n_slots: int) -> LinkObservables:
+    """The link on its first ``n_rows`` elements and ``n_slots`` slots, bit for
+    bit the link sampled at those counts.  Delay grids are ``(rows, slots[, 3])``;
+    Doppler fields are per element for satellite-station links and per slot for
+    array links; ``v_rel`` and ``k_times`` are per slot."""
+    grid = np.s_[:n_rows, :n_slots]
+    per_slot = np.s_[:n_slots]
+    doppler = grid if obs.per_row_doppler else per_slot
+    axes = dict.fromkeys(("dirs", "dists", "snr"), grid)
+    axes |= dict.fromkeys(("dop_dirs", "dop_dists", "nu", "f_o", "omega"), doppler)
+    axes |= dict.fromkeys(("v_rel", "k_times"), per_slot)
+    partials = {f.name: getattr(obs.jacobians, f.name) for f in fields(LinkJacobians)}
+    jacobians = LinkJacobians(**{
+        name: None if value is None else value[grid if name.startswith("dtau") else doppler]
+        for name, value in partials.items()
+    })
+    cut = {name: getattr(obs, name)[index] for name, index in axes.items()}
+    return replace(obs, **cut, jacobians=jacobians)
+
+
+def select_links(
+    links: list[LinkObservables], n_leo: int, n_bs: int, n_ant: int, n_slots: int
+) -> list[LinkObservables]:
+    """The links of a sub-count from a scenario's full ``link_observables``
+    list, in its assembly order; valid because sampling is nested (a smaller
+    count's scenario is a prefix of the larger one's, see :mod:`.scenario`)."""
+    counts = {LinkKind.LEO_RX: n_leo, LinkKind.BS_RX: n_bs, LinkKind.LEO_BS: n_leo}
+    return [
+        _truncated_link(obs, n_bs if obs.per_row_doppler else n_ant, n_slots)
+        for obs in links
+        if obs.index < counts[obs.kind]
     ]

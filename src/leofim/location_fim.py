@@ -24,16 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import assemble_channel_fim
+from .channel_fim import _assemble
 from .linalg import NumericalError, sym
 from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
-from .transform import (
-    LocationLayout,
-    build_transformation_matrix,
-    kappa1_blocks,
-    transform_fim,
-)
+from .transform import LocationLayout, _transformation, kappa1_blocks, transform_fim
 
 
 class EfimRoute(enum.Enum):
@@ -301,7 +296,13 @@ def compute_efim(
     case = scenario.case if case is None else case
     if route is EfimRoute.LEMMA:
         return efim_lemma_route(scenario, case)
-    j_eta, glob = assemble_channel_fim(scenario, case)
-    upsilon = build_transformation_matrix(scenario, case, glob)
+    return _schur_efim(link_observables(scenario, case), scenario.n_leo, case)
+
+
+def _schur_efim(links: list[LinkObservables], n_leo: int, case: Case) -> Efim:
+    """The Schur route from a link list in assembly order: channel FIM,
+    ``Upsilon``, ``J_kappa``, then the nuisance elimination."""
+    j_eta, glob = _assemble(links, case)
+    upsilon = _transformation(glob, n_leo)
     j_kappa = transform_fim(j_eta, upsilon)
     return efim_schur_route(j_kappa, upsilon.location_layout, case)

@@ -9,10 +9,11 @@ meters of the origin moving at 25 m/s, and stationary base stations ~100 m out.
 Randomness is driven by an explicit SplitMix64 stream so scenarios are
 bit-reproducible across platforms and numpy versions.  Each aspect of a
 scenario (receiver, antenna array, each satellite, each base station) draws
-from its own child stream, so enlarging the antenna count or station count
-extends a scenario without reshuffling the rest of the geometry — growing the
-array keeps existing antennas in place, which is what makes "more antennas
-never hurt" hold exactly, not just in distribution.
+from its own child stream, and each satellite track is drawn slot by slot, so
+sampling is nested: a scenario at smaller counts (satellites, stations,
+antennas, slots) is bit for bit a prefix of the larger one.  Growing the array
+keeps existing antennas in place, which makes "more antennas never hurt" hold
+exactly, and identifiability sweeps sample each trial once, at the grid maxima.
 """
 
 from __future__ import annotations

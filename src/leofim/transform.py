@@ -166,7 +166,12 @@ def build_transformation_matrix(
         from .channel_fim import assemble_channel_fim
 
         _, glob = assemble_channel_fim(scenario, case)
-    loc = location_layout(glob, scenario.n_leo)
+    return _transformation(glob, scenario.n_leo)
+
+
+def _transformation(glob: GlobalChannelLayout, n_leo: int) -> TransformationMatrix:
+    """``Upsilon`` of an assembled channel layout with ``n_leo`` satellites."""
+    loc = location_layout(glob, n_leo)
 
     upsilon = np.zeros((loc.dim, glob.dim))
     for sec in glob.sections:

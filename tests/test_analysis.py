@@ -1,11 +1,13 @@
 """Identifiability verdicts, CRLB reports, and sweeps."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from leofim.analysis import (
+    GRID_AXES,
     CrlbReport,
     NotIdentifiableError,
     crlb,
@@ -14,8 +16,9 @@ from leofim.analysis import (
     parameter_sweep,
     swept_config,
 )
-from leofim.location_fim import Efim, EfimRoute
-from leofim.scenario import Case, ScenarioConfig
+from leofim.geometry import DegenerateGeometryError
+from leofim.location_fim import Efim, EfimRoute, compute_efim
+from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
 from leofim.transform import LocationLayout
 
 WIDE = ScenarioConfig(
@@ -105,6 +108,54 @@ def test_identifiability_sweep_is_deterministic():
         assert a.min_eigenvalue == b.min_eigenvalue
         assert a.max_eigenvalue == b.max_eigenvalue
         assert a.is_pd == b.is_pd
+
+
+def _per_cell_sweep(grid, template, seed, n_trials):
+    """Reference sweep: every cell samples each of its trials on its own."""
+    values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
+    table = []
+    for counts in itertools.product(*values):
+        config = dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
+        trials = [
+            is_identifiable(compute_efim(random_scenario(config, s)), config=config)
+            for s in derive_trial_seeds(seed, n_trials)
+        ]
+        worst = min(
+            trials,
+            key=lambda v: v.min_eigenvalue / v.max_eigenvalue if v.max_eigenvalue > 0 else -np.inf,
+        )
+        table.append(dataclasses.replace(worst, is_pd=all(t.is_pd for t in trials)))
+    return table
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("case", list(Case))
+def test_identifiability_sweep_matches_per_cell_sampling_exactly(seed, case):
+    grid = {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 3]}
+    template = dataclasses.replace(WIDE, case=case)
+    table = identifiability_sweep(grid, template, seed, n_trials=3)
+    reference = _per_cell_sweep(grid, template, seed, n_trials=3)
+    assert len(table) == len(reference) == 16
+    for got, expected in zip(table, reference):
+        for field in dataclasses.fields(got):
+            assert getattr(got, field.name) == getattr(expected, field.name), field.name
+
+
+def test_identifiability_sweep_of_an_empty_axis_is_empty():
+    assert identifiability_sweep({"n_bs": [2, 3], "n_ant": []}, WIDE, seed=3) == []
+
+
+def test_identifiability_sweep_raises_on_degenerate_geometry():
+    """A satellite on top of the array: every cell's links are undefined."""
+    template = ScenarioConfig(
+        leo_distance_m=1e-12,
+        receiver_distance_m=1e-12,
+        leo_speed_m_s=0.0,
+        receiver_speed_m_s=0.0,
+        array_radius_wavelengths=0.0,
+    )
+    with pytest.raises(DegenerateGeometryError):
+        identifiability_sweep({"n_ant": [1, 2]}, template, seed=3, n_trials=1)
 
 
 def test_identifiability_sweep_rejects_unknown_axis():

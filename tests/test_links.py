@@ -7,6 +7,7 @@ against an independent evaluation path that must agree to the last bit.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -21,13 +22,13 @@ from leofim.geometry import (
     unit_direction,
 )
 from leofim.links import (
-    LinkJacobians,
     LinkKind,
     bs_rx_observables,
     leo_bs_observables,
     leo_rx_observables,
     link_jacobians,
     link_observables,
+    select_links,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
@@ -158,18 +159,41 @@ def test_link_observables_match_single_link_entry_points_bit_for_bit(case):
         LinkKind.LEO_BS: leo_bs_observables,
     }
     for obs in link_observables(sc, case):
-        reference = single[obs.kind](sc, obs.index)
-        fields = [f.name for f in dataclasses.fields(obs) if f.name != "jacobians"]
-        pairs = [(obs, reference, name) for name in fields]
-        for jacobians in (reference.jacobians, link_jacobians(sc, obs.kind, obs.index)):
-            pairs += [(obs.jacobians, jacobians, f.name) for f in dataclasses.fields(LinkJacobians)]
-        for got_from, expected_from, name in pairs:
-            got, expected = getattr(got_from, name), getattr(expected_from, name)
-            label = (obs.kind, obs.index, name)
-            if got is None or expected is None:
-                assert (got is None) is (expected is None), label
-            else:
-                assert np.array_equal(got, expected), label
+        _assert_same_link(obs, single[obs.kind](sc, obs.index))
+        _assert_same_link(obs.jacobians, link_jacobians(sc, obs.kind, obs.index), obs)
+
+
+def _assert_same_link(got_from, expected_from, obs=None):
+    """Every field of two links, their Jacobians included, bit for bit."""
+    obs = got_from if obs is None else obs
+    for field in dataclasses.fields(got_from):
+        got, expected = getattr(got_from, field.name), getattr(expected_from, field.name)
+        label = (obs.kind, obs.index, field.name)
+        if got is None or expected is None:
+            assert (got is None) is (expected is None), label
+        elif isinstance(got, np.ndarray):
+            assert got.shape == expected.shape, label
+            assert np.array_equal(got, expected), label
+        elif dataclasses.is_dataclass(got):
+            _assert_same_link(got, expected, obs)
+        else:
+            assert got == expected, label
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("case", list(Case))
+def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
+    """Truncating the links of the largest counts gives, for every sub-count,
+    the links of the scenario sampled at that sub-count."""
+    big = dict(n_leo=3, n_bs=3, n_ant=5, n_slots=7, case=case)
+    full = link_observables(_offset_scenario(seed, **big), case)
+    for n_leo, n_bs, n_ant, n_slots in itertools.product([1, 3], [0, 2, 3], [1, 5], [1, 4, 7]):
+        counts = dict(n_leo=n_leo, n_bs=n_bs, n_ant=n_ant, n_slots=n_slots)
+        expected = link_observables(_offset_scenario(seed, **(big | counts)), case)
+        got = select_links(full, n_leo, n_bs, n_ant, n_slots)
+        assert [(o.kind, o.index) for o in got] == [(o.kind, o.index) for o in expected]
+        for got_obs, expected_obs in zip(got, expected):
+            _assert_same_link(got_obs, expected_obs)
 
 
 def test_public_entry_points_return_one_link_each():

@@ -183,6 +183,35 @@ def test_growing_stations_keeps_earlier_stations():
         assert np.allclose(few.bss[q].position, many.bss[q].position)
 
 
+NESTED_SMALL = dict(n_leo=2, n_bs=1, n_ant=3, n_slots=4)
+NESTED_BIG = dict(n_leo=4, n_bs=3, n_ant=9, n_slots=20)
+
+
+@pytest.mark.parametrize("grown", [*NESTED_BIG, "all"])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+def test_sampling_is_nested_in_every_count(grown, seed):
+    """A scenario at smaller counts is a prefix of the larger one, bit for bit
+    (identifiability sweeps sample each trial once, at the grid maxima)."""
+    small = ScenarioConfig(**NESTED_SMALL)
+    grow = NESTED_BIG if grown == "all" else {grown: NESTED_BIG[grown]}
+    big = dataclasses.replace(small, **grow)
+    a, b = random_scenario(small, seed), random_scenario(big, seed)
+    pairs = [
+        (a.receiver.position, b.receiver.position),
+        (a.receiver.velocity, b.receiver.velocity),
+        (a.receiver.orientation.as_array(), b.receiver.orientation.as_array()),
+        (a.receiver.antenna_offsets, b.receiver.antenna_offsets[: a.n_ant]),
+    ]
+    pairs += [(x.position, y.position) for x, y in zip(a.leos, b.leos[: a.n_leo], strict=True)]
+    pairs += [
+        (x.track, y.track[: a.n_slots]) for x, y in zip(a.leos, b.leos[: a.n_leo], strict=True)
+    ]
+    pairs += [(x.position, y.position) for x, y in zip(a.bss, b.bss[: a.n_bs], strict=True)]
+    for got, expected in pairs:
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
 def test_scenario_counts_and_shared_bs_clock():
     cfg = ScenarioConfig(n_leo=2, n_bs=3, n_ant=4, n_slots=3)
     sc = random_scenario(cfg, 3)

@@ -16,7 +16,10 @@ The corpus is seeds 42 and 7 times the sizes L1 Q3 U4 K3, L3 Q3 U4 K4,
 L2 Q3 U16 K10 and L4 Q4 U32 K20 (``L`` satellites, ``Q`` stations, ``U``
 antennas, ``K`` slots) in both cases, plus L2 Q0 U4 K3 without stations;
 the scenario arrays alone are also hashed for seeds 0..19 at L2 Q2 U4 with
-every slot count from 1 to 20.
+every slot count from 1 to 20.  ``identifiability_sweep`` is fingerprinted per
+cell (``is_pd``, min and max eigenvalue) on the acceptance-1 counts grid and on
+a grid with no stations and a single slot among its values, for seeds 42 and 7
+in both cases.
 Observable fields are read under their current names, falling back to the
 names the per-link structs used before the satellite-receiver and
 satellite-station structs were merged, so older checkouts can be dumped too.
@@ -46,6 +49,10 @@ OBS_FIELDS = {
     "omega": ("omega",),
     "snr": ("snr",),
     "k_times": ("k_times",),
+}
+SWEEP_GRIDS = {
+    "acceptance1": {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]},
+    "edges": {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]},
 }
 JAC_FIELDS = (
     "dtau_dp", "dtau_dvu", "dtau_dphi", "dtau_dpcheck", "dtau_dvcheck",
@@ -99,6 +106,7 @@ def dump() -> dict:
         build_transformation_matrix,
         efim_lemma_route,
         efim_schur_route,
+        identifiability_sweep,
         transform_fim,
     )
     from leofim.location_fim import assemble_information_loss, assemble_interest_fim
@@ -127,6 +135,11 @@ def dump() -> dict:
     for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
         config = ScenarioConfig(n_leo=2, n_bs=2, n_ant=4, n_slots=n_slots)
         _scenario(random_scenario(config, seed), out, f"s{seed}/L2Q2U4K{n_slots}/scenario")
+    for seed, (name, grid), case in itertools.product(SEEDS, SWEEP_GRIDS.items(), Case):
+        for v in identifiability_sweep(grid, ScenarioConfig(case=case), seed):
+            c = v.config
+            tag = f"s{seed}/sweep/{name}/{case.value}/L{c.n_leo}Q{c.n_bs}U{c.n_ant}K{c.n_slots}"
+            out[tag] = fingerprint([float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue])
     return out
 
 
