@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import link_observables, select_links
-from .location_fim import Efim, EfimRoute, _schur_efim, compute_efim
+from .location_fim import Efim, _schur_efim, compute_efim
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 

@@ -33,7 +33,7 @@ from .links import (
     leo_rx_observables,
     link_observables,
 )
-from .scenario import Case, Scenario
+from .scenario import Scenario
 
 TWO_PI_SQ = 2.0 * np.pi**2
 
@@ -199,71 +199,59 @@ class GlobalChannelLayout:
     Sections appear in assembly order: satellite-receiver links, then
     station-receiver links followed by their single shared offset pair, then
     (with station observations) satellite-station links.  For station-receiver
-    sections the per-link offset columns do not own global coordinates;
-    ``delta_index`` of those sections resolves to the shared pair.
+    sections the per-link offset columns do not own global coordinates; they
+    resolve to ``shared_bs_offsets``.  ``nuisance_cols`` lists, in ascending
+    order, every column that is not a delay or a Doppler shift: each link's
+    gain, each non-station link's clock and frequency offsets, and the shared
+    station pair.
     """
 
     sections: tuple[LinkSection, ...]
     shared_bs_offsets: tuple[int, int] | None
     dim: int
-    case: Case
-
-    def section(self, kind: LinkKind, index: int) -> LinkSection:
-        for sec in self.sections:
-            if sec.fim.link_kind is kind and sec.fim.index == index:
-                return sec
-        raise KeyError(f"no section for {kind} #{index}")
-
-    def delay_indices(self, sec: LinkSection) -> np.ndarray:
-        lay = sec.fim.layout
-        return sec.offset + np.arange(lay.delays.start, lay.delays.stop)
-
-    def doppler_indices(self, sec: LinkSection) -> np.ndarray:
-        lay = sec.fim.layout
-        return sec.offset + np.arange(lay.dopplers.start, lay.dopplers.stop)
-
-    def delta_index(self, sec: LinkSection) -> int:
-        if sec.fim.link_kind is LinkKind.BS_RX:
-            assert self.shared_bs_offsets is not None
-            return self.shared_bs_offsets[0]
-        return sec.offset + sec.fim.layout.time_offset
+    nuisance_cols: tuple[int, ...]
 
 
-def assemble_channel_fim(
-    scenario: Scenario, case: Case | None = None
-) -> tuple[np.ndarray, GlobalChannelLayout]:
-    """Assemble the channel FIM over every link the case observes.
+def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelLayout]:
+    """Assemble the channel FIM over every link the scenario's case observes.
 
     Returns the symmetric matrix and its layout.  Distinct links occupy
     disjoint blocks (their cross-information is exactly zero); the shared
     station-network offsets are the single exception, accumulating every
     station-receiver link's offset information on one coordinate pair.
     """
-    case = scenario.case if case is None else case
-    return _assemble(link_observables(scenario, case), case)
+    return _assemble(link_observables(scenario, scenario.case))
 
 
-def _assemble(links: list[LinkObservables], case: Case) -> tuple[np.ndarray, GlobalChannelLayout]:
+def _assemble(links: list[LinkObservables]) -> tuple[np.ndarray, GlobalChannelLayout]:
     """:func:`assemble_channel_fim` of a link list in assembly order; the
     shared station offset pair follows the last station-receiver link."""
     stations = [n for n, obs in enumerate(links) if obs.kind is LinkKind.BS_RX]
 
     sections: list[LinkSection] = []
+    nuisance: list[int] = []
     offset = 0
     shared: tuple[int, int] | None = None
     for n, obs in enumerate(links):
         fim = _link_fim(obs)
         sections.append(LinkSection(fim=fim, offset=offset))
+        lay = fim.layout
+        nuisance.append(offset + lay.gain)
         if obs.kind is not LinkKind.BS_RX:
-            offset += fim.layout.dim
+            nuisance += [offset + lay.time_offset, offset + lay.freq_offset]
+            offset += lay.dim
             continue
-        offset += fim.layout.dim - 2  # shared offsets placed once, below
+        offset += lay.dim - 2  # shared offsets placed once, below
         if n == stations[-1]:
             shared = (offset, offset + 1)
+            nuisance += shared
             offset += 2
 
     layout = GlobalChannelLayout(
-        sections=tuple(sections), shared_bs_offsets=shared, dim=offset, case=case
+        sections=tuple(sections),
+        shared_bs_offsets=shared,
+        dim=offset,
+        nuisance_cols=tuple(nuisance),
     )
 
     matrix = np.zeros((offset, offset))

@@ -150,9 +150,13 @@ def _require_int(field: str, value) -> int:
 def _require_float(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: must be a number (got {value!r})")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{field}: must be finite (got an integer beyond float range)") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{field}: must be finite (got {value!r})")
-    return float(value)
+    return number
 
 
 def _require_choice(field: str, value, choices: tuple[str, ...]) -> str:
@@ -287,6 +291,8 @@ def load_config(path: str) -> RunConfig:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -502,7 +508,10 @@ def run_command(config: RunConfig, command: str | None = None) -> int:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return 4
     if config.out is not None:
-        write_records(records, config.out, config.format)
+        try:
+            write_records(records, config.out, config.format)
+        except OSError as exc:
+            raise ConfigError(f"out: {config.out}: {exc.strerror or exc}") from exc
         print(f"wrote {len(records)} records to {config.out}")
     if status == 3:
         print(

@@ -1,9 +1,10 @@
 """Per-link observables and their parameter Jacobians (internal).
 
 Everything downstream — channel information matrices, ``Upsilon``,
-information-loss terms — consumes links through these bundles, so the mapping
-from scene geometry to delays, Doppler shifts, weights and their kappa1
-partials lives in exactly one place and is evaluated once per link, as one
+information-loss terms — consumes links through these bundles, which carry
+only each link's delay/Doppler weights and kappa1 Jacobians.  The mapping from
+scene geometry to delays, Doppler shifts, weights and their kappa1 partials
+lives in exactly one place and is evaluated once per link, as one
 broadcast pass over ``(element, slot, 3)`` arrays; the receiver-array geometry
 the passes share (slot times, reference-point track, antenna lever arms and
 their orientation partials) is computed once per scenario.  Delays are
@@ -74,35 +75,21 @@ class LinkJacobians:
 
 @dataclass(frozen=True)
 class LinkObservables:
-    """Geometry, weights and Jacobians of one link.
+    """Weights and Jacobians of one link: what the channel FIM, ``Upsilon``
+    and the closed-form EFIM read.
 
     The element axis runs over antennas for links received by the array and
-    over stations for a satellite's links to the station network:
-    ``dirs (n_rows, n_slots, 3)`` and ``dists (n_rows, n_slots)`` are the
-    transmitter-to-element directions and ranges, ``snr (n_rows, n_slots)``.
-    Doppler quantities (``dop_dirs``, ``dop_dists``, ``nu``, ``f_o``,
-    ``omega``) have one entry per Doppler observation: shape ``(n_slots,)``
-    (plus a trailing 3 for directions) at the array reference point for array
-    links, and the element grid ``(n_rows, n_slots)`` for satellite-station
-    links, where they coincide with ``dirs`` / ``dists``.  ``v_rel
-    (n_slots, 3)`` is transmitter minus receiver velocity, the convention
-    under which a closing link has positive Doppler.
+    over stations for a satellite's links to the station network; ``snr
+    (n_rows, n_slots)`` is per delay observation.  ``omega`` has one entry per
+    Doppler observation: shape ``(n_slots,)`` at the array reference point for
+    array links, and the element grid ``(n_rows, n_slots)`` for
+    satellite-station links.
     """
 
     kind: LinkKind
     index: int
-    dirs: np.ndarray
-    dists: np.ndarray
-    dop_dirs: np.ndarray
-    dop_dists: np.ndarray
-    v_rel: np.ndarray
-    nu: np.ndarray
-    f_o: np.ndarray
     omega: np.ndarray
     snr: np.ndarray
-    k_times: np.ndarray
-    eff_bandwidth: float
-    bcc: float
     rms_duration: float
     carrier_freq: float
     gain: float
@@ -219,7 +206,15 @@ def _jacobians(
 def _observables(
     scenario: Scenario, geometry: _ArrayGeometry, kind: LinkKind, index: int
 ) -> LinkObservables:
-    """The one broadcast pass: geometry, Doppler, weights and Jacobians."""
+    """The one broadcast pass: geometry, Doppler, weights and Jacobians.
+
+    ``dirs (n_rows, n_slots, 3)`` and ``dists (n_rows, n_slots)`` are the
+    transmitter-to-element directions and ranges; ``dop_dirs``/``dop_dists``,
+    ``nu`` and ``f_o`` are per Doppler observation (the array reference point
+    for array links, where they differ from ``dirs``/``dists``); ``v_rel
+    (n_slots, 3)`` is transmitter minus receiver velocity, the convention
+    under which a closing link has positive Doppler.
+    """
     k_times = geometry.k_times
     if kind is LinkKind.LEO_BS:
         tx, v_rel = _leo_states(scenario, index, k_times)
@@ -252,18 +247,8 @@ def _observables(
     return LinkObservables(
         kind=kind,
         index=index,
-        dirs=dirs,
-        dists=dists,
-        dop_dirs=dop_dirs,
-        dop_dists=dop_dists,
-        v_rel=v_rel,
-        nu=nu,
-        f_o=f_o,
         omega=omega(props.eff_bandwidth, props.bcc, f_o),
         snr=props.snr_grid(dists.shape),
-        k_times=k_times,
-        eff_bandwidth=props.eff_bandwidth,
-        bcc=props.bcc,
         rms_duration=props.rms_duration,
         carrier_freq=props.carrier_freq,
         gain=gain,
@@ -307,22 +292,17 @@ def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
 
 def _truncated_link(obs: LinkObservables, n_rows: int, n_slots: int) -> LinkObservables:
     """The link on its first ``n_rows`` elements and ``n_slots`` slots, bit for
-    bit the link sampled at those counts.  Delay grids are ``(rows, slots[, 3])``;
-    Doppler fields are per element for satellite-station links and per slot for
-    array links; ``v_rel`` and ``k_times`` are per slot."""
+    bit the link sampled at those counts.  ``snr`` and the delay partials are
+    ``(rows, slots[, 3])`` grids; ``omega`` and the Doppler partials are per
+    element for satellite-station links and per slot for array links."""
     grid = np.s_[:n_rows, :n_slots]
-    per_slot = np.s_[:n_slots]
-    doppler = grid if obs.per_row_doppler else per_slot
-    axes = dict.fromkeys(("dirs", "dists", "snr"), grid)
-    axes |= dict.fromkeys(("dop_dirs", "dop_dists", "nu", "f_o", "omega"), doppler)
-    axes |= dict.fromkeys(("v_rel", "k_times"), per_slot)
+    doppler = grid if obs.per_row_doppler else np.s_[:n_slots]
     partials = {f.name: getattr(obs.jacobians, f.name) for f in fields(LinkJacobians)}
     jacobians = LinkJacobians(**{
         name: None if value is None else value[grid if name.startswith("dtau") else doppler]
         for name, value in partials.items()
     })
-    cut = {name: getattr(obs, name)[index] for name, index in axes.items()}
-    return replace(obs, **cut, jacobians=jacobians)
+    return replace(obs, snr=obs.snr[grid], omega=obs.omega[doppler], jacobians=jacobians)
 
 
 def select_links(

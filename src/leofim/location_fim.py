@@ -19,7 +19,6 @@ other.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +30,12 @@ from .scenario import Case, Scenario
 from .transform import LocationLayout, _transformation, kappa1_blocks, transform_fim
 
 
-class EfimRoute(enum.Enum):
-    LEMMA = "LemmaRoute"
-    SCHUR = "SchurRoute"
-
-
 @dataclass(frozen=True)
 class InterestFim:
     """FIM of the interest parameters before accounting for nuisance."""
 
     matrix: np.ndarray
     layout: LocationLayout
-    case: Case
 
 
 @dataclass(frozen=True)
@@ -51,7 +44,6 @@ class LossMatrix:
 
     matrix: np.ndarray
     layout: LocationLayout
-    case: Case
 
 
 @dataclass(frozen=True)
@@ -60,7 +52,6 @@ class Efim:
 
     matrix: np.ndarray
     layout: LocationLayout
-    route: EfimRoute
     case: Case
 
 
@@ -114,7 +105,7 @@ def _interest_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np
     return sym(matrix)
 
 
-def assemble_interest_fim(scenario: Scenario, case: Case | None = None) -> InterestFim:
+def assemble_interest_fim(scenario: Scenario) -> InterestFim:
     """Closed-form FIM of the interest parameters.
 
     Receiver blocks (position / velocity / orientation and their couplings)
@@ -124,10 +115,9 @@ def assemble_interest_fim(scenario: Scenario, case: Case | None = None) -> Inter
     observations — its station links (q, k).  Offsets of distinct satellites
     never couple, and station links never touch receiver blocks' offsets.
     """
-    case = scenario.case if case is None else case
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = _interest_matrix(layout, link_observables(scenario, case))
-    return InterestFim(matrix=matrix, layout=layout, case=case)
+    matrix = _interest_matrix(layout, link_observables(scenario, scenario.case))
+    return InterestFim(matrix=matrix, layout=layout)
 
 
 def _delay_moment(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -202,7 +192,7 @@ def _loss_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np.nda
     return sym(matrix)
 
 
-def assemble_information_loss(scenario: Scenario, case: Case | None = None) -> LossMatrix:
+def assemble_information_loss(scenario: Scenario) -> LossMatrix:
     """Information lost to the per-link clock and frequency offsets.
 
     Each link's unknown clock offset removes the rank-one component
@@ -213,26 +203,23 @@ def assemble_information_loss(scenario: Scenario, case: Case | None = None) -> L
     outer product is formed — which is what creates the printed cross-station
     coupling terms.  Gains are information-orthogonal and lose nothing.
     """
-    case = scenario.case if case is None else case
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = _loss_matrix(layout, link_observables(scenario, case))
-    return LossMatrix(matrix=matrix, layout=layout, case=case)
+    matrix = _loss_matrix(layout, link_observables(scenario, scenario.case))
+    return LossMatrix(matrix=matrix, layout=layout)
 
 
-def efim_lemma_route(scenario: Scenario, case: Case | None = None) -> Efim:
+def efim_lemma_route(scenario: Scenario) -> Efim:
     """EFIM by the closed-form route: interest FIM minus information loss.
 
     Every link's observables and Jacobians are evaluated once and shared by
     the interest and loss terms.
     """
-    case = scenario.case if case is None else case
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    links = link_observables(scenario, case)
+    links = link_observables(scenario, scenario.case)
     return Efim(
         matrix=sym(_interest_matrix(layout, links) - _loss_matrix(layout, links)),
         layout=layout,
-        route=EfimRoute.LEMMA,
-        case=case,
+        case=scenario.case,
     )
 
 
@@ -284,25 +271,18 @@ def efim_schur_route(
     loss = np.zeros_like(j11)
     for i, ci in zip(coupled, c_inv):
         loss += np.outer(j12[:, i] * ci, j12[:, i])
-    return Efim(matrix=sym(j11 - loss), layout=layout, route=EfimRoute.SCHUR, case=case)
+    return Efim(matrix=sym(j11 - loss), layout=layout, case=case)
 
 
-def compute_efim(
-    scenario: Scenario,
-    case: Case | None = None,
-    route: EfimRoute = EfimRoute.SCHUR,
-) -> Efim:
-    """Build the EFIM of a scenario by the requested route."""
-    case = scenario.case if case is None else case
-    if route is EfimRoute.LEMMA:
-        return efim_lemma_route(scenario, case)
-    return _schur_efim(link_observables(scenario, case), scenario.n_leo, case)
+def compute_efim(scenario: Scenario) -> Efim:
+    """The EFIM of a scenario by the Schur route (:func:`efim_schur_route`)."""
+    return _schur_efim(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
 
 
 def _schur_efim(links: list[LinkObservables], n_leo: int, case: Case) -> Efim:
     """The Schur route from a link list in assembly order: channel FIM,
     ``Upsilon``, ``J_kappa``, then the nuisance elimination."""
-    j_eta, glob = _assemble(links, case)
+    j_eta, glob = _assemble(links)
     upsilon = _transformation(glob, n_leo)
     j_kappa = transform_fim(j_eta, upsilon)
     return efim_schur_route(j_kappa, upsilon.location_layout, case)

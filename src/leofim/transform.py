@@ -31,7 +31,7 @@ import numpy as np
 from .channel_fim import GlobalChannelLayout, LinkSection
 from .linalg import sym
 from .links import LinkJacobians, LinkObservables, link_jacobians  # noqa: F401 (re-exported)
-from .scenario import Case, Scenario
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -142,16 +142,11 @@ def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> N
 
 def location_layout(glob: GlobalChannelLayout, n_leo: int) -> LocationLayout:
     """Location layout matching an assembled channel layout."""
-    is_nuisance = np.ones(glob.dim, dtype=bool)
-    for sec in glob.sections:
-        is_nuisance[glob.delay_indices(sec)] = False
-        is_nuisance[glob.doppler_indices(sec)] = False
-    cols = tuple(int(i) for i in np.flatnonzero(is_nuisance))
-    return LocationLayout(n_leo=n_leo, kappa2_channel_cols=cols)
+    return LocationLayout(n_leo=n_leo, kappa2_channel_cols=glob.nuisance_cols)
 
 
 def build_transformation_matrix(
-    scenario: Scenario, case: Case | None = None, glob: GlobalChannelLayout | None = None
+    scenario: Scenario, *, glob: GlobalChannelLayout | None = None
 ) -> TransformationMatrix:
     """Build ``Upsilon`` for a scenario.
 
@@ -159,13 +154,12 @@ def build_transformation_matrix(
     to the kappa1 blocks it depends on; gain and offset columns are unit
     selections of their kappa2 rows.  ``glob`` may be passed to reuse an
     already-assembled channel layout, together with the link observables and
-    Jacobians its sections carry (it must match the scenario and case).
+    Jacobians its sections carry (it must match the scenario).
     """
-    case = scenario.case if case is None else case
     if glob is None:
         from .channel_fim import assemble_channel_fim
 
-        _, glob = assemble_channel_fim(scenario, case)
+        _, glob = assemble_channel_fim(scenario)
     return _transformation(glob, scenario.n_leo)
 
 

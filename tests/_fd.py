@@ -1,8 +1,10 @@
 """Finite-difference oracle for the delay/Doppler partials.
 
 Everything here is rebuilt from the geometry-module primitives (positions,
-``delay``, ``doppler``) so the analytic Jacobians in ``leofim.transform`` are
-checked against an independent evaluation path, never against themselves.
+``unit_direction``, ``delay``, ``doppler``, ``velocity_at``), step sizes,
+frozen Doppler directions and relative velocities included, so the analytic
+Jacobians in ``leofim.transform`` are checked against an independent
+evaluation path, never against the link pass that produced them.
 
 Differentiation conventions mirror the analytic ones: delays are differentiated
 through their full position dependence, while the Doppler velocity partials
@@ -18,6 +20,7 @@ import dataclasses
 import numpy as np
 
 from leofim.geometry import (
+    SPEED_OF_LIGHT_M_S,
     antenna_position,
     delay,
     doppler,
@@ -26,7 +29,6 @@ from leofim.geometry import (
     unit_direction,
 )
 from leofim.channel_fim import LinkKind
-from leofim.links import bs_rx_observables, leo_bs_observables, leo_rx_observables
 
 # Fourth-order central stencil: truncation ~h^4 keeps the step large enough to
 # clear the eps*range cancellation floor of norms over ~2000 km geometry.
@@ -66,6 +68,11 @@ def _with_orientation(scenario, angles_vec):
     return _with_receiver(scenario, orientation=angles)
 
 
+def _position_step(pairs) -> float:
+    """Position step: a fixed fraction of the shortest (source, target) range."""
+    return 3e-5 * SPEED_OF_LIGHT_M_S * min(delay(source, target) for source, target in pairs)
+
+
 def fd_link_jacobians(scenario, kind: LinkKind, index: int):
     """Finite-difference counterparts of ``link_jacobians`` for one link.
 
@@ -77,21 +84,26 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
     out = {}
 
     if kind in (LinkKind.LEO_RX, LinkKind.BS_RX):
-        obs = (
-            leo_rx_observables(scenario, index)
-            if kind is LinkKind.LEO_RX
-            else bs_rx_observables(scenario, index)
-        )
-        n_ant, n_slots = obs.dists.shape
-        h_pos = 3e-5 * float(np.min(obs.dists))
-        # A velocity step moves the slot-k position by k*dt*h, so keep its
-        # largest displacement at the same fraction of the range as h_pos.
-        h_vel = h_pos / grid.time_of(grid.n_slots)
+        n_ant, n_slots = scenario.n_ant, grid.n_slots
 
         def tx_point(sc, k):
             if kind is LinkKind.LEO_RX:
                 return leo_position(sc.leos[index], k, grid, include_offset=True)
             return sc.bss[index].position
+
+        def tx_velocity(k):
+            if kind is LinkKind.LEO_RX:
+                return scenario.leos[index].velocity_at(k, include_offset=True)
+            return np.zeros(3)
+
+        h_pos = _position_step(
+            (tx_point(scenario, k), antenna_position(scenario.receiver, u, k, grid))
+            for k in slot_numbers
+            for u in range(n_ant)
+        )
+        # A velocity step moves the slot-k position by k*dt*h, so keep its
+        # largest displacement at the same fraction of the range as h_pos.
+        h_vel = h_pos / grid.time_of(grid.n_slots)
 
         # --- delay partials ---------------------------------------------
         for name, rebuild, h in (
@@ -139,15 +151,15 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         dnu_dvu = np.zeros((n_slots, 3))
         for i, k in enumerate(slot_numbers):
             tx = tx_point(scenario, k)
-            v_rel = obs.v_rel[i]
-            d_fix = obs.dop_dirs[i]
+            v_tx = tx_velocity(k)
+            v_rel = v_tx - scenario.receiver.velocity
+            d_fix = unit_direction(tx, receiver_reference(scenario.receiver, k, grid))
 
             def nu_of_pos(x, k=k, tx=tx, v_rel=v_rel):
                 sc = _with_receiver(scenario, position=x)
                 return doppler(unit_direction(tx, receiver_reference(sc.receiver, k, grid)), v_rel)
 
-            def nu_of_vel(x, d_fix=d_fix, v_rel=v_rel):
-                v_tx = v_rel + scenario.receiver.velocity  # transmitter part
+            def nu_of_vel(x, d_fix=d_fix, v_tx=v_tx):
                 return doppler(d_fix, v_tx - x)
 
             dnu_dp[i] = gradient(nu_of_pos, scenario.receiver.position, h_pos)
@@ -160,8 +172,8 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
             dnu_dvcheck = np.zeros((n_slots, 3))
             for i, k in enumerate(slot_numbers):
                 cen = receiver_reference(scenario.receiver, k, grid)
-                v_rel = obs.v_rel[i]
-                d_fix = obs.dop_dirs[i]
+                v_rel = tx_velocity(k) - scenario.receiver.velocity
+                d_fix = unit_direction(tx_point(scenario, k), cen)
 
                 def nu_of_pcheck(x, k=k, cen=cen, v_rel=v_rel):
                     sc = _with_leo(scenario, index, pos_offset=x)
@@ -183,9 +195,13 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         return out
 
     # --- satellite-to-station link --------------------------------------
-    lobs = leo_bs_observables(scenario, index)
-    n_bs, n_slots = lobs.dists.shape
-    h_pos = 3e-5 * float(np.min(lobs.dists))
+    leo = scenario.leos[index]
+    n_bs, n_slots = scenario.n_bs, grid.n_slots
+    h_pos = _position_step(
+        (leo_position(leo, k, grid, include_offset=True), bs.position)
+        for k in slot_numbers
+        for bs in scenario.bss
+    )
     h_vel = h_pos / grid.time_of(grid.n_slots)
     shapes = {
         "dtau_dpcheck": ("pos_offset", h_pos, True),
@@ -196,10 +212,11 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
     for name, (field, h, is_delay) in shapes.items():
         arr = np.zeros((n_bs, n_slots, 3))
         for i, k in enumerate(slot_numbers):
-            v_rel = lobs.v_rel[i]
+            tx_k = leo_position(leo, k, grid, include_offset=True)
+            v_rel = leo.velocity_at(k, include_offset=True)
             for q in range(n_bs):
                 station = scenario.bss[q].position
-                d_fix = lobs.dirs[q, i]
+                d_fix = unit_direction(tx_k, station)
 
                 def obs_of(x, k=k, q=q, station=station, v_rel=v_rel, d_fix=d_fix):
                     if field == "vel_offset" and not is_delay:

@@ -26,10 +26,10 @@ from leofim.channel_fim import LinkKind, assemble_channel_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
 from leofim.location_fim import (
-    EfimRoute,
     assemble_information_loss,
     assemble_interest_fim,
     compute_efim,
+    efim_lemma_route,
 )
 from leofim.scenario import (
     Case,
@@ -159,8 +159,8 @@ def test_acceptance_3_route_equivalence():
             case=(Case.WITH_BS, Case.RECEIVER_ONLY)[i % 2],
         )
         scenario = random_scenario(config, seed)
-        lemma = compute_efim(scenario, route=EfimRoute.LEMMA).matrix
-        schur = compute_efim(scenario, route=EfimRoute.SCHUR).matrix
+        lemma = efim_lemma_route(scenario).matrix
+        schur = compute_efim(scenario).matrix
         rel = np.linalg.norm(lemma - schur, "fro") / np.linalg.norm(schur, "fro")
         worst = max(worst, rel)
     ok = worst <= 1e-8

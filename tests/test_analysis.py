@@ -17,7 +17,7 @@ from leofim.analysis import (
     swept_config,
 )
 from leofim.geometry import DegenerateGeometryError
-from leofim.location_fim import Efim, EfimRoute, compute_efim
+from leofim.location_fim import Efim, compute_efim
 from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
 from leofim.transform import LocationLayout
 
@@ -32,7 +32,6 @@ def _diag_efim(diag):
     return Efim(
         matrix=np.diag(np.asarray(diag, dtype=float)),
         layout=layout,
-        route=EfimRoute.SCHUR,
         case=Case.WITH_BS,
     )
 

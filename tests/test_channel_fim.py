@@ -35,7 +35,6 @@ def test_single_antenna_single_slot_hand_formula():
     lay = fim.layout
     snr = float(obs.snr[0, 0])
     om = float(obs.omega[0])
-    f_o = float(obs.f_o[0])
     alpha_o = obs.rms_duration
     f_c = obs.carrier_freq
 
@@ -84,7 +83,7 @@ def test_link_layout_dimensions():
 
 def test_assembled_dimension_counts_shared_station_clock():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=3, n_ant=4, n_slots=3), 7)
-    matrix, layout = assemble_channel_fim(sc, Case.WITH_BS)
+    matrix, layout = assemble_channel_fim(sc)
     # 18 (sat-rx) + 3*(12+3+1)+2 (station-rx, one shared clock pair) + 21 (sat-station)
     assert matrix.shape == (89, 89)
     assert layout.dim == 89
@@ -97,18 +96,16 @@ def test_assembled_dimension_counts_shared_station_clock():
 
 def test_assembled_bs_clock_accumulates_across_stations():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=2, n_ant=1, n_slots=1), 8)
-    matrix, layout = assemble_channel_fim(sc, Case.WITH_BS)
-    secs = [s for s in layout.sections if s.fim.link_kind is LinkKind.BS_RX]
-    col = layout.delta_index(secs[0])
-    assert col == layout.delta_index(secs[1])
+    matrix, layout = assemble_channel_fim(sc)
+    col = layout.shared_bs_offsets[0]
     per_link = [link_fim_bs_rx(sc, q) for q in range(2)]
     expected = sum(f.matrix[f.layout.time_offset, f.layout.time_offset] for f in per_link)
     assert np.isclose(matrix[col, col], expected, rtol=1e-12)
 
 
 def test_receiver_only_case_drops_satellite_station_links():
-    sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=3, n_ant=2, n_slots=2), 9)
-    matrix, layout = assemble_channel_fim(sc, Case.RECEIVER_ONLY)
+    config = ScenarioConfig(n_leo=2, n_bs=3, n_ant=2, n_slots=2, case=Case.RECEIVER_ONLY)
+    matrix, layout = assemble_channel_fim(random_scenario(config, 9))
     kinds = [sec.fim.link_kind for sec in layout.sections]
     assert LinkKind.LEO_BS not in kinds
     assert kinds.count(LinkKind.LEO_RX) == 2
@@ -119,7 +116,7 @@ def test_receiver_only_case_drops_satellite_station_links():
 
 def test_assembly_is_positive_semidefinite():
     sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=2, n_ant=2, n_slots=2), 10)
-    matrix, _ = assemble_channel_fim(sc, Case.WITH_BS)
+    matrix, _ = assemble_channel_fim(sc)
     from leofim.linalg import balanced_eigvalsh
 
     w = balanced_eigvalsh(matrix)

@@ -411,3 +411,33 @@ def test_out_of_band_carrier_sweep_value_warns():
         "sweep_values[0]: carrier_freq_hz 1e+08 is outside the supported band "
         "[1e9, 1e11]; results may be extrapolated"
     ]
+
+
+_HUGE_INT = "1" + "0" * 400  # a JSON integer no double can hold
+_HUGE_SWEEP = f'{{"command": "sweep", "sweep_axis": "snr_db", "sweep_values": [10, {_HUGE_INT}]}}'
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (b'{"n_leo": 1, "note\xff": 2}', r"run\.json: not UTF-8 text"),
+        (f'{{"snr_db": {_HUGE_INT}}}'.encode(), r"snr_db: must be finite"),
+        (_HUGE_SWEEP.encode(), r"sweep_values\[1\]: must be finite"),
+        (
+            json.dumps({**WIDE, "n_trials": 1, "out": "missing-dir/bounds.csv"}).encode(),
+            r"out: missing-dir/bounds\.csv: ",
+        ),
+    ],
+    ids=["non_utf8_config", "huge_int_field", "huge_int_sweep_value", "unopenable_out"],
+)
+def test_unreadable_or_unrepresentable_input_exits_2(
+    tmp_path, capsys, monkeypatch, payload, message
+):
+    """Input the program cannot read, represent or write to is a configuration
+    error naming the key or path, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_bytes(payload)
+    assert main(["--config", "run.json"]) == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"configuration error: {message}", err)
+    assert len(err.strip().splitlines()) == 1

@@ -2,8 +2,10 @@
 
 The oracle walks every (element, slot) pair with the scalar geometry
 primitives (``antenna_position``, ``leo_position``, ``receiver_reference``,
-``unit_direction``, ``doppler``), so the vectorized observables are checked
-against an independent evaluation path that must agree to the last bit.
+``unit_direction``, ``doppler``, ``time_of``), so the vectorized weights
+``omega`` and ``snr``, and every Jacobian that is an elementwise expression of
+a direction, are checked against an independent evaluation path that must
+agree to the last bit.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from leofim.geometry import (
+    SPEED_OF_LIGHT_M_S,
     BsState,
     DegenerateGeometryError,
     antenna_position,
@@ -33,77 +36,69 @@ from leofim.links import (
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
 
-FIELDS = ("dirs", "dists", "dop_dirs", "dop_dists", "v_rel", "nu", "f_o", "omega", "snr", "k_times")
-
-
-def _toward(source, target):
-    return unit_direction(source, target), np.linalg.norm(target - source)
-
 
 def _rx_oracle(scenario, kind, index):
-    """Observables of a link received by the array, one pair at a time."""
+    """Weights and direction-only Jacobians of a link received by the array,
+    one pair at a time."""
     grid, receiver = scenario.grid, scenario.receiver
     n_ant, n_slots = scenario.n_ant, scenario.n_slots
     if kind is LinkKind.LEO_RX:
         props, offsets = scenario.leo_rx_signals[index], scenario.leo_rx_offsets[index]
     else:
         props, offsets = scenario.bs_rx_signals[index], scenario.bs_rx_offset
-    out = {
-        "dirs": np.zeros((n_ant, n_slots, 3)),
-        "dists": np.zeros((n_ant, n_slots)),
-        "dop_dirs": np.zeros((n_slots, 3)),
-        "dop_dists": np.zeros(n_slots),
-        "v_rel": np.zeros((n_slots, 3)),
-        "nu": np.zeros(n_slots),
-        "k_times": np.zeros(n_slots),
-    }
+    out = {name: np.zeros((n_ant, n_slots, 3)) for name in ("dtau_dp", "dtau_dvu")}
+    out["dnu_dvu"] = np.zeros((n_slots, 3))
+    nu = np.zeros(n_slots)
     for i, k in enumerate(grid.slot_numbers()):
         if kind is LinkKind.LEO_RX:
             leo = scenario.leos[index]
             tx = leo_position(leo, k, grid, include_offset=True)
-            out["v_rel"][i] = leo.velocity_at(k, include_offset=True) - receiver.velocity
+            v_rel = leo.velocity_at(k, include_offset=True) - receiver.velocity
         else:
             tx = scenario.bss[index].position
-            out["v_rel"][i] = -receiver.velocity
-        out["dop_dirs"][i], out["dop_dists"][i] = _toward(tx, receiver_reference(receiver, k, grid))
-        out["nu"][i] = doppler(out["dop_dirs"][i], out["v_rel"][i])
-        out["k_times"][i] = grid.time_of(k)
+            v_rel = -receiver.velocity
+        d_ref = unit_direction(tx, receiver_reference(receiver, k, grid))
+        nu[i] = doppler(d_ref, v_rel)
+        out["dnu_dvu"][i] = -d_ref / SPEED_OF_LIGHT_M_S
         for u in range(n_ant):
-            rx = antenna_position(receiver, u, k, grid)
-            out["dirs"][u, i], out["dists"][u, i] = _toward(tx, rx)
-    return _with_weights(out, props, offsets)
+            d = unit_direction(tx, antenna_position(receiver, u, k, grid))
+            out["dtau_dp"][u, i] = d / SPEED_OF_LIGHT_M_S
+            out["dtau_dvu"][u, i] = grid.time_of(k) * d / SPEED_OF_LIGHT_M_S
+    if kind is LinkKind.LEO_RX:
+        out["dtau_dpcheck"] = -out["dtau_dp"]
+        out["dtau_dvcheck"] = -out["dtau_dvu"]
+        out["dnu_dvcheck"] = -out["dnu_dvu"]
+    return _with_weights(out, nu, (n_ant, n_slots), props, offsets)
 
 
 def _leo_bs_oracle(scenario, b):
-    """Observables of satellite ``b``'s station links, one pair at a time."""
+    """Weights and direction-only Jacobians of satellite ``b``'s station
+    links, one pair at a time."""
     grid, leo = scenario.grid, scenario.leos[b]
     n_bs, n_slots = scenario.n_bs, scenario.n_slots
-    out = {
-        "dirs": np.zeros((n_bs, n_slots, 3)),
-        "dists": np.zeros((n_bs, n_slots)),
-        "v_rel": np.zeros((n_slots, 3)),
-        "nu": np.zeros((n_bs, n_slots)),
-        "k_times": np.zeros(n_slots),
-    }
+    names = ("dtau_dpcheck", "dtau_dvcheck", "dnu_dvcheck")
+    out = {name: np.zeros((n_bs, n_slots, 3)) for name in names}
+    nu = np.zeros((n_bs, n_slots))
     for i, k in enumerate(grid.slot_numbers()):
         tx = leo_position(leo, k, grid, include_offset=True)
-        out["v_rel"][i] = leo.velocity_at(k, include_offset=True)
-        out["k_times"][i] = grid.time_of(k)
+        v_rel = leo.velocity_at(k, include_offset=True)
         for q, bs in enumerate(scenario.bss):
-            out["dirs"][q, i], out["dists"][q, i] = _toward(tx, bs.position)
-            out["nu"][q, i] = doppler(out["dirs"][q, i], out["v_rel"][i])
-    out["dop_dirs"], out["dop_dists"] = out["dirs"], out["dists"]
-    return _with_weights(out, scenario.leo_bs_signals[b], scenario.leo_bs_offsets[b])
+            d = unit_direction(tx, bs.position)
+            nu[q, i] = doppler(d, v_rel)
+            out["dtau_dpcheck"][q, i] = -d / SPEED_OF_LIGHT_M_S
+            out["dtau_dvcheck"][q, i] = grid.time_of(k) * out["dtau_dpcheck"][q, i]
+            out["dnu_dvcheck"][q, i] = d / SPEED_OF_LIGHT_M_S
+    props, offsets = scenario.leo_bs_signals[b], scenario.leo_bs_offsets[b]
+    return _with_weights(out, nu, (n_bs, n_slots), props, offsets)
 
 
-def _with_weights(out, props, offsets):
-    out["f_o"] = np.array(
-        [effective_frequency(props.carrier_freq, nu, offsets.freq_offset) for nu in out["nu"].ravel()]
-    ).reshape(out["nu"].shape)
-    out["omega"] = np.array(
-        [omega(props.eff_bandwidth, props.bcc, f) for f in out["f_o"].ravel()]
-    ).reshape(out["nu"].shape)
-    out["snr"] = np.full(out["dists"].shape, float(props.snr_linear))
+def _with_weights(out, nu, shape, props, offsets):
+    """``out`` plus the link's ``omega`` (per Doppler shift ``nu``) and ``snr``
+    (per delay observation of an element-by-slot grid of ``shape``)."""
+    f_o = [effective_frequency(props.carrier_freq, v, offsets.freq_offset) for v in nu.ravel()]
+    omegas = [omega(props.eff_bandwidth, props.bcc, f) for f in f_o]
+    out["omega"] = np.array(omegas).reshape(nu.shape)
+    out["snr"] = np.full(shape, float(props.snr_linear))
     return out
 
 
@@ -142,8 +137,8 @@ def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
     assert [obs.kind for obs in links] == expected_kinds
     for obs in links:
         reference = _oracle(sc, obs.kind, obs.index)
-        for name in FIELDS:
-            got = getattr(obs, name)
+        for name in reference:
+            got = getattr(obs.jacobians if name.startswith("d") else obs, name)
             assert got.shape == reference[name].shape, (obs.kind, obs.index, name)
             assert np.array_equal(got, reference[name]), (obs.kind, obs.index, name)
 
@@ -205,7 +200,9 @@ def test_public_entry_points_return_one_link_each():
     ):
         obs = fn(sc, index)
         assert (obs.kind, obs.index) == (kind, index)
-        assert obs.dirs.shape[:2] == obs.snr.shape
+        jac = obs.jacobians
+        delay_partial = jac.dtau_dpcheck if kind is LinkKind.LEO_BS else jac.dtau_dp
+        assert delay_partial.shape[:2] == obs.snr.shape
         assert obs.per_row_doppler is (kind is LinkKind.LEO_BS)
 
 

@@ -23,6 +23,18 @@ def _scenario(seed, **overrides):
     return random_scenario(ScenarioConfig(**base), seed)
 
 
+def _observable_cols(sec):
+    """Global delay and Doppler columns of one assembled link section."""
+    lay = sec.fim.layout
+    return sec.offset + np.r_[lay.delays, lay.dopplers]
+
+
+def _delay_cols(glob, kind, index):
+    sec = next(s for s in glob.sections if (s.fim.link_kind, s.fim.index) == (kind, index))
+    lay = sec.fim.layout
+    return sec.offset + np.arange(lay.delays.start, lay.delays.stop)
+
+
 @pytest.mark.parametrize("seed", [13, 14])
 @pytest.mark.parametrize("kind", [LinkKind.LEO_RX, LinkKind.BS_RX, LinkKind.LEO_BS])
 def test_partials_match_finite_differences(kind, seed):
@@ -85,7 +97,7 @@ def test_batch_jacobian_entries_match_finite_differences():
 
 def test_transformation_matrix_shape_and_nuisance_rows():
     sc = _scenario(25)
-    ups = build_transformation_matrix(sc, Case.WITH_BS)
+    ups = build_transformation_matrix(sc)
     loc = ups.location_layout
     glob = ups.channel_layout
     assert loc.dim_interest == 9 + 6 * 2
@@ -102,24 +114,22 @@ def test_transformation_matrix_shape_and_nuisance_rows():
 
 def test_station_link_delay_columns_have_zero_offset_rows():
     sc = _scenario(26)
-    _, glob = assemble_channel_fim(sc, Case.WITH_BS)
-    ups = build_transformation_matrix(sc, Case.WITH_BS, glob)
+    _, glob = assemble_channel_fim(sc)
+    ups = build_transformation_matrix(sc, glob=glob)
     loc = ups.location_layout
-    sec = glob.section(LinkKind.BS_RX, 0)
-    cols = glob.delay_indices(sec)
+    cols = _delay_cols(glob, LinkKind.BS_RX, 0)
     for b in range(sc.n_leo):
         assert np.count_nonzero(ups.matrix[loc.pos_offset(b)][:, cols]) == 0
         assert np.count_nonzero(ups.matrix[loc.vel_offset(b)][:, cols]) == 0
     # while satellite-station delay columns have zero receiver rows
-    sec_sb = glob.section(LinkKind.LEO_BS, 0)
-    cols_sb = glob.delay_indices(sec_sb)
+    cols_sb = _delay_cols(glob, LinkKind.LEO_BS, 0)
     assert np.count_nonzero(ups.matrix[loc.position][:, cols_sb]) == 0
     assert np.count_nonzero(ups.matrix[loc.orientation][:, cols_sb]) == 0
 
 
 def test_location_layout_counts_nuisance_columns():
     sc = _scenario(27)
-    _, glob = assemble_channel_fim(sc, Case.WITH_BS)
+    _, glob = assemble_channel_fim(sc)
     loc = location_layout(glob, sc.n_leo)
     # per satellite-receiver link: gain + 2 offsets; stations: gain each + one
     # shared pair; per satellite-station link: gain + 2 offsets
@@ -128,10 +138,33 @@ def test_location_layout_counts_nuisance_columns():
     assert loc.dim == loc.dim_interest + expected
 
 
+@pytest.mark.parametrize(
+    "seed, overrides",
+    [
+        (27, {}),
+        (28, dict(n_bs=0)),
+        (29, dict(n_bs=0, case=Case.RECEIVER_ONLY)),
+        (30, dict(n_leo=3, n_bs=3, n_ant=3, case=Case.RECEIVER_ONLY)),
+        (31, dict(n_slots=1)),
+        (32, dict(n_leo=1, n_bs=1, n_ant=1, n_slots=1, case=Case.RECEIVER_ONLY)),
+    ],
+)
+def test_nuisance_columns_are_every_non_observable_column(seed, overrides):
+    """The columns the assembler names as nuisance are exactly those no
+    section's delay or Doppler occupies, in ascending order."""
+    _, glob = assemble_channel_fim(_scenario(seed, **overrides))
+    is_nuisance = np.ones(glob.dim, dtype=bool)
+    for sec in glob.sections:
+        is_nuisance[_observable_cols(sec)] = False
+    expected = [int(i) for i in np.flatnonzero(is_nuisance)]
+    assert list(glob.nuisance_cols) == expected
+    assert all(type(c) is int for c in glob.nuisance_cols)
+
+
 def test_transform_fim_symmetrizes_and_checks_shapes():
     sc = _scenario(28, n_leo=1, n_bs=1, n_ant=1, n_slots=1)
-    j_eta, glob = assemble_channel_fim(sc, Case.WITH_BS)
-    ups = build_transformation_matrix(sc, Case.WITH_BS, glob)
+    j_eta, glob = assemble_channel_fim(sc)
+    ups = build_transformation_matrix(sc, glob=glob)
     j_kappa = transform_fim(j_eta, ups)
     assert j_kappa.shape == (ups.location_layout.dim,) * 2
     assert np.array_equal(j_kappa, j_kappa.T)

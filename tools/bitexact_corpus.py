@@ -4,9 +4,10 @@ A refactor of the numerical pipeline should leave its results unchanged to
 the last bit, not merely close.  This script hashes the raw bytes of every
 sampled scenario array (receiver position, velocity, antenna offsets and
 Euler angles; each satellite's position and track; each station's position),
-every link's observables and Jacobians, ``J_eta``, ``Upsilon``, ``J_kappa``,
-the interest FIM, the information loss and both EFIMs for each corpus entry,
-so two checkouts can be compared exactly:
+every link's stored weights (``omega``, ``snr``) and Jacobians, ``J_eta``, the
+nuisance columns ``kappa2_channel_cols``, ``Upsilon``, ``J_kappa``, the
+interest FIM, the information loss and both EFIMs for each corpus entry, so
+two checkouts can be compared exactly:
 
     PYTHONPATH=<checkout A>/src python tools/bitexact_corpus.py dump a.json
     PYTHONPATH=<checkout B>/src python tools/bitexact_corpus.py dump b.json
@@ -20,9 +21,6 @@ every slot count from 1 to 20.  ``identifiability_sweep`` is fingerprinted per
 cell (``is_pd``, min and max eigenvalue) on the acceptance-1 counts grid and on
 a grid with no stations and a single slot among its values, for seeds 42 and 7
 in both cases.
-Observable fields are read under their current names, falling back to the
-names the per-link structs used before the satellite-receiver and
-satellite-station structs were merged, so older checkouts can be dumped too.
 """
 
 from __future__ import annotations
@@ -38,18 +36,7 @@ SEEDS = (42, 7)
 SIZES = ((1, 3, 4, 3), (3, 3, 4, 4), (2, 3, 16, 10), (4, 4, 32, 20), (2, 0, 4, 3))
 SCENARIO_SEEDS = range(20)
 SCENARIO_SLOTS = range(1, 21)
-OBS_FIELDS = {
-    "dirs": ("dirs", "ant_dirs"),
-    "dists": ("dists", "ant_dists"),
-    "dop_dirs": ("dop_dirs", "cen_dir", "dirs"),
-    "dop_dists": ("dop_dists", "cen_dist", "dists"),
-    "v_rel": ("v_rel",),
-    "nu": ("nu",),
-    "f_o": ("f_o",),
-    "omega": ("omega",),
-    "snr": ("snr",),
-    "k_times": ("k_times",),
-}
+OBS_FIELDS = ("omega", "snr")
 SWEEP_GRIDS = {
     "acceptance1": {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]},
     "edges": {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]},
@@ -90,9 +77,8 @@ def _observables(scenario, out: dict, tag: str) -> None:
         entries += [("leo_bs", LinkKind.LEO_BS, links.leo_bs_observables, b) for b in range(scenario.n_leo)]
     for name, kind, fn, i in entries:
         obs = fn(scenario, i)
-        for field, candidates in OBS_FIELDS.items():
-            value = next(getattr(obs, c) for c in candidates if hasattr(obs, c))
-            out[f"{tag}/{name}{i}/{field}"] = fingerprint(value)
+        for field in OBS_FIELDS:
+            out[f"{tag}/{name}{i}/{field}"] = fingerprint(getattr(obs, field))
         jac = link_jacobians(scenario, kind, i)
         for field in JAC_FIELDS:
             value = getattr(jac, field)
@@ -123,6 +109,7 @@ def dump() -> dict:
         out[f"{tag}/j_eta"] = fingerprint(j_eta)
         upsilon = build_transformation_matrix(scenario, glob=glob)
         out[f"{tag}/upsilon"] = fingerprint(upsilon.matrix)
+        out[f"{tag}/kappa2_cols"] = fingerprint(upsilon.location_layout.kappa2_channel_cols)
         j_kappa = transform_fim(j_eta, upsilon)
         del j_eta
         out[f"{tag}/j_kappa"] = fingerprint(j_kappa)
