@@ -124,6 +124,9 @@ def is_identifiable(
 def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
     """Root-trace bound of every interest block: ``sqrt(tr(inv(EFIM)[block]))``.
 
+    The inverse floors eigenvalues at the verdict's ``rel_tol``, so no direction
+    the verdict counted is dropped.
+
     Raises
     ------
     NotIdentifiableError
@@ -133,7 +136,7 @@ def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
     if not verdict.is_pd:
         raise NotIdentifiableError(verdict)
     layout: LocationLayout = efim.layout
-    inverse, _ = invert_psd(efim.matrix)
+    inverse, _ = invert_psd(efim.matrix, floor_rel=rel_tol)
 
     def block_bound(sl: slice) -> float:
         return float(np.sqrt(np.trace(inverse[sl, sl])))

@@ -31,6 +31,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -487,11 +488,22 @@ def _run_sweep(config: RunConfig) -> tuple[list[dict], int]:
     return records, 0
 
 
-def run_command(config: RunConfig, command: str | None = None) -> int:
-    """Execute one command; print tables, write the output file, return exit code."""
-    command = command or config.command
+def run_command(config: RunConfig) -> int:
+    """Execute one command; print tables, write the output file, return exit code.
+
+    The output path is probed before the run, so an unwritable one fails at once.
+    """
+    command = config.command
     if command not in COMMANDS:
         raise ConfigError(f"command: must be one of {list(COMMANDS)} (got {command!r})")
+    if config.out is not None:
+        existed = os.path.exists(config.out)
+        try:  # append mode: never truncates; a created file is removed again
+            open(config.out, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"out: {config.out}: {exc.strerror or exc}") from exc
+        if not existed:
+            os.remove(config.out)
     print("effective configuration:")
     print(json.dumps(effective_config_dict(config), indent=2))
     try:

@@ -3,9 +3,11 @@
 Two independent routes produce the equivalent FIM (EFIM) of the interest
 parameters:
 
-* the **closed-form route**: per-block formulas for the interest FIM plus
-  rank-one information-loss terms per link, built from each link's delay and
-  Doppler weights and the per-link offset normalizers;
+* the **closed-form route**: each link's delay and Doppler observations
+  become dense Jacobian rows in interest coordinates; their weighted Gram
+  matrix is the interest FIM, and every clock or frequency offset costs the
+  rank-one information loss ``m m^T / n`` of its weighted moment ``m`` and
+  normalizer ``n`` (the station network's shared offsets pool theirs first);
 * the **Schur route**: the assembled channel FIM is mapped through the
   transformation matrix and the nuisance coordinates (gains and offsets of
   every link) are marginalized by a Schur complement; no observation carries
@@ -55,18 +57,8 @@ class Efim:
     case: Case
 
 
-def _delay_quad(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_obs w_obs * x_obs y_obs^T`` over an (element, slot) grid."""
-    return np.einsum("uk,uki,ukj->ij", w, x, y)
-
-
-def _doppler_quad(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_k w_k * x_k y_k^T`` over per-slot Doppler observations."""
-    return np.einsum("k,ki,kj->ij", w, x, y)
-
-
 def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay, Doppler and frequency-offset weights of one link.
+    """Delay, Doppler and frequency-offset weights of one link, flat.
 
     Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
     observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
@@ -74,35 +66,59 @@ def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndar
     ``snr_k`` sums the slot's SNR over antennas, since the shift is common to
     the array).
     """
-    if obs.per_row_doppler:
-        w_tau = obs.snr * obs.omega
-        snr_dop = obs.snr
-    else:
-        w_tau = obs.snr * obs.omega[None, :]
-        snr_dop = obs.snr.sum(axis=0)
+    w_tau = obs.snr * obs.omega
+    snr_dop = obs.snr if obs.per_row_doppler else obs.snr.sum(axis=0)
     half_ao2 = 0.5 * obs.rms_duration**2
     w_nu = snr_dop * obs.carrier_freq**2 * half_ao2
     w_eps = snr_dop * half_ao2
-    return w_tau, w_nu, w_eps
+    return w_tau.ravel(), w_nu.ravel(), w_eps.ravel()
 
 
-def _interest_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np.ndarray:
-    """Sum every link's delay and Doppler quadratic forms over the block pairs
-    it informs."""
-    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
+def _rows(layout: LocationLayout, obs: LinkObservables) -> tuple[np.ndarray, np.ndarray]:
+    """One link's Jacobian rows in interest coordinates.
+
+    Returns ``g_tau (n_delays, dim_interest)`` and ``g_nu (n_dopplers,
+    dim_interest)``: row ``i`` is the gradient of observation ``i`` with
+    respect to kappa1, zero outside the blocks the link informs.
+    """
+    g_tau = np.zeros((obs.snr.size, layout.dim_interest))
+    g_nu = np.zeros((obs.omega.size, layout.dim_interest))
+    for cols, dtau, dnu in kappa1_blocks(layout, obs):
+        g_tau[:, cols] = dtau.reshape(-1, 3)
+        if dnu is not None:
+            g_nu[:, cols] = dnu.reshape(-1, 3)
+    return g_tau, g_nu
+
+
+def _closed_form(
+    layout: LocationLayout, links: list[LinkObservables]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interest FIM ``sum g^T diag(w) g`` and information loss, in one pass.
+
+    Each clock offset loses ``m m^T / n`` with ``m = w_tau @ g_tau``,
+    ``n = sum w_tau``; each frequency offset with ``m = (f_c w_eps) @ g_nu``,
+    ``n = sum w_eps``.  Station-receiver links share one offset pair and pool
+    ``m`` and ``n`` first.  An offset with ``n <= 0`` is unobserved (``m`` is
+    zero too) and loses nothing.
+    """
+    dim = layout.dim_interest
+    interest = np.zeros((dim, dim))
+    loss = np.zeros((dim, dim))
+    shared = [(np.zeros(dim), 0.0)] * 2
+    offsets = []
     for obs in links:
-        w_tau, w_nu, _ = _link_weights(obs)
-        dop_quad = _delay_quad if obs.per_row_doppler else _doppler_quad
-        blocks = kappa1_blocks(layout, obs)
-        for i, (sl_i, dtau_i, dnu_i) in enumerate(blocks):
-            for sl_j, dtau_j, dnu_j in blocks[i:]:
-                block = _delay_quad(w_tau, dtau_i, dtau_j)
-                if dnu_i is not None and dnu_j is not None:
-                    block = block + dop_quad(w_nu, dnu_i, dnu_j)
-                matrix[sl_i, sl_j] += block
-                if sl_i != sl_j:
-                    matrix[sl_j, sl_i] += block.T
-    return sym(matrix)
+        w_tau, w_nu, w_eps = _link_weights(obs)
+        g_tau, g_nu = _rows(layout, obs)
+        interest += g_tau.T @ (w_tau[:, None] * g_tau) + g_nu.T @ (w_nu[:, None] * g_nu)
+        pair = [(w_tau @ g_tau, w_tau.sum()), ((obs.carrier_freq * w_eps) @ g_nu, w_eps.sum())]
+        if obs.kind is LinkKind.BS_RX:
+            shared = [(m + m_s, n + n_s) for (m, n), (m_s, n_s) in zip(pair, shared)]
+        else:
+            offsets += pair
+    for m, n in offsets + shared:
+        if n > 0.0:
+            loss += np.outer(m, m) / n
+    return sym(interest), loss
 
 
 def assemble_interest_fim(scenario: Scenario) -> InterestFim:
@@ -116,80 +132,8 @@ def assemble_interest_fim(scenario: Scenario) -> InterestFim:
     never couple, and station links never touch receiver blocks' offsets.
     """
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = _interest_matrix(layout, link_observables(scenario, scenario.case))
-    return InterestFim(matrix=matrix, layout=layout)
-
-
-def _delay_moment(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("uk,uki->i", w, x)
-
-
-def _doppler_moment(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("k,ki->i", w, x)
-
-
-def _loss_outer(
-    matrix: np.ndarray,
-    moments: list[tuple[slice, np.ndarray]],
-    normalizer: float,
-) -> None:
-    """Add ``a_i a_j^T / n`` to every block pair.
-
-    A non-positive normalizer means the link carried no information about the
-    offset at all, hence no ambiguity and no loss: the division is skipped
-    (the moments are necessarily zero then too).
-    """
-    if normalizer <= 0.0:
-        return
-    for i, (sl_i, a_i) in enumerate(moments):
-        for sl_j, a_j in moments[i:]:
-            block = np.outer(a_i, a_j) / normalizer
-            matrix[sl_i, sl_j] += block
-            if sl_i != sl_j:
-                matrix[sl_j, sl_i] += block.T
-
-
-def _offset_terms(layout: LocationLayout, obs: LinkObservables):
-    """One link's clock-offset moments, frequency-offset moments and their
-    normalizers ``sum w_tau`` and ``sum w_eps``."""
-    w_tau, _, w_eps = _link_weights(obs)
-    eps_w = obs.carrier_freq * w_eps
-    dop_moment = _delay_moment if obs.per_row_doppler else _doppler_moment
-    blocks = kappa1_blocks(layout, obs)
-    delta = [(sl, _delay_moment(w_tau, dtau)) for sl, dtau, _ in blocks]
-    eps = [(sl, dop_moment(eps_w, dnu)) for sl, _, dnu in blocks if dnu is not None]
-    return delta, eps, float(w_tau.sum()), float(w_eps.sum())
-
-
-def _shared_offset_terms(layout: LocationLayout, stations: list[LinkObservables]):
-    """Offset terms of the station network's single shared offset pair: each
-    moment and normalizer accumulates over stations, in station order."""
-    delta, eps, n_delta, n_eps = zip(*(_offset_terms(layout, obs) for obs in stations))
-
-    def total(moments):
-        return [
-            (sl, sum((per_station[i][1] for per_station in moments), 0.0))
-            for i, (sl, _) in enumerate(moments[0])
-        ]
-
-    return total(delta), total(eps), sum(n_delta, 0.0), sum(n_eps, 0.0)
-
-
-def _loss_matrix(layout: LocationLayout, links: list[LinkObservables]) -> np.ndarray:
-    """Subtract-ready sum of every offset's rank-one information loss."""
-    matrix = np.zeros((layout.dim_interest, layout.dim_interest))
-    stations = [obs for obs in links if obs.kind is LinkKind.BS_RX]
-    for obs in links:
-        if obs.kind is not LinkKind.BS_RX:
-            terms = _offset_terms(layout, obs)
-        elif obs is stations[-1]:  # links are in assembly order
-            terms = _shared_offset_terms(layout, stations)
-        else:
-            continue
-        delta, eps, n_delta, n_eps = terms
-        _loss_outer(matrix, delta, n_delta)
-        _loss_outer(matrix, eps, n_eps)
-    return sym(matrix)
+    interest, _ = _closed_form(layout, link_observables(scenario, scenario.case))
+    return InterestFim(matrix=interest, layout=layout)
 
 
 def assemble_information_loss(scenario: Scenario) -> LossMatrix:
@@ -204,23 +148,19 @@ def assemble_information_loss(scenario: Scenario) -> LossMatrix:
     coupling terms.  Gains are information-orthogonal and lose nothing.
     """
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    matrix = _loss_matrix(layout, link_observables(scenario, scenario.case))
-    return LossMatrix(matrix=matrix, layout=layout)
+    _, loss = _closed_form(layout, link_observables(scenario, scenario.case))
+    return LossMatrix(matrix=loss, layout=layout)
 
 
 def efim_lemma_route(scenario: Scenario) -> Efim:
     """EFIM by the closed-form route: interest FIM minus information loss.
 
-    Every link's observables and Jacobians are evaluated once and shared by
-    the interest and loss terms.
+    Every link's observables and Jacobian rows are evaluated once and shared
+    by the interest and loss terms.
     """
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    links = link_observables(scenario, scenario.case)
-    return Efim(
-        matrix=sym(_interest_matrix(layout, links) - _loss_matrix(layout, links)),
-        layout=layout,
-        case=scenario.case,
-    )
+    interest, loss = _closed_form(layout, link_observables(scenario, scenario.case))
+    return Efim(matrix=sym(interest - loss), layout=layout, case=scenario.case)
 
 
 def efim_schur_route(

@@ -79,6 +79,21 @@ def test_crlb_raises_with_verdict_on_singular_efim():
     assert exc.value.verdict.is_pd is False
 
 
+def test_crlb_inverts_every_direction_its_verdict_counts():
+    """A PD verdict at a tolerance below the default eigenvalue floor must not
+    be followed by a pseudo-inverse that drops the weak direction."""
+    c = 1.0 - 2.0**-42  # position x/y nearly collinear: min/max ~ 1.1e-13
+    matrix = np.eye(15)
+    matrix[0, 1] = matrix[1, 0] = c
+    layout = LocationLayout(n_leo=1, kappa2_channel_cols=())
+    efim = Efim(matrix=matrix, layout=layout, case=Case.WITH_BS)
+    assert is_identifiable(efim, rel_tol=1e-15).is_pd
+    report = crlb(efim, rel_tol=1e-15)
+    expected = np.sqrt(2.0 / ((1.0 - c) * (1.0 + c)) + 1.0)
+    assert report.pos_rmse_bound == pytest.approx(expected, rel=1e-9)
+    assert report.vel_rmse_bound == pytest.approx(np.sqrt(3), rel=1e-12)
+
+
 def test_report_scaling_and_infinite():
     report = CrlbReport(1.0, 2.0, 3.0, (4.0,), (5.0,))
     half = report.scaled(0.5)

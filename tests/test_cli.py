@@ -347,8 +347,8 @@ def test_out_of_domain_sweep_value_exits_2(tmp_path, capsys, axis, value):
 @pytest.mark.parametrize("case", ["with_bs", "receiver_only"])
 def test_no_base_stations_is_accepted(case):
     config = config_from_dict({"n_bs": 0, "grid_n_bs": [0], "case": case})
-    assert run_command(config, "bound") == 3
-    assert run_command(config, "identifiability") == 0
+    assert run_command(dataclasses.replace(config, command="bound")) == 3
+    assert run_command(dataclasses.replace(config, command="identifiability")) == 0
 
 
 def test_accepted_keys_are_scenario_fields_run_fields_and_snr_linear():
@@ -427,17 +427,26 @@ _HUGE_SWEEP = f'{{"command": "sweep", "sweep_axis": "snr_db", "sweep_values": [1
             json.dumps({**WIDE, "n_trials": 1, "out": "missing-dir/bounds.csv"}).encode(),
             r"out: missing-dir/bounds\.csv: ",
         ),
+        (json.dumps({**WIDE, "n_trials": 1, "out": "."}).encode(), r"out: \.: "),
     ],
-    ids=["non_utf8_config", "huge_int_field", "huge_int_sweep_value", "unopenable_out"],
+    ids=[
+        "non_utf8_config",
+        "huge_int_field",
+        "huge_int_sweep_value",
+        "unopenable_out",
+        "out_is_a_directory",
+    ],
 )
 def test_unreadable_or_unrepresentable_input_exits_2(
     tmp_path, capsys, monkeypatch, payload, message
 ):
     """Input the program cannot read, represent or write to is a configuration
-    error naming the key or path, not a traceback."""
+    error naming the key or path, not a traceback, and is reported before any
+    result is computed or printed."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.json").write_bytes(payload)
     assert main(["--config", "run.json"]) == 2
-    err = capsys.readouterr().err
-    assert re.match(rf"configuration error: {message}", err)
-    assert len(err.strip().splitlines()) == 1
+    captured = capsys.readouterr()
+    assert re.match(rf"configuration error: {message}", captured.err)
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""

@@ -1,6 +1,7 @@
 """Interest FIM, information loss, and the two EFIM routes."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -100,12 +101,28 @@ def test_efim_never_exceeds_interest_fim():
 
 
 def test_routes_agree_on_both_cases():
-    for seed, case in ((41, Case.WITH_BS), (42, Case.RECEIVER_ONLY), (43, Case.WITH_BS)):
-        sc = _scenario(seed, n_leo=2, n_bs=2, n_ant=2, n_slots=3, case=case)
+    """Every input in both cases, including one-slot and one-antenna
+    geometries and silent station-receiver links, whose shared offset
+    normalizer is then 0."""
+    wide = dict(n_leo=2, n_bs=2, n_ant=2, n_slots=3)
+    inputs = [
+        (41, wide, False),
+        (42, wide, False),
+        (43, wide, False),
+        (57, dict(n_slots=1), False),
+        (58, dict(n_ant=1), False),
+        (59, dict(n_leo=3, n_ant=1, n_slots=1), False),
+        (60, wide, True),
+    ]
+    for (seed, overrides, silent_stations), case in itertools.product(inputs, Case):
+        sc = _scenario(seed, **overrides, case=case)
+        if silent_stations:
+            silent = tuple(dataclasses.replace(p, snr_linear=0.0) for p in sc.bs_rx_signals)
+            sc = dataclasses.replace(sc, bs_rx_signals=silent)
         a = efim_lemma_route(sc).matrix
         b = compute_efim(sc).matrix
-        denom = np.linalg.norm(b, "fro")
-        assert np.linalg.norm(a - b, "fro") / denom <= 1e-8
+        gap = np.linalg.norm(a - b, "fro") / np.linalg.norm(b, "fro")
+        assert gap <= 1e-8, (seed, overrides, silent_stations, case)
 
 
 def test_gain_values_do_not_move_the_efim():
