@@ -165,6 +165,13 @@ def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVer
     return min(verdicts, key=key)
 
 
+def _trial_seeds(seed: int, n_trials: int) -> list[int]:
+    """:func:`derive_trial_seeds`, for a positive trial count."""
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    return derive_trial_seeds(seed, n_trials)
+
+
 def identifiability_sweep(
     grid: dict[str, list[int]],
     template: ScenarioConfig,
@@ -188,13 +195,14 @@ def identifiability_sweep(
     unknown = set(grid) - set(GRID_AXES)
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {GRID_AXES}")
+    trial_seeds = _trial_seeds(seed, n_trials)
     values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
     if not all(values):
         return []
     largest = dataclasses.replace(template, **{a: max(v) for a, v in zip(GRID_AXES, values)})
     trial_links = [
         link_observables(random_scenario(largest, trial_seed), template.case)
-        for trial_seed in derive_trial_seeds(seed, n_trials)
+        for trial_seed in trial_seeds
     ]
 
     table: list[IdentifiabilityVerdict] = []
@@ -273,7 +281,7 @@ def parameter_sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    trial_seeds = derive_trial_seeds(seed, n_trials)
+    trial_seeds = _trial_seeds(seed, n_trials)
 
     points: list[SweepPoint] = []
     for value in values:

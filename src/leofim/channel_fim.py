@@ -11,6 +11,8 @@ links.  Delay rows carry weight ``snr * omega``; Doppler rows carry
 ``snr * carrier**2 * rms_duration**2 / 2``.  A link's clock offset enters every
 delay observation and its frequency offset every Doppler observation, so their
 information accumulates across the link; gains are uncoupled from everything.
+Gain magnitudes are fixed at 1: a gain's value moves only its own diagonal
+entry, which the nuisance elimination discards.
 
 The assembled multi-link matrix is block diagonal across links, with one
 exception: all station-receiver links share a single receiver-side
@@ -25,17 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .links import (
-    LinkKind,
-    LinkObservables,
-    bs_rx_observables,
-    leo_bs_observables,
-    leo_rx_observables,
-    link_observables,
-)
+from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Scenario
 
-TWO_PI_SQ = 2.0 * np.pi**2
+_GAIN_INFO = 1.0 / (4.0 * np.pi**2)
+"""Gain information per unit SNR: ``1 / (4 pi^2 |beta|^2)`` at the unit gain
+magnitude every link is modeled with."""
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,6 @@ class LinkFim:
     layout: ChannelLayout
     obs: LinkObservables
 
-    @property
-    def link_kind(self) -> LinkKind:
-        return self.obs.kind
-
-    @property
-    def index(self) -> int:
-        return self.obs.index
-
 
 @functools.lru_cache(maxsize=64)
 def _fill_indices(layout: ChannelLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -147,41 +136,26 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     dop_weight = 0.5 * obs.carrier_freq**2 * obs.rms_duration**2
     cross_weight = -0.5 * obs.carrier_freq * obs.rms_duration**2
     eps_weight = 0.5 * obs.rms_duration**2
-    gain_info = 1.0 / (2.0 * TWO_PI_SQ * obs.gain**2)
 
     s = snr.ravel()
     sw = (snr * w).ravel()
     neg_sw = (-snr * w).ravel()
     cross = s * cross_weight
-    values = [sw, neg_sw, neg_sw, sw, s * dop_weight, cross, cross, s * eps_weight, s * gain_info]
+    values = [sw, neg_sw, neg_sw, sw, s * dop_weight, cross, cross, s * eps_weight, s * _GAIN_INFO]
     np.add.at(fim, _fill_indices(layout), np.stack(values, axis=1).ravel())
     return fim
 
 
-def _link_fim(obs: LinkObservables) -> LinkFim:
+def link_fim(obs: LinkObservables) -> LinkFim:
+    """Channel FIM of one link from its observables.
+
+    For a station-receiver link the trailing (clock, frequency) offset
+    coordinates are this link's view of the offsets shared by the whole
+    station network; the assembler accumulates them into one global pair.
+    """
     n_rows, n_slots = obs.snr.shape
     layout = ChannelLayout(n_rows=n_rows, n_slots=n_slots, doppler_per_row=obs.per_row_doppler)
     return LinkFim(matrix=_fill_link_fim(layout, obs), layout=layout, obs=obs)
-
-
-def link_fim_leo_rx(scenario: Scenario, b: int) -> LinkFim:
-    """Channel FIM of satellite ``b``'s downlink to the receiver."""
-    return _link_fim(leo_rx_observables(scenario, b))
-
-
-def link_fim_bs_rx(scenario: Scenario, q: int) -> LinkFim:
-    """Channel FIM of station ``q``'s link to the receiver.
-
-    The trailing (clock, frequency) offset coordinates are this link's view of
-    the offsets shared by the whole station network; the assembler accumulates
-    them into one global pair.
-    """
-    return _link_fim(bs_rx_observables(scenario, q))
-
-
-def link_fim_leo_bs(scenario: Scenario, b: int) -> LinkFim:
-    """Channel FIM of satellite ``b``'s links to all base stations."""
-    return _link_fim(leo_bs_observables(scenario, b))
 
 
 @dataclass(frozen=True)
@@ -233,7 +207,7 @@ def _assemble(links: list[LinkObservables]) -> tuple[np.ndarray, GlobalChannelLa
     offset = 0
     shared: tuple[int, int] | None = None
     for n, obs in enumerate(links):
-        fim = _link_fim(obs)
+        fim = link_fim(obs)
         sections.append(LinkSection(fim=fim, offset=offset))
         lay = fim.layout
         nuisance.append(offset + lay.gain)
@@ -258,7 +232,7 @@ def _assemble(links: list[LinkObservables]) -> tuple[np.ndarray, GlobalChannelLa
     for sec in layout.sections:
         fim = sec.fim.matrix
         n = fim.shape[0]
-        if sec.fim.link_kind is not LinkKind.BS_RX:
+        if sec.fim.obs.kind is not LinkKind.BS_RX:
             block = slice(sec.offset, sec.offset + n)
             matrix[block, block] += fim
             continue

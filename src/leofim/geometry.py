@@ -1,9 +1,11 @@
-"""Scene geometry: receiver / satellite / base-station states and kinematics.
+"""Scene geometry: receiver / satellite / base-station states and rotations.
 
 All positions are expressed in a shared Cartesian frame in meters, velocities
 in m/s, and time in seconds.  The receiver follows a constant-velocity track
 sampled on a uniform slot grid; each satellite follows a piecewise track whose
 velocity direction may change from slot to slot; base stations are stationary.
+The tracks are evaluated, for every (element, slot) pair at once, by the link
+pass in :mod:`.links`.
 
 Orientation uses intrinsic z-y-x Euler angles (yaw ``alpha``, pitch ``psi``,
 roll ``phi``), composed as ``Q = R_z(alpha) @ R_y(psi) @ R_x(phi)``.
@@ -127,12 +129,6 @@ class SlotGrid:
         if not (np.isfinite(self.spacing_s) and self.spacing_s > 0.0):
             raise ValueError(f"spacing_s must be positive, got {self.spacing_s}")
 
-    def time_of(self, k: int) -> float:
-        """Elapsed time of slot number ``k`` (0 = reference epoch)."""
-        if not 0 <= k <= self.n_slots:
-            raise ValueError(f"slot number {k} outside [0, {self.n_slots}]")
-        return k * self.spacing_s
-
     def slot_numbers(self) -> np.ndarray:
         """The observed slot numbers, ``[1, ..., n_slots]``."""
         return np.arange(1, self.n_slots + 1)
@@ -200,13 +196,6 @@ class LeoState:
         object.__setattr__(self, "pos_offset", as_vec3(self.pos_offset, "pos_offset"))
         object.__setattr__(self, "vel_offset", as_vec3(self.vel_offset, "vel_offset"))
 
-    def velocity_at(self, k: int, include_offset: bool = False) -> np.ndarray:
-        """Velocity vector during slot number ``k`` (optionally plus offset)."""
-        if not 1 <= k <= self.track.shape[0]:
-            raise ValueError(f"slot number {k} outside [1, {self.track.shape[0]}]")
-        v = self.speed * self.track[k - 1]
-        return v + self.vel_offset if include_offset else v
-
 
 @dataclass(frozen=True)
 class BsState:
@@ -216,95 +205,3 @@ class BsState:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position, "position"))
-
-
-def receiver_reference(receiver: ReceiverState, k: int, grid: SlotGrid) -> np.ndarray:
-    """World-frame array reference point (rotation center) at slot ``k``."""
-    return receiver.position + grid.time_of(k) * receiver.velocity
-
-
-def antenna_position(
-    receiver: ReceiverState, u: int, k: int, grid: SlotGrid
-) -> np.ndarray:
-    """World-frame position of antenna ``u`` at slot ``k``.
-
-    Parameters
-    ----------
-    receiver : ReceiverState
-    u : int
-        Antenna index.
-    k : int
-        Slot index.
-    grid : SlotGrid
-
-    Returns
-    -------
-    numpy.ndarray
-        ``position + k*dt*velocity + Q @ antenna_offsets[u]``.
-    """
-    if not 0 <= u < receiver.n_antennas:
-        raise ValueError(f"antenna index {u} outside [0, {receiver.n_antennas})")
-    q = rotation_matrix(receiver.orientation)
-    return receiver_reference(receiver, k, grid) + q @ receiver.antenna_offsets[u]
-
-
-def leo_position(
-    leo: LeoState, k: int, grid: SlotGrid, include_offset: bool = False
-) -> np.ndarray:
-    """Satellite position at slot number ``k`` (0 = epoch).
-
-    With ``include_offset`` the constant ephemeris errors are applied:
-    ``pos_offset + k*dt*vel_offset`` is added to the nominal track point, so a
-    velocity offset accumulates into a position drift over the grid.
-    """
-    if leo.track.shape[0] < grid.n_slots:
-        raise ValueError(
-            f"track has {leo.track.shape[0]} slots, grid needs {grid.n_slots}"
-        )
-    t = grid.time_of(k)
-    point = leo.position if k == 0 else leo.position + t * leo.speed * leo.track[k - 1]
-    if include_offset:
-        point = point + leo.pos_offset + t * leo.vel_offset
-    return point
-
-
-def unit_direction(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Unit vector pointing from ``source`` toward ``target``.
-
-    Raises
-    ------
-    DegenerateGeometryError
-        If the two points are closer than ~1 nm and no direction is defined.
-    """
-    diff = as_vec3(target, "target") - as_vec3(source, "source")
-    norm = float(np.linalg.norm(diff))
-    if norm < _DEGENERATE_NORM:
-        raise DegenerateGeometryError(
-            f"points separated by {norm:.3e} m define no direction"
-        )
-    return diff / norm
-
-
-def delay(source: np.ndarray, target: np.ndarray) -> float:
-    """One-way propagation delay between two points, in seconds."""
-    diff = as_vec3(target, "target") - as_vec3(source, "source")
-    return float(np.linalg.norm(diff)) / SPEED_OF_LIGHT_M_S
-
-
-def doppler(direction: np.ndarray, v_rel: np.ndarray) -> float:
-    """Dimensionless Doppler shift along a propagation direction.
-
-    Parameters
-    ----------
-    direction : numpy.ndarray
-        Unit vector from transmitter toward receiver.
-    v_rel : numpy.ndarray
-        Relative velocity (transmitter minus receiver), m/s.
-
-    Returns
-    -------
-    float
-        ``direction @ v_rel / c``; positive when the link is closing.
-    """
-    d = as_vec3(direction, "direction")
-    return float(d @ as_vec3(v_rel, "v_rel")) / SPEED_OF_LIGHT_M_S

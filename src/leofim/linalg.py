@@ -12,10 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-EIG_FLOOR_REL = 1e-12
-"""Relative eigenvalue floor below which a balanced spectrum is truncated."""
-
-
 class NumericalError(RuntimeError):
     """Raised when a matrix operation cannot be completed reliably."""
 
@@ -44,9 +40,7 @@ def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(balanced)
 
 
-def invert_psd(
-    matrix: np.ndarray, floor_rel: float = EIG_FLOOR_REL
-) -> tuple[np.ndarray, bool]:
+def invert_psd(matrix: np.ndarray, floor_rel: float) -> tuple[np.ndarray, bool]:
     """Invert a symmetric PSD matrix via its balanced eigendecomposition.
 
     Eigenvalues of the balanced matrix below ``floor_rel * max_eig`` are

@@ -19,10 +19,11 @@ Observations cover slot numbers 1..n_slots (times ``dt`` through
 ``n_slots*dt``); slot axis entry ``i`` holds slot number ``i+1``.  The epoch
 (slot 0), where all track parameters are defined, is not observed.
 
-The broadcast pass reproduces the scalar primitives of :mod:`.geometry` bit
-for bit: 3-vector dots and norms go through ``np.vecdot`` (which matches the
-1-D ``dot`` behind ``np.linalg.norm`` and ``@``), and every other operation is
-elementwise in the primitives' evaluation order.
+The broadcast pass reproduces the per-pair scalar oracle in
+``tests/_oracle.py`` bit for bit: 3-vector dots and norms go through
+``np.vecdot`` (which matches the 1-D ``dot`` behind ``np.linalg.norm`` and
+``@``), and every other operation is elementwise in the oracle's evaluation
+order.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class LinkObservables:
     snr: np.ndarray
     rms_duration: float
     carrier_freq: float
-    gain: float
     jacobians: LinkJacobians
 
     @property
@@ -103,7 +103,7 @@ class LinkObservables:
 
 def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions from ``tx`` toward ``rx`` and their ranges, broadcast
-    over leading axes; the vector form of ``unit_direction`` and ``delay``.
+    over leading axes.
 
     Raises
     ------
@@ -224,7 +224,6 @@ def _observables(
         nu = np.vecdot(dirs, v_rel[None, :, :]) / _C
         props = scenario.leo_bs_signals[index]
         offsets = scenario.leo_bs_offsets[index]
-        gain = scenario.leo_bs_gains[index]
     else:
         receiver = scenario.receiver
         if kind is LinkKind.LEO_RX:
@@ -232,13 +231,11 @@ def _observables(
             v_rel = v_leo - receiver.velocity
             props = scenario.leo_rx_signals[index]
             offsets = scenario.leo_rx_offsets[index]
-            gain = scenario.leo_rx_gains[index]
         else:
             tx = scenario.bss[index].position
             v_rel = np.tile(-receiver.velocity, (scenario.n_slots, 1))
             props = scenario.bs_rx_signals[index]
             offsets = scenario.bs_rx_offset
-            gain = scenario.bs_rx_gains[index]
         dop_dirs, dop_dists = _directions(tx, geometry.centroid)
         dirs, dists = _directions(tx, geometry.centroid[None, :, :] + geometry.lever[:, None, :])
         nu = np.vecdot(dop_dirs, v_rel) / _C
@@ -251,7 +248,6 @@ def _observables(
         snr=props.snr_grid(dists.shape),
         rms_duration=props.rms_duration,
         carrier_freq=props.carrier_freq,
-        gain=gain,
         jacobians=_jacobians(geometry, kind, dirs, dop_dirs, dop_dists, v_rel),
     )
 

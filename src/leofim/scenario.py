@@ -185,11 +185,11 @@ class ScenarioConfig:
 class Scenario:
     """One fully specified estimation problem.
 
-    Signal properties, synchronization offsets and complex-gain magnitudes are
-    held per link: indexed by satellite for satellite-receiver and
-    satellite-station links, by station for station-receiver links.  All base
-    stations share a single receiver-side clock/frequency offset pair
-    (``bs_rx_offset``) because the station network is mutually synchronized.
+    Signal properties and synchronization offsets are held per link: indexed
+    by satellite for satellite-receiver and satellite-station links, by
+    station for station-receiver links.  All base stations share a single
+    receiver-side clock/frequency offset pair (``bs_rx_offset``) because the
+    station network is mutually synchronized.
     """
 
     receiver: ReceiverState
@@ -203,9 +203,6 @@ class Scenario:
     leo_rx_offsets: tuple[OffsetParams, ...] | None = None
     bs_rx_offset: OffsetParams = OffsetParams()
     leo_bs_offsets: tuple[OffsetParams, ...] | None = None
-    leo_rx_gains: tuple[float, ...] | None = None
-    bs_rx_gains: tuple[float, ...] | None = None
-    leo_bs_gains: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "leos", tuple(self.leos))
@@ -224,35 +221,12 @@ class Scenario:
         for leo in self.leos:
             if leo.track.shape[0] < self.grid.n_slots:
                 raise ValueError("satellite track shorter than the slot grid")
-        if self.leo_rx_offsets is None:
-            object.__setattr__(
-                self, "leo_rx_offsets", tuple(OffsetParams() for _ in self.leos)
-            )
-        else:
-            object.__setattr__(self, "leo_rx_offsets", tuple(self.leo_rx_offsets))
-        if self.leo_bs_offsets is None:
-            object.__setattr__(
-                self, "leo_bs_offsets", tuple(OffsetParams() for _ in self.leos)
-            )
-        else:
-            object.__setattr__(self, "leo_bs_offsets", tuple(self.leo_bs_offsets))
+        for name in ("leo_rx_offsets", "leo_bs_offsets"):
+            offsets = getattr(self, name)
+            offsets = tuple(OffsetParams() for _ in self.leos) if offsets is None else tuple(offsets)
+            object.__setattr__(self, name, offsets)
         if len(self.leo_rx_offsets) != self.n_leo or len(self.leo_bs_offsets) != self.n_leo:
             raise ValueError("need one OffsetParams per satellite and link type")
-        for name, count in (
-            ("leo_rx_gains", self.n_leo),
-            ("bs_rx_gains", self.n_bs),
-            ("leo_bs_gains", self.n_leo),
-        ):
-            gains = getattr(self, name)
-            if gains is None:
-                gains = tuple(1.0 for _ in range(count))
-            else:
-                gains = tuple(float(g) for g in gains)
-                if len(gains) != count:
-                    raise ValueError(f"{name} must have length {count}")
-                if any(not (np.isfinite(g) and g > 0.0) for g in gains):
-                    raise ValueError(f"{name} entries must be positive")
-            object.__setattr__(self, name, gains)
 
     @property
     def n_leo(self) -> int:

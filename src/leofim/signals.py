@@ -66,15 +66,16 @@ def omega(eff_bandwidth: float, bcc: float, eff_freq: float) -> float:
 
 @dataclass(frozen=True)
 class OffsetParams:
-    """Receiver-side synchronization state of one link: clock bias (s), carrier
-    frequency offset (Hz)."""
+    """Receiver-side carrier frequency offset (Hz) of one link.
 
-    time_offset: float = 0.0
+    It shifts the effective frequency and so the delay weight.  The clock
+    bias is a nuisance whose information, not its value, enters the bounds,
+    so it is not held.
+    """
+
     freq_offset: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.time_offset):
-            raise ValueError("time_offset must be finite")
         if not np.isfinite(self.freq_offset):
             raise ValueError("freq_offset must be finite")
 

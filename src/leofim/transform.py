@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import GlobalChannelLayout, LinkSection
+from .channel_fim import GlobalChannelLayout, LinkSection, assemble_channel_fim
 from .linalg import sym
 from .links import LinkJacobians, LinkObservables, link_jacobians  # noqa: F401 (re-exported)
 from .scenario import Scenario
@@ -96,11 +96,10 @@ class LocationLayout:
 
 @dataclass(frozen=True)
 class TransformationMatrix:
-    """``Upsilon`` with the layouts of both of its sides."""
+    """``Upsilon`` with the layout of its location-parameter side."""
 
     matrix: np.ndarray
     location_layout: LocationLayout
-    channel_layout: GlobalChannelLayout
 
 
 def kappa1_blocks(
@@ -157,8 +156,6 @@ def build_transformation_matrix(
     Jacobians its sections carry (it must match the scenario).
     """
     if glob is None:
-        from .channel_fim import assemble_channel_fim
-
         _, glob = assemble_channel_fim(scenario)
     return _transformation(glob, scenario.n_leo)
 
@@ -172,7 +169,7 @@ def _transformation(glob: GlobalChannelLayout, n_leo: int) -> TransformationMatr
         _place_link(upsilon, loc, sec)
     cols = loc.kappa2_channel_cols
     upsilon[loc.dim_interest + np.arange(len(cols)), list(cols)] = 1.0
-    return TransformationMatrix(matrix=upsilon, location_layout=loc, channel_layout=glob)
+    return TransformationMatrix(matrix=upsilon, location_layout=loc)
 
 
 def transform_fim(j_eta: np.ndarray, upsilon: TransformationMatrix | np.ndarray) -> np.ndarray:

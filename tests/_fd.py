@@ -1,6 +1,6 @@
 """Finite-difference oracle for the delay/Doppler partials.
 
-Everything here is rebuilt from the geometry-module primitives (positions,
+Everything here is rebuilt from the scalar oracle in ``_oracle`` (positions,
 ``unit_direction``, ``delay``, ``doppler``, ``velocity_at``), step sizes,
 frozen Doppler directions and relative velocities included, so the analytic
 Jacobians in ``leofim.transform`` are checked against an independent
@@ -19,16 +19,19 @@ import dataclasses
 
 import numpy as np
 
-from leofim.geometry import (
-    SPEED_OF_LIGHT_M_S,
+from leofim.channel_fim import LinkKind
+from leofim.geometry import SPEED_OF_LIGHT_M_S
+
+from _oracle import (
     antenna_position,
     delay,
     doppler,
     leo_position,
     receiver_reference,
+    time_of,
     unit_direction,
+    velocity_at,
 )
-from leofim.channel_fim import LinkKind
 
 # Fourth-order central stencil: truncation ~h^4 keeps the step large enough to
 # clear the eps*range cancellation floor of norms over ~2000 km geometry.
@@ -93,7 +96,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
 
         def tx_velocity(k):
             if kind is LinkKind.LEO_RX:
-                return scenario.leos[index].velocity_at(k, include_offset=True)
+                return velocity_at(scenario.leos[index], k, include_offset=True)
             return np.zeros(3)
 
         h_pos = _position_step(
@@ -103,7 +106,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         )
         # A velocity step moves the slot-k position by k*dt*h, so keep its
         # largest displacement at the same fraction of the range as h_pos.
-        h_vel = h_pos / grid.time_of(grid.n_slots)
+        h_vel = h_pos / time_of(grid, grid.n_slots)
 
         # --- delay partials ---------------------------------------------
         for name, rebuild, h in (
@@ -181,7 +184,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
                     return doppler(unit_direction(tx, cen), v_rel)
 
                 def nu_of_vcheck(x, k=k, d_fix=d_fix):
-                    v_tx = scenario.leos[index].velocity_at(k) + x
+                    v_tx = velocity_at(scenario.leos[index], k) + x
                     return doppler(d_fix, v_tx - scenario.receiver.velocity)
 
                 dnu_dpcheck[i] = gradient(
@@ -202,7 +205,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         for k in slot_numbers
         for bs in scenario.bss
     )
-    h_vel = h_pos / grid.time_of(grid.n_slots)
+    h_vel = h_pos / time_of(grid, grid.n_slots)
     shapes = {
         "dtau_dpcheck": ("pos_offset", h_pos, True),
         "dtau_dvcheck": ("vel_offset", h_vel, True),
@@ -213,7 +216,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
         arr = np.zeros((n_bs, n_slots, 3))
         for i, k in enumerate(slot_numbers):
             tx_k = leo_position(leo, k, grid, include_offset=True)
-            v_rel = leo.velocity_at(k, include_offset=True)
+            v_rel = velocity_at(leo, k, include_offset=True)
             for q in range(n_bs):
                 station = scenario.bss[q].position
                 d_fix = unit_direction(tx_k, station)
@@ -221,7 +224,7 @@ def fd_link_jacobians(scenario, kind: LinkKind, index: int):
                 def obs_of(x, k=k, q=q, station=station, v_rel=v_rel, d_fix=d_fix):
                     if field == "vel_offset" and not is_delay:
                         # frozen-direction convention for velocity partials
-                        v_tx = scenario.leos[index].velocity_at(k) + x
+                        v_tx = velocity_at(scenario.leos[index], k) + x
                         return doppler(d_fix, v_tx)
                     sc = _with_leo(scenario, index, **{field: x})
                     tx = leo_position(sc.leos[index], k, grid, include_offset=True)

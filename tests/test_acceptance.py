@@ -234,8 +234,8 @@ def test_acceptance_5_structural_invariants():
         efim = compute_efim(scenario)
         assert is_identifiable(efim).is_pd
         n1 = efim.layout.dim_interest
-        inv_full, flagged_full = invert_psd(j_kappa)
-        inv_efim, flagged_efim = invert_psd(efim.matrix)
+        inv_full, flagged_full = invert_psd(j_kappa, floor_rel=1e-12)
+        inv_efim, flagged_efim = invert_psd(efim.matrix, floor_rel=1e-12)
         assert not flagged_full and not flagged_efim
         err = np.linalg.norm(inv_efim - inv_full[:n1, :n1], "fro") / np.linalg.norm(
             inv_efim, "fro"

@@ -224,3 +224,19 @@ def test_swept_antenna_count_becomes_an_integer():
 def test_parameter_sweep_rejects_non_integral_antenna_count():
     with pytest.raises(ValueError, match="n_ant must be an integer"):
         parameter_sweep("n_ant", [2.5], WIDE, seed=5)
+
+
+@pytest.mark.parametrize("n_trials", [0, -1])
+@pytest.mark.parametrize("sweep", ["identifiability", "parameter"])
+def test_sweeps_reject_non_positive_trial_count_before_sampling(sweep, n_trials, monkeypatch):
+    import leofim.analysis as analysis
+
+    def no_sampling(*args):
+        raise AssertionError("sampled a scenario")
+
+    monkeypatch.setattr(analysis, "random_scenario", no_sampling)
+    with pytest.raises(ValueError, match=rf"^n_trials must be >= 1, got {n_trials}$"):
+        if sweep == "identifiability":
+            identifiability_sweep({"n_ant": [1, 2]}, WIDE, seed=3, n_trials=n_trials)
+        else:
+            parameter_sweep("snr_db", [10.0], WIDE, seed=3, n_trials=n_trials)

@@ -185,7 +185,9 @@ def test_bound_exit_3_when_not_identifiable(tmp_path, capsys):
 def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     """A station sitting on the array reference point is reported as exit 4."""
     import leofim.cli as cli_module
-    from leofim.geometry import BsState, receiver_reference
+    from leofim.geometry import BsState
+
+    from _oracle import receiver_reference
 
     sample = cli_module.random_scenario
 

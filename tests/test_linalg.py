@@ -38,14 +38,14 @@ def test_balanced_eigvalsh_is_scaling_invariant():
 
 
 def test_invert_psd_identity_and_inverse():
-    inv, used_pseudo = invert_psd(np.eye(3))
+    inv, used_pseudo = invert_psd(np.eye(3), floor_rel=1e-12)
     assert np.allclose(inv, np.eye(3))
     assert not used_pseudo
 
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 4))
     spd = x @ x.T + 4 * np.eye(4)
-    inv, used_pseudo = invert_psd(spd)
+    inv, used_pseudo = invert_psd(spd, floor_rel=1e-12)
     assert not used_pseudo
     assert np.allclose(inv @ spd, np.eye(4), atol=1e-10)
 
@@ -68,4 +68,4 @@ def test_invert_psd_floors_singular_modes():
 
 def test_invert_psd_rejects_indefinite():
     with pytest.raises(NumericalError):
-        invert_psd(np.diag([1.0, -1.0]))
+        invert_psd(np.diag([1.0, -1.0]), floor_rel=1e-12)

@@ -1,11 +1,11 @@
 """The broadcast link pass against a scalar oracle, bit for bit.
 
 The oracle walks every (element, slot) pair with the scalar geometry
-primitives (``antenna_position``, ``leo_position``, ``receiver_reference``,
-``unit_direction``, ``doppler``, ``time_of``), so the vectorized weights
-``omega`` and ``snr``, and every Jacobian that is an elementwise expression of
-a direction, are checked against an independent evaluation path that must
-agree to the last bit.
+primitives of ``_oracle`` (``antenna_position``, ``leo_position``,
+``receiver_reference``, ``unit_direction``, ``doppler``, ``time_of``,
+``velocity_at``), so the vectorized weights ``omega`` and ``snr``, and every
+Jacobian that is an elementwise expression of a direction, are checked
+against an independent evaluation path that must agree to the last bit.
 """
 
 import dataclasses
@@ -14,16 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from leofim.geometry import (
-    SPEED_OF_LIGHT_M_S,
-    BsState,
-    DegenerateGeometryError,
-    antenna_position,
-    doppler,
-    leo_position,
-    receiver_reference,
-    unit_direction,
-)
+from leofim.geometry import SPEED_OF_LIGHT_M_S, BsState, DegenerateGeometryError
 from leofim.links import (
     LinkKind,
     bs_rx_observables,
@@ -35,6 +26,16 @@ from leofim.links import (
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
+
+from _oracle import (
+    antenna_position,
+    doppler,
+    leo_position,
+    receiver_reference,
+    time_of,
+    unit_direction,
+    velocity_at,
+)
 
 
 def _rx_oracle(scenario, kind, index):
@@ -53,7 +54,7 @@ def _rx_oracle(scenario, kind, index):
         if kind is LinkKind.LEO_RX:
             leo = scenario.leos[index]
             tx = leo_position(leo, k, grid, include_offset=True)
-            v_rel = leo.velocity_at(k, include_offset=True) - receiver.velocity
+            v_rel = velocity_at(leo, k, include_offset=True) - receiver.velocity
         else:
             tx = scenario.bss[index].position
             v_rel = -receiver.velocity
@@ -63,7 +64,7 @@ def _rx_oracle(scenario, kind, index):
         for u in range(n_ant):
             d = unit_direction(tx, antenna_position(receiver, u, k, grid))
             out["dtau_dp"][u, i] = d / SPEED_OF_LIGHT_M_S
-            out["dtau_dvu"][u, i] = grid.time_of(k) * d / SPEED_OF_LIGHT_M_S
+            out["dtau_dvu"][u, i] = time_of(grid, k) * d / SPEED_OF_LIGHT_M_S
     if kind is LinkKind.LEO_RX:
         out["dtau_dpcheck"] = -out["dtau_dp"]
         out["dtau_dvcheck"] = -out["dtau_dvu"]
@@ -81,12 +82,12 @@ def _leo_bs_oracle(scenario, b):
     nu = np.zeros((n_bs, n_slots))
     for i, k in enumerate(grid.slot_numbers()):
         tx = leo_position(leo, k, grid, include_offset=True)
-        v_rel = leo.velocity_at(k, include_offset=True)
+        v_rel = velocity_at(leo, k, include_offset=True)
         for q, bs in enumerate(scenario.bss):
             d = unit_direction(tx, bs.position)
             nu[q, i] = doppler(d, v_rel)
             out["dtau_dpcheck"][q, i] = -d / SPEED_OF_LIGHT_M_S
-            out["dtau_dvcheck"][q, i] = grid.time_of(k) * out["dtau_dpcheck"][q, i]
+            out["dtau_dvcheck"][q, i] = time_of(grid, k) * out["dtau_dpcheck"][q, i]
             out["dnu_dvcheck"][q, i] = d / SPEED_OF_LIGHT_M_S
     props, offsets = scenario.leo_bs_signals[b], scenario.leo_bs_offsets[b]
     return _with_weights(out, nu, (n_bs, n_slots), props, offsets)
@@ -102,7 +103,7 @@ def _with_weights(out, nu, shape, props, offsets):
     return out
 
 
-def _oracle(scenario, kind, index):
+def _link_oracle(scenario, kind, index):
     if kind is LinkKind.LEO_BS:
         return _leo_bs_oracle(scenario, index)
     return _rx_oracle(scenario, kind, index)
@@ -136,7 +137,7 @@ def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
         expected_kinds += [LinkKind.LEO_BS] * 2
     assert [obs.kind for obs in links] == expected_kinds
     for obs in links:
-        reference = _oracle(sc, obs.kind, obs.index)
+        reference = _link_oracle(sc, obs.kind, obs.index)
         for name in reference:
             got = getattr(obs.jacobians if name.startswith("d") else obs, name)
             assert got.shape == reference[name].shape, (obs.kind, obs.index, name)

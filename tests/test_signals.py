@@ -51,10 +51,10 @@ def test_omega_broadcasts():
 
 
 def test_offset_params_validation():
-    p = OffsetParams(time_offset=1e-6, freq_offset=10.0)
-    assert p.time_offset == 1e-6
+    p = OffsetParams(freq_offset=10.0)
+    assert p.freq_offset == 10.0
     with pytest.raises(ValueError):
-        OffsetParams(time_offset=np.nan)
+        OffsetParams(freq_offset=np.nan)
 
 
 def test_signal_props_validation():

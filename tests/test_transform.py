@@ -30,7 +30,7 @@ def _observable_cols(sec):
 
 
 def _delay_cols(glob, kind, index):
-    sec = next(s for s in glob.sections if (s.fim.link_kind, s.fim.index) == (kind, index))
+    sec = next(s for s in glob.sections if (s.fim.obs.kind, s.fim.obs.index) == (kind, index))
     lay = sec.fim.layout
     return sec.offset + np.arange(lay.delays.start, lay.delays.stop)
 
@@ -97,9 +97,9 @@ def test_batch_jacobian_entries_match_finite_differences():
 
 def test_transformation_matrix_shape_and_nuisance_rows():
     sc = _scenario(25)
-    ups = build_transformation_matrix(sc)
+    _, glob = assemble_channel_fim(sc)
+    ups = build_transformation_matrix(sc, glob=glob)
     loc = ups.location_layout
-    glob = ups.channel_layout
     assert loc.dim_interest == 9 + 6 * 2
     assert ups.matrix.shape == (loc.dim, glob.dim)
     # nuisance rows are unit selectors of their channel columns
