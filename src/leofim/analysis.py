@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import link_observables, select_links
-from .location_fim import Efim, _schur_efim, compute_efim
+from .location_fim import Efim, _factor_efim, compute_efim
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 
@@ -210,7 +210,7 @@ def identifiability_sweep(
         config = dataclasses.replace(template, n_leo=n_leo, n_bs=n_bs, n_slots=n_slots, n_ant=n_ant)
         trials = []
         for links in trial_links:
-            efim = _schur_efim(select_links(links, n_leo, n_bs, n_ant, n_slots), n_leo, config.case)
+            efim = _factor_efim(select_links(links, n_leo, n_bs, n_ant, n_slots), n_leo, config.case)
             trials.append(is_identifiable(efim, rel_tol, config=config))
         worst = _worst_verdict(trials)
         table.append(

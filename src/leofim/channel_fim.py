@@ -192,14 +192,10 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
     Returns the symmetric matrix and its layout.  Distinct links occupy
     disjoint blocks (their cross-information is exactly zero); the shared
     station-network offsets are the single exception, accumulating every
-    station-receiver link's offset information on one coordinate pair.
+    station-receiver link's offset information on one coordinate pair, which
+    follows the last station-receiver link.
     """
-    return _assemble(link_observables(scenario, scenario.case))
-
-
-def _assemble(links: list[LinkObservables]) -> tuple[np.ndarray, GlobalChannelLayout]:
-    """:func:`assemble_channel_fim` of a link list in assembly order; the
-    shared station offset pair follows the last station-receiver link."""
+    links = link_observables(scenario, scenario.case)
     stations = [n for n, obs in enumerate(links) if obs.kind is LinkKind.BS_RX]
 
     sections: list[LinkSection] = []

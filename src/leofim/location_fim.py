@@ -1,22 +1,26 @@
 """Fisher information of the location parameters, and the EFIM.
 
-Two independent routes produce the equivalent FIM (EFIM) of the interest
-parameters:
+Three routes produce the equivalent FIM (EFIM) of the interest parameters:
 
-* the **closed-form route**: each link's delay and Doppler observations
-  become dense Jacobian rows in interest coordinates; their weighted Gram
-  matrix is the interest FIM, and every clock or frequency offset costs the
-  rank-one information loss ``m m^T / n`` of its weighted moment ``m`` and
-  normalizer ``n`` (the station network's shared offsets pool theirs first);
-* the **Schur route**: the assembled channel FIM is mapped through the
-  transformation matrix and the nuisance coordinates (gains and offsets of
-  every link) are marginalized by a Schur complement; no observation carries
-  two nuisance coordinates, so the nuisance block is diagonal and is
-  eliminated one coordinate at a time.
+* the **factor route** (production, :func:`compute_efim`): each link's delay
+  and Doppler observations become dense Jacobian rows in interest
+  coordinates; every clock or frequency offset is eliminated by centering its
+  rows at their weighted mean (the station network's shared offsets pool
+  their rows first), and the EFIM is the Gram matrix ``F^T F`` of the stacked
+  centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
+  difference is formed, so no digit is lost to cancellation;
+* the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
+  channel FIM is mapped through the transformation matrix and the nuisance
+  coordinates (gains and offsets of every link) are marginalized by a Schur
+  complement; no observation carries two nuisance coordinates, so the
+  nuisance block is diagonal and is eliminated one coordinate at a time;
+* the **closed-form route** (:func:`efim_lemma_route`): from the same rows,
+  the interest FIM minus the rank-one information loss ``m m^T / n`` of every
+  offset's weighted moment ``m`` and normalizer ``n``.
 
-They compute the same quantity through different structure, so disagreement
-localizes transcription errors; both are exposed and tested against each
-other.
+Centering a group of rows is exactly its rank-one loss, so all three compute
+the same quantity through different structure; disagreement localizes
+transcription errors, and the tests check them against each other.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import _assemble
 from .linalg import NumericalError, sym
 from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
-from .transform import LocationLayout, _transformation, kappa1_blocks, transform_fim
+from .transform import LocationLayout, kappa1_blocks
 
 
 @dataclass(frozen=True)
@@ -168,7 +171,7 @@ def efim_schur_route(
     layout: LocationLayout,
     case: Case = Case.WITH_BS,
 ) -> Efim:
-    """EFIM by the generic route: Schur complement of the nuisance block of
+    """EFIM by the oracle route: Schur complement of the nuisance block of
     the location-parameter FIM.
 
     No observation carries two nuisance coordinates (a gain pairs only with
@@ -215,19 +218,37 @@ def efim_schur_route(
 
 
 def compute_efim(scenario: Scenario) -> Efim:
-    """The EFIM of a scenario by the Schur route (:func:`efim_schur_route`)."""
-    return _schur_efim(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
+    """The EFIM of a scenario by the factor route (:func:`_factor_efim`)."""
+    return _factor_efim(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
 
 
-def _schur_efim(links: list[LinkObservables], n_leo: int, case: Case) -> Efim:
-    """The Schur route from a link list in assembly order: channel FIM,
-    ``Upsilon``, ``J_kappa``, then the nuisance elimination."""
-    j_eta, glob = _assemble(links)
-    upsilon = _transformation(glob, n_leo)
-    j_kappa = transform_fim(j_eta, upsilon)
-    layout = upsilon.location_layout
-    # Free ``Upsilon`` before the link FIMs ``glob`` holds: in the reverse
-    # order glibc 2.36's malloc trims and re-faults the heap (28k -> 42k minor
-    # faults per benches/configs/cli_sweep.json run, about +10% wall time).
-    del upsilon
-    return efim_schur_route(j_kappa, layout, case)
+def _factor_efim(links: list[LinkObservables], n_leo: int, case: Case) -> Efim:
+    """The factor route from a link list: ``F^T F`` of the centered rows.
+
+    Each offset group (a link's delay rows with ``w_tau``, its Doppler rows
+    with ``w_nu``; station-receiver links pool theirs into one pair) becomes
+    the rows ``sqrt(w) (g - g_bar)`` with ``g_bar`` the ``w``-weighted mean
+    row.  ``F^T F`` then equals the interest FIM minus every rank-one offset
+    loss, because ``w_nu = f_c^2 w_eps``, without forming the difference.  A
+    group whose weights sum to ``<= 0`` informs nothing and adds no rows.
+    """
+    layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
+    groups: list[tuple[np.ndarray, np.ndarray]] = []
+    stations: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    for obs in links:
+        w_tau, w_nu, _ = _link_weights(obs)
+        g_tau, g_nu = _rows(layout, obs)
+        if obs.kind is LinkKind.BS_RX:
+            stations.append((g_tau, w_tau, g_nu, w_nu))
+        else:
+            groups += [(g_tau, w_tau), (g_nu, w_nu)]
+    if stations:
+        g_tau, w_tau, g_nu, w_nu = (np.concatenate(part) for part in zip(*stations))
+        groups += [(g_tau, w_tau), (g_nu, w_nu)]
+    gram = np.zeros((layout.dim_interest, layout.dim_interest))
+    for g, w in groups:
+        total = w.sum()
+        if total > 0.0:
+            f = np.sqrt(w)[:, None] * (g - (w @ g) / total)
+            gram += f.T @ f
+    return Efim(matrix=sym(gram), layout=layout, case=case)

@@ -19,7 +19,7 @@ position dependence (a velocity perturbs slot-k positions by ``k*dt``), while
 Doppler shifts treat the propagation direction as a function of position-type
 parameters only — velocity partials act on the relative-velocity argument at
 a frozen direction.  All information matrices, the finite-difference checks,
-and both bound routes share this convention.
+and every EFIM route share this convention.
 """
 
 from __future__ import annotations
@@ -157,12 +157,7 @@ def build_transformation_matrix(
     """
     if glob is None:
         _, glob = assemble_channel_fim(scenario)
-    return _transformation(glob, scenario.n_leo)
-
-
-def _transformation(glob: GlobalChannelLayout, n_leo: int) -> TransformationMatrix:
-    """``Upsilon`` of an assembled channel layout with ``n_leo`` satellites."""
-    loc = location_layout(glob, n_leo)
+    loc = location_layout(glob, scenario.n_leo)
 
     upsilon = np.zeros((loc.dim, glob.dim))
     for sec in glob.sections:

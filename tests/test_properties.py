@@ -13,21 +13,12 @@ well-conditioned random geometries.
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leofim.analysis import crlb, is_identifiable
 from leofim.location_fim import compute_efim
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-
-# A failing example makes hypothesis import libcst to suggest a patch, and that
-# import emits a third-party DeprecationWarning, which the suite's
-# warnings-as-errors setting would turn into a pytest internal error that hides
-# the falsifying example.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
-)
 
 REL_TOL = 1e-8
 MIN_BALANCED_RATIO = 1e-6

@@ -6,8 +6,9 @@ sampled scenario array (receiver position, velocity, antenna offsets and
 Euler angles; each satellite's position and track; each station's position),
 every link's stored weights (``omega``, ``snr``) and Jacobians, ``J_eta``, the
 nuisance columns ``kappa2_channel_cols``, ``Upsilon``, ``J_kappa``, the
-interest FIM, the information loss and both EFIMs for each corpus entry, so
-two checkouts can be compared exactly:
+interest FIM, the information loss, the Schur-route and lemma-route EFIMs
+and the production EFIM (``compute_efim``, keyed ``<tag>/efim``) for each
+corpus entry, so two checkouts can be compared exactly:
 
     PYTHONPATH=<checkout A>/src python tools/bitexact_corpus.py dump a.json
     PYTHONPATH=<checkout B>/src python tools/bitexact_corpus.py dump b.json
@@ -90,6 +91,7 @@ def dump() -> dict:
     from leofim import (
         assemble_channel_fim,
         build_transformation_matrix,
+        compute_efim,
         efim_lemma_route,
         efim_schur_route,
         identifiability_sweep,
@@ -119,6 +121,7 @@ def dump() -> dict:
         out[f"{tag}/interest"] = fingerprint(assemble_interest_fim(scenario).matrix)
         out[f"{tag}/loss"] = fingerprint(assemble_information_loss(scenario).matrix)
         out[f"{tag}/lemma"] = fingerprint(efim_lemma_route(scenario).matrix)
+        out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
     for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
         config = ScenarioConfig(n_leo=2, n_bs=2, n_ant=4, n_slots=n_slots)
         _scenario(random_scenario(config, seed), out, f"s{seed}/L2Q2U4K{n_slots}/scenario")
