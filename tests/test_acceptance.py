@@ -259,7 +259,8 @@ def test_acceptance_5_structural_invariants():
 
 
 def test_acceptance_6_trend_reproduction():
-    """Bound trends: antenna count, SNR, carrier frequency, and SNR scaling."""
+    """Bound trends: position and velocity fall with antenna count and SNR,
+    orientation is flat across carriers, and bounds scale with SNR."""
     template = dataclasses.replace(FLAGSHIP, slot_spacing_s=10.0)
     failures = []
 
@@ -291,14 +292,6 @@ def test_acceptance_6_trend_reproduction():
     if not orient_spread < 0.10:
         failures.append(f"orientation varies {orient_spread:.1%} across carriers")
 
-    points = parameter_sweep(
-        "n_ant", [4, 16, 64], template, SEED, N_TRIALS, BOUND_REL_TOL
-    )
-    vel_off = [p.report.leo_vel_offset_bound[0] for p in points]
-    vel_off_spread = max(vel_off) / min(vel_off) - 1.0
-    if not vel_off_spread < 0.10:
-        failures.append(f"sat vel offset varies {vel_off_spread:.1%} across antennas")
-
     # Scaling is checked on the spread-station geometry: its EFIM is solidly
     # PD, so the bounds are not dominated by a near-null eigenvalue whose
     # floating-point noise (~1e-4 relative) would swamp the comparison.
@@ -318,8 +311,8 @@ def test_acceptance_6_trend_reproduction():
 
     ok = not failures
     detail = (
-        f"orientation spread {orient_spread:.2%}, sat-vel-offset spread "
-        f"{vel_off_spread:.2%}, SNR-scaling deviation {scaling_err:.1e}"
+        f"orientation spread {orient_spread:.2%}, SNR-scaling deviation "
+        f"{scaling_err:.1e}"
     )
     if failures:
         detail += "; " + "; ".join(failures)
@@ -350,5 +343,26 @@ def test_acceptance_7_deterministic_output(tmp_path):
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     line = _verdict(
         7, "determinism", ok, f"two runs, {len(outputs[0])} bytes, byte-identical={ok}"
+    )
+    assert ok, line
+
+
+def test_acceptance_8_antenna_count_barely_moves_sat_vel_offset():
+    """The antenna count has a negligible effect on the satellite
+    velocity-offset bound: spread below 10 % over 4 / 16 / 64 antennas."""
+    template = dataclasses.replace(FLAGSHIP, slot_spacing_s=10.0)
+    points = parameter_sweep(
+        "n_ant", [4, 16, 64], template, SEED, N_TRIALS, BOUND_REL_TOL
+    )
+    vel_off = [p.report.leo_vel_offset_bound[0] for p in points]
+    vel_off_spread = max(vel_off) / min(vel_off) - 1.0
+    ok = vel_off_spread < 0.10
+    bounds = " / ".join(f"{v:.3f}" for v in vel_off)
+    line = _verdict(
+        8,
+        "sat vel offset vs antennas",
+        ok,
+        f"sat-vel-offset bounds {bounds} m/s at 4 / 16 / 64 antennas, "
+        f"spread {vel_off_spread:.2%} (limit 10 %)",
     )
     assert ok, line

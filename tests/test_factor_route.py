@@ -118,8 +118,8 @@ def _mp_vel_offset_bound(scenario):
         return float(mp.sqrt(trace))
 
 
-def test_mpmath_oracle_certifies_acceptance_6_velocity_offset_spread():
-    """Acceptance 6's antenna trials (4 / 16 / 64 antennas at 10 s slots):
+def test_mpmath_oracle_certifies_acceptance_8_velocity_offset_spread():
+    """Acceptance 8's antenna trials (4 / 16 / 64 antennas at 10 s slots):
     every production velocity-offset bound matches the 50-digit evaluation,
     whose trial-mean spread across antenna counts is 12.51 %."""
     template = dataclasses.replace(FLAGSHIP, slot_spacing_s=10.0)
