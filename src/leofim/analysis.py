@@ -5,6 +5,8 @@ matrix mixes units whose scales differ by many decades); the reported
 eigenvalues and condition number refer to that balanced spectrum.  A
 configuration counts as identifiable only if every one of its random trial
 geometries is positive definite — a single lucky geometry is not enough.
+The counts-grid sweep builds no EFIM from scratch per cell: each cell sums
+memoized offset-group Grams, bit for bit the EFIM of its own sampled scenario.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
-from .links import link_observables, select_links
-from .location_fim import Efim, _factor_efim, compute_efim
+from .links import link_observables
+from .location_fim import Efim, _GroupGrams, compute_efim
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 
@@ -95,6 +97,21 @@ def _as_matrix(efim: Efim | np.ndarray) -> np.ndarray:
     return efim.matrix if isinstance(efim, Efim) else np.asarray(efim, dtype=float)
 
 
+def _verdict(
+    min_eig: float, max_eig: float, rel_tol: float, config: ScenarioConfig | None
+) -> IdentifiabilityVerdict:
+    """The verdict on a balanced spectrum's extremes."""
+    min_eig, max_eig = float(min_eig), float(max_eig)
+    return IdentifiabilityVerdict(
+        is_pd=max_eig > 0.0 and min_eig > rel_tol * max_eig,
+        min_eigenvalue=min_eig,
+        max_eigenvalue=max_eig,
+        condition_number=max_eig / min_eig if min_eig > 0.0 else np.inf,
+        rel_tol=rel_tol,
+        config=config,
+    )
+
+
 def is_identifiable(
     efim: Efim | np.ndarray,
     rel_tol: float = DEFAULT_REL_TOL,
@@ -105,20 +122,8 @@ def is_identifiable(
     PD means ``min_eig > rel_tol * max_eig`` (and a positive maximum) after
     unit-diagonal balancing.
     """
-    matrix = _as_matrix(efim)
-    eigvals = balanced_eigvalsh(matrix)
-    min_eig = float(eigvals[0])
-    max_eig = float(eigvals[-1])
-    is_pd = max_eig > 0.0 and min_eig > rel_tol * max_eig
-    cond = max_eig / min_eig if min_eig > 0.0 else np.inf
-    return IdentifiabilityVerdict(
-        is_pd=is_pd,
-        min_eigenvalue=min_eig,
-        max_eigenvalue=max_eig,
-        condition_number=cond,
-        rel_tol=rel_tol,
-        config=config,
-    )
+    eigvals = balanced_eigvalsh(_as_matrix(efim))
+    return _verdict(eigvals[0], eigvals[-1], rel_tol, config)
 
 
 def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
@@ -135,6 +140,11 @@ def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
     verdict = is_identifiable(efim, rel_tol)
     if not verdict.is_pd:
         raise NotIdentifiableError(verdict)
+    return _bounds(efim, rel_tol)
+
+
+def _bounds(efim: Efim, rel_tol: float) -> CrlbReport:
+    """:func:`crlb` of an EFIM whose verdict at ``rel_tol`` is already PD."""
     layout: LocationLayout = efim.layout
     inverse, _ = invert_psd(efim.matrix, floor_rel=rel_tol)
 
@@ -189,8 +199,10 @@ def identifiability_sweep(
     reproducible and trials are paired across cells.
 
     Sampling is nested, so each trial is sampled and linked once, at the grid
-    maxima, and each cell truncates those links: bit for bit the EFIM of its
-    own sampled scenario.
+    maxima.  Per satellite count, each offset group's centered Gram is built
+    once per sub-count that slices it, and each cell sums those Grams: bit for
+    bit the EFIM of its own sampled scenario.  The cells of one satellite count
+    share a dimension, so their spectra come from one stacked call.
     """
     unknown = set(grid) - set(GRID_AXES)
     if unknown:
@@ -200,22 +212,30 @@ def identifiability_sweep(
     if not all(values):
         return []
     largest = dataclasses.replace(template, **{a: max(v) for a, v in zip(GRID_AXES, values)})
-    trial_links = [
-        link_observables(random_scenario(largest, trial_seed), template.case)
-        for trial_seed in trial_seeds
+    configs = [
+        dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
+        for counts in itertools.product(*values)
     ]
 
+    # (min, max) balanced eigenvalue per cell and trial.
+    extremes = np.empty((len(configs), n_trials, 2))
+    for trial, trial_seed in enumerate(trial_seeds):
+        links = link_observables(random_scenario(largest, trial_seed), template.case)
+        for n_leo in dict.fromkeys(values[0]):
+            # One memo per satellite count: the Grams of no other count fit it.
+            grams = _GroupGrams(links, n_leo, template.case)
+            cells = [i for i, c in enumerate(configs) if c.n_leo == n_leo]
+            stack = np.stack([
+                grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots).matrix
+                for i in cells
+            ])
+            extremes[cells, trial] = balanced_eigvalsh(stack)[:, [0, -1]]
+
     table: list[IdentifiabilityVerdict] = []
-    for n_leo, n_bs, n_slots, n_ant in itertools.product(*values):
-        config = dataclasses.replace(template, n_leo=n_leo, n_bs=n_bs, n_slots=n_slots, n_ant=n_ant)
-        trials = []
-        for links in trial_links:
-            efim = _factor_efim(select_links(links, n_leo, n_bs, n_ant, n_slots), n_leo, config.case)
-            trials.append(is_identifiable(efim, rel_tol, config=config))
+    for config, cell in zip(configs, extremes):
+        trials = [_verdict(lo, hi, rel_tol, config) for lo, hi in cell]
         worst = _worst_verdict(trials)
-        table.append(
-            dataclasses.replace(worst, is_pd=all(t.is_pd for t in trials), config=config)
-        )
+        table.append(dataclasses.replace(worst, is_pd=all(t.is_pd for t in trials)))
     return table
 
 
@@ -293,7 +313,7 @@ def parameter_sweep(
             verdict = is_identifiable(efim, rel_tol, config=config)
             verdicts.append(verdict)
             if verdict.is_pd:
-                reports.append(crlb(efim, rel_tol))
+                reports.append(_bounds(efim, rel_tol))
             else:
                 reports.append(CrlbReport.infinite(config.n_leo))
         points.append(

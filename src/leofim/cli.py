@@ -43,7 +43,7 @@ from .analysis import (
     SWEEP_AXES,
     CrlbReport,
     IdentifiabilityVerdict,
-    crlb,
+    _bounds,
     identifiability_sweep,
     is_identifiable,
     parameter_sweep,
@@ -420,7 +420,7 @@ def _run_bound(config: RunConfig) -> tuple[list[dict], int]:
     for trial, trial_seed in enumerate(derive_trial_seeds(config.seed, config.n_trials)):
         efim = compute_efim(random_scenario(template, trial_seed))
         verdict = is_identifiable(efim, config.rel_tol, config=template)
-        report = crlb(efim, config.rel_tol) if verdict.is_pd else None
+        report = _bounds(efim, config.rel_tol) if verdict.is_pd else None
         all_pd = all_pd and verdict.is_pd
         records.append(
             _record("bound", config.seed, template, verdict, report, trial=trial)

@@ -17,14 +17,16 @@ class NumericalError(RuntimeError):
 
 
 def sym(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix (cheap guard against accumulated asymmetry)."""
-    return 0.5 * (matrix + matrix.T)
+    """Symmetric part of a matrix, or of each matrix of a stack (cheap guard
+    against accumulated asymmetry)."""
+    return 0.5 * (matrix + matrix.mT)
 
 
 def balance_scale(matrix: np.ndarray) -> np.ndarray:
     """Diagonal scaling vector ``d`` such that ``diag(d) A diag(d)`` has unit
-    diagonal wherever the input diagonal is positive (and 1.0 elsewhere)."""
-    diag = np.diag(matrix).copy()
+    diagonal wherever the input diagonal is positive (and 1.0 elsewhere),
+    per matrix of a stack."""
+    diag = np.diagonal(matrix, axis1=-2, axis2=-1).copy()
     positive = diag > 0.0
     scale = np.ones_like(diag)
     scale[positive] = 1.0 / np.sqrt(diag[positive])
@@ -32,11 +34,15 @@ def balance_scale(matrix: np.ndarray) -> np.ndarray:
 
 
 def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the unit-diagonal-balanced symmetric part, ascending."""
-    if matrix.size == 0:
-        return np.zeros(0)
+    """Eigenvalues of the unit-diagonal-balanced symmetric part, ascending.
+
+    Broadcasts over leading stack axes: a ``(..., n, n)`` stack gives
+    ``(..., n)``, bit for bit the per-matrix results.
+    """
+    if matrix.shape[-1] == 0:
+        return np.zeros(matrix.shape[:-1])
     scale = balance_scale(matrix)
-    balanced = sym(matrix * scale[:, None] * scale[None, :])
+    balanced = sym(matrix * scale[..., :, None] * scale[..., None, :])
     return np.linalg.eigvalsh(balanced)
 
 

@@ -29,7 +29,7 @@ order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -285,31 +285,3 @@ def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
         _observables(scenario, geometry, kind, i) for kind, count in kinds for i in range(count)
     ]
 
-
-def _truncated_link(obs: LinkObservables, n_rows: int, n_slots: int) -> LinkObservables:
-    """The link on its first ``n_rows`` elements and ``n_slots`` slots, bit for
-    bit the link sampled at those counts.  ``snr`` and the delay partials are
-    ``(rows, slots[, 3])`` grids; ``omega`` and the Doppler partials are per
-    element for satellite-station links and per slot for array links."""
-    grid = np.s_[:n_rows, :n_slots]
-    doppler = grid if obs.per_row_doppler else np.s_[:n_slots]
-    partials = {f.name: getattr(obs.jacobians, f.name) for f in fields(LinkJacobians)}
-    jacobians = LinkJacobians(**{
-        name: None if value is None else value[grid if name.startswith("dtau") else doppler]
-        for name, value in partials.items()
-    })
-    return replace(obs, snr=obs.snr[grid], omega=obs.omega[doppler], jacobians=jacobians)
-
-
-def select_links(
-    links: list[LinkObservables], n_leo: int, n_bs: int, n_ant: int, n_slots: int
-) -> list[LinkObservables]:
-    """The links of a sub-count from a scenario's full ``link_observables``
-    list, in its assembly order; valid because sampling is nested (a smaller
-    count's scenario is a prefix of the larger one's, see :mod:`.scenario`)."""
-    counts = {LinkKind.LEO_RX: n_leo, LinkKind.BS_RX: n_bs, LinkKind.LEO_BS: n_leo}
-    return [
-        _truncated_link(obs, n_bs if obs.per_row_doppler else n_ant, n_slots)
-        for obs in links
-        if obs.index < counts[obs.kind]
-    ]

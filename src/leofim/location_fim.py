@@ -60,17 +60,22 @@ class Efim:
     case: Case
 
 
-def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay, Doppler and frequency-offset weights of one link, flat.
+def _link_weights(
+    obs: LinkObservables, n_rows: int | None = None, n_slots: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay, Doppler and frequency-offset weights of one link, flat, on its
+    first ``n_rows`` elements and ``n_slots`` slots (all by default).
 
     Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
     observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
     and ``snr_k * a_o^2 / 2`` per Doppler observation (for array links
-    ``snr_k`` sums the slot's SNR over antennas, since the shift is common to
-    the array).
+    ``snr_k`` sums the slot's SNR over the kept antennas, since the shift is
+    common to the array).
     """
-    w_tau = obs.snr * obs.omega
-    snr_dop = obs.snr if obs.per_row_doppler else obs.snr.sum(axis=0)
+    grid = np.s_[:n_rows, :n_slots]
+    snr = obs.snr[grid]
+    w_tau = snr * obs.omega[grid if obs.per_row_doppler else np.s_[:n_slots]]
+    snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
     half_ao2 = 0.5 * obs.rms_duration**2
     w_nu = snr_dop * obs.carrier_freq**2 * half_ao2
     w_eps = snr_dop * half_ao2
@@ -218,37 +223,92 @@ def efim_schur_route(
 
 
 def compute_efim(scenario: Scenario) -> Efim:
-    """The EFIM of a scenario by the factor route (:func:`_factor_efim`)."""
-    return _factor_efim(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
+    """The EFIM of a scenario by the factor route (:class:`_GroupGrams`)."""
+    grams = _GroupGrams(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
+    return grams.efim(scenario.n_bs, scenario.n_ant, scenario.n_slots)
 
 
-def _factor_efim(links: list[LinkObservables], n_leo: int, case: Case) -> Efim:
-    """The factor route from a link list: ``F^T F`` of the centered rows.
+def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """``F^T F`` of one offset group's rows ``F = sqrt(w) (g - g_bar)``, with
+    ``g_bar`` the ``w``-weighted mean row; ``None`` if the weights sum to
+    ``<= 0``, which informs nothing."""
+    total = w.sum()
+    if not total > 0.0:
+        return None
+    f = np.sqrt(w)[:, None] * (g - (w @ g) / total)
+    return f.T @ f
+
+
+def _sliced_groups(
+    obs: LinkObservables, g_tau: np.ndarray, g_nu: np.ndarray, n_rows: int, n_slots: int
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """``((g_tau, w_tau), (g_nu, w_nu))``, rows flat, of a link on its first
+    ``n_rows`` elements and ``n_slots`` slots, from its rows shaped like its
+    ``snr`` (delays) and ``omega`` (Dopplers) grids."""
+    grid = np.s_[:n_rows, :n_slots]
+    doppler = grid if obs.per_row_doppler else np.s_[:n_slots]
+    w_tau, w_nu, _ = _link_weights(obs, n_rows, n_slots)
+    dim = g_tau.shape[-1]
+    return (g_tau[grid].reshape(-1, dim), w_tau), (g_nu[doppler].reshape(-1, dim), w_nu)
+
+
+def _joined(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
+    """A pool's parts as one array, copied only when there are several."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class _GroupGrams:
+    """The factor route over one scenario's links at ``n_leo`` satellites,
+    for every sub-count of stations, antennas and slots.
 
     Each offset group (a link's delay rows with ``w_tau``, its Doppler rows
-    with ``w_nu``; station-receiver links pool theirs into one pair) becomes
-    the rows ``sqrt(w) (g - g_bar)`` with ``g_bar`` the ``w``-weighted mean
-    row.  ``F^T F`` then equals the interest FIM minus every rank-one offset
-    loss, because ``w_nu = f_c^2 w_eps``, without forming the difference.  A
-    group whose weights sum to ``<= 0`` informs nothing and adds no rows.
+    with ``w_nu``; the station-receiver links pool theirs into one pair) is
+    centered at its weighted mean row and scaled by ``sqrt(w)``, and the EFIM
+    is the sum of the groups' Grams ``F_g^T F_g``.  That equals the interest
+    FIM minus every rank-one offset loss, because ``w_nu = f_c^2 w_eps``,
+    without forming the difference.
+
+    Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
+    first elements and slots of these links.  Rows are built once per link,
+    shaped like its observation grids (``links`` and ``stations`` hold
+    ``(obs, g_tau, g_nu)``); a sub-count slices them and its weights, and each
+    group's Gram is built once per sub-count that slices it.  The sum is bit
+    for bit the EFIM of the scenario sampled at that sub-count.
     """
-    layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
-    groups: list[tuple[np.ndarray, np.ndarray]] = []
-    stations: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for obs in links:
-        w_tau, w_nu, _ = _link_weights(obs)
-        g_tau, g_nu = _rows(layout, obs)
-        if obs.kind is LinkKind.BS_RX:
-            stations.append((g_tau, w_tau, g_nu, w_nu))
-        else:
-            groups += [(g_tau, w_tau), (g_nu, w_nu)]
-    if stations:
-        g_tau, w_tau, g_nu, w_nu = (np.concatenate(part) for part in zip(*stations))
-        groups += [(g_tau, w_tau), (g_nu, w_nu)]
-    gram = np.zeros((layout.dim_interest, layout.dim_interest))
-    for g, w in groups:
-        total = w.sum()
-        if total > 0.0:
-            f = np.sqrt(w)[:, None] * (g - (w @ g) / total)
-            gram += f.T @ f
-    return Efim(matrix=sym(gram), layout=layout, case=case)
+
+    def __init__(self, links: list[LinkObservables], n_leo: int, case: Case):
+        self.layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
+        self.case = case
+        self.links: list[tuple[LinkObservables, np.ndarray, np.ndarray]] = []
+        self.stations: list[tuple[LinkObservables, np.ndarray, np.ndarray]] = []
+        dim = self.layout.dim_interest
+        for obs in links:
+            if obs.kind is not LinkKind.BS_RX and obs.index >= n_leo:
+                continue
+            g_tau, g_nu = _rows(self.layout, obs)
+            # Explicit widths: a link to zero stations has no rows to infer them from.
+            rows = (obs, g_tau.reshape(*obs.snr.shape, dim), g_nu.reshape(*obs.omega.shape, dim))
+            (self.stations if obs.kind is LinkKind.BS_RX else self.links).append(rows)
+        self._memo: dict[tuple, list[np.ndarray]] = {}
+
+    def efim(self, n_bs: int, n_ant: int, n_slots: int) -> Efim:
+        """The EFIM at ``n_bs`` stations, ``n_ant`` antennas and ``n_slots``
+        slots: the group Grams summed in link order, the station pool last."""
+        pools = [
+            ((obs.kind, obs.index), [(obs, *grids)], n_bs if obs.per_row_doppler else n_ant)
+            for obs, *grids in self.links
+        ]
+        pools.append(((LinkKind.BS_RX, n_bs), self.stations[:n_bs], n_ant))
+        dim = self.layout.dim_interest
+        gram = np.zeros((dim, dim))
+        for pool, members, n_rows in pools:
+            key = (*pool, n_rows, n_slots)
+            if key not in self._memo:
+                sliced = [_sliced_groups(*rows, n_rows, n_slots) for rows in members]
+                # The members' delay groups pool into one, their Doppler groups
+                # into another; a pool without members has no groups.
+                parts = (_centered_gram(*map(_joined, zip(*group))) for group in zip(*sliced))
+                self._memo[key] = [part for part in parts if part is not None]
+            for part in self._memo[key]:
+                gram += part
+        return Efim(matrix=sym(gram), layout=self.layout, case=self.case)

@@ -145,14 +145,19 @@ def _per_cell_sweep(grid, template, seed, n_trials):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("case", list(Case))
 def test_identifiability_sweep_matches_per_cell_sampling_exactly(seed, case):
-    grid = {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 3]}
+    """Also for satellite counts out of order and a repeated antenna count,
+    which guards cell order and the worst trial's tie-breaking."""
     template = dataclasses.replace(WIDE, case=case)
-    table = identifiability_sweep(grid, template, seed, n_trials=3)
-    reference = _per_cell_sweep(grid, template, seed, n_trials=3)
-    assert len(table) == len(reference) == 16
-    for got, expected in zip(table, reference):
-        for field in dataclasses.fields(got):
-            assert getattr(got, field.name) == getattr(expected, field.name), field.name
+    for grid, n_cells in (
+        ({"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 3]}, 16),
+        ({"n_leo": [2, 1], "n_bs": [3, 0], "n_slots": [2, 1], "n_ant": [4, 1, 4]}, 24),
+    ):
+        table = identifiability_sweep(grid, template, seed, n_trials=3)
+        reference = _per_cell_sweep(grid, template, seed, n_trials=3)
+        assert len(table) == len(reference) == n_cells
+        for got, expected in zip(table, reference):
+            for field in dataclasses.fields(got):
+                assert getattr(got, field.name) == getattr(expected, field.name), field.name
 
 
 def test_identifiability_sweep_of_an_empty_axis_is_empty():
@@ -201,6 +206,18 @@ def test_parameter_sweep_snr_scaling():
     assert high.report.leo_vel_offset_bound[0] == pytest.approx(
         low.report.leo_vel_offset_bound[0] * factor, rel=1e-9
     )
+
+
+def test_parameter_sweep_bounds_reuse_the_trial_verdict(monkeypatch):
+    """One balanced spectrum per trial: the bounds do not decide again."""
+    import leofim.analysis as analysis
+
+    spectra = []
+    original = analysis.balanced_eigvalsh
+    monkeypatch.setattr(analysis, "balanced_eigvalsh", lambda m: spectra.append(m) or original(m))
+    points = parameter_sweep("snr_db", [10.0, 20.0], WIDE, seed=5, n_trials=2)
+    assert [p.n_pd_trials for p in points] == [2, 2]
+    assert len(spectra) == 4
 
 
 def test_parameter_sweep_propagates_infinite_bounds():

@@ -224,6 +224,17 @@ def test_bound_writes_csv_and_exits_0(tmp_path, capsys):
     assert row["min_eigenvalue"] == f"{float(row['min_eigenvalue']):.9g}"
 
 
+def test_bound_decides_each_trial_once(tmp_path, monkeypatch):
+    """The bounds of a PD trial reuse its verdict: one balanced spectrum each."""
+    import leofim.analysis as analysis
+
+    spectra = []
+    original = analysis.balanced_eigvalsh
+    monkeypatch.setattr(analysis, "balanced_eigvalsh", lambda m: spectra.append(m) or original(m))
+    assert main(["--config", _write_config(tmp_path, WIDE)]) == 0
+    assert len(spectra) == 2  # one per trial
+
+
 def test_csv_output_is_reproducible(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

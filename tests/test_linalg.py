@@ -37,6 +37,23 @@ def test_balanced_eigvalsh_is_scaling_invariant():
     assert np.allclose(w_plain, w_scaled, rtol=1e-9)
 
 
+def test_stacked_balanced_eigvalsh_equals_per_matrix_calls_bit_for_bit():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 5, 5))
+    scale = np.logspace(-8, 8, 5)
+    stack = scale[:, None] * (x @ x.mT) * scale
+    stack[1, 2, :] = stack[1, :, 2] = 0.0  # a zero diagonal entry keeps scale 1.0
+    stack[2, 3, 3] = -1e-3  # so does a negative one
+    got = balanced_eigvalsh(stack)
+    assert got.shape == (4, 5)
+    for matrix, eigvals in zip(stack, got):
+        assert np.array_equal(eigvals, balanced_eigvalsh(matrix))
+    assert np.array_equal(balanced_eigvalsh(stack.reshape(2, 2, 5, 5)), got.reshape(2, 2, 5))
+    empty = balanced_eigvalsh(np.zeros((3, 0, 0)))
+    assert empty.shape == (3, 0)
+    assert balanced_eigvalsh(np.zeros((0, 0))).shape == (0,)
+
+
 def test_invert_psd_identity_and_inverse():
     inv, used_pseudo = invert_psd(np.eye(3), floor_rel=1e-12)
     assert np.allclose(inv, np.eye(3))

@@ -22,8 +22,8 @@ from leofim.links import (
     leo_rx_observables,
     link_jacobians,
     link_observables,
-    select_links,
 )
+from leofim.location_fim import _GroupGrams, _sliced_groups, compute_efim
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
 
@@ -179,17 +179,28 @@ def _assert_same_link(got_from, expected_from, obs=None):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("case", list(Case))
 def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
-    """Truncating the links of the largest counts gives, for every sub-count,
-    the links of the scenario sampled at that sub-count."""
+    """Slicing the Jacobian rows and weights of the largest counts' links gives,
+    for every sub-count, those of the scenario sampled at that sub-count, and
+    the memoized Grams sum to its EFIM."""
     big = dict(n_leo=3, n_bs=3, n_ant=5, n_slots=7, case=case)
     full = link_observables(_offset_scenario(seed, **big), case)
     for n_leo, n_bs, n_ant, n_slots in itertools.product([1, 3], [0, 2, 3], [1, 5], [1, 4, 7]):
         counts = dict(n_leo=n_leo, n_bs=n_bs, n_ant=n_ant, n_slots=n_slots)
-        expected = link_observables(_offset_scenario(seed, **(big | counts)), case)
-        got = select_links(full, n_leo, n_bs, n_ant, n_slots)
-        assert [(o.kind, o.index) for o in got] == [(o.kind, o.index) for o in expected]
-        for got_obs, expected_obs in zip(got, expected):
-            _assert_same_link(got_obs, expected_obs)
+        small = _offset_scenario(seed, **(big | counts))
+        expected = _GroupGrams(link_observables(small, case), n_leo, case)
+        got = _GroupGrams(full, n_leo, case)
+        pairs = list(zip(got.links, expected.links, strict=True))
+        pairs += zip(got.stations[:n_bs], expected.stations, strict=True)
+        for (obs, *rows), (expected_obs, *expected_rows) in pairs:
+            assert (obs.kind, obs.index) == (expected_obs.kind, expected_obs.index)
+            n_rows = n_bs if obs.per_row_doppler else n_ant
+            sliced = _sliced_groups(obs, *rows, n_rows, n_slots)
+            reference = _sliced_groups(expected_obs, *expected_rows, n_rows, n_slots)
+            for array, expected_array in zip(itertools.chain(*sliced), itertools.chain(*reference)):
+                assert array.shape == expected_array.shape, (obs.kind, obs.index)
+                assert np.array_equal(array, expected_array), (obs.kind, obs.index)
+        efim = got.efim(n_bs, n_ant, n_slots).matrix
+        assert np.array_equal(efim, compute_efim(small).matrix), counts
 
 
 def test_public_entry_points_return_one_link_each():
