@@ -5,21 +5,24 @@ matrix mixes units whose scales differ by many decades); the reported
 eigenvalues and condition number refer to that balanced spectrum.  A
 configuration counts as identifiable only if every one of its random trial
 geometries is positive definite — a single lucky geometry is not enough.
-The counts-grid sweep builds no EFIM from scratch per cell: each cell sums
-memoized offset-group Grams, bit for bit the EFIM of its own sampled scenario.
+Neither sweep builds an EFIM from scratch per configuration: configurations
+that differ only in their counts share one sampled and linked trial, and each
+sums memoized offset-group Grams, bit for bit the EFIM of its own sampled
+scenario.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import link_observables
-from .location_fim import Efim, _GroupGrams, compute_efim
+from .location_fim import Efim, _GroupGrams
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 
@@ -28,6 +31,10 @@ DEFAULT_N_TRIALS = 5
 
 SWEEP_AXES = ("n_ant", "carrier_freq_hz", "slot_spacing_s", "snr_db")
 GRID_AXES = ("n_leo", "n_bs", "n_slots", "n_ant")
+# The configuration fields a sampled scenario cannot slice.
+_FAMILY_FIELDS = tuple(
+    f for f in dataclasses.fields(ScenarioConfig) if f.name not in GRID_AXES
+)
 
 
 class NotIdentifiableError(RuntimeError):
@@ -182,6 +189,35 @@ def _trial_seeds(seed: int, n_trials: int) -> list[int]:
     return derive_trial_seeds(seed, n_trials)
 
 
+def _nested_grams(
+    configs: list[ScenarioConfig], trial_seeds: list[int]
+) -> Iterator[tuple[int, list[int], _GroupGrams]]:
+    """The factor-route Grams of every configuration, trials outermost.
+
+    Sampling is nested in the counts (:data:`GRID_AXES`), so configurations
+    that differ only in their counts form one family: per trial it is sampled
+    and linked once, at the family's maxima.  Yields ``(trial, cells, grams)``
+    per trial, family and satellite count, in first-seen order: the indices of
+    that count's configurations and one :class:`_GroupGrams` whose
+    ``efim(n_bs, n_ant, n_slots)`` is bit for bit the EFIM of each of them.
+    """
+    families: dict[tuple, dict[int, list[int]]] = {}
+    for i, config in enumerate(configs):
+        key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
+        families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
+    plan = []
+    for by_leo in families.values():
+        members = [configs[i] for cells in by_leo.values() for i in cells]
+        counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
+        plan.append((dataclasses.replace(members[0], **counts), by_leo))
+    for trial, trial_seed in enumerate(trial_seeds):
+        for largest, by_leo in plan:
+            links = link_observables(random_scenario(largest, trial_seed), largest.case)
+            for n_leo, cells in by_leo.items():
+                # One memo per satellite count: the Grams of no other count fit it.
+                yield trial, cells, _GroupGrams(links, n_leo, largest.case)
+
+
 def identifiability_sweep(
     grid: dict[str, list[int]],
     template: ScenarioConfig,
@@ -209,9 +245,6 @@ def identifiability_sweep(
         raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {GRID_AXES}")
     trial_seeds = _trial_seeds(seed, n_trials)
     values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
-    if not all(values):
-        return []
-    largest = dataclasses.replace(template, **{a: max(v) for a, v in zip(GRID_AXES, values)})
     configs = [
         dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
         for counts in itertools.product(*values)
@@ -219,17 +252,12 @@ def identifiability_sweep(
 
     # (min, max) balanced eigenvalue per cell and trial.
     extremes = np.empty((len(configs), n_trials, 2))
-    for trial, trial_seed in enumerate(trial_seeds):
-        links = link_observables(random_scenario(largest, trial_seed), template.case)
-        for n_leo in dict.fromkeys(values[0]):
-            # One memo per satellite count: the Grams of no other count fit it.
-            grams = _GroupGrams(links, n_leo, template.case)
-            cells = [i for i, c in enumerate(configs) if c.n_leo == n_leo]
-            stack = np.stack([
-                grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots).matrix
-                for i in cells
-            ])
-            extremes[cells, trial] = balanced_eigvalsh(stack)[:, [0, -1]]
+    for trial, cells, grams in _nested_grams(configs, trial_seeds):
+        stack = np.stack([
+            grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots).matrix
+            for i in cells
+        ])
+        extremes[cells, trial] = balanced_eigvalsh(stack)[:, [0, -1]]
 
     table: list[IdentifiabilityVerdict] = []
     for config, cell in zip(configs, extremes):
@@ -297,34 +325,40 @@ def parameter_sweep(
     ``axis`` is one of ``n_ant`` (antenna count), ``carrier_freq_hz``,
     ``slot_spacing_s``, ``snr_db``.  Non-identifiable trials contribute
     infinite bounds (making the cell's mean infinite) rather than failing.
-    Trial seeds are shared across values, pairing the geometries.
+    Trial seeds are shared across values, pairing the geometries.  Every value
+    is validated before any trial is sampled.
+
+    Antenna counts are nested, so an ``n_ant`` sweep samples and links each
+    trial once, at the largest count, and every value's EFIM slices it: bit
+    for bit the EFIM of its own sampled scenario.  The other axes sample each
+    (value, trial) on its own.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     trial_seeds = _trial_seeds(seed, n_trials)
+    configs = [swept_config(template, axis, value) for value in values]
 
-    points: list[SweepPoint] = []
-    for value in values:
-        config = swept_config(template, axis, value)
-        reports: list[CrlbReport] = []
-        verdicts: list[IdentifiabilityVerdict] = []
-        for trial_seed in trial_seeds:
-            efim = compute_efim(random_scenario(config, trial_seed))
+    reports: list[list[CrlbReport]] = [[] for _ in configs]
+    verdicts: list[list[IdentifiabilityVerdict]] = [[] for _ in configs]
+    for _, cells, grams in _nested_grams(configs, trial_seeds):
+        for i in cells:
+            config = configs[i]
+            efim = grams.efim(config.n_bs, config.n_ant, config.n_slots)
             verdict = is_identifiable(efim, rel_tol, config=config)
-            verdicts.append(verdict)
+            verdicts[i].append(verdict)
             if verdict.is_pd:
-                reports.append(_bounds(efim, rel_tol))
+                reports[i].append(_bounds(efim, rel_tol))
             else:
-                reports.append(CrlbReport.infinite(config.n_leo))
-        points.append(
-            SweepPoint(
-                axis=axis,
-                value=float(value),
-                config=config,
-                report=_mean_reports(reports),
-                n_trials=n_trials,
-                n_pd_trials=sum(v.is_pd for v in verdicts),
-                worst_verdict=_worst_verdict(verdicts),
-            )
+                reports[i].append(CrlbReport.infinite(config.n_leo))
+    return [
+        SweepPoint(
+            axis=axis,
+            value=float(value),
+            config=config,
+            report=_mean_reports(value_reports),
+            n_trials=n_trials,
+            n_pd_trials=sum(v.is_pd for v in value_verdicts),
+            worst_verdict=_worst_verdict(value_verdicts),
         )
-    return points
+        for value, config, value_reports, value_verdicts in zip(values, configs, reports, verdicts)
+    ]

@@ -10,6 +10,7 @@ from leofim.analysis import (
     GRID_AXES,
     CrlbReport,
     NotIdentifiableError,
+    SweepPoint,
     crlb,
     identifiability_sweep,
     is_identifiable,
@@ -23,6 +24,15 @@ from leofim.transform import LocationLayout
 
 WIDE = ScenarioConfig(
     n_leo=1, n_bs=3, n_ant=4, n_slots=4, slot_spacing_s=50.0, bs_distance_m=5e5
+)
+
+# A satellite on top of the array: every link's geometry is undefined.
+DEGENERATE = ScenarioConfig(
+    leo_distance_m=1e-12,
+    receiver_distance_m=1e-12,
+    leo_speed_m_s=0.0,
+    receiver_speed_m_s=0.0,
+    array_radius_wavelengths=0.0,
 )
 
 
@@ -166,15 +176,8 @@ def test_identifiability_sweep_of_an_empty_axis_is_empty():
 
 def test_identifiability_sweep_raises_on_degenerate_geometry():
     """A satellite on top of the array: every cell's links are undefined."""
-    template = ScenarioConfig(
-        leo_distance_m=1e-12,
-        receiver_distance_m=1e-12,
-        leo_speed_m_s=0.0,
-        receiver_speed_m_s=0.0,
-        array_radius_wavelengths=0.0,
-    )
     with pytest.raises(DegenerateGeometryError):
-        identifiability_sweep({"n_ant": [1, 2]}, template, seed=3, n_trials=1)
+        identifiability_sweep({"n_ant": [1, 2]}, DEGENERATE, seed=3, n_trials=1)
 
 
 def test_identifiability_sweep_rejects_unknown_axis():
@@ -220,6 +223,99 @@ def test_parameter_sweep_bounds_reuse_the_trial_verdict(monkeypatch):
     assert len(spectra) == 4
 
 
+def _per_value_sweep(axis, values, template, seed, n_trials):
+    """Reference sweep: every value samples each of its trials on its own."""
+    points = []
+    for value in values:
+        config = swept_config(template, axis, value)
+        verdicts, reports = [], []
+        for s in derive_trial_seeds(seed, n_trials):
+            efim = compute_efim(random_scenario(config, s))
+            verdicts.append(is_identifiable(efim, config=config))
+            try:
+                reports.append(crlb(efim))
+            except NotIdentifiableError:
+                reports.append(CrlbReport.infinite(config.n_leo))
+
+        def mean(field):
+            return np.mean([getattr(r, field) for r in reports], axis=0)
+
+        points.append(
+            SweepPoint(
+                axis=axis,
+                value=float(value),
+                config=config,
+                report=CrlbReport(
+                    float(mean("pos_rmse_bound")),
+                    float(mean("vel_rmse_bound")),
+                    float(mean("orient_rmse_bound")),
+                    tuple(map(float, mean("leo_pos_offset_bound"))),
+                    tuple(map(float, mean("leo_vel_offset_bound"))),
+                ),
+                n_trials=n_trials,
+                n_pd_trials=sum(v.is_pd for v in verdicts),
+                worst_verdict=min(
+                    verdicts,
+                    key=lambda v: v.min_eigenvalue / v.max_eigenvalue
+                    if v.max_eigenvalue > 0 else -np.inf,
+                ),
+            )
+        )
+    return points
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("case", list(Case))
+def test_parameter_sweep_matches_per_value_sampling_exactly(seed, case):
+    """Antenna counts out of order, repeated and down to one (infinite bounds);
+    axes that are not nested; and a template without stations."""
+    template = dataclasses.replace(WIDE, case=case)
+    for axis, values, base in (
+        ("n_ant", [16, 4, 16, 1], template),
+        ("carrier_freq_hz", [28e9, 40e9], template),
+        ("snr_db", [20.0, 10.0], template),
+        ("n_ant", [1, 4, 2], dataclasses.replace(template, n_bs=0)),
+    ):
+        points = parameter_sweep(axis, values, base, seed, n_trials=3)
+        reference = _per_value_sweep(axis, values, base, seed, n_trials=3)
+        assert len(points) == len(reference) == len(values)
+        for got, expected in zip(points, reference):
+            for field in dataclasses.fields(got):
+                assert getattr(got, field.name) == getattr(expected, field.name), (
+                    axis, got.value, field.name
+                )
+    assert any(np.isinf(p.report.pos_rmse_bound) for p in points)
+
+
+@pytest.mark.parametrize(
+    "axis, values, sampled",
+    [("n_ant", [4, 8, 2], [8, 8]), ("snr_db", [10.0, 20.0, 30.0], [4] * 6)],
+)
+def test_parameter_sweep_samples_and_links_each_trial_once_per_family(
+    axis, values, sampled, monkeypatch
+):
+    """Antenna counts slice one sample at the largest count; other axes
+    sample once per (value, trial)."""
+    import leofim.analysis as analysis
+
+    scenarios, linked = [], []
+    sample, link = analysis.random_scenario, analysis.link_observables
+    monkeypatch.setattr(
+        analysis, "random_scenario", lambda c, s: scenarios.append(c) or sample(c, s)
+    )
+    monkeypatch.setattr(
+        analysis, "link_observables", lambda sc, case: linked.append(sc) or link(sc, case)
+    )
+    parameter_sweep(axis, values, WIDE, seed=5, n_trials=2)
+    assert [c.n_ant for c in scenarios] == sampled
+    assert len(linked) == len(sampled)
+
+
+def test_parameter_sweep_raises_on_degenerate_geometry():
+    with pytest.raises(DegenerateGeometryError):
+        parameter_sweep("n_ant", [1, 2], DEGENERATE, seed=3, n_trials=1)
+
+
 def test_parameter_sweep_propagates_infinite_bounds():
     points = parameter_sweep("n_ant", [1], WIDE, seed=5, n_trials=2)
     (point,) = points
@@ -238,9 +334,16 @@ def test_swept_antenna_count_becomes_an_integer():
     assert config.n_ant == 8 and type(config.n_ant) is int
 
 
-def test_parameter_sweep_rejects_non_integral_antenna_count():
+def test_parameter_sweep_rejects_non_integral_antenna_count(monkeypatch):
+    """Before sampling anything, the valid first value included."""
+    import leofim.analysis as analysis
+
+    def no_sampling(*args):
+        raise AssertionError("sampled a scenario")
+
+    monkeypatch.setattr(analysis, "random_scenario", no_sampling)
     with pytest.raises(ValueError, match="n_ant must be an integer"):
-        parameter_sweep("n_ant", [2.5], WIDE, seed=5)
+        parameter_sweep("n_ant", [4, 2.5], WIDE, seed=5)
 
 
 @pytest.mark.parametrize("n_trials", [0, -1])

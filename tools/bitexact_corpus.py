@@ -21,7 +21,11 @@ the scenario arrays alone are also hashed for seeds 0..19 at L2 Q2 U4 with
 every slot count from 1 to 20.  ``identifiability_sweep`` is fingerprinted per
 cell (``is_pd``, min and max eigenvalue) on the acceptance-1 counts grid and on
 a grid with no stations and a single slot among its values, for seeds 42 and 7
-in both cases.
+in both cases.  ``parameter_sweep`` is fingerprinted per point (the worst
+verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
+bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
+and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
+both cases.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ SWEEP_GRIDS = {
     "acceptance1": {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]},
     "edges": {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]},
 }
+# The template of ``benches/configs/cli_sweep.json``, in either case.
+PARAMETER_TEMPLATE = dict(
+    n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5
+)
+PARAMETER_SWEEPS = {"n_ant": [4, 16, 64], "carrier_freq_hz": [10e9, 28e9, 40e9]}
 JAC_FIELDS = (
     "dtau_dp", "dtau_dvu", "dtau_dphi", "dtau_dpcheck", "dtau_dvcheck",
     "dnu_dp", "dnu_dvu", "dnu_dpcheck", "dnu_dvcheck",
@@ -95,6 +104,7 @@ def dump() -> dict:
         efim_lemma_route,
         efim_schur_route,
         identifiability_sweep,
+        parameter_sweep,
         transform_fim,
     )
     from leofim.location_fim import assemble_information_loss, assemble_interest_fim
@@ -130,6 +140,15 @@ def dump() -> dict:
             c = v.config
             tag = f"s{seed}/sweep/{name}/{case.value}/L{c.n_leo}Q{c.n_bs}U{c.n_ant}K{c.n_slots}"
             out[tag] = fingerprint([float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue])
+    for seed, (axis, values), case in itertools.product(SEEDS, PARAMETER_SWEEPS.items(), Case):
+        template = ScenarioConfig(**PARAMETER_TEMPLATE, case=case)
+        for p in parameter_sweep(axis, values, template, seed):
+            v, r = p.worst_verdict, p.report
+            out[f"s{seed}/parameter_sweep/{axis}/{case.value}/{p.value!r}"] = fingerprint([
+                float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue, p.n_pd_trials,
+                r.pos_rmse_bound, r.vel_rmse_bound, r.orient_rmse_bound,
+                *r.leo_pos_offset_bound, *r.leo_vel_offset_bound,
+            ])
     return out
 
 
