@@ -42,6 +42,7 @@ from .location_fim import (
     efim_lemma_route,
     efim_schur_route,
 )
+from .links import LinkJacobians, link_jacobians
 from .scenario import (
     Case,
     Scenario,
@@ -59,12 +60,9 @@ from .signals import (
     snr_from_db,
 )
 from .transform import (
-    LinkJacobians,
     LocationLayout,
     TransformationMatrix,
     build_transformation_matrix,
-    link_jacobians,
-    location_layout,
     transform_fim,
 )
 
@@ -115,7 +113,6 @@ __all__ = [
     "is_identifiable",
     "link_fim",
     "link_jacobians",
-    "location_layout",
     "omega",
     "parameter_sweep",
     "random_scenario",

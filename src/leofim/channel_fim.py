@@ -22,7 +22,6 @@ one shared coordinate pair.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +80,6 @@ class ChannelLayout:
     def dim(self) -> int:
         return self.freq_offset + 1
 
-    def delay_index(self, row: int, k: int) -> int:
-        """Position of the (row, slot) delay within the link vector
-        (elementwise for index arrays)."""
-        return row * self.n_slots + k
-
-    def doppler_index(self, k: int, row: int = 0) -> int:
-        """Position of the slot-``k`` Doppler (of ``row`` when per-row;
-        elementwise for index arrays)."""
-        base = self.n_delays
-        return base + (row * self.n_slots + k if self.doppler_per_row else k)
-
 
 @dataclass(frozen=True)
 class LinkFim:
@@ -103,46 +91,40 @@ class LinkFim:
     obs: LinkObservables
 
 
-@functools.lru_cache(maxsize=64)
-def _fill_indices(layout: ChannelLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(i, j)`` matrix positions of every update
-    :func:`_fill_link_fim` makes, observation-major: the nine updates of
-    observation (row, slot) are consecutive, observations in row-major order."""
-    rows, ks = np.indices((layout.n_rows, layout.n_slots)).reshape(2, -1)
-    tau = layout.delay_index(rows, ks)
-    nu = layout.doppler_index(ks, rows)
-    offsets = (layout.time_offset, layout.freq_offset, layout.gain)
-    delta, eps, gain = (np.full_like(tau, at) for at in offsets)
-    pairs = [
-        (tau, tau), (tau, delta), (delta, tau), (delta, delta),
-        (nu, nu), (nu, eps), (eps, nu), (eps, eps), (gain, gain),
-    ]
-    i, j = (np.stack(part, axis=1).ravel() for part in zip(*pairs))
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+def _running_total(values: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, added one term after another from zero in
+    index order (``np.sum`` adds pairwise, which differs in the last bits)."""
+    return np.add.accumulate(np.concatenate([np.zeros((1, *values.shape[1:])), values]))[-1]
 
 
 def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
-    """Common fill for all link kinds.
+    """Common fill for all link kinds, written block by block.
 
-    Every observation (row, slot) adds its delay, Doppler and gain terms to
-    the matrix; entries shared by several observations (the offsets, a
-    per-slot Doppler, the gain) accumulate in row-major observation
-    order, which ``np.add.at`` preserves.
+    Each delay carries ``snr * omega`` on its diagonal and its negative
+    against the clock offset; each Doppler carries its weight on its diagonal
+    and its coupling to the frequency offset.  An entry shared by several
+    observations (the offset and gain totals, an array link's per-slot
+    Doppler) is their running total in row-major observation order.
     """
     fim = np.zeros((layout.dim, layout.dim))
     snr = obs.snr
-    w = obs.omega if obs.omega.ndim == 2 else obs.omega[None, :]
+    delays, dopplers = layout.delays, layout.dopplers
+    time, freq, gain = layout.time_offset, layout.freq_offset, layout.gain
     dop_weight = 0.5 * obs.carrier_freq**2 * obs.rms_duration**2
     cross_weight = -0.5 * obs.carrier_freq * obs.rms_duration**2
     eps_weight = 0.5 * obs.rms_duration**2
+    # Column j holds the observations Doppler j sums: every antenna for an
+    # array link's per-slot shift, one (station, slot) for a station link.
+    by_doppler = snr.reshape(1, -1) if layout.doppler_per_row else snr
 
-    s = snr.ravel()
-    sw = (snr * w).ravel()
-    neg_sw = (-snr * w).ravel()
-    cross = s * cross_weight
-    values = [sw, neg_sw, neg_sw, sw, s * dop_weight, cross, cross, s * eps_weight, s * _GAIN_INFO]
-    np.add.at(fim, _fill_indices(layout), np.stack(values, axis=1).ravel())
+    sw = (snr * obs.omega).ravel()
+    fim[delays, delays] = np.diag(sw)
+    fim[delays, time] = fim[time, delays] = -sw
+    fim[time, time] = _running_total(sw)
+    fim[dopplers, dopplers] = np.diag(_running_total(by_doppler * dop_weight))
+    fim[dopplers, freq] = fim[freq, dopplers] = _running_total(by_doppler * cross_weight)
+    fim[freq, freq] = _running_total(snr.ravel() * eps_weight)
+    fim[gain, gain] = _running_total(snr.ravel() * _GAIN_INFO)
     return fim
 
 

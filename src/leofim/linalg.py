@@ -38,7 +38,15 @@ def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
 
     Broadcasts over leading stack axes: a ``(..., n, n)`` stack gives
     ``(..., n)``, bit for bit the per-matrix results.
+
+    Raises
+    ------
+    NumericalError
+        If any entry is infinite or NaN, as when the information overflows a
+        double.
     """
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
     if matrix.shape[-1] == 0:
         return np.zeros(matrix.shape[:-1])
     scale = balance_scale(matrix)

@@ -25,6 +25,7 @@ transcription errors, and the tests check them against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +232,11 @@ def compute_efim(scenario: Scenario) -> Efim:
 def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray | None:
     """``F^T F`` of one offset group's rows ``F = sqrt(w) (g - g_bar)``, with
     ``g_bar`` the ``w``-weighted mean row; ``None`` if the weights sum to
-    ``<= 0``, which informs nothing."""
+    ``<= 0``, which informs nothing.  A sum that overflows a double raises
+    :class:`NumericalError`: dividing by it would silently drop the mean."""
     total = w.sum()
+    if not math.isfinite(total):
+        raise NumericalError("an offset group's weights sum beyond double range")
     if not total > 0.0:
         return None
     f = np.sqrt(w)[:, None] * (g - (w @ g) / total)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_fim import GlobalChannelLayout, LinkSection, assemble_channel_fim
+from .channel_fim import GlobalChannelLayout, LinkSection
 from .linalg import sym
-from .links import LinkJacobians, LinkObservables, link_jacobians  # noqa: F401 (re-exported)
+from .links import LinkObservables
 from .scenario import Scenario
 
 
@@ -77,10 +77,6 @@ class LocationLayout:
     @property
     def dim(self) -> int:
         return self.dim_interest + len(self.kappa2_channel_cols)
-
-    @property
-    def kappa2(self) -> slice:
-        return slice(self.dim_interest, self.dim)
 
     def interest_blocks(self) -> list[tuple[str, slice]]:
         """Named 3x3 interest blocks in layout order."""
@@ -139,25 +135,17 @@ def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> N
             upsilon[rows, dopplers] = dnu.reshape(-1, 3).T
 
 
-def location_layout(glob: GlobalChannelLayout, n_leo: int) -> LocationLayout:
-    """Location layout matching an assembled channel layout."""
-    return LocationLayout(n_leo=n_leo, kappa2_channel_cols=glob.nuisance_cols)
-
-
 def build_transformation_matrix(
-    scenario: Scenario, *, glob: GlobalChannelLayout | None = None
+    scenario: Scenario, *, glob: GlobalChannelLayout
 ) -> TransformationMatrix:
-    """Build ``Upsilon`` for a scenario.
+    """Build ``Upsilon`` for a scenario from its assembled channel layout.
 
     Every delay/Doppler column carries that observable's partials with respect
     to the kappa1 blocks it depends on; gain and offset columns are unit
-    selections of their kappa2 rows.  ``glob`` may be passed to reuse an
-    already-assembled channel layout, together with the link observables and
-    Jacobians its sections carry (it must match the scenario).
+    selections of their kappa2 rows.  The link observables and Jacobians come
+    from ``glob``'s sections, so ``glob`` must be the scenario's own layout.
     """
-    if glob is None:
-        _, glob = assemble_channel_fim(scenario)
-    loc = location_layout(glob, scenario.n_leo)
+    loc = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=glob.nuisance_cols)
 
     upsilon = np.zeros((loc.dim, glob.dim))
     for sec in glob.sections:
@@ -167,9 +155,9 @@ def build_transformation_matrix(
     return TransformationMatrix(matrix=upsilon, location_layout=loc)
 
 
-def transform_fim(j_eta: np.ndarray, upsilon: TransformationMatrix | np.ndarray) -> np.ndarray:
+def transform_fim(j_eta: np.ndarray, upsilon: TransformationMatrix) -> np.ndarray:
     """Map a channel FIM to the location parameters: ``U @ J @ U.T``."""
-    u = upsilon.matrix if isinstance(upsilon, TransformationMatrix) else upsilon
+    u = upsilon.matrix
     if u.shape[1] != j_eta.shape[0] or j_eta.shape[0] != j_eta.shape[1]:
         raise ValueError(
             f"dimension mismatch: Upsilon {u.shape} against J_eta {j_eta.shape}"

@@ -25,6 +25,7 @@ from leofim.analysis import (
 from leofim.channel_fim import LinkKind, assemble_channel_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
+from leofim.links import link_jacobians
 from leofim.location_fim import (
     assemble_information_loss,
     assemble_interest_fim,
@@ -37,7 +38,7 @@ from leofim.scenario import (
     derive_trial_seeds,
     random_scenario,
 )
-from leofim.transform import build_transformation_matrix, link_jacobians, transform_fim
+from leofim.transform import build_transformation_matrix, transform_fim
 
 SEED = 42
 N_TRIALS = 5

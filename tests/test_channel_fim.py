@@ -21,35 +21,56 @@ def _zero_snr(scenario):
     )
 
 
-def test_single_antenna_single_slot_hand_formula():
-    cfg = ScenarioConfig(n_leo=1, n_bs=1, n_ant=1, n_slots=1)
-    sc = random_scenario(cfg, 2)
-    obs = leo_rx_observables(sc, 0)
+HAND_FORMULA_LINKS = {
+    "single_antenna_single_slot": (dict(n_ant=1, n_slots=1), leo_rx_observables),
+    # One Doppler per slot, its terms summed over the antennas.
+    "two_antennas_two_slots": (dict(n_ant=2, n_slots=2), leo_rx_observables),
+    # One Doppler per (station, slot).
+    "two_stations_two_slots": (dict(n_bs=2, n_slots=2), leo_bs_observables),
+}
+
+
+@pytest.mark.parametrize(
+    "sizes, observables", HAND_FORMULA_LINKS.values(), ids=list(HAND_FORMULA_LINKS)
+)
+def test_link_fim_hand_formula(sizes, observables):
+    """Every entry of a link FIM against a scalar loop over its observations.
+
+    Observation (row, slot) adds ``snr * omega`` to its delay and to the
+    clock offset, with ``-snr * omega`` between them; ``snr`` times the
+    per-unit-SNR Doppler, cross and frequency-offset weights to its Doppler
+    and the frequency offset; and ``snr / (4 pi^2)`` to the unit gain.  The
+    loop adds observations one at a time in row-major order, so the shared
+    entries (offset and gain totals, an array link's per-slot Doppler) must
+    match to the bit.
+    """
+    sc = random_scenario(ScenarioConfig(**{"n_leo": 1, "n_bs": 1, "n_ant": 1, **sizes}), 2)
+    obs = observables(sc, 0)
+    # Uneven SNRs, so summing per-observation terms differs in the last bits
+    # from weighting the summed SNR.
+    spread = np.sqrt(1 + np.arange(obs.snr.size)).reshape(obs.snr.shape)
+    obs = dataclasses.replace(obs, snr=obs.snr * spread)
     fim = link_fim(obs)
     lay = fim.layout
-    snr = float(obs.snr[0, 0])
-    om = float(obs.omega[0])
-    alpha_o = obs.rms_duration
-    f_c = obs.carrier_freq
+    f_c, alpha2 = obs.carrier_freq, obs.rms_duration**2
+    dop, cross, eps = 0.5 * f_c**2 * alpha2, -0.5 * f_c * alpha2, 0.5 * alpha2
+    gain = 1 / (4 * np.pi**2)  # unit gain magnitude
+    delta, epsilon, beta = lay.time_offset, lay.freq_offset, lay.gain
 
-    i_tau = lay.delays.start
-    i_nu = lay.dopplers.start
-    i_beta = lay.gain
-    i_delta = lay.time_offset
-    i_eps = lay.freq_offset
-
-    m = fim.matrix
-    assert np.isclose(m[i_tau, i_tau], snr * om, rtol=1e-12)
-    assert np.isclose(m[i_delta, i_delta], snr * om, rtol=1e-12)
-    assert np.isclose(m[i_tau, i_delta], -snr * om, rtol=1e-12)
-    assert np.isclose(m[i_nu, i_nu], 0.5 * snr * f_c**2 * alpha_o**2, rtol=1e-12)
-    assert np.isclose(m[i_nu, i_eps], -0.5 * snr * f_c * alpha_o**2, rtol=1e-12)
-    assert np.isclose(m[i_eps, i_eps], 0.5 * snr * alpha_o**2, rtol=1e-12)
-    assert np.isclose(m[i_beta, i_beta], snr / (4 * np.pi**2), rtol=1e-12)  # unit gain
-    # structurally-zero couplings
-    assert m[i_tau, i_nu] == 0.0
-    assert m[i_delta, i_eps] == 0.0
-    assert np.all(m[i_beta, :i_beta] == 0.0)
+    expected = np.zeros((lay.dim, lay.dim))
+    for row in range(lay.n_rows):
+        for k in range(lay.n_slots):
+            snr = float(obs.snr[row, k])
+            tau = row * lay.n_slots + k
+            nu = lay.n_delays + (tau if obs.per_row_doppler else k)
+            sw = snr * float(obs.omega[row, k] if obs.per_row_doppler else obs.omega[k])
+            for i, j, value in [
+                (tau, tau, sw), (tau, delta, -sw), (delta, tau, -sw), (delta, delta, sw),
+                (nu, nu, snr * dop), (nu, epsilon, snr * cross), (epsilon, nu, snr * cross),
+                (epsilon, epsilon, snr * eps), (beta, beta, snr * gain),
+            ]:
+                expected[i, j] += value
+    assert np.array_equal(fim.matrix, expected)
 
 
 def _link_fims(scenario, b_rx, q, b_bs):

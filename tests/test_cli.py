@@ -206,6 +206,31 @@ def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+# The weights overflow at these SNRs, and numpy warns as they do.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"snr_db": 3000},
+        {"snr_db": 2900, "command": "identifiability"},
+        # Only the offset groups' weight totals overflow here; dividing by
+        # them would leave a finite EFIM without its centering.
+        {"snr_db": 2858},
+    ],
+    ids=["bound_3000_db", "identifiability_2900_db", "bound_2858_db"],
+)
+def test_information_overflow_exits_4_without_traceback(tmp_path, capsys, settings):
+    """A validated SNR whose information overflows a double is a numerical
+    failure (exit 4), not a LinAlgError traceback."""
+    out = tmp_path / "bounds.csv"
+    path = _write_config(tmp_path, {**settings, "n_trials": 1, "out": str(out)})
+    assert main(["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bound_writes_csv_and_exits_0(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     path = _write_config(tmp_path, {**WIDE, "out": str(out)})

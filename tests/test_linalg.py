@@ -54,6 +54,18 @@ def test_stacked_balanced_eigvalsh_equals_per_matrix_calls_bit_for_bit():
     assert balanced_eigvalsh(np.zeros((0, 0))).shape == (0,)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_balanced_eigvalsh_rejects_non_finite_entries(bad):
+    """A non-finite entry (information that overflowed a double) raises
+    NumericalError, also inside a stack, instead of a LinAlgError."""
+    stack = np.stack([np.eye(3)] * 2)
+    stack[1, 0, 2] = stack[1, 2, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        balanced_eigvalsh(stack)
+    with pytest.raises(NumericalError, match="non-finite"):
+        balanced_eigvalsh(stack[1])
+
+
 def test_invert_psd_identity_and_inverse():
     inv, used_pseudo = invert_psd(np.eye(3), floor_rel=1e-12)
     assert np.allclose(inv, np.eye(3))

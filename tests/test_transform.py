@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from leofim.channel_fim import LinkKind, assemble_channel_fim
+from leofim.links import link_jacobians
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.transform import (
-    build_transformation_matrix,
-    link_jacobians,
-    location_layout,
-    transform_fim,
-)
+from leofim.transform import build_transformation_matrix, transform_fim
 
 from _fd import compare, fd_link_jacobians
 
@@ -130,7 +126,7 @@ def test_station_link_delay_columns_have_zero_offset_rows():
 def test_location_layout_counts_nuisance_columns():
     sc = _scenario(27)
     _, glob = assemble_channel_fim(sc)
-    loc = location_layout(glob, sc.n_leo)
+    loc = build_transformation_matrix(sc, glob=glob).location_layout
     # per satellite-receiver link: gain + 2 offsets; stations: gain each + one
     # shared pair; per satellite-station link: gain + 2 offsets
     expected = 2 * 3 + (2 * 1 + 2) + 2 * 3

@@ -79,7 +79,6 @@ def _observables(scenario, out: dict, tag: str) -> None:
     from leofim import links
     from leofim.channel_fim import LinkKind
     from leofim.scenario import Case
-    from leofim.transform import link_jacobians
 
     entries = [("leo_rx", LinkKind.LEO_RX, links.leo_rx_observables, b) for b in range(scenario.n_leo)]
     entries += [("bs_rx", LinkKind.BS_RX, links.bs_rx_observables, q) for q in range(scenario.n_bs)]
@@ -89,7 +88,7 @@ def _observables(scenario, out: dict, tag: str) -> None:
         obs = fn(scenario, i)
         for field in OBS_FIELDS:
             out[f"{tag}/{name}{i}/{field}"] = fingerprint(getattr(obs, field))
-        jac = link_jacobians(scenario, kind, i)
+        jac = links.link_jacobians(scenario, kind, i)
         for field in JAC_FIELDS:
             value = getattr(jac, field)
             if value is not None:
