@@ -5,10 +5,11 @@ matrix mixes units whose scales differ by many decades); the reported
 eigenvalues and condition number refer to that balanced spectrum.  A
 configuration counts as identifiable only if every one of its random trial
 geometries is positive definite — a single lucky geometry is not enough.
-Neither sweep builds an EFIM from scratch per configuration: configurations
-that differ only in their counts share one sampled and linked trial, and each
-sums memoized offset-group Grams, bit for bit the EFIM of its own sampled
-scenario.
+Every trial is decided in one place (:func:`_trials`, which both sweeps and
+the CLI ``bound`` command use): configurations that differ only in their
+counts share one sampled and linked trial, each sums memoized offset-group
+Grams, bit for bit the EFIM of its own sampled scenario, and the verdicts of
+one (trial, family, satellite count) come from one stacked eigenvalue call.
 """
 
 from __future__ import annotations
@@ -120,9 +121,7 @@ def _verdict(
 
 
 def is_identifiable(
-    efim: Efim | np.ndarray,
-    rel_tol: float = DEFAULT_REL_TOL,
-    config: ScenarioConfig | None = None,
+    efim: Efim | np.ndarray, rel_tol: float = DEFAULT_REL_TOL
 ) -> IdentifiabilityVerdict:
     """Positive-definiteness verdict on the balanced spectrum.
 
@@ -130,7 +129,7 @@ def is_identifiable(
     unit-diagonal balancing.
     """
     eigvals = balanced_eigvalsh(_as_matrix(efim))
-    return _verdict(eigvals[0], eigvals[-1], rel_tol, config)
+    return _verdict(eigvals[0], eigvals[-1], rel_tol, None)
 
 
 def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
@@ -182,22 +181,15 @@ def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVer
     return min(verdicts, key=key)
 
 
-def _trial_seeds(seed: int, n_trials: int) -> list[int]:
-    """:func:`derive_trial_seeds`, for a positive trial count."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    return derive_trial_seeds(seed, n_trials)
-
-
 def _nested_grams(
     configs: list[ScenarioConfig], trial_seeds: list[int]
-) -> Iterator[tuple[int, list[int], _GroupGrams]]:
+) -> Iterator[tuple[list[int], _GroupGrams]]:
     """The factor-route Grams of every configuration, trials outermost.
 
     Sampling is nested in the counts (:data:`GRID_AXES`), so configurations
     that differ only in their counts form one family: per trial it is sampled
-    and linked once, at the family's maxima.  Yields ``(trial, cells, grams)``
-    per trial, family and satellite count, in first-seen order: the indices of
+    and linked once, at the family's maxima.  Yields ``(cells, grams)`` per
+    trial, family and satellite count, in first-seen order: the indices of
     that count's configurations and one :class:`_GroupGrams` whose
     ``efim(n_bs, n_ant, n_slots)`` is bit for bit the EFIM of each of them.
     """
@@ -210,12 +202,37 @@ def _nested_grams(
         members = [configs[i] for cells in by_leo.values() for i in cells]
         counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
         plan.append((dataclasses.replace(members[0], **counts), by_leo))
-    for trial, trial_seed in enumerate(trial_seeds):
+    for trial_seed in trial_seeds:
         for largest, by_leo in plan:
             links = link_observables(random_scenario(largest, trial_seed), largest.case)
             for n_leo, cells in by_leo.items():
                 # One memo per satellite count: the Grams of no other count fit it.
-                yield trial, cells, _GroupGrams(links, n_leo, largest.case)
+                yield cells, _GroupGrams(links, n_leo, largest.case)
+
+
+def _trials(
+    configs: list[ScenarioConfig], seed: int, n_trials: int, rel_tol: float, with_bounds: bool
+) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
+    """``(verdict, bounds)`` per configuration and seeded trial.
+
+    The cells of one trial, family and satellite count (:func:`_nested_grams`)
+    share a dimension, so their verdicts come from one stacked
+    :func:`balanced_eigvalsh`.  A PD cell's bounds reuse that verdict; they are
+    ``None`` for a cell that is not PD, or without ``with_bounds``.  Trial
+    seeds derive from ``seed`` alone, so trials are paired across
+    configurations, and a trial count below one raises before any sampling.
+    """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    results: list[list] = [[] for _ in configs]
+    for cells, grams in _nested_grams(configs, derive_trial_seeds(seed, n_trials)):
+        efims = [grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
+        spectra = balanced_eigvalsh(np.stack([efim.matrix for efim in efims]))
+        for i, efim, eigvals in zip(cells, efims, spectra):
+            verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, configs[i])
+            bounds = _bounds(efim, rel_tol) if with_bounds and verdict.is_pd else None
+            results[i].append((verdict, bounds))
+    return results
 
 
 def identifiability_sweep(
@@ -237,51 +254,35 @@ def identifiability_sweep(
     Sampling is nested, so each trial is sampled and linked once, at the grid
     maxima.  Per satellite count, each offset group's centered Gram is built
     once per sub-count that slices it, and each cell sums those Grams: bit for
-    bit the EFIM of its own sampled scenario.  The cells of one satellite count
-    share a dimension, so their spectra come from one stacked call.
+    bit the EFIM of its own sampled scenario.
     """
     unknown = set(grid) - set(GRID_AXES)
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {GRID_AXES}")
-    trial_seeds = _trial_seeds(seed, n_trials)
     values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
     configs = [
         dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
         for counts in itertools.product(*values)
     ]
-
-    # (min, max) balanced eigenvalue per cell and trial.
-    extremes = np.empty((len(configs), n_trials, 2))
-    for trial, cells, grams in _nested_grams(configs, trial_seeds):
-        stack = np.stack([
-            grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots).matrix
-            for i in cells
-        ])
-        extremes[cells, trial] = balanced_eigvalsh(stack)[:, [0, -1]]
-
     table: list[IdentifiabilityVerdict] = []
-    for config, cell in zip(configs, extremes):
-        trials = [_verdict(lo, hi, rel_tol, config) for lo, hi in cell]
-        worst = _worst_verdict(trials)
-        table.append(dataclasses.replace(worst, is_pd=all(t.is_pd for t in trials)))
+    for trials in _trials(configs, seed, n_trials, rel_tol, with_bounds=False):
+        verdicts = [verdict for verdict, _ in trials]
+        worst = _worst_verdict(verdicts)
+        table.append(dataclasses.replace(worst, is_pd=all(v.is_pd for v in verdicts)))
     return table
 
 
 def _mean_reports(reports: list[CrlbReport]) -> CrlbReport:
-    n_leo = len(reports[0].leo_pos_offset_bound)
-    return CrlbReport(
-        pos_rmse_bound=float(np.mean([r.pos_rmse_bound for r in reports])),
-        vel_rmse_bound=float(np.mean([r.vel_rmse_bound for r in reports])),
-        orient_rmse_bound=float(np.mean([r.orient_rmse_bound for r in reports])),
-        leo_pos_offset_bound=tuple(
-            float(np.mean([r.leo_pos_offset_bound[b] for r in reports]))
-            for b in range(n_leo)
-        ),
-        leo_vel_offset_bound=tuple(
-            float(np.mean([r.leo_vel_offset_bound[b] for r in reports]))
-            for b in range(n_leo)
-        ),
-    )
+    """The trial mean of every bound, satellite by satellite."""
+
+    def mean(values) -> float:
+        return float(np.mean(values))
+
+    by_field = [[getattr(r, f.name) for r in reports] for f in dataclasses.fields(CrlbReport)]
+    return CrlbReport(*(
+        tuple(map(mean, zip(*values))) if isinstance(values[0], tuple) else mean(values)
+        for values in by_field
+    ))
 
 
 @dataclass(frozen=True)
@@ -335,30 +336,23 @@ def parameter_sweep(
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
-    trial_seeds = _trial_seeds(seed, n_trials)
     configs = [swept_config(template, axis, value) for value in values]
-
-    reports: list[list[CrlbReport]] = [[] for _ in configs]
-    verdicts: list[list[IdentifiabilityVerdict]] = [[] for _ in configs]
-    for _, cells, grams in _nested_grams(configs, trial_seeds):
-        for i in cells:
-            config = configs[i]
-            efim = grams.efim(config.n_bs, config.n_ant, config.n_slots)
-            verdict = is_identifiable(efim, rel_tol, config=config)
-            verdicts[i].append(verdict)
-            if verdict.is_pd:
-                reports[i].append(_bounds(efim, rel_tol))
-            else:
-                reports[i].append(CrlbReport.infinite(config.n_leo))
-    return [
-        SweepPoint(
+    points = []
+    for value, config, trials in zip(
+        values, configs, _trials(configs, seed, n_trials, rel_tol, with_bounds=True)
+    ):
+        verdicts = [verdict for verdict, _ in trials]
+        reports = [
+            report if report is not None else CrlbReport.infinite(config.n_leo)
+            for _, report in trials
+        ]
+        points.append(SweepPoint(
             axis=axis,
             value=float(value),
             config=config,
-            report=_mean_reports(value_reports),
+            report=_mean_reports(reports),
             n_trials=n_trials,
-            n_pd_trials=sum(v.is_pd for v in value_verdicts),
-            worst_verdict=_worst_verdict(value_verdicts),
-        )
-        for value, config, value_reports, value_verdicts in zip(values, configs, reports, verdicts)
-    ]
+            n_pd_trials=sum(v.is_pd for v in verdicts),
+            worst_verdict=_worst_verdict(verdicts),
+        ))
+    return points

@@ -36,6 +36,8 @@ import sys
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analysis import (
     DEFAULT_N_TRIALS,
     DEFAULT_REL_TOL,
@@ -43,16 +45,14 @@ from .analysis import (
     SWEEP_AXES,
     CrlbReport,
     IdentifiabilityVerdict,
-    _bounds,
+    _trials,
     identifiability_sweep,
-    is_identifiable,
     parameter_sweep,
     swept_config,
 )
 from .geometry import DegenerateGeometryError
 from .linalg import NumericalError
-from .location_fim import compute_efim
-from .scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
+from .scenario import Case, ScenarioConfig
 from .signals import snr_from_db
 
 COMMANDS = ("bound", "identifiability", "sweep")
@@ -415,22 +415,19 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _run_bound(config: RunConfig) -> tuple[list[dict], int]:
     template = config.scenario_config()
-    records = []
-    all_pd = True
-    for trial, trial_seed in enumerate(derive_trial_seeds(config.seed, config.n_trials)):
-        efim = compute_efim(random_scenario(template, trial_seed))
-        verdict = is_identifiable(efim, config.rel_tol, config=template)
-        report = _bounds(efim, config.rel_tol) if verdict.is_pd else None
-        all_pd = all_pd and verdict.is_pd
-        records.append(
-            _record("bound", config.seed, template, verdict, report, trial=trial)
-        )
+    (trials,) = _trials(
+        [template], config.seed, config.n_trials, config.rel_tol, with_bounds=True
+    )
+    records = [
+        _record("bound", config.seed, template, verdict, report, trial=trial)
+        for trial, (verdict, report) in enumerate(trials)
+    ]
     headers = ["trial", "is_pd", "pos [m]", "vel [m/s]", "orient [rad]",
                "leo_pos_off [m]", "leo_vel_off [m/s]"]
     columns = ("trial", "is_pd", *_BOUND_COLUMNS)
     rows = [[_fmt(r[c]) for c in columns] for r in records]
     _print_table(headers, rows)
-    return records, 0 if all_pd else 3
+    return records, 0 if all(verdict.is_pd for verdict, _ in trials) else 3
 
 
 def _run_identifiability(config: RunConfig) -> tuple[list[dict], int]:
@@ -492,6 +489,8 @@ def run_command(config: RunConfig) -> int:
     """Execute one command; print tables, write the output file, return exit code.
 
     The output path is probed before the run, so an unwritable one fails at once.
+    A floating-point overflow or invalid operation while computing is a
+    numerical failure, like a :class:`NumericalError`.
     """
     command = config.command
     if command not in COMMANDS:
@@ -507,13 +506,14 @@ def run_command(config: RunConfig) -> int:
     print("effective configuration:")
     print(json.dumps(effective_config_dict(config), indent=2))
     try:
-        if command == "bound":
-            records, status = _run_bound(config)
-        elif command == "identifiability":
-            records, status = _run_identifiability(config)
-        else:
-            records, status = _run_sweep(config)
-    except NumericalError as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            if command == "bound":
+                records, status = _run_bound(config)
+            elif command == "identifiability":
+                records, status = _run_identifiability(config)
+            else:
+                records, status = _run_sweep(config)
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except DegenerateGeometryError as exc:

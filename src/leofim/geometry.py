@@ -67,6 +67,20 @@ class EulerAngles:
         return np.array([self.alpha, self.psi, self.phi], dtype=float)
 
 
+def _elementary_rotations(angles: EulerAngles) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``(R_z, R_y, R_x)``, and their derivatives by their own angles."""
+    ca, sa = np.cos(angles.alpha), np.sin(angles.alpha)
+    cp, sp = np.cos(angles.psi), np.sin(angles.psi)
+    cr, sr = np.cos(angles.phi), np.sin(angles.phi)
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    drz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
+    dry = np.array([[-sp, 0.0, cp], [0.0, 0.0, 0.0], [-cp, 0.0, -sp]])
+    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sr, -cr], [0.0, cr, -sr]])
+    return (rz, ry, rx), (drz, dry, drx)
+
+
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     """Rotation matrix ``Q = R_z(alpha) @ R_y(psi) @ R_x(phi)``.
 
@@ -80,12 +94,7 @@ def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     numpy.ndarray
         Proper orthogonal matrix of shape ``(3, 3)``.
     """
-    ca, sa = np.cos(angles.alpha), np.sin(angles.alpha)
-    cp, sp = np.cos(angles.psi), np.sin(angles.psi)
-    cr, sr = np.cos(angles.phi), np.sin(angles.phi)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    (rz, ry, rx), _ = _elementary_rotations(angles)
     return rz @ ry @ rx
 
 
@@ -98,15 +107,7 @@ def rotation_matrix_partials(angles: EulerAngles) -> np.ndarray:
         Array of shape ``(3, 3, 3)``; entry ``[i]`` is ``dQ/d(angle_i)`` with
         angles ordered (alpha, psi, phi).
     """
-    ca, sa = np.cos(angles.alpha), np.sin(angles.alpha)
-    cp, sp = np.cos(angles.psi), np.sin(angles.psi)
-    cr, sr = np.cos(angles.phi), np.sin(angles.phi)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    drz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
-    dry = np.array([[-sp, 0.0, cp], [0.0, 0.0, 0.0], [-cp, 0.0, -sp]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sr, -cr], [0.0, cr, -sr]])
+    (rz, ry, rx), (drz, dry, drx) = _elementary_rotations(angles)
     return np.stack([drz @ ry @ rx, rz @ dry @ rx, rz @ ry @ drx])
 
 

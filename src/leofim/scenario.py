@@ -13,7 +13,8 @@ from its own child stream, and each satellite track is drawn slot by slot, so
 sampling is nested: a scenario at smaller counts (satellites, stations,
 antennas, slots) is bit for bit a prefix of the larger one.  Growing the array
 keeps existing antennas in place, which makes "more antennas never hurt" hold
-exactly, and identifiability sweeps sample each trial once, at the grid maxima.
+exactly, and lets identifiability sweeps and ``n_ant`` parameter sweeps sample
+each trial once per family of configurations, at the family's largest counts.
 """
 
 from __future__ import annotations

@@ -141,7 +141,9 @@ def _per_cell_sweep(grid, template, seed, n_trials):
     for counts in itertools.product(*values):
         config = dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
         trials = [
-            is_identifiable(compute_efim(random_scenario(config, s)), config=config)
+            dataclasses.replace(
+                is_identifiable(compute_efim(random_scenario(config, s))), config=config
+            )
             for s in derive_trial_seeds(seed, n_trials)
         ]
         worst = min(
@@ -211,16 +213,28 @@ def test_parameter_sweep_snr_scaling():
     )
 
 
-def test_parameter_sweep_bounds_reuse_the_trial_verdict(monkeypatch):
-    """One balanced spectrum per trial: the bounds do not decide again."""
+def _two_trial_sweep_spectra(monkeypatch, axis, values):
+    """A two-trial parameter sweep's points, and its balanced spectrum calls."""
     import leofim.analysis as analysis
 
     spectra = []
     original = analysis.balanced_eigvalsh
     monkeypatch.setattr(analysis, "balanced_eigvalsh", lambda m: spectra.append(m) or original(m))
-    points = parameter_sweep("snr_db", [10.0, 20.0], WIDE, seed=5, n_trials=2)
+    return parameter_sweep(axis, values, WIDE, seed=5, n_trials=2), len(spectra)
+
+
+def test_parameter_sweep_bounds_reuse_the_trial_verdict(monkeypatch):
+    """One balanced spectrum per trial: the bounds do not decide again."""
+    points, n_spectra = _two_trial_sweep_spectra(monkeypatch, "snr_db", [10.0, 20.0])
     assert [p.n_pd_trials for p in points] == [2, 2]
-    assert len(spectra) == 4
+    assert n_spectra == 4
+
+
+def test_parameter_sweep_decides_a_trials_antenna_counts_in_one_spectrum(monkeypatch):
+    """Antenna counts slice one sample per trial, so one stacked call decides them."""
+    points, n_spectra = _two_trial_sweep_spectra(monkeypatch, "n_ant", [4, 8, 2])
+    assert [p.n_pd_trials for p in points] == [2, 2, 0]
+    assert n_spectra == 2
 
 
 def _per_value_sweep(axis, values, template, seed, n_trials):
@@ -231,7 +245,7 @@ def _per_value_sweep(axis, values, template, seed, n_trials):
         verdicts, reports = [], []
         for s in derive_trial_seeds(seed, n_trials):
             efim = compute_efim(random_scenario(config, s))
-            verdicts.append(is_identifiable(efim, config=config))
+            verdicts.append(dataclasses.replace(is_identifiable(efim), config=config))
             try:
                 reports.append(crlb(efim))
             except NotIdentifiableError:

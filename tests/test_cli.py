@@ -184,19 +184,19 @@ def test_bound_exit_3_when_not_identifiable(tmp_path, capsys):
 
 def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     """A station sitting on the array reference point is reported as exit 4."""
-    import leofim.cli as cli_module
+    import leofim.analysis as analysis
     from leofim.geometry import BsState
 
     from _oracle import receiver_reference
 
-    sample = cli_module.random_scenario
+    sample = analysis.random_scenario
 
     def station_on_receiver(config, seed):
         sc = sample(config, seed)
         point = receiver_reference(sc.receiver, 1, sc.grid)
         return dataclasses.replace(sc, bss=(BsState(position=point),) + sc.bss[1:])
 
-    monkeypatch.setattr(cli_module, "random_scenario", station_on_receiver)
+    monkeypatch.setattr(analysis, "random_scenario", station_on_receiver)
     out = tmp_path / "bounds.csv"
     path = _write_config(tmp_path, {"n_trials": 1, "out": str(out)})
     assert main(["--config", path]) == 4
@@ -206,8 +206,6 @@ def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
-# The weights overflow at these SNRs, and numpy warns as they do.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "settings",
     [

@@ -25,15 +25,21 @@ in both cases.  ``parameter_sweep`` is fingerprinted per point (the worst
 verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
 bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
 and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
-both cases.
+both cases.  ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its
+stdout (with the temporary output path replaced) and its exit code for every
+``benches/configs/*.json`` at seeds 42 and 7.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +57,7 @@ PARAMETER_TEMPLATE = dict(
     n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5
 )
 PARAMETER_SWEEPS = {"n_ant": [4, 16, 64], "carrier_freq_hz": [10e9, 28e9, 40e9]}
+CLI_CONFIGS = Path(__file__).resolve().parents[1] / "benches" / "configs"
 JAC_FIELDS = (
     "dtau_dp", "dtau_dvu", "dtau_dphi", "dtau_dpcheck", "dtau_dvcheck",
     "dnu_dp", "dnu_dvu", "dnu_dpcheck", "dnu_dvcheck",
@@ -60,6 +67,26 @@ JAC_FIELDS = (
 def fingerprint(array) -> str:
     arr = np.ascontiguousarray(array, dtype=float)
     return f"{arr.shape}:{hashlib.sha256(arr.tobytes()).hexdigest()[:32]}"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _cli(out: dict) -> None:
+    from leofim.cli import main
+
+    with tempfile.TemporaryDirectory() as scratch:
+        csv_path = Path(scratch) / "out.csv"
+        for config, seed in itertools.product(sorted(CLI_CONFIGS.glob("*.json")), SEEDS):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                status = main(["--config", str(config), "--seed", str(seed), "--out", str(csv_path)])
+            tag = f"s{seed}/cli/{config.stem}"
+            out[f"{tag}/exit"] = str(status)
+            out[f"{tag}/stdout"] = _digest(stdout.getvalue().replace(str(csv_path), "<out>").encode())
+            out[f"{tag}/csv"] = _digest(csv_path.read_bytes()) if csv_path.exists() else "absent"
+            csv_path.unlink(missing_ok=True)
 
 
 def _scenario(scenario, out: dict, tag: str) -> None:
@@ -148,6 +175,7 @@ def dump() -> dict:
                 r.pos_rmse_bound, r.vel_rmse_bound, r.orient_rmse_bound,
                 *r.leo_pos_offset_bound, *r.leo_vel_offset_bound,
             ])
+    _cli(out)
     return out
 
 
