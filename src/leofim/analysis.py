@@ -7,9 +7,11 @@ configuration counts as identifiable only if every one of its random trial
 geometries is positive definite — a single lucky geometry is not enough.
 Every trial is decided in one place (:func:`_trials`, which both sweeps and
 the CLI ``bound`` command use): configurations that differ only in their
-counts share one sampled and linked trial, each sums memoized offset-group
-Grams, bit for bit the EFIM of its own sampled scenario, and the verdicts of
-one (trial, family, satellite count) come from one stacked eigenvalue call.
+counts form a family whose trials are each sampled and linked once and
+stacked on a trial axis; each offset-group Gram is built once for all the
+family's trials and every configuration that slices it, each configuration's
+EFIM is bit for bit that of its own sampled scenario, and the verdicts of one
+(family, satellite count) come from one stacked eigenvalue call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import link_observables
-from .location_fim import Efim, _GroupGrams
+from .location_fim import Efim, _GroupGrams, _stacked_pools
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 
@@ -152,7 +154,7 @@ def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
 def _bounds(efim: Efim, rel_tol: float) -> CrlbReport:
     """:func:`crlb` of an EFIM whose verdict at ``rel_tol`` is already PD."""
     layout: LocationLayout = efim.layout
-    inverse, _ = invert_psd(efim.matrix, floor_rel=rel_tol)
+    inverse = invert_psd(efim.matrix, floor_rel=rel_tol)
 
     def block_bound(sl: slice) -> float:
         return float(np.sqrt(np.trace(inverse[sl, sl])))
@@ -184,54 +186,70 @@ def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVer
 def _nested_grams(
     configs: list[ScenarioConfig], trial_seeds: list[int]
 ) -> Iterator[tuple[list[int], _GroupGrams]]:
-    """The factor-route Grams of every configuration, trials outermost.
+    """The factor-route Grams of every configuration, families outermost.
 
     Sampling is nested in the counts (:data:`GRID_AXES`), so configurations
-    that differ only in their counts form one family: per trial it is sampled
-    and linked once, at the family's maxima.  Yields ``(cells, grams)`` per
-    trial, family and satellite count, in first-seen order: the indices of
-    that count's configurations and one :class:`_GroupGrams` whose
-    ``efim(n_bs, n_ant, n_slots)`` is bit for bit the EFIM of each of them.
+    that differ only in their counts form one family: each of its trials is
+    sampled and linked once, at the family's maxima, and its links are
+    stacked with the family's other trials before the next is sampled.
+    Yields ``(cells, grams)`` per family and satellite count, in first-seen
+    order: the indices of that count's configurations and one
+    :class:`_GroupGrams` whose ``efims`` are bit for bit the EFIMs of each of
+    them in every trial.
     """
     families: dict[tuple, dict[int, list[int]]] = {}
     for i, config in enumerate(configs):
         key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
         families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
-    plan = []
     for by_leo in families.values():
         members = [configs[i] for cells in by_leo.values() for i in cells]
         counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
-        plan.append((dataclasses.replace(members[0], **counts), by_leo))
-    for trial_seed in trial_seeds:
-        for largest, by_leo in plan:
-            links = link_observables(random_scenario(largest, trial_seed), largest.case)
-            for n_leo, cells in by_leo.items():
-                # One memo per satellite count: the Grams of no other count fit it.
-                yield cells, _GroupGrams(links, n_leo, largest.case)
+        largest = dataclasses.replace(members[0], **counts)
+        trials = (
+            link_observables(random_scenario(largest, seed), largest.case) for seed in trial_seeds
+        )
+        pools = _stacked_pools(trials, len(trial_seeds))
+        for n_leo, cells in by_leo.items():
+            # One set of Grams per satellite count: no other count's fit it.
+            yield cells, _GroupGrams(pools, n_leo, largest.case)
+
+
+def _decide(
+    grams: _GroupGrams, configs: list[ScenarioConfig], rel_tol: float, with_bounds: bool
+) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
+    """``(verdict, bounds)`` per trial of each of ``configs``, all of one
+    family and satellite count, whose verdicts come from one stacked
+    :func:`balanced_eigvalsh`.  A PD cell's bounds reuse that verdict; they
+    are ``None`` for a cell that is not PD, or without ``with_bounds``."""
+    efims = grams.efims([(c.n_bs, c.n_ant, c.n_slots) for c in configs])
+    results = []
+    for config, matrices, spectra in zip(configs, efims, balanced_eigvalsh(efims)):
+        trials = []
+        for matrix, eigvals in zip(matrices, spectra):
+            verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, config)
+            bounds = None
+            if with_bounds and verdict.is_pd:
+                bounds = _bounds(Efim(matrix, grams.layout, grams.case), rel_tol)
+            trials.append((verdict, bounds))
+        results.append(trials)
+    return results
 
 
 def _trials(
     configs: list[ScenarioConfig], seed: int, n_trials: int, rel_tol: float, with_bounds: bool
 ) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
-    """``(verdict, bounds)`` per configuration and seeded trial.
-
-    The cells of one trial, family and satellite count (:func:`_nested_grams`)
-    share a dimension, so their verdicts come from one stacked
-    :func:`balanced_eigvalsh`.  A PD cell's bounds reuse that verdict; they are
-    ``None`` for a cell that is not PD, or without ``with_bounds``.  Trial
-    seeds derive from ``seed`` alone, so trials are paired across
+    """``(verdict, bounds)`` per configuration and seeded trial, decided per
+    family and satellite count (:func:`_nested_grams`, :func:`_decide`).
+    Trial seeds derive from ``seed`` alone, so trials are paired across
     configurations, and a trial count below one raises before any sampling.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     results: list[list] = [[] for _ in configs]
     for cells, grams in _nested_grams(configs, derive_trial_seeds(seed, n_trials)):
-        efims = [grams.efim(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
-        spectra = balanced_eigvalsh(np.stack([efim.matrix for efim in efims]))
-        for i, efim, eigvals in zip(cells, efims, spectra):
-            verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, configs[i])
-            bounds = _bounds(efim, rel_tol) if with_bounds and verdict.is_pd else None
-            results[i].append((verdict, bounds))
+        decided = _decide(grams, [configs[i] for i in cells], rel_tol, with_bounds)
+        for i, trials in zip(cells, decided):
+            results[i] = trials
     return results
 
 
@@ -253,8 +271,8 @@ def identifiability_sweep(
 
     Sampling is nested, so each trial is sampled and linked once, at the grid
     maxima.  Per satellite count, each offset group's centered Gram is built
-    once per sub-count that slices it, and each cell sums those Grams: bit for
-    bit the EFIM of its own sampled scenario.
+    once for all trials and every sub-count that slices it, and each cell sums
+    those Grams: bit for bit the EFIM of its own sampled scenario.
     """
     unknown = set(grid) - set(GRID_AXES)
     if unknown:

@@ -17,9 +17,14 @@ class NumericalError(RuntimeError):
 
 
 def sym(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric part of a matrix, or of each matrix of a stack (cheap guard
-    against accumulated asymmetry)."""
-    return 0.5 * (matrix + matrix.mT)
+    """Overwrite a matrix, or each matrix of a stack, with its symmetric part
+    ``(A + A^T) / 2`` (cheap guard against accumulated asymmetry), and return
+    it.  It goes one entry of the leading axis at a time, so the copy that
+    adding a transposed view of itself takes stays that small."""
+    for block in matrix if matrix.ndim > 2 else [matrix]:
+        block += block.mT
+        block *= 0.5
+    return matrix
 
 
 def balance_scale(matrix: np.ndarray) -> np.ndarray:
@@ -31,6 +36,14 @@ def balance_scale(matrix: np.ndarray) -> np.ndarray:
     scale = np.ones_like(diag)
     scale[positive] = 1.0 / np.sqrt(diag[positive])
     return scale
+
+
+def _balanced(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Symmetric part of ``diag(scale) A diag(scale)`` per matrix, as one new
+    stack."""
+    balanced = matrix * scale[..., :, None]
+    balanced *= scale[..., None, :]
+    return sym(balanced)
 
 
 def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
@@ -49,22 +62,14 @@ def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
         raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
     if matrix.shape[-1] == 0:
         return np.zeros(matrix.shape[:-1])
-    scale = balance_scale(matrix)
-    balanced = sym(matrix * scale[..., :, None] * scale[..., None, :])
-    return np.linalg.eigvalsh(balanced)
+    return np.linalg.eigvalsh(_balanced(matrix, balance_scale(matrix)))
 
 
-def invert_psd(matrix: np.ndarray, floor_rel: float) -> tuple[np.ndarray, bool]:
+def invert_psd(matrix: np.ndarray, floor_rel: float) -> np.ndarray:
     """Invert a symmetric PSD matrix via its balanced eigendecomposition.
 
-    Eigenvalues of the balanced matrix below ``floor_rel * max_eig`` are
-    treated as zero information and excluded (pseudo-inverse), which is
-    reported through the second return value.
-
-    Returns
-    -------
-    (numpy.ndarray, bool)
-        The (pseudo-)inverse, and whether any eigenvalue was floored.
+    Eigenvalues of the balanced matrix at or below ``floor_rel * max_eig``
+    are treated as zero information and excluded (pseudo-inverse).
 
     Raises
     ------
@@ -73,25 +78,21 @@ def invert_psd(matrix: np.ndarray, floor_rel: float) -> tuple[np.ndarray, bool]:
         i.e. the input was not PSD to working precision.
     """
     if matrix.shape[0] == 0:
-        return np.zeros_like(matrix), False
+        return np.zeros_like(matrix)
     scale = balance_scale(matrix)
-    balanced = sym(matrix * scale[:, None] * scale[None, :])
-    eigvals, eigvecs = np.linalg.eigh(balanced)
+    eigvals, eigvecs = np.linalg.eigh(_balanced(matrix, scale))
     top = float(eigvals[-1])
     if top <= 0.0:
         # No positive information at all: the pseudo-inverse is zero.
         if float(eigvals[0]) < -1e-6:
             raise NumericalError("matrix is indefinite, not PSD")
-        return np.zeros_like(matrix), True
+        return np.zeros_like(matrix)
     if float(eigvals[0]) < -1e-6 * top:
         raise NumericalError(
             f"matrix is indefinite (min/max eigenvalue {eigvals[0] / top:.3e})"
         )
     floor = floor_rel * top
     keep = eigvals > floor
-    used_pseudo = bool(np.any(~keep))
     inv_vals = np.zeros_like(eigvals)
     inv_vals[keep] = 1.0 / eigvals[keep]
-    inv_balanced = (eigvecs * inv_vals[None, :]) @ eigvecs.T
-    inverse = inv_balanced * scale[:, None] * scale[None, :]
-    return sym(inverse), used_pseudo
+    return _balanced((eigvecs * inv_vals[None, :]) @ eigvecs.T, scale)

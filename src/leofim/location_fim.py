@@ -8,7 +8,11 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   rows at their weighted mean (the station network's shared offsets pool
   their rows first), and the EFIM is the Gram matrix ``F^T F`` of the stacked
   centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
-  difference is formed, so no digit is lost to cancellation;
+  difference is formed, so no digit is lost to cancellation.  The route runs
+  on a leading trial axis (:class:`_GroupGrams`): the sweeps stack the trials
+  of one configuration family and build each group's Gram once for all of
+  them and every sub-count that slices it; :func:`compute_efim` is the
+  one-trial, one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
   coordinates (gains and offsets of every link) are marginalized by a Schur
@@ -25,13 +29,15 @@ transcription errors, and the tests check them against each other.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import NumericalError, sym
-from .links import LinkKind, LinkObservables, link_observables
+from .links import LinkJacobians, LinkKind, LinkObservables, link_observables
 from .scenario import Case, Scenario
 from .transform import LocationLayout, kappa1_blocks
 
@@ -61,21 +67,17 @@ class Efim:
     case: Case
 
 
-def _link_weights(
-    obs: LinkObservables, n_rows: int | None = None, n_slots: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay, Doppler and frequency-offset weights of one link, flat, on its
-    first ``n_rows`` elements and ``n_slots`` slots (all by default).
+def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay, Doppler and frequency-offset weights of one link, flat.
 
     Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
     observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
     and ``snr_k * a_o^2 / 2`` per Doppler observation (for array links
-    ``snr_k`` sums the slot's SNR over the kept antennas, since the shift is
+    ``snr_k`` sums the slot's SNR over the antennas, since the shift is
     common to the array).
     """
-    grid = np.s_[:n_rows, :n_slots]
-    snr = obs.snr[grid]
-    w_tau = snr * obs.omega[grid if obs.per_row_doppler else np.s_[:n_slots]]
+    snr = obs.snr
+    w_tau = snr * obs.omega
     snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
     half_ao2 = 0.5 * obs.rms_duration**2
     w_nu = snr_dop * obs.carrier_freq**2 * half_ao2
@@ -224,45 +226,148 @@ def efim_schur_route(
 
 
 def compute_efim(scenario: Scenario) -> Efim:
-    """The EFIM of a scenario by the factor route (:class:`_GroupGrams`)."""
-    grams = _GroupGrams(link_observables(scenario, scenario.case), scenario.n_leo, scenario.case)
-    return grams.efim(scenario.n_bs, scenario.n_ant, scenario.n_slots)
+    """The EFIM of a scenario by the factor route (:class:`_GroupGrams`): one
+    trial, one cell."""
+    pools = _stacked_pools([link_observables(scenario, scenario.case)], 1)
+    grams = _GroupGrams(pools, scenario.n_leo, scenario.case)
+    matrix = grams.efims([(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
+    return Efim(matrix=matrix, layout=grams.layout, case=scenario.case)
 
 
-def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """``F^T F`` of one offset group's rows ``F = sqrt(w) (g - g_bar)``, with
-    ``g_bar`` the ``w``-weighted mean row; ``None`` if the weights sum to
-    ``<= 0``, which informs nothing.  A sum that overflows a double raises
-    :class:`NumericalError`: dividing by it would silently drop the mean."""
-    total = w.sum()
-    if not math.isfinite(total):
+def _centered_gram(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``F^T F`` per trial of one offset group's rows ``F = sqrt(w) (g -
+    g_bar)``, with ``g_bar`` the ``w``-weighted mean row.
+
+    ``g (T, n, dim)`` is overwritten; ``w`` is ``(T, n)``, or ``(1, n)`` when
+    it holds in every trial.  Returns ``(live, grams)``: a mask of the
+    trials whose weights sum to ``> 0`` (one entry for all trials when ``w``
+    has one row), and their Grams; a trial whose weights do not is
+    informed by nothing, and ``None`` means no trial is.  A sum that overflows
+    a double raises :class:`NumericalError`: dividing by it would silently
+    drop the mean.
+    """
+    total = w.sum(axis=-1)
+    if not np.isfinite(total).all():
         raise NumericalError("an offset group's weights sum beyond double range")
-    if not total > 0.0:
+    live = total > 0.0
+    if not live.any():
         return None
-    f = np.sqrt(w)[:, None] * (g - (w @ g) / total)
-    return f.T @ f
+    if not live.all():
+        g, w, total = g[live], w[live], total[live]
+    g -= (w[:, None, :] @ g) / total[:, None, None]
+    g *= np.sqrt(w)[:, :, None]
+    return live, g.mT @ g
 
 
-def _sliced_groups(
-    obs: LinkObservables, g_tau: np.ndarray, g_nu: np.ndarray, n_rows: int, n_slots: int
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """``((g_tau, w_tau), (g_nu, w_nu))``, rows flat, of a link on its first
-    ``n_rows`` elements and ``n_slots`` slots, from its rows shaped like its
-    ``snr`` (delays) and ``omega`` (Dopplers) grids."""
-    grid = np.s_[:n_rows, :n_slots]
-    doppler = grid if obs.per_row_doppler else np.s_[:n_slots]
-    w_tau, w_nu, _ = _link_weights(obs, n_rows, n_slots)
-    dim = g_tau.shape[-1]
-    return (g_tau[grid].reshape(-1, dim), w_tau), (g_nu[doppler].reshape(-1, dim), w_nu)
+@dataclass(frozen=True)
+class _Pool:
+    """One offset pair's observations, stacked over a leading trial axis: one
+    link's, or the station-receiver links' pooled along a station axis.
+    :func:`.kappa1_blocks` reads its ``jacobians`` and ``index`` as a link's.
+
+    Arrays lie on the pool's grid ``(members, rows, slots)``: a link is one
+    member (the station pool has one per station), and rows are antennas, or
+    stations for a satellite-station link.  An array link's Doppler Jacobians
+    and ``omega`` have one row, the array reference point.  ``omega (T, ...)``
+    and every Jacobian ``(T, ..., 3)`` lead with the trial axis; ``snr`` and
+    the members' ``carrier_sq`` and ``half_ao2`` ``(members, 1, 1)`` are
+    configuration values, the same in every trial, and come from the first.
+    """
+
+    kind: LinkKind
+    index: int
+    jacobians: LinkJacobians
+    omega: np.ndarray
+    snr: np.ndarray
+    carrier_sq: np.ndarray
+    half_ao2: np.ndarray
+
+    @classmethod
+    def allocate(cls, members: list[LinkObservables], n_trials: int) -> "_Pool":
+        """An unfilled pool of ``n_trials`` trials shaped like ``members``."""
+
+        def stack(array: np.ndarray | None, rank: int) -> np.ndarray | None:
+            if array is None:
+                return None
+            grid = array.shape if array.ndim == rank else (1, *array.shape)
+            return np.empty((n_trials, len(members), *grid))
+
+        first = members[0]
+        jac = first.jacobians
+        return cls(
+            kind=first.kind,
+            index=first.index,
+            jacobians=LinkJacobians(
+                *(stack(getattr(jac, f.name), 3) for f in dataclasses.fields(jac))
+            ),
+            omega=stack(first.omega, 2),
+            snr=np.stack([obs.snr for obs in members]),
+            carrier_sq=np.array([obs.carrier_freq**2 for obs in members]).reshape(-1, 1, 1),
+            half_ao2=np.array([0.5 * obs.rms_duration**2 for obs in members]).reshape(-1, 1, 1),
+        )
+
+    def write(self, trial: int, members: list[LinkObservables]) -> None:
+        """Copy one trial's ``omega`` and Jacobians of ``members`` in."""
+        for m, obs in enumerate(members):
+            self.omega[trial, m] = obs.omega
+            for f in dataclasses.fields(LinkJacobians):
+                stack = getattr(self.jacobians, f.name)
+                if stack is not None:
+                    stack[trial, m] = getattr(obs.jacobians, f.name)
+
+    def key(self, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
+        """The members, rows and slots a sub-count keeps."""
+        members = n_bs if self.kind is LinkKind.BS_RX else 1
+        return members, n_bs if self.kind is LinkKind.LEO_BS else n_ant, n_slots
+
+    def groups(
+        self, layout: LocationLayout, key: tuple[int, int, int], trials: slice
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first
+        ``key`` members, rows and slots: the delay and Doppler groups' rows
+        ``(T, n, dim)`` in interest coordinates, zero outside the blocks they
+        inform, flat in grid order, and their weights (see
+        :func:`_link_weights`) ``(T, n)``, or ``(1, n)`` for the Doppler
+        weights, which hold in every trial."""
+        grid = tuple(slice(n) for n in key)
+        stacked = (trials, *grid)
+        omega = self.omega[stacked]
+        n_trials = omega.shape[0]
+        snr = self.snr[grid]
+        w_tau = (snr * omega).reshape(n_trials, -1)
+        snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
+        w_nu = (snr_dop * self.carrier_sq[grid[0]] * self.half_ao2[grid[0]]).reshape(1, -1)
+        g_tau = np.zeros((n_trials, w_tau.shape[1], layout.dim_interest))
+        g_nu = np.zeros((n_trials, w_nu.shape[1], layout.dim_interest))
+        for cols, dtau, dnu in kappa1_blocks(layout, self):
+            g_tau[..., cols] = dtau[stacked].reshape(n_trials, -1, 3)
+            if dnu is not None:
+                g_nu[..., cols] = dnu[stacked].reshape(n_trials, -1, 3)
+        return [(g_tau, w_tau), (g_nu, w_nu)]
 
 
-def _joined(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-    """A pool's parts as one array, copied only when there are several."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _stacked_pools(trials: Iterable[list[LinkObservables]], n_trials: int) -> list[_Pool]:
+    """The offset pools of ``n_trials`` trials' links, in link order with the
+    station pool last, filled one trial at a time.  Every trial must have the
+    same links on the same grids, as the trials of one configuration do."""
+    pools: list[_Pool] = []
+    for trial, links in enumerate(trials):
+        groups = [[obs] for obs in links if obs.kind is not LinkKind.BS_RX]
+        stations = [obs for obs in links if obs.kind is LinkKind.BS_RX]
+        groups += [stations] if stations else []
+        if not pools:
+            pools = [_Pool.allocate(members, n_trials) for members in groups]
+        for pool, members in zip(pools, groups, strict=True):
+            pool.write(trial, members)
+    return pools
+
+
+# About how many bytes of dense rows one offset group builds at once.
+_ROW_BYTES = 1 << 19
 
 
 class _GroupGrams:
-    """The factor route over one scenario's links at ``n_leo`` satellites,
+    """The factor route over stacked trials' links at ``n_leo`` satellites,
     for every sub-count of stations, antennas and slots.
 
     Each offset group (a link's delay rows with ``w_tau``, its Doppler rows
@@ -273,46 +378,40 @@ class _GroupGrams:
     without forming the difference.
 
     Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
-    first elements and slots of these links.  Rows are built once per link,
-    shaped like its observation grids (``links`` and ``stations`` hold
-    ``(obs, g_tau, g_nu)``); a sub-count slices them and its weights, and each
-    group's Gram is built once per sub-count that slices it.  The sum is bit
-    for bit the EFIM of the scenario sampled at that sub-count.
+    first elements and slots of these links, and every trial of a family has
+    the same shapes.  Each group's Gram is built once for all trials and every
+    sub-count that slices it the same way.  The sum is bit for bit the EFIM of
+    each trial's scenario sampled at that sub-count.
     """
 
-    def __init__(self, links: list[LinkObservables], n_leo: int, case: Case):
+    def __init__(self, pools: list[_Pool], n_leo: int, case: Case):
         self.layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
         self.case = case
-        self.links: list[tuple[LinkObservables, np.ndarray, np.ndarray]] = []
-        self.stations: list[tuple[LinkObservables, np.ndarray, np.ndarray]] = []
-        dim = self.layout.dim_interest
-        for obs in links:
-            if obs.kind is not LinkKind.BS_RX and obs.index >= n_leo:
-                continue
-            g_tau, g_nu = _rows(self.layout, obs)
-            # Explicit widths: a link to zero stations has no rows to infer them from.
-            rows = (obs, g_tau.reshape(*obs.snr.shape, dim), g_nu.reshape(*obs.omega.shape, dim))
-            (self.stations if obs.kind is LinkKind.BS_RX else self.links).append(rows)
-        self._memo: dict[tuple, list[np.ndarray]] = {}
+        self.pools = [p for p in pools if p.kind is LinkKind.BS_RX or p.index < n_leo]
 
-    def efim(self, n_bs: int, n_ant: int, n_slots: int) -> Efim:
-        """The EFIM at ``n_bs`` stations, ``n_ant`` antennas and ``n_slots``
-        slots: the group Grams summed in link order, the station pool last."""
-        pools = [
-            ((obs.kind, obs.index), [(obs, *grids)], n_bs if obs.per_row_doppler else n_ant)
-            for obs, *grids in self.links
-        ]
-        pools.append(((LinkKind.BS_RX, n_bs), self.stations[:n_bs], n_ant))
+    def efims(self, counts: list[tuple[int, int, int]]) -> np.ndarray:
+        """The EFIMs ``(cells, T, dim, dim)`` of every trial at each cell's
+        ``(n_bs, n_ant, n_slots)``.  Pools go in link order, the station pool
+        last; within a pool each distinct sub-count's Grams are built once and
+        added to every cell that keeps it, so each cell sums its groups in the
+        same order as a scenario sampled at its own counts.  Trials are taken
+        a few at a time where one trial's rows are large, which bounds the
+        dense rows held at once."""
         dim = self.layout.dim_interest
-        gram = np.zeros((dim, dim))
-        for pool, members, n_rows in pools:
-            key = (*pool, n_rows, n_slots)
-            if key not in self._memo:
-                sliced = [_sliced_groups(*rows, n_rows, n_slots) for rows in members]
-                # The members' delay groups pool into one, their Doppler groups
-                # into another; a pool without members has no groups.
-                parts = (_centered_gram(*map(_joined, zip(*group))) for group in zip(*sliced))
-                self._memo[key] = [part for part in parts if part is not None]
-            for part in self._memo[key]:
-                gram += part
-        return Efim(matrix=sym(gram), layout=self.layout, case=self.case)
+        n_trials = self.pools[0].omega.shape[0]
+        out = np.zeros((len(counts), n_trials, dim, dim))
+        for pool in self.pools:
+            cells_by_key: dict[tuple[int, int, int], list[int]] = {}
+            for cell, sub_count in enumerate(counts):
+                cells_by_key.setdefault(pool.key(*sub_count), []).append(cell)
+            for key, cells in cells_by_key.items():
+                cell_index = np.array(cells)[:, None]
+                step = max(1, _ROW_BYTES // (8 * dim * max(1, math.prod(key))))
+                for start in range(0, n_trials, step):
+                    trials = np.arange(start, min(start + step, n_trials))
+                    for g, w in pool.groups(self.layout, key, slice(start, start + step)):
+                        centered = _centered_gram(g, w)
+                        if centered is not None:
+                            live, gram = centered
+                            out[cell_index, trials if live.all() else trials[live]] += gram
+        return sym(out)

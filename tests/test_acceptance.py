@@ -235,9 +235,10 @@ def test_acceptance_5_structural_invariants():
         efim = compute_efim(scenario)
         assert is_identifiable(efim).is_pd
         n1 = efim.layout.dim_interest
-        inv_full, flagged_full = invert_psd(j_kappa, floor_rel=1e-12)
-        inv_efim, flagged_efim = invert_psd(efim.matrix, floor_rel=1e-12)
-        assert not flagged_full and not flagged_efim
+        # No eigenvalue is floored: both inverses are full inverses.
+        assert is_identifiable(j_kappa, 1e-12).is_pd and is_identifiable(efim, 1e-12).is_pd
+        inv_full = invert_psd(j_kappa, floor_rel=1e-12)
+        inv_efim = invert_psd(efim.matrix, floor_rel=1e-12)
         err = np.linalg.norm(inv_efim - inv_full[:n1, :n1], "fro") / np.linalg.norm(
             inv_efim, "fro"
         )

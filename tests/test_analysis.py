@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -213,28 +214,34 @@ def test_parameter_sweep_snr_scaling():
     )
 
 
-def _two_trial_sweep_spectra(monkeypatch, axis, values):
-    """A two-trial parameter sweep's points, and its balanced spectrum calls."""
+def _two_trial_sweep_decisions(monkeypatch, axis, values):
+    """A two-trial parameter sweep's points, and how many matrices its
+    balanced spectrum calls decide (a stack counts each of its matrices)."""
     import leofim.analysis as analysis
 
-    spectra = []
+    decided = []
     original = analysis.balanced_eigvalsh
-    monkeypatch.setattr(analysis, "balanced_eigvalsh", lambda m: spectra.append(m) or original(m))
-    return parameter_sweep(axis, values, WIDE, seed=5, n_trials=2), len(spectra)
+    monkeypatch.setattr(
+        analysis, "balanced_eigvalsh", lambda m: decided.append(m.shape[:-2]) or original(m)
+    )
+    points = parameter_sweep(axis, values, WIDE, seed=5, n_trials=2)
+    return points, sum(math.prod(shape) for shape in decided)
 
 
 def test_parameter_sweep_bounds_reuse_the_trial_verdict(monkeypatch):
-    """One balanced spectrum per trial: the bounds do not decide again."""
-    points, n_spectra = _two_trial_sweep_spectra(monkeypatch, "snr_db", [10.0, 20.0])
+    """Each (value, trial) is decided exactly once: the bounds do not decide
+    again."""
+    points, n_decided = _two_trial_sweep_decisions(monkeypatch, "snr_db", [10.0, 20.0])
     assert [p.n_pd_trials for p in points] == [2, 2]
-    assert n_spectra == 4
+    assert n_decided == 2 * 2
 
 
 def test_parameter_sweep_decides_a_trials_antenna_counts_in_one_spectrum(monkeypatch):
-    """Antenna counts slice one sample per trial, so one stacked call decides them."""
-    points, n_spectra = _two_trial_sweep_spectra(monkeypatch, "n_ant", [4, 8, 2])
+    """Antenna counts slice one sample per trial, and each (count, trial) is
+    decided exactly once."""
+    points, n_decided = _two_trial_sweep_decisions(monkeypatch, "n_ant", [4, 8, 2])
     assert [p.n_pd_trials for p in points] == [2, 2, 0]
-    assert n_spectra == 2
+    assert n_decided == 3 * 2
 
 
 def _per_value_sweep(axis, values, template, seed, n_trials):

@@ -206,6 +206,37 @@ def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "identifiability"])
+def test_degenerate_later_trial_exits_4_without_traceback(tmp_path, capsys, monkeypatch, command):
+    """A family's trials are all sampled before any is decided, so a station
+    on the array reference point in the last trial alone still exits 4 with
+    one stderr line and no output file."""
+    import leofim.analysis as analysis
+    from leofim.geometry import BsState
+    from leofim.scenario import derive_trial_seeds
+
+    from _oracle import receiver_reference
+
+    sample = analysis.random_scenario
+    last = derive_trial_seeds(123, 3)[-1]
+
+    def degenerate_last_trial(config, seed):
+        sc = sample(config, seed)
+        if seed != last:
+            return sc
+        point = receiver_reference(sc.receiver, 1, sc.grid)
+        return dataclasses.replace(sc, bss=(BsState(position=point),) + sc.bss[1:])
+
+    monkeypatch.setattr(analysis, "random_scenario", degenerate_last_trial)
+    out = tmp_path / "bounds.csv"
+    settings = {**WIDE, "command": command, "n_trials": 3, "seed": 123, "out": str(out)}
+    assert main(["--config", _write_config(tmp_path, settings)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate geometry: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -248,14 +279,17 @@ def test_bound_writes_csv_and_exits_0(tmp_path, capsys):
 
 
 def test_bound_decides_each_trial_once(tmp_path, monkeypatch):
-    """The bounds of a PD trial reuse its verdict: one balanced spectrum each."""
+    """The bounds of a PD trial reuse its verdict: each trial's matrix is
+    decided exactly once (a stack counts each of its matrices)."""
     import leofim.analysis as analysis
 
-    spectra = []
+    decided = []
     original = analysis.balanced_eigvalsh
-    monkeypatch.setattr(analysis, "balanced_eigvalsh", lambda m: spectra.append(m) or original(m))
+    monkeypatch.setattr(
+        analysis, "balanced_eigvalsh", lambda m: decided.append(m.shape[:-2]) or original(m)
+    )
     assert main(["--config", _write_config(tmp_path, WIDE)]) == 0
-    assert len(spectra) == 2  # one per trial
+    assert sum(math.prod(shape) for shape in decided) == 2  # one per trial
 
 
 def test_csv_output_is_reproducible(tmp_path):

@@ -67,30 +67,26 @@ def test_balanced_eigvalsh_rejects_non_finite_entries(bad):
 
 
 def test_invert_psd_identity_and_inverse():
-    inv, used_pseudo = invert_psd(np.eye(3), floor_rel=1e-12)
+    inv = invert_psd(np.eye(3), floor_rel=1e-12)
     assert np.allclose(inv, np.eye(3))
-    assert not used_pseudo
 
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 4))
     spd = x @ x.T + 4 * np.eye(4)
-    inv, used_pseudo = invert_psd(spd, floor_rel=1e-12)
-    assert not used_pseudo
+    inv = invert_psd(spd, floor_rel=1e-12)
     assert np.allclose(inv @ spd, np.eye(4), atol=1e-10)
 
 
 def test_invert_psd_balancing_handles_wild_diagonal_scales():
     # diagonal scaling is removed by balancing, so this is perfectly conditioned
     a = np.diag([1.0, 1e-30])
-    inv, used_pseudo = invert_psd(a, floor_rel=1e-12)
-    assert not used_pseudo
+    inv = invert_psd(a, floor_rel=1e-12)
     assert np.isclose(inv[1, 1], 1e30, rtol=1e-12)
 
 
 def test_invert_psd_floors_singular_modes():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    inv, used_pseudo = invert_psd(a, floor_rel=1e-12)
-    assert used_pseudo
+    inv = invert_psd(a, floor_rel=1e-12)
     # the zero mode is excluded: pseudo-inverse of ones/2 on the kept mode
     assert np.allclose(inv, 0.25 * np.ones((2, 2)))
 

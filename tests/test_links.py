@@ -23,9 +23,17 @@ from leofim.links import (
     link_jacobians,
     link_observables,
 )
-from leofim.location_fim import _GroupGrams, _sliced_groups, compute_efim
-from leofim.scenario import Case, ScenarioConfig, random_scenario
+from leofim.location_fim import (
+    _centered_gram,
+    _GroupGrams,
+    _link_weights,
+    _rows,
+    _stacked_pools,
+    compute_efim,
+)
+from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
+from leofim.transform import LocationLayout
 
 from _oracle import (
     antenna_position,
@@ -176,31 +184,70 @@ def _assert_same_link(got_from, expected_from, obs=None):
             assert got == expected, label
 
 
+def _group_by_group_efim(scenario):
+    """The factor route one trial and one offset group at a time, as 2-D
+    arrays: each group's rows (a link's delays, its Dopplers; the station
+    links pooled) centered at their weighted mean, scaled by ``sqrt(w)``, and
+    their Grams summed in link order with the station pool last."""
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    pools, stations = [], []
+    for obs in link_observables(scenario, scenario.case):
+        w_tau, w_nu, _ = _link_weights(obs)
+        g_tau, g_nu = _rows(layout, obs)
+        member = [(g_tau, w_tau), (g_nu, w_nu)]
+        if obs.kind is LinkKind.BS_RX:
+            stations.append(member)
+        else:
+            pools.append([member])
+    gram = np.zeros((layout.dim_interest,) * 2)
+    for members in pools + ([stations] if stations else []):
+        for group in zip(*members):
+            g, w = (np.concatenate(parts) for parts in zip(*group))
+            total = w.sum()
+            if total > 0.0:
+                f = np.sqrt(w)[:, None] * (g - (w @ g) / total)
+                gram += f.T @ f
+    return 0.5 * (gram + gram.T)
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("case", list(Case))
 def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
-    """Slicing the Jacobian rows and weights of the largest counts' links gives,
-    for every sub-count, those of the scenario sampled at that sub-count, and
-    the memoized Grams sum to its EFIM."""
+    """The batched factor route over three trials stacked at the largest
+    counts gives, for every trial and sub-count (no stations and a single
+    slot among them), bit for bit the EFIM of that trial's scenario sampled
+    at that sub-count, and that EFIM is bit for bit the group-by-group sum."""
     big = dict(n_leo=3, n_bs=3, n_ant=5, n_slots=7, case=case)
-    full = link_observables(_offset_scenario(seed, **big), case)
-    for n_leo, n_bs, n_ant, n_slots in itertools.product([1, 3], [0, 2, 3], [1, 5], [1, 4, 7]):
-        counts = dict(n_leo=n_leo, n_bs=n_bs, n_ant=n_ant, n_slots=n_slots)
-        small = _offset_scenario(seed, **(big | counts))
-        expected = _GroupGrams(link_observables(small, case), n_leo, case)
-        got = _GroupGrams(full, n_leo, case)
-        pairs = list(zip(got.links, expected.links, strict=True))
-        pairs += zip(got.stations[:n_bs], expected.stations, strict=True)
-        for (obs, *rows), (expected_obs, *expected_rows) in pairs:
-            assert (obs.kind, obs.index) == (expected_obs.kind, expected_obs.index)
-            n_rows = n_bs if obs.per_row_doppler else n_ant
-            sliced = _sliced_groups(obs, *rows, n_rows, n_slots)
-            reference = _sliced_groups(expected_obs, *expected_rows, n_rows, n_slots)
-            for array, expected_array in zip(itertools.chain(*sliced), itertools.chain(*reference)):
-                assert array.shape == expected_array.shape, (obs.kind, obs.index)
-                assert np.array_equal(array, expected_array), (obs.kind, obs.index)
-        efim = got.efim(n_bs, n_ant, n_slots).matrix
-        assert np.array_equal(efim, compute_efim(small).matrix), counts
+    trial_seeds = derive_trial_seeds(seed, 3)
+    trials = (link_observables(_offset_scenario(s, **big), case) for s in trial_seeds)
+    pools = _stacked_pools(trials, len(trial_seeds))
+    counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
+    for n_leo in [1, 3]:
+        efims = _GroupGrams(pools, n_leo, case).efims(counts)
+        dim = 9 + 6 * n_leo
+        assert efims.shape == (len(counts), len(trial_seeds), dim, dim)
+        for (n_bs, n_ant, n_slots), cell in zip(counts, efims):
+            sub = dict(n_leo=n_leo, n_bs=n_bs, n_ant=n_ant, n_slots=n_slots)
+            for trial_seed, matrix in zip(trial_seeds, cell):
+                small = _offset_scenario(trial_seed, **(big | sub))
+                expected = compute_efim(small).matrix
+                assert np.array_equal(matrix, expected), (sub, trial_seed)
+                assert np.array_equal(expected, _group_by_group_efim(small)), (sub, trial_seed)
+
+
+def test_centered_gram_skips_trials_whose_weights_sum_to_zero():
+    """A trial whose group weights are all zero is informed by nothing; the
+    other trials' Grams are those of their own rows."""
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(3, 6, 4))
+    w = rng.uniform(0.5, 2.0, size=(3, 6))
+    w[1] = 0.0
+    live, grams = _centered_gram(g.copy(), w)
+    assert live.tolist() == [True, False, True]
+    for gram, trial in zip(grams, [0, 2]):
+        f = np.sqrt(w[trial])[:, None] * (g[trial] - (w[trial] @ g[trial]) / w[trial].sum())
+        assert np.array_equal(gram, f.T @ f)
+    assert _centered_gram(g.copy(), np.zeros((1, 6))) is None
 
 
 def test_public_entry_points_return_one_link_each():

@@ -233,7 +233,7 @@ def test_schur_route_matches_dense_complement(seed, overrides, silent_downlink):
     j_kappa, layout = _j_kappa(sc)
     n1 = layout.dim_interest
     j11, j12 = j_kappa[:n1, :n1], j_kappa[:n1, n1:]
-    dense = j11 - j12 @ invert_psd(j_kappa[n1:, n1:], floor_rel=1e-12)[0] @ j12.T
+    dense = j11 - j12 @ invert_psd(j_kappa[n1:, n1:], floor_rel=1e-12) @ j12.T
     efim = efim_schur_route(j_kappa, layout, sc.case)
     gap = np.linalg.norm(efim.matrix - dense, "fro")
     assert gap <= 1e-12 * np.linalg.norm(j11, "fro")
@@ -255,7 +255,7 @@ def _per_column_schur(j_kappa, layout):
     loss = np.zeros_like(j11)
     for i in np.flatnonzero(np.any(j12 != 0.0, axis=0)):
         b = j12[:, i : i + 1]
-        c_inv, _ = invert_psd(j22[i : i + 1, i : i + 1], floor_rel=1e-12)
+        c_inv = invert_psd(j22[i : i + 1, i : i + 1], floor_rel=1e-12)
         loss += b @ c_inv @ b.T
     return sym(j11 - loss)
 

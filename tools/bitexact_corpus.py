@@ -25,7 +25,8 @@ in both cases.  ``parameter_sweep`` is fingerprinted per point (the worst
 verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
 bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
 and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
-both cases.  ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its
+both cases, and likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three
+trials, where the batched Gram and eigenvalue stacks are largest.  ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its
 stdout (with the temporary output path replaced) and its exit code for every
 ``benches/configs/*.json`` at seeds 42 and 7.
 """
@@ -57,6 +58,11 @@ PARAMETER_TEMPLATE = dict(
     n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5
 )
 PARAMETER_SWEEPS = {"n_ant": [4, 16, 64], "carrier_freq_hz": [10e9, 28e9, 40e9]}
+# (name, template, axis, values, trials) of every fingerprinted parameter sweep.
+PARAMETER_CASES = [
+    *((axis, PARAMETER_TEMPLATE, axis, values, 5) for axis, values in PARAMETER_SWEEPS.items()),
+    ("large/n_ant", dict(PARAMETER_TEMPLATE, n_leo=4, n_bs=4, n_slots=20), "n_ant", [16, 32], 3),
+]
 CLI_CONFIGS = Path(__file__).resolve().parents[1] / "benches" / "configs"
 JAC_FIELDS = (
     "dtau_dp", "dtau_dvu", "dtau_dphi", "dtau_dpcheck", "dtau_dvcheck",
@@ -166,11 +172,13 @@ def dump() -> dict:
             c = v.config
             tag = f"s{seed}/sweep/{name}/{case.value}/L{c.n_leo}Q{c.n_bs}U{c.n_ant}K{c.n_slots}"
             out[tag] = fingerprint([float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue])
-    for seed, (axis, values), case in itertools.product(SEEDS, PARAMETER_SWEEPS.items(), Case):
-        template = ScenarioConfig(**PARAMETER_TEMPLATE, case=case)
-        for p in parameter_sweep(axis, values, template, seed):
+    for seed, (name, knobs, axis, values, trials), case in itertools.product(
+        SEEDS, PARAMETER_CASES, Case
+    ):
+        template = ScenarioConfig(**knobs, case=case)
+        for p in parameter_sweep(axis, values, template, seed, n_trials=trials):
             v, r = p.worst_verdict, p.report
-            out[f"s{seed}/parameter_sweep/{axis}/{case.value}/{p.value!r}"] = fingerprint([
+            out[f"s{seed}/parameter_sweep/{name}/{case.value}/{p.value!r}"] = fingerprint([
                 float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue, p.n_pd_trials,
                 r.pos_rmse_bound, r.vel_rmse_bound, r.orient_rmse_bound,
                 *r.leo_pos_offset_bound, *r.leo_vel_offset_bound,
