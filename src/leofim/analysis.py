@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,35 +182,36 @@ def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVer
     return min(verdicts, key=key)
 
 
-def _nested_grams(
-    configs: list[ScenarioConfig], trial_seeds: list[int]
-) -> Iterator[tuple[list[int], _GroupGrams]]:
-    """The factor-route Grams of every configuration, families outermost.
+def _family_trials(
+    by_leo: dict[int, list[int]],
+    configs: list[ScenarioConfig],
+    trial_seeds: list[int],
+    rel_tol: float,
+    with_bounds: bool,
+) -> list[tuple[int, list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]]:
+    """``(index, trials)`` of every configuration of one family, given its
+    configurations' indices by satellite count.
 
-    Sampling is nested in the counts (:data:`GRID_AXES`), so configurations
-    that differ only in their counts form one family: each of its trials is
-    sampled and linked once, at the family's maxima, and its links are
-    stacked with the family's other trials before the next is sampled.
-    Yields ``(cells, grams)`` per family and satellite count, in first-seen
-    order: the indices of that count's configurations and one
-    :class:`_GroupGrams` whose ``efims`` are bit for bit the EFIMs of each of
-    them in every trial.
+    Sampling is nested in the counts (:data:`GRID_AXES`), so each trial is
+    sampled and linked once, at the family's maxima, and stacked with the
+    family's other trials before the next is sampled; the stacks live only
+    for this call.  Per satellite count, one :class:`_GroupGrams` over them
+    gives every configuration's EFIMs, bit for bit those of its own sampled
+    scenario, and :func:`_decide` decides them.
     """
-    families: dict[tuple, dict[int, list[int]]] = {}
-    for i, config in enumerate(configs):
-        key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
-        families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
-    for by_leo in families.values():
-        members = [configs[i] for cells in by_leo.values() for i in cells]
-        counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
-        largest = dataclasses.replace(members[0], **counts)
-        trials = (
-            link_observables(random_scenario(largest, seed), largest.case) for seed in trial_seeds
-        )
-        pools = _stacked_pools(trials, len(trial_seeds))
-        for n_leo, cells in by_leo.items():
-            # One set of Grams per satellite count: no other count's fit it.
-            yield cells, _GroupGrams(pools, n_leo, largest.case)
+    members = [configs[i] for cells in by_leo.values() for i in cells]
+    counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
+    largest = dataclasses.replace(members[0], **counts)
+    trials = (
+        link_observables(random_scenario(largest, seed), largest.case) for seed in trial_seeds
+    )
+    pools = _stacked_pools(trials, len(trial_seeds))
+    decided = []
+    for n_leo, cells in by_leo.items():
+        # One set of Grams per satellite count: no other count's fit it.
+        grams = _GroupGrams(pools, n_leo, largest.case)
+        decided += zip(cells, _decide(grams, [configs[i] for i in cells], rel_tol, with_bounds))
+    return decided
 
 
 def _decide(
@@ -238,17 +238,23 @@ def _decide(
 def _trials(
     configs: list[ScenarioConfig], seed: int, n_trials: int, rel_tol: float, with_bounds: bool
 ) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
-    """``(verdict, bounds)`` per configuration and seeded trial, decided per
-    family and satellite count (:func:`_nested_grams`, :func:`_decide`).
+    """``(verdict, bounds)`` per configuration and seeded trial.
+
+    Configurations that differ only in their counts form one family; families
+    are decided one at a time, in first-seen order (:func:`_family_trials`).
     Trial seeds derive from ``seed`` alone, so trials are paired across
     configurations, and a trial count below one raises before any sampling.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    families: dict[tuple, dict[int, list[int]]] = {}
+    for i, config in enumerate(configs):
+        key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
+        families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
+    trial_seeds = derive_trial_seeds(seed, n_trials)
     results: list[list] = [[] for _ in configs]
-    for cells, grams in _nested_grams(configs, derive_trial_seeds(seed, n_trials)):
-        decided = _decide(grams, [configs[i] for i in cells], rel_tol, with_bounds)
-        for i, trials in zip(cells, decided):
+    for by_leo in families.values():
+        for i, trials in _family_trials(by_leo, configs, trial_seeds, rel_tol, with_bounds):
             results[i] = trials
     return results
 
