@@ -26,8 +26,9 @@ verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
 bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
 and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
 both cases, and likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three
-trials, where the batched Gram and eigenvalue stacks are largest.  ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its
-stdout (with the temporary output path replaced) and its exit code for every
+trials, where the batched Gram and eigenvalue stacks are largest.
+``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its stdout
+(with the temporary output path replaced) and its exit code for every
 ``benches/configs/*.json`` at seeds 42 and 7.
 """
 
