@@ -2,8 +2,8 @@
 
 Everything downstream — channel information matrices, ``Upsilon``,
 information-loss terms — consumes links through these bundles, which carry
-only each link's delay/Doppler weights and kappa1 Jacobians.  The mapping from
-scene geometry to delays, Doppler shifts, weights and their kappa1 partials
+only each link's delay/Doppler weights and partials.  The mapping from
+scene geometry to delays, Doppler shifts, weights and their partials
 lives in exactly one place and is evaluated once per link, as one
 broadcast pass over ``(element, slot, 3)`` arrays; the receiver-array geometry
 the passes share (slot times, reference-point track, antenna lever arms and
@@ -14,6 +14,10 @@ for receiver links, and per station otherwise.
 
 Satellite positions include the ephemeris offsets: the constant position error
 plus the velocity-offset drift ``k*dt*vel_offset``.
+
+Partials are taken with respect to each link's receiving end (the array or
+the station) and the array orientation; a satellite's offset partials are
+their negation, applied by :func:`.transform.kappa1_blocks`, not stored.
 
 Observations cover slot numbers 1..n_slots (times ``dt`` through
 ``n_slots*dt``); slot axis entry ``i`` holds slot number ``i+1``.  The epoch
@@ -55,23 +59,20 @@ class LinkKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LinkJacobians:
-    """Partials of one link's delays/Dopplers w.r.t. the kappa1 blocks.
+    """Partials of one link's delays/Dopplers w.r.t. its receiving end's
+    (array reference point's, or station's) position ``p`` and velocity ``v``
+    and, for array links only, the array orientation ``phi``.
 
     Delay arrays have shape ``(n_rows, n_slots, 3)``; Doppler arrays are
     ``(n_slots, 3)`` for array links and ``(n_rows, n_slots, 3)`` for
-    satellite-station links.  Entries are ``None`` where the link does not
-    depend on that block.
+    satellite-station links.
     """
 
-    dtau_dp: np.ndarray | None
-    dtau_dvu: np.ndarray | None
+    dtau_dp: np.ndarray
+    dtau_dv: np.ndarray
     dtau_dphi: np.ndarray | None
-    dtau_dpcheck: np.ndarray | None
-    dtau_dvcheck: np.ndarray | None
-    dnu_dp: np.ndarray | None
-    dnu_dvu: np.ndarray | None
-    dnu_dpcheck: np.ndarray | None
-    dnu_dvcheck: np.ndarray | None
+    dnu_dp: np.ndarray
+    dnu_dv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,41 +166,18 @@ def _jacobians(
     dop_dists: np.ndarray,
     v_rel: np.ndarray,
 ) -> LinkJacobians:
-    """All kappa1 partials of one link from its geometry.
-
-    Receiver partials exist for links received by the array; satellite-offset
-    partials for links transmitted by a satellite.  A satellite-receiver
-    link's offset partials mirror its receiver partials.
-    """
+    """All receiving-end and orientation partials of one link from its
+    geometry."""
     k_fac = geometry.k_times[None, :, None]
-    if kind is LinkKind.LEO_BS:
-        dtau_dpcheck = -dirs / _C
-        return LinkJacobians(
-            dtau_dp=None,
-            dtau_dvu=None,
-            dtau_dphi=None,
-            dtau_dpcheck=dtau_dpcheck,
-            dtau_dvcheck=k_fac * dtau_dpcheck,
-            dnu_dp=None,
-            dnu_dvu=None,
-            dnu_dpcheck=-_doppler_position_partial(dirs, dop_dists, v_rel[None, :, :]),
-            dnu_dvcheck=dirs / _C,
-        )
+    array = kind is not LinkKind.LEO_BS
     dtau_dp = dirs / _C
-    dtau_dvu = k_fac * dirs / _C
-    dnu_dp = _doppler_position_partial(dop_dirs, dop_dists, v_rel)
-    dnu_dvu = -dop_dirs / _C
-    satellite = kind is LinkKind.LEO_RX
     return LinkJacobians(
         dtau_dp=dtau_dp,
-        dtau_dvu=dtau_dvu,
-        dtau_dphi=np.einsum("uka,uia->uki", dirs, geometry.rotated) / _C,
-        dtau_dpcheck=-dtau_dp if satellite else None,
-        dtau_dvcheck=-dtau_dvu if satellite else None,
-        dnu_dp=dnu_dp,
-        dnu_dvu=dnu_dvu,
-        dnu_dpcheck=-dnu_dp if satellite else None,
-        dnu_dvcheck=-dnu_dvu if satellite else None,
+        # The two orders differ in the last bit; each matches its kind's scalar oracle.
+        dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
+        dtau_dphi=np.einsum("uka,uia->uki", dirs, geometry.rotated) / _C if array else None,
+        dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
+        dnu_dv=-dop_dirs / _C,
     )
 
 
@@ -221,7 +199,6 @@ def _observables(
         stations = np.array([bs.position for bs in scenario.bss]).reshape(-1, 1, 3)
         dirs, dists = _directions(tx[None, :, :], stations)
         dop_dirs, dop_dists = dirs, dists
-        nu = np.vecdot(dirs, v_rel[None, :, :]) / _C
         props = scenario.leo_bs_signals[index]
         offsets = scenario.leo_bs_offsets[index]
     else:
@@ -238,8 +215,8 @@ def _observables(
             offsets = scenario.bs_rx_offset
         dop_dirs, dop_dists = _directions(tx, geometry.centroid)
         dirs, dists = _directions(tx, geometry.centroid[None, :, :] + geometry.lever[:, None, :])
-        nu = np.vecdot(dop_dirs, v_rel) / _C
 
+    nu = np.vecdot(dop_dirs, v_rel) / _C
     f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
     return LinkObservables(
         kind=kind,
@@ -268,7 +245,7 @@ def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
 
 
 def link_jacobians(scenario: Scenario, kind: LinkKind, index: int) -> LinkJacobians:
-    """All kappa1 partials of one link."""
+    """All receiving-end and orientation partials of one link."""
     if not isinstance(kind, LinkKind):
         raise ValueError(f"unknown link kind {kind!r}")
     return _observables(scenario, _ArrayGeometry(scenario), kind, index).jacobians

@@ -94,10 +94,10 @@ def _rows(layout: LocationLayout, obs: LinkObservables) -> tuple[np.ndarray, np.
     """
     g_tau = np.zeros((obs.snr.size, layout.dim_interest))
     g_nu = np.zeros((obs.omega.size, layout.dim_interest))
-    for cols, dtau, dnu in kappa1_blocks(layout, obs):
-        g_tau[:, cols] = dtau.reshape(-1, 3)
+    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
+        put(g_tau[:, cols], dtau.reshape(-1, 3))
         if dnu is not None:
-            g_nu[:, cols] = dnu.reshape(-1, 3)
+            put(g_nu[:, cols], dnu.reshape(-1, 3))
     return g_tau, g_nu
 
 
@@ -269,8 +269,9 @@ class _Pool:
     member (the station pool has one per station), and rows are antennas, or
     stations for a satellite-station link.  An array link's Doppler Jacobians
     and ``omega`` have one row, the array reference point.  ``omega (T, ...)``
-    and every Jacobian ``(T, ..., 3)`` lead with the trial axis; ``snr`` and
-    the members' ``carrier_sq`` and ``half_ao2`` ``(members, 1, 1)`` are
+    and every Jacobian ``(T, ..., 3)`` lead with the trial axis, a member's
+    Doppler ones scaled by ``f_c / f_1`` (see :class:`_GroupGrams`).  ``snr``,
+    ``carrier_sq = f_1^2`` and the members' ``half_ao2 (members, 1, 1)`` are
     configuration values, the same in every trial, and come from the first.
     """
 
@@ -279,7 +280,7 @@ class _Pool:
     jacobians: LinkJacobians
     omega: np.ndarray
     snr: np.ndarray
-    carrier_sq: np.ndarray
+    carrier_sq: float
     half_ao2: np.ndarray
 
     @classmethod
@@ -302,18 +303,22 @@ class _Pool:
             ),
             omega=stack(first.omega, 2),
             snr=np.stack([obs.snr for obs in members]),
-            carrier_sq=np.array([obs.carrier_freq**2 for obs in members]).reshape(-1, 1, 1),
+            carrier_sq=first.carrier_freq**2,
             half_ao2=np.array([0.5 * obs.rms_duration**2 for obs in members]).reshape(-1, 1, 1),
         )
 
     def write(self, trial: int, members: list[LinkObservables]) -> None:
         """Copy one trial's ``omega`` and Jacobians of ``members`` in."""
+        jac = self.jacobians
         for m, obs in enumerate(members):
             self.omega[trial, m] = obs.omega
-            for f in dataclasses.fields(LinkJacobians):
-                stack = getattr(self.jacobians, f.name)
-                if stack is not None:
-                    stack[trial, m] = getattr(obs.jacobians, f.name)
+            jac.dtau_dp[trial, m] = obs.jacobians.dtau_dp
+            jac.dtau_dv[trial, m] = obs.jacobians.dtau_dv
+            if jac.dtau_dphi is not None:
+                jac.dtau_dphi[trial, m] = obs.jacobians.dtau_dphi
+            scale = obs.carrier_freq / members[0].carrier_freq
+            np.multiply(obs.jacobians.dnu_dp, scale, out=jac.dnu_dp[trial, m])
+            np.multiply(obs.jacobians.dnu_dv, scale, out=jac.dnu_dv[trial, m])
 
     def key(self, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
         """The members, rows and slots a sub-count keeps."""
@@ -336,13 +341,13 @@ class _Pool:
         snr = self.snr[grid]
         w_tau = (snr * omega).reshape(n_trials, -1)
         snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-        w_nu = (snr_dop * self.carrier_sq[grid[0]] * self.half_ao2[grid[0]]).reshape(1, -1)
+        w_nu = (snr_dop * self.carrier_sq * self.half_ao2[grid[0]]).reshape(1, -1)
         g_tau = np.zeros((n_trials, w_tau.shape[1], layout.dim_interest))
         g_nu = np.zeros((n_trials, w_nu.shape[1], layout.dim_interest))
-        for cols, dtau, dnu in kappa1_blocks(layout, self):
-            g_tau[..., cols] = dtau[stacked].reshape(n_trials, -1, 3)
+        for cols, dtau, dnu, put in kappa1_blocks(layout, self):
+            put(g_tau[..., cols], dtau[stacked].reshape(n_trials, -1, 3))
             if dnu is not None:
-                g_nu[..., cols] = dnu[stacked].reshape(n_trials, -1, 3)
+                put(g_nu[..., cols], dnu[stacked].reshape(n_trials, -1, 3))
         return [(g_tau, w_tau), (g_nu, w_nu)]
 
 
@@ -374,8 +379,10 @@ class _GroupGrams:
     with ``w_nu``; the station-receiver links pool theirs into one pair) is
     centered at its weighted mean row and scaled by ``sqrt(w)``, and the EFIM
     is the sum of the groups' Grams ``F_g^T F_g``.  That equals the interest
-    FIM minus every rank-one offset loss, because ``w_nu = f_c^2 w_eps``,
-    without forming the difference.
+    FIM minus every rank-one offset loss (:func:`_closed_form`) without
+    forming the difference: a Doppler group is weighted ``f_1^2 w_eps``, with
+    ``f_1`` its first member's carrier, and each member's rows are scaled by
+    ``f_c / f_1`` (exactly 1 for a shared carrier).
 
     Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
     first elements and slots of these links, and every trial of a family has

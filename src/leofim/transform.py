@@ -10,8 +10,9 @@ The estimation target is ``kappa = [kappa1; kappa2]`` with
              assembled channel-vector ordering.
 
 Delays and Doppler shifts relate to ``kappa1`` through the link geometry; the
-partials are evaluated with each link's observables (see ``links``) and the
-transformation matrix ``Upsilon`` collects them so that
+partials are evaluated with each link's observables (see ``links``),
+:func:`kappa1_blocks` alone maps them to kappa1 blocks with their signs, and
+the transformation matrix ``Upsilon`` collects the blocks so that
 ``J_kappa = Upsilon @ J_eta @ Upsilon.T``.
 
 Differentiation convention: delays are differentiated through the full
@@ -24,13 +25,14 @@ and every EFIM route share this convention.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel_fim import GlobalChannelLayout, LinkSection
 from .linalg import sym
-from .links import LinkObservables
+from .links import LinkKind, LinkObservables
 from .scenario import Scenario
 
 
@@ -98,28 +100,39 @@ class TransformationMatrix:
     location_layout: LocationLayout
 
 
+def _copy(dst: np.ndarray, src: np.ndarray) -> None:
+    dst[...] = src
+
+
+def _copy_negated(dst: np.ndarray, src: np.ndarray) -> None:
+    np.negative(src, out=dst)
+
+
 def kappa1_blocks(
     layout: LocationLayout, obs: LinkObservables
-) -> list[tuple[slice, np.ndarray, np.ndarray | None]]:
-    """(kappa1 slice, delay Jacobian, Doppler Jacobian) per block the link sees.
+) -> list[tuple[slice, np.ndarray, np.ndarray | None, Callable[..., None]]]:
+    """(kappa1 slice, delay partials, Doppler partials, ``put``) per block the
+    link informs; ``put(dst, src)`` writes ``src`` into ``dst`` with the
+    block's sign.
 
     Links received by the array inform the receiver position, velocity and
-    orientation (orientation has no Doppler Jacobian: shifts are measured at
-    the array reference point); links transmitted by satellite ``b`` inform
-    its position and velocity offsets.
+    orientation (orientation has no Doppler partials: shifts are measured at
+    the array reference point).  Links transmitted by satellite ``b`` inform
+    its position and velocity offsets with the negated receiving-end
+    partials: a link sees the two ends' states only through their difference.
     """
     jac = obs.jacobians
     blocks = []
-    if jac.dtau_dp is not None:
+    if obs.kind is not LinkKind.LEO_BS:
         blocks += [
-            (layout.position, jac.dtau_dp, jac.dnu_dp),
-            (layout.velocity, jac.dtau_dvu, jac.dnu_dvu),
-            (layout.orientation, jac.dtau_dphi, None),
+            (layout.position, jac.dtau_dp, jac.dnu_dp, _copy),
+            (layout.velocity, jac.dtau_dv, jac.dnu_dv, _copy),
+            (layout.orientation, jac.dtau_dphi, None, _copy),
         ]
-    if jac.dtau_dpcheck is not None:
+    if obs.kind is not LinkKind.BS_RX:
         blocks += [
-            (layout.pos_offset(obs.index), jac.dtau_dpcheck, jac.dnu_dpcheck),
-            (layout.vel_offset(obs.index), jac.dtau_dvcheck, jac.dnu_dvcheck),
+            (layout.pos_offset(obs.index), jac.dtau_dp, jac.dnu_dp, _copy_negated),
+            (layout.vel_offset(obs.index), jac.dtau_dv, jac.dnu_dv, _copy_negated),
         ]
     return blocks
 
@@ -129,10 +142,10 @@ def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> N
     lay = sec.fim.layout
     delays = slice(sec.offset + lay.delays.start, sec.offset + lay.delays.stop)
     dopplers = slice(sec.offset + lay.dopplers.start, sec.offset + lay.dopplers.stop)
-    for rows, dtau, dnu in kappa1_blocks(loc, sec.fim.obs):
-        upsilon[rows, delays] = dtau.reshape(-1, 3).T
+    for rows, dtau, dnu, put in kappa1_blocks(loc, sec.fim.obs):
+        put(upsilon[rows, delays], dtau.reshape(-1, 3).T)
         if dnu is not None:
-            upsilon[rows, dopplers] = dnu.reshape(-1, 3).T
+            put(upsilon[rows, dopplers], dnu.reshape(-1, 3).T)
 
 
 def build_transformation_matrix(

@@ -3,8 +3,10 @@
 Everything here is rebuilt from the scalar oracle in ``_oracle`` (positions,
 ``unit_direction``, ``delay``, ``doppler``, ``velocity_at``), step sizes,
 frozen Doppler directions and relative velocities included, so the analytic
-Jacobians in ``leofim.transform`` are checked against an independent
-evaluation path, never against the link pass that produced them.
+partials that ``leofim.transform.kappa1_blocks`` writes, sign included, are
+checked against an independent evaluation path, never against the link pass
+that produced them.  :func:`signed_partials` reads those blocks under the
+names :func:`fd_link_jacobians` gives them.
 
 Differentiation conventions mirror the analytic ones: delays are differentiated
 through their full position dependence, while the Doppler velocity partials
@@ -21,6 +23,8 @@ import numpy as np
 
 from leofim.channel_fim import LinkKind
 from leofim.geometry import SPEED_OF_LIGHT_M_S
+from leofim.links import bs_rx_observables, leo_bs_observables, leo_rx_observables
+from leofim.transform import LocationLayout, kappa1_blocks
 
 from _oracle import (
     antenna_position,
@@ -76,11 +80,47 @@ def _position_step(pairs) -> float:
     return 3e-5 * SPEED_OF_LIGHT_M_S * min(delay(source, target) for source, target in pairs)
 
 
-def fd_link_jacobians(scenario, kind: LinkKind, index: int):
-    """Finite-difference counterparts of ``link_jacobians`` for one link.
+# (delay name, Doppler name) of each kappa1 block's partials.
+_BLOCK_NAMES = {
+    "position": ("dtau_dp", "dnu_dp"),
+    "velocity": ("dtau_dvu", "dnu_dvu"),
+    "orientation": ("dtau_dphi", None),
+    "pos_offset": ("dtau_dpcheck", "dnu_dpcheck"),
+    "vel_offset": ("dtau_dvcheck", "dnu_dvcheck"),
+}
 
-    Returns a dict with the same field names; entries the link does not
-    depend on are absent.
+_SINGLE_LINK = {
+    LinkKind.LEO_RX: leo_rx_observables,
+    LinkKind.BS_RX: bs_rx_observables,
+    LinkKind.LEO_BS: leo_bs_observables,
+}
+
+
+def signed_partials(scenario, kind: LinkKind, index: int, obs=None) -> dict:
+    """Every kappa1 block's partials of one link as ``kappa1_blocks`` writes
+    them, sign included, named as in :func:`fd_link_jacobians`; blocks the
+    link does not inform are absent.  ``obs`` is the link's observables, by
+    default from its single-link entry point."""
+    obs = _SINGLE_LINK[kind](scenario, index) if obs is None else obs
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    names = {
+        cols.start: _BLOCK_NAMES[name.rstrip("_0123456789")]
+        for name, cols in layout.interest_blocks()
+    }
+    out = {}
+    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
+        tau_name, nu_name = names[cols.start]
+        out[tau_name] = np.empty_like(dtau)
+        put(out[tau_name], dtau)
+        if dnu is not None:
+            out[nu_name] = np.empty_like(dnu)
+            put(out[nu_name], dnu)
+    return out
+
+
+def fd_link_jacobians(scenario, kind: LinkKind, index: int):
+    """Finite-difference partials of one link with respect to each kappa1
+    block it informs, named as in :func:`signed_partials`.
     """
     grid = scenario.grid
     slot_numbers = grid.slot_numbers()

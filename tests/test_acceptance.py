@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from _fd import compare, fd_link_jacobians
+from _fd import compare, fd_link_jacobians, signed_partials
 
 from leofim.analysis import (
     crlb,
@@ -25,7 +25,6 @@ from leofim.analysis import (
 from leofim.channel_fim import LinkKind, assemble_channel_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
-from leofim.links import link_jacobians
 from leofim.location_fim import (
     assemble_information_loss,
     assemble_interest_fim,
@@ -107,11 +106,11 @@ def test_acceptance_1_identifiability_table():
         for cell, want in required
         if got[cell] != want
     ]
-    ok = not mismatches and elapsed < 60.0
-    detail = (
-        f"{len(required) - len(mismatches)}/{len(required)} required rows match, "
-        f"{elapsed:.1f} s"
-    )
+    in_time = elapsed < 60.0
+    ok = not mismatches and in_time
+    detail = f"{len(required) - len(mismatches)}/{len(required)} required rows match"
+    if not in_time:
+        detail += f", {elapsed:.1f} s (limit 60 s)"
     if mismatches:
         detail += "; mismatched: " + "; ".join(mismatches)
     line = _verdict(1, "identifiability table", ok, detail)
@@ -185,9 +184,9 @@ def test_acceptance_4_jacobians_match_finite_differences():
         )
         scenario = random_scenario(config, seed)
         for kind in LinkKind:
-            jac = link_jacobians(scenario, kind, 0)
+            analytic = signed_partials(scenario, kind, 0)
             for name, numeric in fd_link_jacobians(scenario, kind, 0).items():
-                err = compare(getattr(jac, name), numeric)
+                err = compare(analytic[name], numeric)
                 if err > worst:
                     worst, worst_name = err, f"{kind.value}.{name}"
     ok = worst <= 1e-6

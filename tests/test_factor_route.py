@@ -32,6 +32,7 @@ ORACLE_CONFIGS = {
     "receiver_only": dataclasses.replace(WIDE, case=Case.RECEIVER_ONLY),
     "n_ant_64": dataclasses.replace(WIDE, n_ant=64),
     "L4Q4U32K20": dataclasses.replace(WIDE, n_leo=4, n_bs=4, n_ant=32, n_slots=20),
+    "mixed_carriers": FLAGSHIP,
 }
 
 
@@ -42,10 +43,22 @@ def _schur_oracle(scenario):
     return efim_schur_route(j_kappa, upsilon.location_layout, scenario.case).matrix
 
 
+def _mixed_carriers(scenario):
+    """The second station-receiver link moved to a 28 GHz carrier, so the
+    station pool's shared frequency offset sees two carriers."""
+    signals = list(scenario.bs_rx_signals)
+    signals[1] = dataclasses.replace(signals[1], carrier_freq=28e9)
+    return dataclasses.replace(scenario, bs_rx_signals=tuple(signals))
+
+
+ORACLE_EDITS = {"mixed_carriers": _mixed_carriers}
+
+
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
 def test_factor_route_matches_schur_oracle(name, seed):
     scenario = random_scenario(ORACLE_CONFIGS[name], seed)
+    scenario = ORACLE_EDITS.get(name, lambda sc: sc)(scenario)
     factor = compute_efim(scenario).matrix
     oracle = _schur_oracle(scenario)
     gap = np.linalg.norm(factor - oracle, "fro") / np.linalg.norm(oracle, "fro")

@@ -4,8 +4,9 @@ The oracle walks every (element, slot) pair with the scalar geometry
 primitives of ``_oracle`` (``antenna_position``, ``leo_position``,
 ``receiver_reference``, ``unit_direction``, ``doppler``, ``time_of``,
 ``velocity_at``), so the vectorized weights ``omega`` and ``snr``, and every
-Jacobian that is an elementwise expression of a direction, are checked
-against an independent evaluation path that must agree to the last bit.
+signed kappa1 partial that is an elementwise expression of a direction (as
+``kappa1_blocks`` writes it), are checked against an independent evaluation
+path that must agree to the last bit.
 """
 
 import dataclasses
@@ -35,6 +36,7 @@ from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_sce
 from leofim.signals import OffsetParams, effective_frequency, omega
 from leofim.transform import LocationLayout
 
+from _fd import signed_partials
 from _oracle import (
     antenna_position,
     doppler,
@@ -146,8 +148,9 @@ def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
     assert [obs.kind for obs in links] == expected_kinds
     for obs in links:
         reference = _link_oracle(sc, obs.kind, obs.index)
+        signed = signed_partials(sc, obs.kind, obs.index, obs)
         for name in reference:
-            got = getattr(obs.jacobians if name.startswith("d") else obs, name)
+            got = signed[name] if name.startswith("d") else getattr(obs, name)
             assert got.shape == reference[name].shape, (obs.kind, obs.index, name)
             assert np.array_equal(got, reference[name]), (obs.kind, obs.index, name)
 
@@ -259,9 +262,7 @@ def test_public_entry_points_return_one_link_each():
     ):
         obs = fn(sc, index)
         assert (obs.kind, obs.index) == (kind, index)
-        jac = obs.jacobians
-        delay_partial = jac.dtau_dpcheck if kind is LinkKind.LEO_BS else jac.dtau_dp
-        assert delay_partial.shape[:2] == obs.snr.shape
+        assert obs.jacobians.dtau_dp.shape[:2] == obs.snr.shape
         assert obs.per_row_doppler is (kind is LinkKind.LEO_BS)
 
 

@@ -8,7 +8,7 @@ from leofim.links import link_jacobians
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.transform import build_transformation_matrix, transform_fim
 
-from _fd import compare, fd_link_jacobians
+from _fd import compare, fd_link_jacobians, signed_partials
 
 FD_TOL = 1e-6
 
@@ -35,32 +35,42 @@ def _delay_cols(glob, kind, index):
 @pytest.mark.parametrize("kind", [LinkKind.LEO_RX, LinkKind.BS_RX, LinkKind.LEO_BS])
 def test_partials_match_finite_differences(kind, seed):
     sc = _scenario(seed)
-    jac = link_jacobians(sc, kind, 1)
+    analytic = signed_partials(sc, kind, 1)
     numeric = fd_link_jacobians(sc, kind, 1)
+    assert analytic.keys() == numeric.keys()
     for name, num in numeric.items():
-        ana = getattr(jac, name)
-        assert ana is not None, name
-        err = compare(ana, num)
+        err = compare(analytic[name], num)
         assert err <= FD_TOL, f"{kind} {name}: worst relative error {err:.3e}"
 
 
+RECEIVER_BLOCKS = {"dtau_dp", "dtau_dvu", "dtau_dphi", "dnu_dp", "dnu_dvu"}
+OFFSET_BLOCKS = {"dtau_dpcheck", "dtau_dvcheck", "dnu_dpcheck", "dnu_dvcheck"}
+
+
 def test_station_links_carry_no_satellite_partials():
+    """Each link kind informs exactly its blocks: station-receiver links the
+    receiver's, satellite-station links the satellite's offsets, and
+    satellite-receiver links both."""
     sc = _scenario(21)
-    jac = link_jacobians(sc, LinkKind.BS_RX, 0)
-    assert jac.dtau_dpcheck is None
-    assert jac.dnu_dvcheck is None
-    jac_sb = link_jacobians(sc, LinkKind.LEO_BS, 0)
-    assert jac_sb.dtau_dp is None
-    assert jac_sb.dnu_dvu is None
+    assert signed_partials(sc, LinkKind.BS_RX, 0).keys() == RECEIVER_BLOCKS
+    assert signed_partials(sc, LinkKind.LEO_BS, 0).keys() == OFFSET_BLOCKS
+    assert signed_partials(sc, LinkKind.LEO_RX, 0).keys() == RECEIVER_BLOCKS | OFFSET_BLOCKS
 
 
 def test_satellite_offset_partials_mirror_receiver_ones():
+    """A satellite-receiver link writes its receiver partials into the
+    receiver blocks and their exact negation into the satellite's offsets."""
     sc = _scenario(22)
     jac = link_jacobians(sc, LinkKind.LEO_RX, 0)
-    assert np.array_equal(jac.dtau_dpcheck, -jac.dtau_dp)
-    assert np.array_equal(jac.dtau_dvcheck, -jac.dtau_dvu)
-    assert np.array_equal(jac.dnu_dpcheck, -jac.dnu_dp)
-    assert np.array_equal(jac.dnu_dvcheck, -jac.dnu_dvu)
+    blocks = signed_partials(sc, LinkKind.LEO_RX, 0)
+    for receiver, offset, partial in (
+        ("dtau_dp", "dtau_dpcheck", jac.dtau_dp),
+        ("dtau_dvu", "dtau_dvcheck", jac.dtau_dv),
+        ("dnu_dp", "dnu_dpcheck", jac.dnu_dp),
+        ("dnu_dvu", "dnu_dvcheck", jac.dnu_dv),
+    ):
+        assert np.array_equal(blocks[receiver], partial), receiver
+        assert np.array_equal(blocks[offset], -partial), offset
 
 
 def test_delay_velocity_partial_scales_with_slot_time():
@@ -68,13 +78,13 @@ def test_delay_velocity_partial_scales_with_slot_time():
     jac = link_jacobians(sc, LinkKind.LEO_RX, 0)
     times = sc.grid.slot_numbers() * sc.grid.spacing_s
     expected = times[None, :, None] * jac.dtau_dp
-    assert np.allclose(jac.dtau_dvu, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(jac.dtau_dv, expected, rtol=1e-12, atol=0.0)
 
 
 def test_batch_jacobian_entries_match_finite_differences():
     """Single (element, slot) entries of the batch arrays against the oracle."""
     sc = _scenario(24)
-    jac = link_jacobians(sc, LinkKind.LEO_RX, 1)
+    analytic = signed_partials(sc, LinkKind.LEO_RX, 1)
     numeric = fd_link_jacobians(sc, LinkKind.LEO_RX, 1)
     for name, entry in (
         ("dtau_dp", (1, 2)),
@@ -83,12 +93,12 @@ def test_batch_jacobian_entries_match_finite_differences():
         ("dnu_dp", (2,)),
         ("dnu_dvu", (0,)),
     ):
-        err = compare(getattr(jac, name)[entry], numeric[name][entry])
+        err = compare(analytic[name][entry], numeric[name][entry])
         assert err <= FD_TOL, f"{name}{entry}: relative error {err:.3e}"
-    sb = link_jacobians(sc, LinkKind.LEO_BS, 0)
+    sb = signed_partials(sc, LinkKind.LEO_BS, 0)
     sb_numeric = fd_link_jacobians(sc, LinkKind.LEO_BS, 0)
-    assert compare(sb.dnu_dpcheck[1, 1], sb_numeric["dnu_dpcheck"][1, 1]) <= FD_TOL
-    assert sb.dtau_dp is None and sb.dtau_dphi is None
+    assert compare(sb["dnu_dpcheck"][1, 1], sb_numeric["dnu_dpcheck"][1, 1]) <= FD_TOL
+    assert "dtau_dp" not in sb and "dtau_dphi" not in sb
 
 
 def test_transformation_matrix_shape_and_nuisance_rows():

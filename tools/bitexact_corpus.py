@@ -4,7 +4,11 @@ A refactor of the numerical pipeline should leave its results unchanged to
 the last bit, not merely close.  This script hashes the raw bytes of every
 sampled scenario array (receiver position, velocity, antenna offsets and
 Euler angles; each satellite's position and track; each station's position),
-every link's stored weights (``omega``, ``snr``) and Jacobians, ``J_eta``, the
+every link's stored weights (``omega``, ``snr``) and the signed partials it
+writes into each kappa1 block it informs (keyed by block: ``dtau_dp`` /
+``dnu_dp`` receiver position, ``dtau_dvu`` / ``dnu_dvu`` velocity,
+``dtau_dphi`` orientation, ``dtau_dpcheck`` / ``dnu_dpcheck`` and
+``dtau_dvcheck`` / ``dnu_dvcheck`` satellite offsets), ``J_eta``, the
 nuisance columns ``kappa2_channel_cols``, ``Upsilon``, ``J_kappa``, the
 interest FIM, the information loss, the Schur-route and lemma-route EFIMs
 and the production EFIM (``compute_efim``, keyed ``<tag>/efim``) for each
@@ -65,10 +69,14 @@ PARAMETER_CASES = [
     ("large/n_ant", dict(PARAMETER_TEMPLATE, n_leo=4, n_bs=4, n_slots=20), "n_ant", [16, 32], 3),
 ]
 CLI_CONFIGS = Path(__file__).resolve().parents[1] / "benches" / "configs"
-JAC_FIELDS = (
-    "dtau_dp", "dtau_dvu", "dtau_dphi", "dtau_dpcheck", "dtau_dvcheck",
-    "dnu_dp", "dnu_dvu", "dnu_dpcheck", "dnu_dvcheck",
-)
+# (delay key, Doppler key) of each kappa1 block's signed partials.
+BLOCK_KEYS = {
+    "position": ("dtau_dp", "dnu_dp"),
+    "velocity": ("dtau_dvu", "dnu_dvu"),
+    "orientation": ("dtau_dphi", None),
+    "pos_offset": ("dtau_dpcheck", "dnu_dpcheck"),
+    "vel_offset": ("dtau_dvcheck", "dnu_dvcheck"),
+}
 
 
 def fingerprint(array) -> str:
@@ -111,22 +119,29 @@ def _scenario(scenario, out: dict, tag: str) -> None:
 
 def _observables(scenario, out: dict, tag: str) -> None:
     from leofim import links
-    from leofim.channel_fim import LinkKind
+    from leofim.location_fim import _rows
     from leofim.scenario import Case
+    from leofim.transform import LocationLayout, kappa1_blocks
 
-    entries = [("leo_rx", LinkKind.LEO_RX, links.leo_rx_observables, b) for b in range(scenario.n_leo)]
-    entries += [("bs_rx", LinkKind.BS_RX, links.bs_rx_observables, q) for q in range(scenario.n_bs)]
+    entries = [("leo_rx", links.leo_rx_observables, b) for b in range(scenario.n_leo)]
+    entries += [("bs_rx", links.bs_rx_observables, q) for q in range(scenario.n_bs)]
     if scenario.case is Case.WITH_BS:
-        entries += [("leo_bs", LinkKind.LEO_BS, links.leo_bs_observables, b) for b in range(scenario.n_leo)]
-    for name, kind, fn, i in entries:
+        entries += [("leo_bs", links.leo_bs_observables, b) for b in range(scenario.n_leo)]
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    for name, fn, i in entries:
         obs = fn(scenario, i)
         for field in OBS_FIELDS:
             out[f"{tag}/{name}{i}/{field}"] = fingerprint(getattr(obs, field))
-        jac = links.link_jacobians(scenario, kind, i)
-        for field in JAC_FIELDS:
-            value = getattr(jac, field)
-            if value is not None:
-                out[f"{tag}/{name}{i}/{field}"] = fingerprint(value)
+        # The lemma route's rows hold every block's partials as they are written, sign included.
+        g_tau, g_nu = _rows(layout, obs)
+        informed = [block[0] for block in kappa1_blocks(layout, obs)]
+        for block, cols in layout.interest_blocks():
+            if cols not in informed:
+                continue
+            tau_key, nu_key = BLOCK_KEYS[block.rstrip("_0123456789")]
+            out[f"{tag}/{name}{i}/{tau_key}"] = fingerprint(g_tau[:, cols].reshape(*obs.snr.shape, 3))
+            if nu_key is not None:
+                out[f"{tag}/{name}{i}/{nu_key}"] = fingerprint(g_nu[:, cols].reshape(*obs.omega.shape, 3))
 
 
 def dump() -> dict:
