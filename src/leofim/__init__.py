@@ -42,7 +42,7 @@ from .location_fim import (
     efim_lemma_route,
     efim_schur_route,
 )
-from .links import LinkJacobians, link_jacobians
+from .links import LinkJacobians
 from .scenario import (
     Case,
     Scenario,
@@ -112,7 +112,6 @@ __all__ = [
     "invert_psd",
     "is_identifiable",
     "link_fim",
-    "link_jacobians",
     "omega",
     "parameter_sweep",
     "random_scenario",

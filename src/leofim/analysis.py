@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import link_observables
-from .location_fim import Efim, _GroupGrams, _stacked_pools
+from .location_fim import Efim, _efims, _stacked_pools
 from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
 from .transform import LocationLayout
 
@@ -147,13 +147,12 @@ def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
     verdict = is_identifiable(efim, rel_tol)
     if not verdict.is_pd:
         raise NotIdentifiableError(verdict)
-    return _bounds(efim, rel_tol)
+    return _bounds(efim.matrix, efim.layout, rel_tol)
 
 
-def _bounds(efim: Efim, rel_tol: float) -> CrlbReport:
+def _bounds(matrix: np.ndarray, layout: LocationLayout, rel_tol: float) -> CrlbReport:
     """:func:`crlb` of an EFIM whose verdict at ``rel_tol`` is already PD."""
-    layout: LocationLayout = efim.layout
-    inverse = invert_psd(efim.matrix, floor_rel=rel_tol)
+    inverse = invert_psd(matrix, floor_rel=rel_tol)
 
     def block_bound(sl: slice) -> float:
         return float(np.sqrt(np.trace(inverse[sl, sl])))
@@ -195,44 +194,35 @@ def _family_trials(
     Sampling is nested in the counts (:data:`GRID_AXES`), so each trial is
     sampled and linked once, at the family's maxima, and stacked with the
     family's other trials before the next is sampled; the stacks live only
-    for this call.  Per satellite count, one :class:`_GroupGrams` over them
-    gives every configuration's EFIMs, bit for bit those of its own sampled
-    scenario, and :func:`_decide` decides them.
+    for this call.  Per satellite count, one :func:`_efims` over them gives
+    every configuration's EFIMs, bit for bit those of its own sampled
+    scenario, and one stacked :func:`balanced_eigvalsh` decides them all.  A
+    PD trial's bounds reuse its verdict; they are ``None`` for a trial that
+    is not PD, or without ``with_bounds``.
     """
     members = [configs[i] for cells in by_leo.values() for i in cells]
     counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
     largest = dataclasses.replace(members[0], **counts)
-    trials = (
+    linked = (
         link_observables(random_scenario(largest, seed), largest.case) for seed in trial_seeds
     )
-    pools = _stacked_pools(trials, len(trial_seeds))
+    pools = _stacked_pools(linked, len(trial_seeds))
     decided = []
     for n_leo, cells in by_leo.items():
         # One set of Grams per satellite count: no other count's fit it.
-        grams = _GroupGrams(pools, n_leo, largest.case)
-        decided += zip(cells, _decide(grams, [configs[i] for i in cells], rel_tol, with_bounds))
+        layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
+        sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
+        efims = _efims(pools, layout, sub_counts)
+        for i, matrices, spectra in zip(cells, efims, balanced_eigvalsh(efims)):
+            trials = []
+            for matrix, eigvals in zip(matrices, spectra):
+                verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, configs[i])
+                bounds = None
+                if with_bounds and verdict.is_pd:
+                    bounds = _bounds(matrix, layout, rel_tol)
+                trials.append((verdict, bounds))
+            decided.append((i, trials))
     return decided
-
-
-def _decide(
-    grams: _GroupGrams, configs: list[ScenarioConfig], rel_tol: float, with_bounds: bool
-) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
-    """``(verdict, bounds)`` per trial of each of ``configs``, all of one
-    family and satellite count, whose verdicts come from one stacked
-    :func:`balanced_eigvalsh`.  A PD cell's bounds reuse that verdict; they
-    are ``None`` for a cell that is not PD, or without ``with_bounds``."""
-    efims = grams.efims([(c.n_bs, c.n_ant, c.n_slots) for c in configs])
-    results = []
-    for config, matrices, spectra in zip(configs, efims, balanced_eigvalsh(efims)):
-        trials = []
-        for matrix, eigvals in zip(matrices, spectra):
-            verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, config)
-            bounds = None
-            if with_bounds and verdict.is_pd:
-                bounds = _bounds(Efim(matrix, grams.layout, grams.case), rel_tol)
-            trials.append((verdict, bounds))
-        results.append(trials)
-    return results
 
 
 def _trials(

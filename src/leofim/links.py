@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -138,24 +137,17 @@ def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.nda
 
 class _ArrayGeometry:
     """Receiver-array quantities every link of a scenario shares: slot times
-    ``k_times (n_slots,)`` and the reference-point track ``centroid
-    (n_slots, 3)``, plus, computed on first use since satellite-station links
-    need neither, the world-frame antenna lever arms ``lever (n_ant, 3)`` and
-    their orientation partials ``rotated (n_ant, 3, 3)``."""
+    ``k_times (n_slots,)``, the reference-point track ``centroid (n_slots,
+    3)``, the world-frame antenna lever arms ``lever (n_ant, 3)`` and their
+    orientation partials ``rotated (n_ant, 3, 3)``."""
 
     def __init__(self, scenario: Scenario):
-        self.receiver = receiver = scenario.receiver
+        receiver = scenario.receiver
         self.k_times = scenario.grid.slot_numbers() * scenario.grid.spacing_s
         self.centroid = receiver.position + self.k_times[:, None] * receiver.velocity
-
-    @cached_property
-    def lever(self) -> np.ndarray:
-        return self.receiver.antenna_offsets @ rotation_matrix(self.receiver.orientation).T
-
-    @cached_property
-    def rotated(self) -> np.ndarray:
-        partials = rotation_matrix_partials(self.receiver.orientation)
-        return np.einsum("iab,ub->uia", partials, self.receiver.antenna_offsets)
+        self.lever = receiver.antenna_offsets @ rotation_matrix(receiver.orientation).T
+        partials = rotation_matrix_partials(receiver.orientation)
+        self.rotated = np.einsum("iab,ub->uia", partials, receiver.antenna_offsets)
 
 
 def _jacobians(
@@ -242,13 +234,6 @@ def bs_rx_observables(scenario: Scenario, q: int) -> LinkObservables:
 def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
     """Observables of satellite ``b``'s links to all base stations."""
     return _observables(scenario, _ArrayGeometry(scenario), LinkKind.LEO_BS, b)
-
-
-def link_jacobians(scenario: Scenario, kind: LinkKind, index: int) -> LinkJacobians:
-    """All receiving-end and orientation partials of one link."""
-    if not isinstance(kind, LinkKind):
-        raise ValueError(f"unknown link kind {kind!r}")
-    return _observables(scenario, _ArrayGeometry(scenario), kind, index).jacobians
 
 
 def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:

@@ -9,10 +9,10 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   their rows first), and the EFIM is the Gram matrix ``F^T F`` of the stacked
   centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
   difference is formed, so no digit is lost to cancellation.  The route runs
-  on a leading trial axis (:class:`_GroupGrams`): the sweeps stack the trials
-  of one configuration family and build each group's Gram once for all of
-  them and every sub-count that slices it; :func:`compute_efim` is the
-  one-trial, one-count case;
+  on a leading trial axis (:func:`_efims`): the sweeps stack the trials of
+  one configuration family and build each group's Gram once for all of them
+  and every sub-count that slices it; :func:`compute_efim` is the one-trial,
+  one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
   coordinates (gains and offsets of every link) are marginalized by a Schur
@@ -226,37 +226,30 @@ def efim_schur_route(
 
 
 def compute_efim(scenario: Scenario) -> Efim:
-    """The EFIM of a scenario by the factor route (:class:`_GroupGrams`): one
+    """The EFIM of a scenario by the factor route (:func:`_efims`): one
     trial, one cell."""
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
     pools = _stacked_pools([link_observables(scenario, scenario.case)], 1)
-    grams = _GroupGrams(pools, scenario.n_leo, scenario.case)
-    matrix = grams.efims([(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
-    return Efim(matrix=matrix, layout=grams.layout, case=scenario.case)
+    matrix = _efims(pools, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
+    return Efim(matrix=matrix, layout=layout, case=scenario.case)
 
 
-def _centered_gram(g: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``F^T F`` per trial of one offset group's rows ``F = sqrt(w) (g -
-    g_bar)``, with ``g_bar`` the ``w``-weighted mean row.
+def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``F^T F (T, dim, dim)`` per trial of one offset group's rows ``F =
+    sqrt(w) (g - g_bar)``, with ``g_bar`` the ``w``-weighted mean row.
 
     ``g (T, n, dim)`` is overwritten; ``w`` is ``(T, n)``, or ``(1, n)`` when
-    it holds in every trial.  Returns ``(live, grams)``: a mask of the
-    trials whose weights sum to ``> 0`` (one entry for all trials when ``w``
-    has one row), and their Grams; a trial whose weights do not is
-    informed by nothing, and ``None`` means no trial is.  A sum that overflows
-    a double raises :class:`NumericalError`: dividing by it would silently
-    drop the mean.
+    it holds in every trial.  Weights are non-negative, so a trial whose
+    weights sum to zero has every row scaled to zero and a zero Gram: it is
+    informed by nothing.  A sum that overflows a double raises
+    :class:`NumericalError`: dividing by it would silently drop the mean.
     """
     total = w.sum(axis=-1)
     if not np.isfinite(total).all():
         raise NumericalError("an offset group's weights sum beyond double range")
-    live = total > 0.0
-    if not live.any():
-        return None
-    if not live.all():
-        g, w, total = g[live], w[live], total[live]
-    g -= (w[:, None, :] @ g) / total[:, None, None]
+    g -= (w[:, None, :] @ g) / np.where(total > 0.0, total, 1.0)[:, None, None]
     g *= np.sqrt(w)[:, :, None]
-    return live, g.mT @ g
+    return g.mT @ g
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,7 @@ class _Pool:
     stations for a satellite-station link.  An array link's Doppler Jacobians
     and ``omega`` have one row, the array reference point.  ``omega (T, ...)``
     and every Jacobian ``(T, ..., 3)`` lead with the trial axis, a member's
-    Doppler ones scaled by ``f_c / f_1`` (see :class:`_GroupGrams`).  ``snr``,
+    Doppler ones scaled by ``f_c / f_1`` (see :func:`_efims`).  ``snr``,
     ``carrier_sq = f_1^2`` and the members' ``half_ao2 (members, 1, 1)`` are
     configuration values, the same in every trial, and come from the first.
     """
@@ -371,9 +364,12 @@ def _stacked_pools(trials: Iterable[list[LinkObservables]], n_trials: int) -> li
 _ROW_BYTES = 1 << 19
 
 
-class _GroupGrams:
-    """The factor route over stacked trials' links at ``n_leo`` satellites,
-    for every sub-count of stations, antennas and slots.
+def _efims(
+    pools: list[_Pool], layout: LocationLayout, counts: list[tuple[int, int, int]]
+) -> np.ndarray:
+    """The factor route: the EFIMs ``(cells, T, dim, dim)`` at ``layout``'s
+    satellite count of every stacked trial at each cell's ``(n_bs, n_ant,
+    n_slots)``.
 
     Each offset group (a link's delay rows with ``w_tau``, its Doppler rows
     with ``w_nu``; the station-receiver links pool theirs into one pair) is
@@ -385,40 +381,28 @@ class _GroupGrams:
     ``f_c / f_1`` (exactly 1 for a shared carrier).
 
     Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
-    first elements and slots of these links, and every trial of a family has
-    the same shapes.  Each group's Gram is built once for all trials and every
-    sub-count that slices it the same way.  The sum is bit for bit the EFIM of
-    each trial's scenario sampled at that sub-count.
+    first elements and slots of the pools' links, and every trial of a family
+    has the same shapes.  Pools of satellites beyond ``layout.n_leo`` are
+    skipped; the rest go in link order, the station pool last.  Within a pool
+    each distinct sub-count's Grams are built once for all trials and added
+    to every cell that keeps it, so each cell sums its groups in the same
+    order as a scenario sampled at its own counts: bit for bit its EFIM.
+    Trials are taken a few at a time where one trial's rows are large, which
+    bounds the dense rows held at once.
     """
-
-    def __init__(self, pools: list[_Pool], n_leo: int, case: Case):
-        self.layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
-        self.case = case
-        self.pools = [p for p in pools if p.kind is LinkKind.BS_RX or p.index < n_leo]
-
-    def efims(self, counts: list[tuple[int, int, int]]) -> np.ndarray:
-        """The EFIMs ``(cells, T, dim, dim)`` of every trial at each cell's
-        ``(n_bs, n_ant, n_slots)``.  Pools go in link order, the station pool
-        last; within a pool each distinct sub-count's Grams are built once and
-        added to every cell that keeps it, so each cell sums its groups in the
-        same order as a scenario sampled at its own counts.  Trials are taken
-        a few at a time where one trial's rows are large, which bounds the
-        dense rows held at once."""
-        dim = self.layout.dim_interest
-        n_trials = self.pools[0].omega.shape[0]
-        out = np.zeros((len(counts), n_trials, dim, dim))
-        for pool in self.pools:
-            cells_by_key: dict[tuple[int, int, int], list[int]] = {}
-            for cell, sub_count in enumerate(counts):
-                cells_by_key.setdefault(pool.key(*sub_count), []).append(cell)
-            for key, cells in cells_by_key.items():
-                cell_index = np.array(cells)[:, None]
-                step = max(1, _ROW_BYTES // (8 * dim * max(1, math.prod(key))))
-                for start in range(0, n_trials, step):
-                    trials = np.arange(start, min(start + step, n_trials))
-                    for g, w in pool.groups(self.layout, key, slice(start, start + step)):
-                        centered = _centered_gram(g, w)
-                        if centered is not None:
-                            live, gram = centered
-                            out[cell_index, trials if live.all() else trials[live]] += gram
-        return sym(out)
+    dim = layout.dim_interest
+    n_trials = pools[0].omega.shape[0]
+    out = np.zeros((len(counts), n_trials, dim, dim))
+    for pool in pools:
+        if pool.kind is not LinkKind.BS_RX and pool.index >= layout.n_leo:
+            continue
+        cells_by_key: dict[tuple[int, int, int], list[int]] = {}
+        for cell, sub_count in enumerate(counts):
+            cells_by_key.setdefault(pool.key(*sub_count), []).append(cell)
+        for key, cells in cells_by_key.items():
+            step = max(1, _ROW_BYTES // (8 * dim * max(1, math.prod(key))))
+            for start in range(0, n_trials, step):
+                trials = slice(start, start + step)
+                for g, w in pool.groups(layout, key, trials):
+                    out[cells, trials] += _centered_gram(g, w)
+    return sym(out)

@@ -289,13 +289,16 @@ def _per_value_sweep(axis, values, template, seed, n_trials):
 @pytest.mark.parametrize("case", list(Case))
 def test_parameter_sweep_matches_per_value_sampling_exactly(seed, case):
     """Antenna counts out of order, repeated and down to one (infinite bounds);
-    axes that are not nested; and a template without stations."""
+    axes that are not nested; a template without stations; and one whose
+    station-receiver SNR underflows to zero, so the station pool informs no
+    trial."""
     template = dataclasses.replace(WIDE, case=case)
     for axis, values, base in (
         ("n_ant", [16, 4, 16, 1], template),
         ("carrier_freq_hz", [28e9, 40e9], template),
         ("snr_db", [20.0, 10.0], template),
         ("n_ant", [1, 4, 2], dataclasses.replace(template, n_bs=0)),
+        ("n_ant", [4, 1], dataclasses.replace(template, snr_db_bs_rx=-4000.0)),
     ):
         points = parameter_sweep(axis, values, base, seed, n_trials=3)
         reference = _per_value_sweep(axis, values, base, seed, n_trials=3)

@@ -21,12 +21,11 @@ from leofim.links import (
     bs_rx_observables,
     leo_bs_observables,
     leo_rx_observables,
-    link_jacobians,
     link_observables,
 )
 from leofim.location_fim import (
     _centered_gram,
-    _GroupGrams,
+    _efims,
     _link_weights,
     _rows,
     _stacked_pools,
@@ -167,7 +166,6 @@ def test_link_observables_match_single_link_entry_points_bit_for_bit(case):
     }
     for obs in link_observables(sc, case):
         _assert_same_link(obs, single[obs.kind](sc, obs.index))
-        _assert_same_link(obs.jacobians, link_jacobians(sc, obs.kind, obs.index), obs)
 
 
 def _assert_same_link(got_from, expected_from, obs=None):
@@ -226,7 +224,7 @@ def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     pools = _stacked_pools(trials, len(trial_seeds))
     counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
     for n_leo in [1, 3]:
-        efims = _GroupGrams(pools, n_leo, case).efims(counts)
+        efims = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
         dim = 9 + 6 * n_leo
         assert efims.shape == (len(counts), len(trial_seeds), dim, dim)
         for (n_bs, n_ant, n_slots), cell in zip(counts, efims):
@@ -238,19 +236,20 @@ def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
                 assert np.array_equal(expected, _group_by_group_efim(small)), (sub, trial_seed)
 
 
-def test_centered_gram_skips_trials_whose_weights_sum_to_zero():
-    """A trial whose group weights are all zero is informed by nothing; the
-    other trials' Grams are those of their own rows."""
+def test_centered_gram_of_a_trial_whose_weights_sum_to_zero_is_zero():
+    """A trial whose group weights are all zero is informed by nothing: its
+    Gram is zero, and the other trials' Grams are those of their own rows."""
     rng = np.random.default_rng(3)
     g = rng.normal(size=(3, 6, 4))
     w = rng.uniform(0.5, 2.0, size=(3, 6))
     w[1] = 0.0
-    live, grams = _centered_gram(g.copy(), w)
-    assert live.tolist() == [True, False, True]
-    for gram, trial in zip(grams, [0, 2]):
+    grams = _centered_gram(g.copy(), w)
+    assert grams.shape == (3, 4, 4)
+    assert np.array_equal(grams[1], np.zeros((4, 4)))
+    for trial in [0, 2]:
         f = np.sqrt(w[trial])[:, None] * (g[trial] - (w[trial] @ g[trial]) / w[trial].sum())
-        assert np.array_equal(gram, f.T @ f)
-    assert _centered_gram(g.copy(), np.zeros((1, 6))) is None
+        assert np.array_equal(grams[trial], f.T @ f)
+    assert np.array_equal(_centered_gram(g.copy(), np.zeros((1, 6))), np.zeros((3, 4, 4)))
 
 
 def test_public_entry_points_return_one_link_each():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leofim.channel_fim import LinkKind, assemble_channel_fim
-from leofim.links import link_jacobians
+from leofim.links import leo_rx_observables
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 from leofim.transform import build_transformation_matrix, transform_fim
 
@@ -61,7 +61,7 @@ def test_satellite_offset_partials_mirror_receiver_ones():
     """A satellite-receiver link writes its receiver partials into the
     receiver blocks and their exact negation into the satellite's offsets."""
     sc = _scenario(22)
-    jac = link_jacobians(sc, LinkKind.LEO_RX, 0)
+    jac = leo_rx_observables(sc, 0).jacobians
     blocks = signed_partials(sc, LinkKind.LEO_RX, 0)
     for receiver, offset, partial in (
         ("dtau_dp", "dtau_dpcheck", jac.dtau_dp),
@@ -75,7 +75,7 @@ def test_satellite_offset_partials_mirror_receiver_ones():
 
 def test_delay_velocity_partial_scales_with_slot_time():
     sc = _scenario(23)
-    jac = link_jacobians(sc, LinkKind.LEO_RX, 0)
+    jac = leo_rx_observables(sc, 0).jacobians
     times = sc.grid.slot_numbers() * sc.grid.spacing_s
     expected = times[None, :, None] * jac.dtau_dp
     assert np.allclose(jac.dtau_dv, expected, rtol=1e-12, atol=0.0)

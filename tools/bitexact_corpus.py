@@ -25,7 +25,10 @@ the scenario arrays alone are also hashed for seeds 0..19 at L2 Q2 U4 with
 every slot count from 1 to 20.  ``identifiability_sweep`` is fingerprinted per
 cell (``is_pd``, min and max eigenvalue) on the acceptance-1 counts grid and on
 a grid with no stations and a single slot among its values, for seeds 42 and 7
-in both cases.  ``parameter_sweep`` is fingerprinted per point (the worst
+in both cases.  A template whose station-receiver SNR (-4000 dB) underflows to
+zero, so the station pool informs nothing, is fingerprinted by its
+``compute_efim`` and its acceptance-1 sweep, for seeds 42 and 7 in both
+cases.  ``parameter_sweep`` is fingerprinted per point (the worst
 verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
 bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
 and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
@@ -54,10 +57,15 @@ SIZES = ((1, 3, 4, 3), (3, 3, 4, 4), (2, 3, 16, 10), (4, 4, 32, 20), (2, 0, 4, 3
 SCENARIO_SEEDS = range(20)
 SCENARIO_SLOTS = range(1, 21)
 OBS_FIELDS = ("omega", "snr")
-SWEEP_GRIDS = {
-    "acceptance1": {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]},
-    "edges": {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]},
-}
+ACCEPTANCE1 = {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]}
+# Station-receiver links whose SNR underflows to zero.
+DEAD_BS_RX = dict(snr_db_bs_rx=-4000.0)
+# (name, grid, template knobs) of every fingerprinted counts sweep.
+SWEEP_CASES = [
+    ("acceptance1", ACCEPTANCE1, {}),
+    ("edges", {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]}, {}),
+    ("acceptance1/dead_bs_rx", ACCEPTANCE1, DEAD_BS_RX),
+]
 # The template of ``benches/configs/cli_sweep.json``, in either case.
 PARAMETER_TEMPLATE = dict(
     n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5
@@ -183,8 +191,11 @@ def dump() -> dict:
     for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
         config = ScenarioConfig(n_leo=2, n_bs=2, n_ant=4, n_slots=n_slots)
         _scenario(random_scenario(config, seed), out, f"s{seed}/L2Q2U4K{n_slots}/scenario")
-    for seed, (name, grid), case in itertools.product(SEEDS, SWEEP_GRIDS.items(), Case):
-        for v in identifiability_sweep(grid, ScenarioConfig(case=case), seed):
+    for seed, case in itertools.product(SEEDS, Case):
+        scenario = random_scenario(ScenarioConfig(**DEAD_BS_RX, case=case), seed)
+        out[f"s{seed}/dead_bs_rx/{case.value}/efim"] = fingerprint(compute_efim(scenario).matrix)
+    for seed, (name, grid, knobs), case in itertools.product(SEEDS, SWEEP_CASES, Case):
+        for v in identifiability_sweep(grid, ScenarioConfig(**knobs, case=case), seed):
             c = v.config
             tag = f"s{seed}/sweep/{name}/{case.value}/L{c.n_leo}Q{c.n_bs}U{c.n_ant}K{c.n_slots}"
             out[tag] = fingerprint([float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue])
