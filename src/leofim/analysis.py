@@ -7,11 +7,12 @@ configuration counts as identifiable only if every one of its random trial
 geometries is positive definite — a single lucky geometry is not enough.
 Every trial is decided in one place (:func:`_trials`, which both sweeps and
 the CLI ``bound`` command use): configurations that differ only in their
-counts form a family whose trials are each sampled and linked once and
-stacked on a trial axis; each offset-group Gram is built once for all the
-family's trials and every configuration that slices it, each configuration's
-EFIM is bit for bit that of its own sampled scenario, and the verdicts of one
-(family, satellite count) come from one stacked eigenvalue call.
+counts form a family whose trials are sampled and linked together, in one
+array pass with a leading trial axis; each offset-group Gram is built once
+for all the family's trials and every configuration that slices it, each
+configuration's EFIM is bit for bit that of its own sampled scenario, and the
+verdicts of one (family, satellite count) come from one stacked eigenvalue
+call.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
-from .links import link_observables
-from .location_fim import Efim, _efims, _stacked_pools
-from .scenario import ScenarioConfig, derive_trial_seeds, random_scenario
+from .links import _kinds, _link_pass, _sampled_scene
+from .location_fim import Efim, _efims, _pools
+from .scenario import ScenarioConfig, _sample, derive_trial_seeds
 from .transform import LocationLayout
 
 DEFAULT_REL_TOL = 1e-10
@@ -191,22 +192,21 @@ def _family_trials(
     """``(index, trials)`` of every configuration of one family, given its
     configurations' indices by satellite count.
 
-    Sampling is nested in the counts (:data:`GRID_AXES`), so each trial is
-    sampled and linked once, at the family's maxima, and stacked with the
-    family's other trials before the next is sampled; the stacks live only
-    for this call.  Per satellite count, one :func:`_efims` over them gives
-    every configuration's EFIMs, bit for bit those of its own sampled
-    scenario, and one stacked :func:`balanced_eigvalsh` decides them all.  A
-    PD trial's bounds reuse its verdict; they are ``None`` for a trial that
-    is not PD, or without ``with_bounds``.
+    Sampling is nested in the counts (:data:`GRID_AXES`), so the family's
+    trials are sampled and linked once, at its maxima, and together: one
+    :func:`.scenario._sample` and one :func:`.links._link_pass` over the
+    trial axis, whose arrays the offset pools view.  They live only for this
+    call.  Per satellite count, one :func:`_efims` over the pools gives every
+    configuration's EFIMs, bit for bit those of its own sampled scenario, and
+    one stacked :func:`balanced_eigvalsh` decides them all.  A PD trial's
+    bounds reuse its verdict; they are ``None`` for a trial that is not PD,
+    or without ``with_bounds``.
     """
     members = [configs[i] for cells in by_leo.values() for i in cells]
     counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
     largest = dataclasses.replace(members[0], **counts)
-    linked = (
-        link_observables(random_scenario(largest, seed), largest.case) for seed in trial_seeds
-    )
-    pools = _stacked_pools(linked, len(trial_seeds))
+    scene = _sampled_scene(largest, _sample(largest, trial_seeds))
+    pools = _pools(_link_pass(scene, _kinds(largest.case)))
     decided = []
     for n_leo, cells in by_leo.items():
         # One set of Grams per satellite count: no other count's fit it.
@@ -265,10 +265,11 @@ def identifiability_sweep(
     trial.  Trial seeds derive from ``seed`` alone, so results are
     reproducible and trials are paired across cells.
 
-    Sampling is nested, so each trial is sampled and linked once, at the grid
-    maxima.  Per satellite count, each offset group's centered Gram is built
-    once for all trials and every sub-count that slices it, and each cell sums
-    those Grams: bit for bit the EFIM of its own sampled scenario.
+    Sampling is nested, so the trials are sampled and linked together, once,
+    at the grid maxima.  Per satellite count, each offset group's centered
+    Gram is built once for all trials and every sub-count that slices it, and
+    each cell sums those Grams: bit for bit the EFIM of its own sampled
+    scenario.
     """
     unknown = set(grid) - set(GRID_AXES)
     if unknown:
@@ -343,10 +344,11 @@ def parameter_sweep(
     Trial seeds are shared across values, pairing the geometries.  Every value
     is validated before any trial is sampled.
 
-    Antenna counts are nested, so an ``n_ant`` sweep samples and links each
-    trial once, at the largest count, and every value's EFIM slices it: bit
-    for bit the EFIM of its own sampled scenario.  The other axes sample each
-    (value, trial) on its own.
+    Antenna counts are nested, so an ``n_ant`` sweep samples and links its
+    trials together, once, at the largest count, and every value's EFIM slices
+    them: bit for bit the EFIM of its own sampled scenario.  On the other axes
+    each value is its own family, whose trials are sampled and linked
+    together.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")

@@ -67,18 +67,25 @@ class EulerAngles:
         return np.array([self.alpha, self.psi, self.phi], dtype=float)
 
 
-def _elementary_rotations(angles: EulerAngles) -> tuple[tuple[np.ndarray, ...], ...]:
-    """``(R_z, R_y, R_x)``, and their derivatives by their own angles."""
-    ca, sa = np.cos(angles.alpha), np.sin(angles.alpha)
-    cp, sp = np.cos(angles.psi), np.sin(angles.psi)
-    cr, sr = np.cos(angles.phi), np.sin(angles.phi)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    drz = np.array([[-sa, -ca, 0.0], [ca, -sa, 0.0], [0.0, 0.0, 0.0]])
-    dry = np.array([[-sp, 0.0, cp], [0.0, 0.0, 0.0], [-cp, 0.0, -sp]])
-    drx = np.array([[0.0, 0.0, 0.0], [0.0, -sr, -cr], [0.0, cr, -sr]])
-    return (rz, ry, rx), (drz, dry, drx)
+def _rotations(euler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation matrices ``Q (..., 3, 3)`` of Euler angles ``euler (..., 3)``
+    (yaw, pitch, roll), and their partials ``(..., 3, 3, 3)``, entry ``[...,
+    i, :, :]`` the derivative by angle ``i``."""
+    ca, cp, cr = np.moveaxis(np.cos(euler), -1, 0)
+    sa, sp, sr = np.moveaxis(np.sin(euler), -1, 0)
+    zero, one = np.zeros_like(ca), np.ones_like(ca)
+
+    def matrix(*entries: np.ndarray) -> np.ndarray:
+        return np.stack(entries, axis=-1).reshape(*ca.shape, 3, 3)
+
+    rz = matrix(ca, -sa, zero, sa, ca, zero, zero, zero, one)
+    ry = matrix(cp, zero, sp, zero, one, zero, -sp, zero, cp)
+    rx = matrix(one, zero, zero, zero, cr, -sr, zero, sr, cr)
+    drz = matrix(-sa, -ca, zero, ca, -sa, zero, zero, zero, zero)
+    dry = matrix(-sp, zero, cp, zero, zero, zero, -cp, zero, -sp)
+    drx = matrix(zero, zero, zero, zero, -sr, -cr, zero, cr, -sr)
+    partials = np.stack([drz @ ry @ rx, rz @ dry @ rx, rz @ ry @ drx], axis=-3)
+    return rz @ ry @ rx, partials
 
 
 def rotation_matrix(angles: EulerAngles) -> np.ndarray:
@@ -94,8 +101,7 @@ def rotation_matrix(angles: EulerAngles) -> np.ndarray:
     numpy.ndarray
         Proper orthogonal matrix of shape ``(3, 3)``.
     """
-    (rz, ry, rx), _ = _elementary_rotations(angles)
-    return rz @ ry @ rx
+    return _rotations(angles.as_array())[0]
 
 
 def rotation_matrix_partials(angles: EulerAngles) -> np.ndarray:
@@ -107,8 +113,7 @@ def rotation_matrix_partials(angles: EulerAngles) -> np.ndarray:
         Array of shape ``(3, 3, 3)``; entry ``[i]`` is ``dQ/d(angle_i)`` with
         angles ordered (alpha, psi, phi).
     """
-    (rz, ry, rx), (drz, dry, drx) = _elementary_rotations(angles)
-    return np.stack([drz @ ry @ rx, rz @ dry @ rx, rz @ ry @ drx])
+    return _rotations(angles.as_array())[1]
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,10 @@ class SlotGrid:
     def slot_numbers(self) -> np.ndarray:
         """The observed slot numbers, ``[1, ..., n_slots]``."""
         return np.arange(1, self.n_slots + 1)
+
+    def times(self) -> np.ndarray:
+        """Elapsed times of the observed slots, ``[1, ..., n_slots] * spacing_s``."""
+        return self.slot_numbers() * self.spacing_s
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ Everything downstream — channel information matrices, ``Upsilon``,
 information-loss terms — consumes links through these bundles, which carry
 only each link's delay/Doppler weights and partials.  The mapping from
 scene geometry to delays, Doppler shifts, weights and their partials
-lives in exactly one place and is evaluated once per link, as one
-broadcast pass over ``(element, slot, 3)`` arrays; the receiver-array geometry
-the passes share (slot times, reference-point track, antenna lever arms and
-their orientation partials) is computed once per scenario.  Delays are
-evaluated per receive element (antenna, or station for the satellite-station
-link); Doppler shifts are evaluated once per slot at the array reference point
-for receiver links, and per station otherwise.
+lives in exactly one place, :func:`_link_pass`, and is evaluated once per
+link kind, as one broadcast pass over ``(trial, member, element, slot, 3)``
+arrays: every satellite's links of a kind go in one pass, and every station's
+links to the array in one.  The receiver-array geometry the passes share
+(slot times, reference-point track, antenna lever arms and their orientation
+partials) is computed once per call.  A sweep's family of trials runs through
+it at once (:func:`_sampled_scene`); a :class:`.Scenario`'s links are its
+one-trial case (:func:`link_observables` and the single-link entry points).
+Delays are evaluated per receive element (antenna, or station for the
+satellite-station link); Doppler shifts are evaluated once per slot at the
+array reference point for receiver links, and per station otherwise.
 
 Satellite positions include the ephemeris offsets: the constant position error
 plus the velocity-offset drift ``k*dt*vel_offset``.
@@ -41,11 +45,11 @@ from .geometry import (
     _DEGENERATE_NORM,
     SPEED_OF_LIGHT_M_S,
     DegenerateGeometryError,
-    rotation_matrix,
-    rotation_matrix_partials,
+    SlotGrid,
+    _rotations,
 )
-from .scenario import Case, Scenario
-from .signals import effective_frequency, omega
+from .scenario import Case, Scenario, ScenarioConfig, _link_signals, _Sample
+from .signals import SignalProps, effective_frequency, omega
 
 _C = SPEED_OF_LIGHT_M_S
 
@@ -64,7 +68,8 @@ class LinkJacobians:
 
     Delay arrays have shape ``(n_rows, n_slots, 3)``; Doppler arrays are
     ``(n_slots, 3)`` for array links and ``(n_rows, n_slots, 3)`` for
-    satellite-station links.
+    satellite-station links.  A :class:`_Batch` holds a link kind's with
+    leading ``(trial, member)`` axes.
     """
 
     dtau_dp: np.ndarray
@@ -119,15 +124,6 @@ def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return diff / dist[..., None], dist
 
 
-def _leo_states(scenario: Scenario, b: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Offset-corrected positions and velocities of satellite ``b`` per slot."""
-    leo = scenario.leos[b]
-    track = leo.track[: scenario.n_slots]
-    position = leo.position + (t * leo.speed)[:, None] * track
-    position = position + leo.pos_offset + t[:, None] * leo.vel_offset
-    return position, leo.speed * track + leo.vel_offset
-
-
 def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.ndarray) -> np.ndarray:
     """``(I - dir dir^T) @ v_rel / (c * dist)`` broadcast over leading axes."""
     proj = np.einsum("...i,...i->...", dirs, v_rel)
@@ -135,115 +131,250 @@ def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.nda
     return perp / (_C * dists[..., None])
 
 
-class _ArrayGeometry:
-    """Receiver-array quantities every link of a scenario shares: slot times
-    ``k_times (n_slots,)``, the reference-point track ``centroid (n_slots,
-    3)``, the world-frame antenna lever arms ``lever (n_ant, 3)`` and their
-    orientation partials ``rotated (n_ant, 3, 3)``."""
+@dataclass(frozen=True)
+class _Scene:
+    """What the link pass reads, trial axis first: the receiver's
+    ``position``, ``velocity`` and Euler angles ``euler (T, 3)`` and body-frame
+    ``antennas (T, U, 3)``; the satellites' offset-corrected positions and
+    velocities per slot ``leo_position``/``leo_velocity (T, L, K, 3)``; the
+    station positions ``bs_position (T, Q, 3)``; the slot times ``k_times
+    (K,)``; and per link kind, each member's signal properties and frequency
+    offset (a member is a satellite, or a station for station-receiver
+    links)."""
 
-    def __init__(self, scenario: Scenario):
-        receiver = scenario.receiver
-        self.k_times = scenario.grid.slot_numbers() * scenario.grid.spacing_s
-        self.centroid = receiver.position + self.k_times[:, None] * receiver.velocity
-        self.lever = receiver.antenna_offsets @ rotation_matrix(receiver.orientation).T
-        partials = rotation_matrix_partials(receiver.orientation)
-        self.rotated = np.einsum("iab,ub->uia", partials, receiver.antenna_offsets)
+    position: np.ndarray
+    velocity: np.ndarray
+    euler: np.ndarray
+    antennas: np.ndarray
+    leo_position: np.ndarray
+    leo_velocity: np.ndarray
+    bs_position: np.ndarray
+    k_times: np.ndarray
+    signals: dict[LinkKind, tuple[SignalProps, ...]]
+    freq_offsets: dict[LinkKind, tuple[float, ...]]
 
 
-def _jacobians(
-    geometry: _ArrayGeometry,
-    kind: LinkKind,
-    dirs: np.ndarray,
-    dop_dirs: np.ndarray,
-    dop_dists: np.ndarray,
-    v_rel: np.ndarray,
-) -> LinkJacobians:
-    """All receiving-end and orientation partials of one link from its
-    geometry."""
-    k_fac = geometry.k_times[None, :, None]
-    array = kind is not LinkKind.LEO_BS
-    dtau_dp = dirs / _C
-    return LinkJacobians(
-        dtau_dp=dtau_dp,
-        # The two orders differ in the last bit; each matches its kind's scalar oracle.
-        dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
-        dtau_dphi=np.einsum("uka,uia->uki", dirs, geometry.rotated) / _C if array else None,
-        dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
-        dnu_dv=-dop_dirs / _C,
+def _leo_states(
+    position: np.ndarray,
+    speed: np.ndarray,
+    track: np.ndarray,
+    pos_offset: np.ndarray,
+    vel_offset: np.ndarray,
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offset-corrected positions and velocities ``(T, L, K, 3)`` per slot of
+    satellites with epoch positions ``(T, L, 3)``, speeds ``(L,)``, tracks
+    ``(T, L, K, 3)`` and ephemeris offsets ``(L, 3)``."""
+    pos_offset, vel_offset = pos_offset[:, None, :], vel_offset[:, None, :]
+    moved = position[..., None, :] + (t * speed[:, None])[..., None] * track
+    moved = moved + pos_offset + t[:, None] * vel_offset
+    return moved, speed[:, None, None] * track + vel_offset
+
+
+def _scene(scenario: Scenario, leos: range, bss: range) -> _Scene:
+    """The one-trial scene of a scenario's satellites ``leos`` and stations
+    ``bss``."""
+    receiver, n_slots = scenario.receiver, scenario.n_slots
+    k_times = scenario.grid.times()
+    sats = [scenario.leos[b] for b in leos]
+    leo_position, leo_velocity = _leo_states(
+        np.array([leo.position for leo in sats]).reshape(1, -1, 3),
+        np.array([leo.speed for leo in sats], dtype=float),
+        np.array([leo.track[:n_slots] for leo in sats]).reshape(1, -1, n_slots, 3),
+        np.array([leo.pos_offset for leo in sats]).reshape(-1, 3),
+        np.array([leo.vel_offset for leo in sats]).reshape(-1, 3),
+        k_times,
+    )
+    return _Scene(
+        position=receiver.position[None],
+        velocity=receiver.velocity[None],
+        euler=receiver.orientation.as_array()[None],
+        antennas=receiver.antenna_offsets[None],
+        leo_position=leo_position,
+        leo_velocity=leo_velocity,
+        bs_position=np.array([scenario.bss[q].position for q in bss]).reshape(1, -1, 3),
+        k_times=k_times,
+        signals={
+            LinkKind.LEO_RX: tuple(scenario.leo_rx_signals[b] for b in leos),
+            LinkKind.BS_RX: tuple(scenario.bs_rx_signals[q] for q in bss),
+            LinkKind.LEO_BS: tuple(scenario.leo_bs_signals[b] for b in leos),
+        },
+        freq_offsets={
+            LinkKind.LEO_RX: tuple(scenario.leo_rx_offsets[b].freq_offset for b in leos),
+            LinkKind.BS_RX: tuple(scenario.bs_rx_offset.freq_offset for _ in bss),
+            LinkKind.LEO_BS: tuple(scenario.leo_bs_offsets[b].freq_offset for b in leos),
+        },
     )
 
 
-def _observables(
-    scenario: Scenario, geometry: _ArrayGeometry, kind: LinkKind, index: int
-) -> LinkObservables:
-    """The one broadcast pass: geometry, Doppler, weights and Jacobians.
+def _sampled_scene(config: ScenarioConfig, sample: _Sample) -> _Scene:
+    """The scene of a family's sampled trials (:func:`.scenario._sample`) at
+    ``config``: bit for bit the scenes of their :func:`.random_scenario`."""
+    n_leo, n_bs = config.n_leo, config.n_bs
+    k_times = SlotGrid(n_slots=config.n_slots, spacing_s=config.slot_spacing_s).times()
+    no_offsets = np.zeros((n_leo, 3))
+    leo_position, leo_velocity = _leo_states(
+        sample.leo_position,
+        np.full(n_leo, config.leo_speed_m_s, dtype=float),
+        sample.leo_track,
+        no_offsets,
+        no_offsets,
+        k_times,
+    )
+    kinds = (LinkKind.LEO_RX, LinkKind.BS_RX, LinkKind.LEO_BS)
+    members = dict(zip(kinds, (n_leo, n_bs, n_leo)))
+    return _Scene(
+        position=sample.position,
+        velocity=sample.velocity,
+        euler=sample.euler,
+        antennas=sample.antennas,
+        leo_position=leo_position,
+        leo_velocity=leo_velocity,
+        bs_position=sample.bs_position,
+        k_times=k_times,
+        signals={
+            kind: (props,) * members[kind] for kind, props in zip(kinds, _link_signals(config))
+        },
+        freq_offsets={kind: (0.0,) * count for kind, count in members.items()},
+    )
 
-    ``dirs (n_rows, n_slots, 3)`` and ``dists (n_rows, n_slots)`` are the
-    transmitter-to-element directions and ranges; ``dop_dirs``/``dop_dists``,
-    ``nu`` and ``f_o`` are per Doppler observation (the array reference point
-    for array links, where they differ from ``dirs``/``dists``); ``v_rel
-    (n_slots, 3)`` is transmitter minus receiver velocity, the convention
-    under which a closing link has positive Doppler.
+
+@dataclass(frozen=True)
+class _Batch:
+    """One link kind's observables over leading ``(trial, member)`` axes.
+
+    Arrays lie on the grid ``(members, rows, slots)``: rows are antennas, or
+    stations for satellite-station links, and an array link's Doppler
+    observations have one row, the array reference point.  ``omega (T, M,
+    rows, K)`` and the Jacobians ``(T, M, rows, K, 3)`` lead with the trial
+    axis; ``snr (M, rows, K)`` holds in every trial.  ``signals`` holds each
+    member's properties.
     """
-    k_times = geometry.k_times
-    if kind is LinkKind.LEO_BS:
-        tx, v_rel = _leo_states(scenario, index, k_times)
-        stations = np.array([bs.position for bs in scenario.bss]).reshape(-1, 1, 3)
-        dirs, dists = _directions(tx[None, :, :], stations)
-        dop_dirs, dop_dists = dirs, dists
-        props = scenario.leo_bs_signals[index]
-        offsets = scenario.leo_bs_offsets[index]
-    else:
-        receiver = scenario.receiver
-        if kind is LinkKind.LEO_RX:
-            tx, v_leo = _leo_states(scenario, index, k_times)
-            v_rel = v_leo - receiver.velocity
-            props = scenario.leo_rx_signals[index]
-            offsets = scenario.leo_rx_offsets[index]
-        else:
-            tx = scenario.bss[index].position
-            v_rel = np.tile(-receiver.velocity, (scenario.n_slots, 1))
-            props = scenario.bs_rx_signals[index]
-            offsets = scenario.bs_rx_offset
-        dop_dirs, dop_dists = _directions(tx, geometry.centroid)
-        dirs, dists = _directions(tx, geometry.centroid[None, :, :] + geometry.lever[:, None, :])
 
-    nu = np.vecdot(dop_dirs, v_rel) / _C
-    f_o = effective_frequency(props.carrier_freq, nu, offsets.freq_offset)
-    return LinkObservables(
-        kind=kind,
-        index=index,
-        omega=omega(props.eff_bandwidth, props.bcc, f_o),
-        snr=props.snr_grid(dists.shape),
-        rms_duration=props.rms_duration,
-        carrier_freq=props.carrier_freq,
-        jacobians=_jacobians(geometry, kind, dirs, dop_dirs, dop_dists, v_rel),
-    )
+    kind: LinkKind
+    omega: np.ndarray
+    snr: np.ndarray
+    jacobians: LinkJacobians
+    signals: tuple[SignalProps, ...]
+
+
+def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
+    """The one broadcast pass: geometry, Doppler, weights and Jacobians of
+    every member of each link kind in ``kinds`` (kinds without members are
+    left out).
+
+    ``dirs (T, M, rows, K, 3)`` and ``dists`` are the transmitter-to-element
+    directions and ranges; ``dop_dirs``/``dop_dists``, ``nu`` and ``f_o`` are
+    per Doppler observation (the array reference point for array links, where
+    they differ from ``dirs``/``dists``); ``v_rel`` is transmitter minus
+    receiver velocity, the convention under which a closing link has positive
+    Doppler.
+    """
+    t = scene.k_times
+    k_fac = t[:, None]
+    kinds = [kind for kind in kinds if scene.signals[kind]]
+    if any(kind is not LinkKind.LEO_BS for kind in kinds):
+        rotation, partials = _rotations(scene.euler)
+        centroid = scene.position[:, None, :] + t[:, None] * scene.velocity[:, None, :]
+        centroid = centroid[:, None, None]
+        lever = scene.antennas @ rotation.mT
+        rotated = np.einsum("tiab,tub->tuia", partials, scene.antennas)
+        elements = centroid + lever[:, None, :, None, :]
+    batches = []
+    for kind in kinds:
+        if kind is LinkKind.LEO_BS:
+            tx = scene.leo_position[:, :, None]
+            v_rel = scene.leo_velocity[:, :, None]
+            dirs, dists = _directions(tx, scene.bs_position[:, None, :, None, :])
+            dop_dirs, dop_dists = dirs, dists
+        else:
+            if kind is LinkKind.LEO_RX:
+                tx = scene.leo_position[:, :, None]
+                v_rel = scene.leo_velocity[:, :, None] - scene.velocity[:, None, None, None, :]
+            else:
+                tx = scene.bs_position[:, :, None, None, :]
+                v_rel = -scene.velocity[:, None, None, None, :]
+            dop_dirs, dop_dists = _directions(tx, centroid)
+            dirs, dists = _directions(tx, elements)
+
+        nu = np.vecdot(dop_dirs, v_rel) / _C
+        signals = scene.signals[kind]
+        weights = np.empty(nu.shape)
+        # Member by member: ``omega`` squares each member's bandwidth as a float.
+        for m, (props, offset) in enumerate(zip(signals, scene.freq_offsets[kind])):
+            f_o = effective_frequency(props.carrier_freq, nu[:, m], offset)
+            weights[:, m] = omega(props.eff_bandwidth, props.bcc, f_o)
+        array = kind is not LinkKind.LEO_BS
+        dtau_dp = dirs / _C
+        batches.append(_Batch(
+            kind=kind,
+            omega=weights,
+            snr=np.stack([props.snr_grid(dists.shape[2:]) for props in signals]),
+            jacobians=LinkJacobians(
+                dtau_dp=dtau_dp,
+                # The two orders differ in the last bit; each matches its kind's scalar oracle.
+                dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
+                dtau_dphi=np.einsum("tmuka,tuia->tmuki", dirs, rotated) / _C if array else None,
+                dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
+                dnu_dv=-dop_dirs / _C,
+            ),
+            signals=signals,
+        ))
+    return batches
+
+
+def _kinds(case: Case) -> list[LinkKind]:
+    """The link kinds a case observes, in assembly order."""
+    kinds = [LinkKind.LEO_RX, LinkKind.BS_RX]
+    return kinds + [LinkKind.LEO_BS] if case is Case.WITH_BS else kinds
+
+
+def _scenario_links(
+    scenario: Scenario, kinds: list[LinkKind], leos: range, bss: range
+) -> list[LinkObservables]:
+    """The one-trial link pass over a scenario's satellites ``leos`` and
+    stations ``bss``, one :class:`LinkObservables` per link, kind by kind."""
+    links = []
+    for batch in _link_pass(_scene(scenario, leos, bss), kinds):
+        jac = batch.jacobians
+        # An array link's Doppler observations have the one row of its reference point.
+        row = slice(None) if batch.kind is LinkKind.LEO_BS else 0
+        members = bss if batch.kind is LinkKind.BS_RX else leos
+        for m, (index, props) in enumerate(zip(members, batch.signals)):
+            links.append(LinkObservables(
+                kind=batch.kind,
+                index=index,
+                omega=batch.omega[0, m, row],
+                snr=batch.snr[m],
+                rms_duration=props.rms_duration,
+                carrier_freq=props.carrier_freq,
+                jacobians=LinkJacobians(
+                    dtau_dp=jac.dtau_dp[0, m],
+                    dtau_dv=jac.dtau_dv[0, m],
+                    dtau_dphi=None if jac.dtau_dphi is None else jac.dtau_dphi[0, m],
+                    dnu_dp=jac.dnu_dp[0, m, row],
+                    dnu_dv=jac.dnu_dv[0, m, row],
+                ),
+            ))
+    return links
 
 
 def leo_rx_observables(scenario: Scenario, b: int) -> LinkObservables:
     """Observables of satellite ``b``'s downlink to the receiver array."""
-    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.LEO_RX, b)
+    return _scenario_links(scenario, [LinkKind.LEO_RX], range(b, b + 1), range(0))[0]
 
 
 def bs_rx_observables(scenario: Scenario, q: int) -> LinkObservables:
     """Observables of station ``q``'s link to the receiver array."""
-    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.BS_RX, q)
+    return _scenario_links(scenario, [LinkKind.BS_RX], range(0), range(q, q + 1))[0]
 
 
 def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
     """Observables of satellite ``b``'s links to all base stations."""
-    return _observables(scenario, _ArrayGeometry(scenario), LinkKind.LEO_BS, b)
+    return _scenario_links(scenario, [LinkKind.LEO_BS], range(b, b + 1), range(scenario.n_bs))[0]
 
 
 def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
     """Every link the case observes, in assembly order: satellite-receiver,
     station-receiver, then (with station observations) satellite-station."""
-    kinds = [(LinkKind.LEO_RX, scenario.n_leo), (LinkKind.BS_RX, scenario.n_bs)]
-    if case is Case.WITH_BS:
-        kinds.append((LinkKind.LEO_BS, scenario.n_leo))
-    geometry = _ArrayGeometry(scenario)
-    return [
-        _observables(scenario, geometry, kind, i) for kind, count in kinds for i in range(count)
-    ]
-
+    return _scenario_links(scenario, _kinds(case), range(scenario.n_leo), range(scenario.n_bs))

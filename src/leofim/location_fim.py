@@ -9,9 +9,9 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   their rows first), and the EFIM is the Gram matrix ``F^T F`` of the stacked
   centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
   difference is formed, so no digit is lost to cancellation.  The route runs
-  on a leading trial axis (:func:`_efims`): the sweeps stack the trials of
-  one configuration family and build each group's Gram once for all of them
-  and every sub-count that slices it; :func:`compute_efim` is the one-trial,
+  on a leading trial axis (:func:`_efims`): the sweeps sample and link the
+  trials of one configuration family together and build each group's Gram
+  once for all of them and every sub-count that slices it; :func:`compute_efim` is the one-trial,
   one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
@@ -29,15 +29,22 @@ transcription errors, and the tests check them against each other.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import NumericalError, sym
-from .links import LinkJacobians, LinkKind, LinkObservables, link_observables
+from .links import (
+    LinkJacobians,
+    LinkKind,
+    LinkObservables,
+    _Batch,
+    _kinds,
+    _link_pass,
+    _scene,
+    link_observables,
+)
 from .scenario import Case, Scenario
 from .transform import LocationLayout, kappa1_blocks
 
@@ -229,7 +236,8 @@ def compute_efim(scenario: Scenario) -> Efim:
     """The EFIM of a scenario by the factor route (:func:`_efims`): one
     trial, one cell."""
     layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    pools = _stacked_pools([link_observables(scenario, scenario.case)], 1)
+    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    pools = _pools(_link_pass(scene, _kinds(scenario.case)))
     matrix = _efims(pools, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
     return Efim(matrix=matrix, layout=layout, case=scenario.case)
 
@@ -254,18 +262,16 @@ def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Pool:
-    """One offset pair's observations, stacked over a leading trial axis: one
-    link's, or the station-receiver links' pooled along a station axis.
+    """One offset pair's observations over a leading trial axis: one link's,
+    or the station-receiver links' pooled along a station axis.
     :func:`.kappa1_blocks` reads its ``jacobians`` and ``index`` as a link's.
 
-    Arrays lie on the pool's grid ``(members, rows, slots)``: a link is one
-    member (the station pool has one per station), and rows are antennas, or
-    stations for a satellite-station link.  An array link's Doppler Jacobians
-    and ``omega`` have one row, the array reference point.  ``omega (T, ...)``
-    and every Jacobian ``(T, ..., 3)`` lead with the trial axis, a member's
-    Doppler ones scaled by ``f_c / f_1`` (see :func:`_efims`).  ``snr``,
-    ``carrier_sq = f_1^2`` and the members' ``half_ao2 (members, 1, 1)`` are
-    configuration values, the same in every trial, and come from the first.
+    A pool views its link kind's :class:`.links._Batch` on the members it
+    pools, so its arrays lie on the grid ``(members, rows, slots)`` after the
+    trial axis.  Only its Doppler Jacobians, which have no antenna axis, are
+    copies: each member's scaled by ``f_c / f_1`` (see :func:`_efims`).
+    ``carrier_sq = f_1^2`` and ``half_ao2 (members, 1, 1)`` come from the
+    members' signals, and ``snr``, like them, holds in every trial.
     """
 
     kind: LinkKind
@@ -277,41 +283,27 @@ class _Pool:
     half_ao2: np.ndarray
 
     @classmethod
-    def allocate(cls, members: list[LinkObservables], n_trials: int) -> "_Pool":
-        """An unfilled pool of ``n_trials`` trials shaped like ``members``."""
-
-        def stack(array: np.ndarray | None, rank: int) -> np.ndarray | None:
-            if array is None:
-                return None
-            grid = array.shape if array.ndim == rank else (1, *array.shape)
-            return np.empty((n_trials, len(members), *grid))
-
-        first = members[0]
-        jac = first.jacobians
+    def of(cls, batch: _Batch, index: int, members: slice) -> "_Pool":
+        """The pool of ``batch``'s ``members``, the first of them ``index``."""
+        signals = batch.signals[members]
+        f_1 = signals[0].carrier_freq
+        scale = np.array([props.carrier_freq / f_1 for props in signals]).reshape(-1, 1, 1, 1)
+        jac = batch.jacobians
         return cls(
-            kind=first.kind,
-            index=first.index,
+            kind=batch.kind,
+            index=index,
             jacobians=LinkJacobians(
-                *(stack(getattr(jac, f.name), 3) for f in dataclasses.fields(jac))
+                dtau_dp=jac.dtau_dp[:, members],
+                dtau_dv=jac.dtau_dv[:, members],
+                dtau_dphi=None if jac.dtau_dphi is None else jac.dtau_dphi[:, members],
+                dnu_dp=jac.dnu_dp[:, members] * scale,
+                dnu_dv=jac.dnu_dv[:, members] * scale,
             ),
-            omega=stack(first.omega, 2),
-            snr=np.stack([obs.snr for obs in members]),
-            carrier_sq=first.carrier_freq**2,
-            half_ao2=np.array([0.5 * obs.rms_duration**2 for obs in members]).reshape(-1, 1, 1),
+            omega=batch.omega[:, members],
+            snr=batch.snr[members],
+            carrier_sq=f_1**2,
+            half_ao2=np.array([0.5 * props.rms_duration**2 for props in signals]).reshape(-1, 1, 1),
         )
-
-    def write(self, trial: int, members: list[LinkObservables]) -> None:
-        """Copy one trial's ``omega`` and Jacobians of ``members`` in."""
-        jac = self.jacobians
-        for m, obs in enumerate(members):
-            self.omega[trial, m] = obs.omega
-            jac.dtau_dp[trial, m] = obs.jacobians.dtau_dp
-            jac.dtau_dv[trial, m] = obs.jacobians.dtau_dv
-            if jac.dtau_dphi is not None:
-                jac.dtau_dphi[trial, m] = obs.jacobians.dtau_dphi
-            scale = obs.carrier_freq / members[0].carrier_freq
-            np.multiply(obs.jacobians.dnu_dp, scale, out=jac.dnu_dp[trial, m])
-            np.multiply(obs.jacobians.dnu_dv, scale, out=jac.dnu_dv[trial, m])
 
     def key(self, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
         """The members, rows and slots a sub-count keeps."""
@@ -344,20 +336,16 @@ class _Pool:
         return [(g_tau, w_tau), (g_nu, w_nu)]
 
 
-def _stacked_pools(trials: Iterable[list[LinkObservables]], n_trials: int) -> list[_Pool]:
-    """The offset pools of ``n_trials`` trials' links, in link order with the
-    station pool last, filled one trial at a time.  Every trial must have the
-    same links on the same grids, as the trials of one configuration do."""
-    pools: list[_Pool] = []
-    for trial, links in enumerate(trials):
-        groups = [[obs] for obs in links if obs.kind is not LinkKind.BS_RX]
-        stations = [obs for obs in links if obs.kind is LinkKind.BS_RX]
-        groups += [stations] if stations else []
-        if not pools:
-            pools = [_Pool.allocate(members, n_trials) for members in groups]
-        for pool, members in zip(pools, groups, strict=True):
-            pool.write(trial, members)
-    return pools
+def _pools(batches: list[_Batch]) -> list[_Pool]:
+    """The offset pools of a link pass's batches: one per satellite link, in
+    link order, then the station-receiver links' one pool."""
+    pools, stations = [], []
+    for batch in batches:
+        if batch.kind is LinkKind.BS_RX:
+            stations.append(_Pool.of(batch, 0, slice(None)))
+        else:
+            pools += [_Pool.of(batch, b, slice(b, b + 1)) for b in range(len(batch.signals))]
+    return pools + stations
 
 
 # About how many bytes of dense rows one offset group builds at once.
@@ -404,5 +392,7 @@ def _efims(
             for start in range(0, n_trials, step):
                 trials = slice(start, start + step)
                 for g, w in pool.groups(layout, key, trials):
-                    out[cells, trials] += _centered_gram(g, w)
+                    gram = _centered_gram(g, w)
+                    for cell in cells:
+                        out[cell, trials] += gram
     return sym(out)

@@ -6,15 +6,32 @@ reproduces the reference measurement campaign: satellites ~2000 km away moving
 at 8 km/s with slot-to-slot direction changes, the receiver within tens of
 meters of the origin moving at 25 m/s, and stationary base stations ~100 m out.
 
-Randomness is driven by an explicit SplitMix64 stream so scenarios are
-bit-reproducible across platforms and numpy versions.  Each aspect of a
-scenario (receiver, antenna array, each satellite, each base station) draws
-from its own child stream, and each satellite track is drawn slot by slot, so
-sampling is nested: a scenario at smaller counts (satellites, stations,
-antennas, slots) is bit for bit a prefix of the larger one.  Growing the array
-keeps existing antennas in place, which makes "more antennas never hurt" hold
-exactly, and lets identifiability sweeps and ``n_ant`` parameter sweeps sample
-each trial once per family of configurations, at the family's largest counts.
+Randomness is driven by explicit SplitMix64 streams (Steele, Lea & Flood,
+*Fast splittable pseudorandom number generators*, OOPSLA 2014), so scenarios
+are bit-reproducible across platforms and numpy versions.  SplitMix64 is
+counter-based: a stream with state ``s`` yields as its ``n``-th output
+(``n >= 1``) ``mix(s + n*gamma mod 2**64)``, so any draw of any stream is one
+uint64 array expression.  Each aspect of a scenario draws from its own child
+stream, whose state is ``mix((seed ^ tag) + gamma)``, in a fixed layout:
+
+* the receiver (tag ``_TAG_RECEIVER``): 7 draws, a position direction (2), a
+  velocity direction (2), then yaw, pitch and roll;
+* the antenna array (``_TAG_ANTENNAS``): 2 per antenna, its direction;
+* satellite ``b`` (``_TAG_LEO + b``): 4, its epoch position direction (2) and
+  base velocity direction (2), then 3 per slot, the tilt axis (2) and the
+  tilt angle;
+* station ``q`` (``_TAG_BS + q``): 2, its position direction.
+
+A direction takes ``z`` uniform in [-1, 1) and an azimuth uniform in
+[0, 2*pi) from consecutive draws.  Because the layout puts every antenna,
+slot, satellite and station after the ones before it, sampling is nested: a
+scenario at smaller counts (satellites, stations, antennas, slots) is bit for
+bit a prefix of the larger one.  Growing the array keeps existing antennas in
+place, which makes "more antennas never hurt" hold exactly, and lets
+identifiability sweeps and ``n_ant`` parameter sweeps sample each trial once
+per family of configurations, at the family's largest counts.  A family's
+trials are sampled together (:func:`_sample`), one array expression per draw
+kind with the trial axis first; :func:`random_scenario` is its one-trial case.
 """
 
 from __future__ import annotations
@@ -46,8 +63,20 @@ _TAG_BS = 0x42530000
 _MAX_SNR_DB = 3082.0
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    """SplitMix64's output mix of a state (a Python int or a uint64 array)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
-    """SplitMix64 pseudo-random stream (Steele, Lea & Flood's mixing constants).
+    """SplitMix64 pseudo-random stream (Steele, Lea & Flood's mixing constants),
+    one draw at a time: the scalar reference of the array streams the sampler
+    uses.
 
     state advance: ``s += 0x9E3779B97F4A7C15``;
     output mix: ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
@@ -58,11 +87,8 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform double in [low, high) built from the top 53 bits."""
@@ -82,11 +108,46 @@ class SplitMix64:
         return SplitMix64(forked.next_u64())
 
 
+# Array streams.  Every operation stays on uint64 arrays with ndim >= 1, which
+# wrap modulo 2**64: numpy uint64 *scalars* check overflow and raise under
+# ``np.errstate(over="raise")``.
+
+
+def _states(seeds) -> np.ndarray:
+    """uint64 stream states ``(n,)`` of integer seeds."""
+    return np.array([int(seed) & _MASK64 for seed in seeds], dtype=np.uint64).reshape(-1)
+
+
+def _children(states: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """States of the child streams ``tags`` of unconsumed streams ``states``,
+    broadcast (see :meth:`SplitMix64.child`)."""
+    return _mix((states ^ tags) + np.uint64(_GAMMA))
+
+
+def _draws(states: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` outputs ``(..., n)`` of unconsumed streams ``states``."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    return _mix(states[..., None] + steps)
+
+
+def _uniform(bits: np.ndarray, low: float, high: float) -> np.ndarray:
+    """:meth:`SplitMix64.uniform` of each output in ``bits``."""
+    return low + (high - low) * ((bits >> 11).astype(np.float64) * 2.0**-53)
+
+
+def _unit_vectors(bits: np.ndarray) -> np.ndarray:
+    """:meth:`SplitMix64.unit_vector` ``(..., 3)`` of consecutive output pairs
+    ``bits (..., 2)``."""
+    z = _uniform(bits[..., 0], -1.0, 1.0)
+    theta = _uniform(bits[..., 1], 0.0, 2.0 * np.pi)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(theta), r * np.sin(theta), z], axis=-1)
+
+
 def derive_trial_seeds(seed: int, n_trials: int) -> list[int]:
     """Per-trial seeds for a sweep: the first ``n_trials`` outputs of ``seed``'s
     stream, so trial t is paired across sweep points."""
-    stream = SplitMix64(seed)
-    return [stream.next_u64() for _ in range(n_trials)]
+    return [int(x) for x in _draws(_states([seed]), n_trials)[0]]
 
 
 class Case(enum.Enum):
@@ -246,23 +307,78 @@ class Scenario:
         return self.grid.n_slots
 
 
-def _leo_track(stream: SplitMix64, n_slots: int, perturb_rad: float) -> np.ndarray:
-    """Per-slot unit velocity directions: a base direction, independently tilted
-    by up to ``perturb_rad`` each slot (one Rodrigues rotation per slot about a
-    random axis, all slots in one broadcast)."""
-    base = stream.unit_vector()
-    axes, angles = [], []
-    for _ in range(n_slots):
-        axes.append(stream.unit_vector())
-        angles.append(perturb_rad * stream.uniform())
-    axis = np.asarray(axes)
-    c, s = np.cos(angles)[:, None], np.sin(angles)[:, None]
-    track = c * base + s * np.cross(axis, base) + (1.0 - c) * np.vecdot(axis, base)[:, None] * axis
-    return track / np.linalg.norm(track, axis=1, keepdims=True)
+@dataclass(frozen=True)
+class _Sample:
+    """A family's sampled geometry, trial axis first: receiver ``position``,
+    ``velocity`` and Euler angles ``euler`` (yaw, pitch, roll) ``(T, 3)``,
+    body-frame ``antennas (T, U, 3)``, satellite epoch positions ``leo_position
+    (T, L, 3)`` and unit velocity directions ``leo_track (T, L, K, 3)``, and
+    station positions ``bs_position (T, Q, 3)``."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+    euler: np.ndarray
+    antennas: np.ndarray
+    leo_position: np.ndarray
+    leo_track: np.ndarray
+    bs_position: np.ndarray
+
+
+def _sample(config: ScenarioConfig, seeds) -> _Sample:
+    """The geometry of one trial per seed at ``config``'s counts, every draw
+    of every trial in one array pass (draw layout in the module docstring).
+
+    Each satellite's track is a base direction tilted independently each slot
+    by up to ``leo_dir_perturb_rad``: one Rodrigues rotation per slot about a
+    random axis.
+    """
+    roots = _states(seeds)[:, None]
+    n_ant, n_slots = config.n_ant, config.n_slots
+
+    rx = _draws(_children(roots, np.uint64(_TAG_RECEIVER))[:, 0], 7)
+    angles = np.stack([
+        _uniform(rx[:, 4], -np.pi, np.pi),
+        _uniform(rx[:, 5], -0.49 * np.pi, 0.49 * np.pi),
+        _uniform(rx[:, 6], -np.pi, np.pi),
+    ], axis=-1)
+
+    ant = _draws(_children(roots, np.uint64(_TAG_ANTENNAS))[:, 0], 2 * n_ant)
+    radius = config.array_radius_wavelengths * SPEED_OF_LIGHT_M_S / config.carrier_freq_hz
+
+    leo_tags = np.arange(config.n_leo, dtype=np.uint64) + np.uint64(_TAG_LEO)
+    leo = _draws(_children(roots, leo_tags), 4 + 3 * n_slots)
+    base = _unit_vectors(leo[..., 2:4])[..., None, :]
+    slots = leo[..., 4:].reshape(*leo.shape[:2], n_slots, 3)
+    axis = _unit_vectors(slots[..., :2])
+    tilt = config.leo_dir_perturb_rad * _uniform(slots[..., 2], 0.0, 1.0)
+    c, s = np.cos(tilt)[..., None], np.sin(tilt)[..., None]
+    track = c * base + s * np.cross(axis, base) + (1.0 - c) * np.vecdot(axis, base)[..., None] * axis
+
+    bs_tags = np.arange(config.n_bs, dtype=np.uint64) + np.uint64(_TAG_BS)
+    bs = _draws(_children(roots, bs_tags), 2)
+    return _Sample(
+        position=config.receiver_distance_m * _unit_vectors(rx[:, 0:2]),
+        velocity=config.receiver_speed_m_s * _unit_vectors(rx[:, 2:4]),
+        euler=angles,
+        antennas=radius * _unit_vectors(ant.reshape(-1, n_ant, 2)),
+        leo_position=config.leo_distance_m * _unit_vectors(leo[..., 0:2]),
+        leo_track=track / np.linalg.norm(track, axis=-1, keepdims=True),
+        bs_position=config.bs_distance_m * _unit_vectors(bs),
+    )
+
+
+def _link_signals(config: ScenarioConfig) -> tuple[SignalProps, SignalProps, SignalProps]:
+    """The satellite-receiver, station-receiver and satellite-station links'
+    properties: every link of a kind has its kind's."""
+    return tuple(
+        config.signal_props(snr_db)
+        for snr_db in (config.snr_db_leo_rx, config.snr_db_bs_rx, config.snr_db_leo_bs)
+    )
 
 
 def random_scenario(config: ScenarioConfig, seed: int) -> Scenario:
-    """Sample a scenario from the reference campaign distribution.
+    """Sample a scenario from the reference campaign distribution: the
+    one-trial case of :func:`_sample`, validated as a :class:`Scenario`.
 
     Parameters
     ----------
@@ -275,50 +391,24 @@ def random_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     -------
     Scenario
     """
-    root = SplitMix64(seed)
-
-    rx_stream = root.child(_TAG_RECEIVER)
-    position = config.receiver_distance_m * rx_stream.unit_vector()
-    velocity = config.receiver_speed_m_s * rx_stream.unit_vector()
-    orientation = EulerAngles(
-        alpha=rx_stream.uniform(-np.pi, np.pi),
-        psi=rx_stream.uniform(-0.49 * np.pi, 0.49 * np.pi),
-        phi=rx_stream.uniform(-np.pi, np.pi),
-    )
-
-    ant_stream = root.child(_TAG_ANTENNAS)
-    radius = config.array_radius_wavelengths * SPEED_OF_LIGHT_M_S / config.carrier_freq_hz
-    offsets = np.asarray([radius * ant_stream.unit_vector() for _ in range(config.n_ant)])
+    sample = _sample(config, [seed])
+    alpha, psi, phi = (float(angle) for angle in sample.euler[0])
     receiver = ReceiverState(
-        position=position,
-        velocity=velocity,
-        orientation=orientation,
-        antenna_offsets=offsets,
+        position=sample.position[0],
+        velocity=sample.velocity[0],
+        orientation=EulerAngles(alpha=alpha, psi=psi, phi=phi),
+        antenna_offsets=sample.antennas[0],
     )
-
-    leos = []
-    for b in range(config.n_leo):
-        leo_stream = root.child(_TAG_LEO + b)
-        leos.append(
-            LeoState(
-                position=config.leo_distance_m * leo_stream.unit_vector(),
-                speed=config.leo_speed_m_s,
-                track=_leo_track(leo_stream, config.n_slots, config.leo_dir_perturb_rad),
-            )
-        )
-
-    bss = []
-    for q in range(config.n_bs):
-        bs_stream = root.child(_TAG_BS + q)
-        bss.append(BsState(position=config.bs_distance_m * bs_stream.unit_vector()))
-
-    leo_rx_props = config.signal_props(config.snr_db_leo_rx)
-    bs_rx_props = config.signal_props(config.snr_db_bs_rx)
-    leo_bs_props = config.signal_props(config.snr_db_leo_bs)
+    leos = tuple(
+        LeoState(position=position, speed=config.leo_speed_m_s, track=track)
+        for position, track in zip(sample.leo_position[0], sample.leo_track[0])
+    )
+    bss = tuple(BsState(position=position) for position in sample.bs_position[0])
+    leo_rx_props, bs_rx_props, leo_bs_props = _link_signals(config)
     return Scenario(
         receiver=receiver,
-        leos=tuple(leos),
-        bss=tuple(bss),
+        leos=leos,
+        bss=bss,
         grid=SlotGrid(n_slots=config.n_slots, spacing_s=config.slot_spacing_s),
         leo_rx_signals=tuple(leo_rx_props for _ in range(config.n_leo)),
         bs_rx_signals=tuple(bs_rx_props for _ in range(config.n_bs)),

@@ -319,20 +319,23 @@ def test_parameter_sweep_samples_and_links_each_trial_once_per_family(
     axis, values, sampled, monkeypatch
 ):
     """Antenna counts slice one sample at the largest count; other axes
-    sample once per (value, trial)."""
+    sample once per (value, trial).  A family's trials are sampled and linked
+    in one pass."""
     import leofim.analysis as analysis
 
-    scenarios, linked = [], []
-    sample, link = analysis.random_scenario, analysis.link_observables
+    sampled_counts, linked = [], []
+    sample, link = analysis._sample, analysis._link_pass
     monkeypatch.setattr(
-        analysis, "random_scenario", lambda c, s: scenarios.append(c) or sample(c, s)
+        analysis,
+        "_sample",
+        lambda c, seeds: sampled_counts.extend([c.n_ant] * len(seeds)) or sample(c, seeds),
     )
     monkeypatch.setattr(
-        analysis, "link_observables", lambda sc, case: linked.append(sc) or link(sc, case)
+        analysis, "_link_pass", lambda scene, kinds: linked.append(scene) or link(scene, kinds)
     )
     parameter_sweep(axis, values, WIDE, seed=5, n_trials=2)
-    assert [c.n_ant for c in scenarios] == sampled
-    assert len(linked) == len(sampled)
+    assert sampled_counts == sampled
+    assert sum(len(scene.position) for scene in linked) == len(sampled)
 
 
 def test_parameter_sweep_raises_on_degenerate_geometry():
@@ -365,7 +368,7 @@ def test_parameter_sweep_rejects_non_integral_antenna_count(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a scenario")
 
-    monkeypatch.setattr(analysis, "random_scenario", no_sampling)
+    monkeypatch.setattr(analysis, "_sample", no_sampling)
     with pytest.raises(ValueError, match="n_ant must be an integer"):
         parameter_sweep("n_ant", [4, 2.5], WIDE, seed=5)
 
@@ -378,7 +381,7 @@ def test_sweeps_reject_non_positive_trial_count_before_sampling(sweep, n_trials,
     def no_sampling(*args):
         raise AssertionError("sampled a scenario")
 
-    monkeypatch.setattr(analysis, "random_scenario", no_sampling)
+    monkeypatch.setattr(analysis, "_sample", no_sampling)
     with pytest.raises(ValueError, match=rf"^n_trials must be >= 1, got {n_trials}$"):
         if sweep == "identifiability":
             identifiability_sweep({"n_ant": [1, 2]}, WIDE, seed=3, n_trials=n_trials)

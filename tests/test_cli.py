@@ -182,21 +182,24 @@ def test_bound_exit_3_when_not_identifiable(tmp_path, capsys):
     assert "not identifiable" in capsys.readouterr().err
 
 
+def _station_on_reference_point(trials, t, config):
+    """Move trial ``t``'s first station onto the array reference point at slot
+    1 (as ``_oracle.receiver_reference`` places it) in sampled ``trials``."""
+    trials.bs_position[t, 0] = trials.position[t] + config.slot_spacing_s * trials.velocity[t]
+
+
 def test_degenerate_geometry_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
     """A station sitting on the array reference point is reported as exit 4."""
     import leofim.analysis as analysis
-    from leofim.geometry import BsState
 
-    from _oracle import receiver_reference
+    sample = analysis._sample
 
-    sample = analysis.random_scenario
+    def station_on_receiver(config, seeds):
+        trials = sample(config, seeds)
+        _station_on_reference_point(trials, 0, config)
+        return trials
 
-    def station_on_receiver(config, seed):
-        sc = sample(config, seed)
-        point = receiver_reference(sc.receiver, 1, sc.grid)
-        return dataclasses.replace(sc, bss=(BsState(position=point),) + sc.bss[1:])
-
-    monkeypatch.setattr(analysis, "random_scenario", station_on_receiver)
+    monkeypatch.setattr(analysis, "_sample", station_on_receiver)
     out = tmp_path / "bounds.csv"
     path = _write_config(tmp_path, {"n_trials": 1, "out": str(out)})
     assert main(["--config", path]) == 4
@@ -212,22 +215,15 @@ def test_degenerate_later_trial_exits_4_without_traceback(tmp_path, capsys, monk
     on the array reference point in the last trial alone still exits 4 with
     one stderr line and no output file."""
     import leofim.analysis as analysis
-    from leofim.geometry import BsState
-    from leofim.scenario import derive_trial_seeds
 
-    from _oracle import receiver_reference
+    sample = analysis._sample
 
-    sample = analysis.random_scenario
-    last = derive_trial_seeds(123, 3)[-1]
+    def degenerate_last_trial(config, seeds):
+        trials = sample(config, seeds)
+        _station_on_reference_point(trials, len(seeds) - 1, config)
+        return trials
 
-    def degenerate_last_trial(config, seed):
-        sc = sample(config, seed)
-        if seed != last:
-            return sc
-        point = receiver_reference(sc.receiver, 1, sc.grid)
-        return dataclasses.replace(sc, bss=(BsState(position=point),) + sc.bss[1:])
-
-    monkeypatch.setattr(analysis, "random_scenario", degenerate_last_trial)
+    monkeypatch.setattr(analysis, "_sample", degenerate_last_trial)
     out = tmp_path / "bounds.csv"
     settings = {**WIDE, "command": command, "n_trials": 3, "seed": 123, "out": str(out)}
     assert main(["--config", _write_config(tmp_path, settings)]) == 4

@@ -18,6 +18,10 @@ import pytest
 from leofim.geometry import SPEED_OF_LIGHT_M_S, BsState, DegenerateGeometryError
 from leofim.links import (
     LinkKind,
+    _kinds,
+    _link_pass,
+    _sampled_scene,
+    _scene,
     bs_rx_observables,
     leo_bs_observables,
     leo_rx_observables,
@@ -27,11 +31,11 @@ from leofim.location_fim import (
     _centered_gram,
     _efims,
     _link_weights,
+    _pools,
     _rows,
-    _stacked_pools,
     compute_efim,
 )
-from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
+from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
 from leofim.transform import LocationLayout
 
@@ -215,13 +219,23 @@ def _group_by_group_efim(scenario):
 @pytest.mark.parametrize("case", list(Case))
 def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     """The batched factor route over three trials stacked at the largest
-    counts gives, for every trial and sub-count (no stations and a single
-    slot among them), bit for bit the EFIM of that trial's scenario sampled
-    at that sub-count, and that EFIM is bit for bit the group-by-group sum."""
+    counts (pools viewing one trial-batched link pass) gives, for every trial
+    and sub-count (no stations and a single slot among them), bit for bit the
+    EFIM of that trial's scenario sampled at that sub-count, and that EFIM is
+    bit for bit the group-by-group sum."""
     big = dict(n_leo=3, n_bs=3, n_ant=5, n_slots=7, case=case)
     trial_seeds = derive_trial_seeds(seed, 3)
-    trials = (link_observables(_offset_scenario(s, **big), case) for s in trial_seeds)
-    pools = _stacked_pools(trials, len(trial_seeds))
+    scenes = [_scene(sc, range(sc.n_leo), range(sc.n_bs)) for sc in (
+        _offset_scenario(s, **big) for s in trial_seeds
+    )]
+    # The trials' one-trial scenes stacked on the trial axis: the offsets are
+    # the same in every trial, and the link pass and pools are trial-batched.
+    stacked = dataclasses.replace(scenes[0], **{
+        field: np.concatenate([getattr(scene, field) for scene in scenes])
+        for field in ("position", "velocity", "euler", "antennas", "leo_position",
+                      "leo_velocity", "bs_position")
+    })
+    pools = _pools(_link_pass(stacked, _kinds(case)))
     counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
     for n_leo in [1, 3]:
         efims = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
@@ -272,3 +286,56 @@ def test_station_at_array_reference_point_raises():
     bs_rx_observables(moved, 0)
     with pytest.raises(DegenerateGeometryError):
         bs_rx_observables(moved, 1)
+
+
+FAMILY_SIZES = [
+    dict(n_leo=2, n_bs=3, n_ant=64, n_slots=10, case=Case.RECEIVER_ONLY),
+    dict(n_leo=3, n_bs=3, n_ant=4, n_slots=4, case=Case.WITH_BS),
+    dict(n_leo=4, n_bs=4, n_ant=32, n_slots=20, case=Case.WITH_BS),
+]
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize(
+    "size", FAMILY_SIZES, ids=lambda size: "L{n_leo}Q{n_bs}U{n_ant}K{n_slots}".format(**size)
+)
+def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
+    """A family's trials sampled and linked in one array pass are, trial by
+    trial, the bytes of :func:`random_scenario` and :func:`link_observables`
+    at that trial's seed: every sampled array, ``omega``, ``snr`` and the five
+    Jacobians."""
+    config = ScenarioConfig(**size, slot_spacing_s=50.0, bs_distance_m=5e5)
+    trial_seeds = derive_trial_seeds(seed, 5)
+    sample = _sample(config, trial_seeds)
+    batches = _link_pass(_sampled_scene(config, sample), _kinds(config.case))
+    for t, trial_seed in enumerate(trial_seeds):
+        sc = random_scenario(config, trial_seed)
+        receiver = sc.receiver
+        pairs = [
+            (sample.position[t], receiver.position),
+            (sample.velocity[t], receiver.velocity),
+            (sample.euler[t], receiver.orientation.as_array()),
+            (sample.antennas[t], receiver.antenna_offsets),
+            *((sample.leo_position[t, b], leo.position) for b, leo in enumerate(sc.leos)),
+            *((sample.leo_track[t, b], leo.track) for b, leo in enumerate(sc.leos)),
+            *((sample.bs_position[t, q], bs.position) for q, bs in enumerate(sc.bss)),
+        ]
+        links = iter(link_observables(sc, config.case))
+        for batch in batches:
+            row = slice(None) if batch.kind is LinkKind.LEO_BS else 0
+            for m in range(len(batch.signals)):
+                obs = next(links)
+                assert (obs.kind, obs.index) == (batch.kind, m)
+                pairs += [(batch.omega[t, m, row], obs.omega), (batch.snr[m], obs.snr)]
+                for field in dataclasses.fields(obs.jacobians):
+                    got = getattr(batch.jacobians, field.name)
+                    expected = getattr(obs.jacobians, field.name)
+                    if expected is None:
+                        assert got is None
+                        continue
+                    doppler = field.name.startswith("dnu")
+                    pairs.append((got[t, m, row] if doppler else got[t, m], expected))
+        assert next(links, None) is None
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes()

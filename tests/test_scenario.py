@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from leofim.scenario import (
+    _TAG_LEO,
     Case,
     Scenario,
     ScenarioConfig,
     SplitMix64,
-    _leo_track,
+    _children,
+    _draws,
+    _sample,
+    _states,
+    _uniform,
+    _unit_vectors,
     derive_trial_seeds,
     random_scenario,
 )
@@ -40,6 +46,34 @@ def test_splitmix64_child_streams_are_independent():
     b = parent.child(2).next_u64()
     assert a != b
     assert SplitMix64(42).child(1).next_u64() == a
+
+
+STREAM_SEEDS = [0, 1, 42, 2**63, 2**64 - 1]
+STREAM_TAGS = [0, 1, 0x52435652, 0x4C454F00 + 3, 2**64 - 1]
+
+
+def test_array_streams_reproduce_the_scalar_stream_bit_for_bit():
+    """Every output, uniform, unit vector and child of the array streams is
+    the scalar stream's, with every stream operation kept off numpy uint64
+    scalars (their overflow raises under ``errstate``)."""
+    n = 12
+    with np.errstate(all="raise"):
+        states = _states(STREAM_SEEDS)
+        bits = _draws(states, n)
+        uniforms = _uniform(bits, -2.5, 7.0)
+        directions = _unit_vectors(bits.reshape(len(STREAM_SEEDS), n // 2, 2))
+        children = _children(states[:, None], np.array(STREAM_TAGS, dtype=np.uint64))
+        child_bits = _draws(children, 3)
+    for i, seed in enumerate(STREAM_SEEDS):
+        stream = SplitMix64(seed)
+        assert [int(x) for x in bits[i]] == [stream.next_u64() for _ in range(n)]
+        stream = SplitMix64(seed)
+        assert np.array_equal(uniforms[i], [stream.uniform(-2.5, 7.0) for _ in range(n)])
+        stream = SplitMix64(seed)
+        assert np.array_equal(directions[i], [stream.unit_vector() for _ in range(n // 2)])
+        for j, tag in enumerate(STREAM_TAGS):
+            child = SplitMix64(seed).child(tag)
+            assert [int(x) for x in child_bits[i, j]] == [child.next_u64() for _ in range(3)]
 
 
 def test_derive_trial_seeds():
@@ -151,12 +185,17 @@ def _per_slot_leo_track(stream, n_slots, perturb_rad):
 
 @pytest.mark.parametrize("n_slots", range(1, 21))
 def test_leo_track_matches_per_slot_rodrigues_bit_for_bit(n_slots):
-    for seed in range(10):
-        for perturb_rad in (0.1, 1.0):
-            stream, reference = SplitMix64(seed), SplitMix64(seed)
-            got = _leo_track(stream, n_slots, perturb_rad)
-            assert np.array_equal(got, _per_slot_leo_track(reference, n_slots, perturb_rad))
-            assert stream.next_u64() == reference.next_u64()  # same draws consumed
+    """The batched tracks of every trial and satellite are the per-slot loop's
+    on that satellite's scalar stream, after its epoch position's draws."""
+    seeds = range(10)
+    for perturb_rad in (0.1, 1.0):
+        config = ScenarioConfig(n_leo=2, n_slots=n_slots, leo_dir_perturb_rad=perturb_rad)
+        tracks = _sample(config, seeds).leo_track
+        for seed, trial in zip(seeds, tracks, strict=True):
+            for b, got in enumerate(trial):
+                reference = SplitMix64(seed).child(_TAG_LEO + b)
+                reference.unit_vector()
+                assert np.array_equal(got, _per_slot_leo_track(reference, n_slots, perturb_rad))
 
 
 def test_antenna_offsets_norm_and_nested_prefix():

@@ -28,12 +28,18 @@ a grid with no stations and a single slot among its values, for seeds 42 and 7
 in both cases.  A template whose station-receiver SNR (-4000 dB) underflows to
 zero, so the station pool informs nothing, is fingerprinted by its
 ``compute_efim`` and its acceptance-1 sweep, for seeds 42 and 7 in both
-cases.  ``parameter_sweep`` is fingerprinted per point (the worst
-verdict's ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean
-bound) on the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json``
-and on a carrier-frequency sweep of the same template, for seeds 42 and 7 in
-both cases, and likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three
-trials, where the batched Gram and eigenvalue stacks are largest.
+cases.  A hand-built scenario (L2 Q3 U4 K3, built from a sampled one) with
+nonzero satellite position and velocity offsets and frequency offsets on
+every link, a per-observation SNR array on satellite 0's downlink, and the
+second station's link to the array at 28 GHz is fingerprinted by its
+per-link keys and its ``compute_efim``, for seeds 42 and 7 in both cases.
+``parameter_sweep`` is fingerprinted per point (the worst verdict's
+``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean bound) on
+the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json`` and on a
+carrier-frequency and a slot-spacing sweep of the same template (each value
+its own family of five trials), for seeds 42 and 7 in both cases, and
+likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three trials, where
+the batched Gram and eigenvalue stacks are largest.
 ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its stdout
 (with the temporary output path replaced) and its exit code for every
 ``benches/configs/*.json`` at seeds 42 and 7.
@@ -70,7 +76,11 @@ SWEEP_CASES = [
 PARAMETER_TEMPLATE = dict(
     n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5
 )
-PARAMETER_SWEEPS = {"n_ant": [4, 16, 64], "carrier_freq_hz": [10e9, 28e9, 40e9]}
+PARAMETER_SWEEPS = {
+    "n_ant": [4, 16, 64],
+    "carrier_freq_hz": [10e9, 28e9, 40e9],
+    "slot_spacing_s": [20.0, 50.0, 80.0],
+}
 # (name, template, axis, values, trials) of every fingerprinted parameter sweep.
 PARAMETER_CASES = [
     *((axis, PARAMETER_TEMPLATE, axis, values, 5) for axis, values in PARAMETER_SWEEPS.items()),
@@ -152,6 +162,36 @@ def _observables(scenario, out: dict, tag: str) -> None:
                 out[f"{tag}/{name}{i}/{nu_key}"] = fingerprint(g_nu[:, cols].reshape(*obs.omega.shape, 3))
 
 
+def _hand_built(seed: int, case):
+    """A sampled L2 Q3 U4 K3 scenario rebuilt with what sampling never sets:
+    ephemeris and frequency offsets, a per-observation SNR array and a station
+    link on another carrier."""
+    import dataclasses
+
+    from leofim.scenario import ScenarioConfig, random_scenario
+    from leofim.signals import OffsetParams
+
+    sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=3, n_ant=4, n_slots=3, case=case), seed)
+    leos = tuple(
+        dataclasses.replace(leo, pos_offset=[3.0, -1.5, 0.25 * b], vel_offset=[0.2, 0.1, -0.05])
+        for b, leo in enumerate(sc.leos)
+    )
+    snr_grid = np.linspace(50.0, 150.0, sc.n_ant * sc.n_slots).reshape(sc.n_ant, sc.n_slots)
+    leo_rx_signals = (dataclasses.replace(sc.leo_rx_signals[0], snr_linear=snr_grid),
+                      *sc.leo_rx_signals[1:])
+    bs_rx_signals = list(sc.bs_rx_signals)
+    bs_rx_signals[1] = dataclasses.replace(bs_rx_signals[1], carrier_freq=28e9)
+    return dataclasses.replace(
+        sc,
+        leos=leos,
+        leo_rx_signals=leo_rx_signals,
+        bs_rx_signals=tuple(bs_rx_signals),
+        leo_rx_offsets=tuple(OffsetParams(freq_offset=120.0 + b) for b in range(sc.n_leo)),
+        bs_rx_offset=OffsetParams(freq_offset=-40.0),
+        leo_bs_offsets=tuple(OffsetParams(freq_offset=7.5 * b) for b in range(sc.n_leo)),
+    )
+
+
 def dump() -> dict:
     from leofim import (
         assemble_channel_fim,
@@ -194,6 +234,11 @@ def dump() -> dict:
     for seed, case in itertools.product(SEEDS, Case):
         scenario = random_scenario(ScenarioConfig(**DEAD_BS_RX, case=case), seed)
         out[f"s{seed}/dead_bs_rx/{case.value}/efim"] = fingerprint(compute_efim(scenario).matrix)
+    for seed, case in itertools.product(SEEDS, Case):
+        scenario = _hand_built(seed, case)
+        tag = f"s{seed}/hand_built/{case.value}"
+        _observables(scenario, out, tag)
+        out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
     for seed, (name, grid, knobs), case in itertools.product(SEEDS, SWEEP_CASES, Case):
         for v in identifiability_sweep(grid, ScenarioConfig(**knobs, case=case), seed):
             c = v.config
