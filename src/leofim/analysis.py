@@ -83,15 +83,16 @@ class CrlbReport:
     leo_vel_offset_bound: tuple[float, ...]
 
     @classmethod
+    def of(cls, bounds: np.ndarray) -> "CrlbReport":
+        """The report of one row of :func:`_bounds`."""
+        values = bounds.tolist()
+        n_leo = (len(values) - 3) // 2
+        return cls(*values[:3], tuple(values[3 : 3 + n_leo]), tuple(values[3 + n_leo :]))
+
+    @classmethod
     def infinite(cls, n_leo: int) -> "CrlbReport":
         """Report for a non-identifiable configuration: every bound infinite."""
-        return cls(
-            pos_rmse_bound=np.inf,
-            vel_rmse_bound=np.inf,
-            orient_rmse_bound=np.inf,
-            leo_pos_offset_bound=tuple(np.inf for _ in range(n_leo)),
-            leo_vel_offset_bound=tuple(np.inf for _ in range(n_leo)),
-        )
+        return cls.of(np.full(3 + 2 * n_leo, np.inf))
 
     def scaled(self, factor: float) -> "CrlbReport":
         return CrlbReport(
@@ -148,27 +149,17 @@ def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
     verdict = is_identifiable(efim, rel_tol)
     if not verdict.is_pd:
         raise NotIdentifiableError(verdict)
-    return _bounds(efim.matrix, efim.layout, rel_tol)
+    return CrlbReport.of(_bounds(efim.matrix[None], efim.layout, rel_tol)[0])
 
 
-def _bounds(matrix: np.ndarray, layout: LocationLayout, rel_tol: float) -> CrlbReport:
-    """:func:`crlb` of an EFIM whose verdict at ``rel_tol`` is already PD."""
-    inverse = invert_psd(matrix, floor_rel=rel_tol)
-
-    def block_bound(sl: slice) -> float:
-        return float(np.sqrt(np.trace(inverse[sl, sl])))
-
-    return CrlbReport(
-        pos_rmse_bound=block_bound(layout.position),
-        vel_rmse_bound=block_bound(layout.velocity),
-        orient_rmse_bound=block_bound(layout.orientation),
-        leo_pos_offset_bound=tuple(
-            block_bound(layout.pos_offset(b)) for b in range(layout.n_leo)
-        ),
-        leo_vel_offset_bound=tuple(
-            block_bound(layout.vel_offset(b)) for b in range(layout.n_leo)
-        ),
-    )
+def _bounds(matrices: np.ndarray, layout: LocationLayout, rel_tol: float) -> np.ndarray:
+    """Root-trace bounds ``(n, 3 + 2*n_leo)`` of a stack of EFIMs whose
+    verdicts at ``rel_tol`` are PD, one column per interest block in layout
+    order, from one stacked :func:`invert_psd`.  A block's trace adds its
+    three diagonal entries in order, as ``np.trace`` of the block does."""
+    diag = np.diagonal(invert_psd(matrices, floor_rel=rel_tol), axis1=-2, axis2=-1)
+    starts = np.array([block.start for _, block in layout.interest_blocks()])
+    return np.sqrt(diag[:, starts] + diag[:, starts + 1] + diag[:, starts + 2])
 
 
 def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVerdict:
@@ -188,9 +179,11 @@ def _family_trials(
     trial_seeds: list[int],
     rel_tol: float,
     with_bounds: bool,
-) -> list[tuple[int, list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]]:
-    """``(index, trials)`` of every configuration of one family, given its
-    configurations' indices by satellite count.
+) -> list[tuple[int, list[IdentifiabilityVerdict], np.ndarray | None]]:
+    """``(index, verdicts, bounds)`` of every configuration of one family,
+    given its configurations' indices by satellite count: a verdict per trial
+    and, with ``with_bounds``, the trials' :func:`_bounds` ``(T, 3 +
+    2*n_leo)``, infinite in a trial that is not PD.
 
     Sampling is nested in the counts (:data:`GRID_AXES`), so the family's
     trials are sampled and linked once, at its maxima, and together: one
@@ -198,9 +191,9 @@ def _family_trials(
     trial axis, whose arrays the offset pools view.  They live only for this
     call.  Per satellite count, one :func:`_efims` over the pools gives every
     configuration's EFIMs, bit for bit those of its own sampled scenario, and
-    one stacked :func:`balanced_eigvalsh` decides them all.  A PD trial's
-    bounds reuse its verdict; they are ``None`` for a trial that is not PD,
-    or without ``with_bounds``.
+    one stacked :func:`balanced_eigvalsh` decides them all.  The PD trials
+    of all those configurations are bounded together, by one stacked
+    :func:`invert_psd`, reusing their verdicts.
     """
     members = [configs[i] for cells in by_leo.values() for i in cells]
     counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
@@ -213,22 +206,24 @@ def _family_trials(
         layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
         sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
         efims = _efims(pools, layout, sub_counts)
-        for i, matrices, spectra in zip(cells, efims, balanced_eigvalsh(efims)):
-            trials = []
-            for matrix, eigvals in zip(matrices, spectra):
-                verdict = _verdict(eigvals[0], eigvals[-1], rel_tol, configs[i])
-                bounds = None
-                if with_bounds and verdict.is_pd:
-                    bounds = _bounds(matrix, layout, rel_tol)
-                trials.append((verdict, bounds))
-            decided.append((i, trials))
+        verdicts = [
+            [_verdict(eigvals[0], eigvals[-1], rel_tol, configs[i]) for eigvals in spectra]
+            for i, spectra in zip(cells, balanced_eigvalsh(efims))
+        ]
+        bounds = [None] * len(cells)
+        if with_bounds:
+            pd = np.array([[v.is_pd for v in trials] for trials in verdicts])
+            bounds = np.full((*pd.shape, len(layout.interest_blocks())), np.inf)
+            bounds[pd] = _bounds(efims[pd], layout, rel_tol)
+        decided += zip(cells, verdicts, bounds)
     return decided
 
 
 def _trials(
     configs: list[ScenarioConfig], seed: int, n_trials: int, rel_tol: float, with_bounds: bool
-) -> list[list[tuple[IdentifiabilityVerdict, CrlbReport | None]]]:
-    """``(verdict, bounds)`` per configuration and seeded trial.
+) -> list[tuple[list[IdentifiabilityVerdict], np.ndarray | None]]:
+    """Per configuration, a verdict per seeded trial and, with
+    ``with_bounds``, the trials' bounds (see :func:`_family_trials`).
 
     Configurations that differ only in their counts form one family; families
     are decided one at a time, in first-seen order (:func:`_family_trials`).
@@ -242,10 +237,12 @@ def _trials(
         key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
         families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
     trial_seeds = derive_trial_seeds(seed, n_trials)
-    results: list[list] = [[] for _ in configs]
+    results: list = [None] * len(configs)
     for by_leo in families.values():
-        for i, trials in _family_trials(by_leo, configs, trial_seeds, rel_tol, with_bounds):
-            results[i] = trials
+        for i, verdicts, bounds in _family_trials(
+            by_leo, configs, trial_seeds, rel_tol, with_bounds
+        ):
+            results[i] = (verdicts, bounds)
     return results
 
 
@@ -280,24 +277,10 @@ def identifiability_sweep(
         for counts in itertools.product(*values)
     ]
     table: list[IdentifiabilityVerdict] = []
-    for trials in _trials(configs, seed, n_trials, rel_tol, with_bounds=False):
-        verdicts = [verdict for verdict, _ in trials]
+    for verdicts, _ in _trials(configs, seed, n_trials, rel_tol, with_bounds=False):
         worst = _worst_verdict(verdicts)
         table.append(dataclasses.replace(worst, is_pd=all(v.is_pd for v in verdicts)))
     return table
-
-
-def _mean_reports(reports: list[CrlbReport]) -> CrlbReport:
-    """The trial mean of every bound, satellite by satellite."""
-
-    def mean(values) -> float:
-        return float(np.mean(values))
-
-    by_field = [[getattr(r, f.name) for r in reports] for f in dataclasses.fields(CrlbReport)]
-    return CrlbReport(*(
-        tuple(map(mean, zip(*values))) if isinstance(values[0], tuple) else mean(values)
-        for values in by_field
-    ))
 
 
 @dataclass(frozen=True)
@@ -354,19 +337,15 @@ def parameter_sweep(
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     configs = [swept_config(template, axis, value) for value in values]
     points = []
-    for value, config, trials in zip(
+    for value, config, (verdicts, bounds) in zip(
         values, configs, _trials(configs, seed, n_trials, rel_tol, with_bounds=True)
     ):
-        verdicts = [verdict for verdict, _ in trials]
-        reports = [
-            report if report is not None else CrlbReport.infinite(config.n_leo)
-            for _, report in trials
-        ]
         points.append(SweepPoint(
             axis=axis,
             value=float(value),
             config=config,
-            report=_mean_reports(reports),
+            # Trials on a contiguous last axis: each mean adds them as np.mean of a list does.
+            report=CrlbReport.of(np.ascontiguousarray(bounds.T).mean(axis=-1)),
             n_trials=n_trials,
             n_pd_trials=sum(v.is_pd for v in verdicts),
             worst_verdict=_worst_verdict(verdicts),

@@ -415,19 +415,19 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _run_bound(config: RunConfig) -> tuple[list[dict], int]:
     template = config.scenario_config()
-    (trials,) = _trials(
+    ((verdicts, bounds),) = _trials(
         [template], config.seed, config.n_trials, config.rel_tol, with_bounds=True
     )
     records = [
-        _record("bound", config.seed, template, verdict, report, trial=trial)
-        for trial, (verdict, report) in enumerate(trials)
+        _record("bound", config.seed, template, verdict, CrlbReport.of(row), trial=trial)
+        for trial, (verdict, row) in enumerate(zip(verdicts, bounds))
     ]
     headers = ["trial", "is_pd", "pos [m]", "vel [m/s]", "orient [rad]",
                "leo_pos_off [m]", "leo_vel_off [m/s]"]
     columns = ("trial", "is_pd", *_BOUND_COLUMNS)
     rows = [[_fmt(r[c]) for c in columns] for r in records]
     _print_table(headers, rows)
-    return records, 0 if all(verdict.is_pd for verdict, _ in trials) else 3
+    return records, 0 if all(verdict.is_pd for verdict in verdicts) else 3
 
 
 def _run_identifiability(config: RunConfig) -> tuple[list[dict], int]:

@@ -69,30 +69,33 @@ def invert_psd(matrix: np.ndarray, floor_rel: float) -> np.ndarray:
     """Invert a symmetric PSD matrix via its balanced eigendecomposition.
 
     Eigenvalues of the balanced matrix at or below ``floor_rel * max_eig``
-    are treated as zero information and excluded (pseudo-inverse).
+    are treated as zero information and excluded (pseudo-inverse); a matrix
+    with no positive eigenvalue inverts to zero.  Broadcasts over leading
+    stack axes with one ``eigh``: bit for bit the per-matrix results.
 
     Raises
     ------
     NumericalError
-        If the balanced matrix has a significantly negative eigenvalue,
-        i.e. the input was not PSD to working precision.
+        If a balanced matrix has a significantly negative eigenvalue, i.e. the
+        input was not PSD to working precision; the message is that of the
+        first such matrix in stack order.
     """
-    if matrix.shape[0] == 0:
+    if matrix.shape[-1] == 0:
         return np.zeros_like(matrix)
     scale = balance_scale(matrix)
     eigvals, eigvecs = np.linalg.eigh(_balanced(matrix, scale))
-    top = float(eigvals[-1])
-    if top <= 0.0:
-        # No positive information at all: the pseudo-inverse is zero.
-        if float(eigvals[0]) < -1e-6:
+    low, top = eigvals[..., 0], eigvals[..., -1]
+    empty = top <= 0.0
+    indefinite = np.where(empty, low < -1e-6, low < -1e-6 * top)
+    if np.any(indefinite):
+        first = np.flatnonzero(indefinite)[0]
+        if empty.flat[first]:
             raise NumericalError("matrix is indefinite, not PSD")
-        return np.zeros_like(matrix)
-    if float(eigvals[0]) < -1e-6 * top:
         raise NumericalError(
-            f"matrix is indefinite (min/max eigenvalue {eigvals[0] / top:.3e})"
+            f"matrix is indefinite (min/max eigenvalue {low.flat[first] / top.flat[first]:.3e})"
         )
-    floor = floor_rel * top
-    keep = eigvals > floor
-    inv_vals = np.zeros_like(eigvals)
-    inv_vals[keep] = 1.0 / eigvals[keep]
-    return _balanced((eigvecs * inv_vals[None, :]) @ eigvecs.T, scale)
+    keep = (eigvals > (floor_rel * top)[..., None]) & ~empty[..., None]
+    inv_vals = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=keep)
+    inverse = _balanced((eigvecs * inv_vals[..., None, :]) @ eigvecs.mT, scale)
+    inverse[empty] = 0.0
+    return inverse

@@ -124,9 +124,22 @@ def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return diff / dist[..., None], dist
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the last (length-3) axis of ``a * b``, broadcast over the
+    leading axes, added as ``(a0*b0 + a2*b2) + a1*b1``.
+
+    That is the order in which numpy 2.4's Einstein-summation kernel reduces
+    a contiguous length-3 axis (two SIMD lanes: ``a0*b0 + a2*b2`` in one,
+    ``a1*b1`` in the other), so the link pass's contractions keep the bits
+    they had as Einstein sums; the plain order ``(a0*b0 + a1*b1) + a2*b2``
+    differs in the last bit on about 30 % of entries.
+    """
+    return (a[..., 0] * b[..., 0] + a[..., 2] * b[..., 2]) + a[..., 1] * b[..., 1]
+
+
 def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.ndarray) -> np.ndarray:
     """``(I - dir dir^T) @ v_rel / (c * dist)`` broadcast over leading axes."""
-    proj = np.einsum("...i,...i->...", dirs, v_rel)
+    proj = _dot3(dirs, v_rel)
     perp = v_rel - proj[..., None] * dirs
     return perp / (_C * dists[..., None])
 
@@ -278,7 +291,9 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
         centroid = scene.position[:, None, :] + t[:, None] * scene.velocity[:, None, :]
         centroid = centroid[:, None, None]
         lever = scene.antennas @ rotation.mT
-        rotated = np.einsum("tiab,tub->tuia", partials, scene.antennas)
+        # Lever-arm partials d(R u)_a / d(phi_i) of each antenna ``u``, as ``(i, T, U, a)``:
+        # with the angle axis first, the orientation partials' products run along the slots.
+        rotated = _dot3(np.moveaxis(partials, 1, 0)[:, :, None], scene.antennas[None, :, :, None])
         elements = centroid + lever[:, None, :, None, :]
     batches = []
     for kind in kinds:
@@ -314,7 +329,11 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
                 dtau_dp=dtau_dp,
                 # The two orders differ in the last bit; each matches its kind's scalar oracle.
                 dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
-                dtau_dphi=np.einsum("tmuka,tuia->tmuki", dirs, rotated) / _C if array else None,
+                dtau_dphi=(
+                    np.moveaxis(_dot3(dirs, rotated[:, :, None, :, None]), 0, -1) / _C
+                    if array
+                    else None
+                ),
                 dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
                 dnu_dv=-dop_dirs / _C,
             ),

@@ -46,6 +46,7 @@ from .links import (
     link_observables,
 )
 from .scenario import Case, Scenario
+from .signals import _square
 from .transform import LocationLayout, kappa1_blocks
 
 
@@ -86,8 +87,8 @@ def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndar
     snr = obs.snr
     w_tau = snr * obs.omega
     snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
-    half_ao2 = 0.5 * obs.rms_duration**2
-    w_nu = snr_dop * obs.carrier_freq**2 * half_ao2
+    half_ao2 = 0.5 * _square(obs.rms_duration)
+    w_nu = snr_dop * _square(obs.carrier_freq) * half_ao2
     w_eps = snr_dop * half_ao2
     return w_tau.ravel(), w_nu.ravel(), w_eps.ravel()
 
@@ -301,8 +302,8 @@ class _Pool:
             ),
             omega=batch.omega[:, members],
             snr=batch.snr[members],
-            carrier_sq=f_1**2,
-            half_ao2=np.array([0.5 * props.rms_duration**2 for props in signals]).reshape(-1, 1, 1),
+            carrier_sq=_square(f_1),
+            half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
         )
 
     def key(self, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:

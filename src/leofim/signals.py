@@ -48,6 +48,14 @@ def effective_frequency(carrier_freq: float, nu: float, freq_offset: float) -> f
     return carrier_freq * (1.0 - nu) + freq_offset
 
 
+def _square(value: float) -> np.float64:
+    """``value**2`` as a numpy scalar power: the libm ``pow`` of Python's float
+    power, so the same bits, but an overflow follows ``np.errstate`` (a CLI
+    command's raises ``FloatingPointError``) instead of raising
+    ``OverflowError``."""
+    return np.float64(value) ** 2
+
+
 def omega(eff_bandwidth: float, bcc: float, eff_freq: float) -> float:
     """Squared effective frequency moment governing delay information.
 
@@ -61,7 +69,7 @@ def omega(eff_bandwidth: float, bcc: float, eff_freq: float) -> float:
         which is non-negative for any |bcc| <= 1 (it equals
         ``(eff_bandwidth*bcc + eff_freq)**2 + eff_bandwidth**2*(1 - bcc**2)``).
     """
-    return eff_bandwidth**2 + 2.0 * eff_freq * eff_bandwidth * bcc + eff_freq**2
+    return _square(eff_bandwidth) + 2.0 * eff_freq * eff_bandwidth * bcc + eff_freq**2
 
 
 @dataclass(frozen=True)

@@ -387,3 +387,45 @@ def test_sweeps_reject_non_positive_trial_count_before_sampling(sweep, n_trials,
             identifiability_sweep({"n_ant": [1, 2]}, WIDE, seed=3, n_trials=n_trials)
         else:
             parameter_sweep("snr_db", [10.0], WIDE, seed=3, n_trials=n_trials)
+
+
+@pytest.mark.parametrize(
+    ("axis", "values", "stacks"),
+    [("n_ant", [4, 8, 2], [4]), ("snr_db", [10.0, 20.0], [2, 2])],
+)
+def test_parameter_sweep_bounds_a_family_with_one_stacked_inverse(
+    monkeypatch, axis, values, stacks
+):
+    """The PD trials of a (family, satellite count) are inverted in one call:
+    an antenna-count sweep is one family (its two-antenna value is not PD),
+    and each SNR value is its own."""
+    import leofim.analysis as analysis
+
+    inverted = []
+    original = analysis.invert_psd
+    monkeypatch.setattr(
+        analysis,
+        "invert_psd",
+        lambda m, floor_rel: inverted.append(m.shape[:-2]) or original(m, floor_rel),
+    )
+    points = parameter_sweep(axis, values, WIDE, seed=5, n_trials=2)
+    assert inverted == [(n,) for n in stacks]
+    assert sum(p.n_pd_trials for p in points) == sum(stacks)
+
+
+def test_parameter_sweep_mean_adds_its_trials_as_the_mean_of_a_list():
+    """From 8 trials on, numpy's pairwise sum of a list and a row-by-row sum
+    over a trial axis differ in the last bit; every mean bound is the
+    ``np.mean`` of its trials' own bounds, satellite by satellite."""
+    config = dataclasses.replace(WIDE, n_leo=2)
+    (point,) = parameter_sweep("snr_db", [config.snr_db], config, seed=3, n_trials=11)
+    reports = [
+        crlb(compute_efim(random_scenario(config, s))) for s in derive_trial_seeds(3, 11)
+    ]
+    for field in dataclasses.fields(CrlbReport):
+        got = getattr(point.report, field.name)
+        per_trial = [getattr(r, field.name) for r in reports]
+        if isinstance(got, tuple):
+            assert got == tuple(float(np.mean(values)) for values in zip(*per_trial))
+        else:
+            assert got == float(np.mean(per_trial))

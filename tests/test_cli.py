@@ -1,11 +1,18 @@
 """Command-line interface: config validation, output files, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
+import sys
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leofim.cli import (
     COLUMNS,
@@ -17,7 +24,8 @@ from leofim.cli import (
     main,
     run_command,
 )
-from leofim.scenario import ScenarioConfig
+from leofim.analysis import SWEEP_AXES
+from leofim.scenario import _MAX_SNR_DB, Case, ScenarioConfig
 
 WIDE = {
     "n_leo": 1,
@@ -241,12 +249,22 @@ def test_degenerate_later_trial_exits_4_without_traceback(tmp_path, capsys, monk
         # Only the offset groups' weight totals overflow here; dividing by
         # them would leave a finite EFIM without its centering.
         {"snr_db": 2858},
+        # Squaring a waveform moment overflows before any information is formed.
+        {"rms_duration_s": 1e200},
+        {"eff_bandwidth_hz": 1.7e308, "command": "identifiability"},
     ],
-    ids=["bound_3000_db", "identifiability_2900_db", "bound_2858_db"],
+    ids=[
+        "bound_3000_db",
+        "identifiability_2900_db",
+        "bound_2858_db",
+        "bound_rms_duration_1e200",
+        "identifiability_bandwidth_1.7e308",
+    ],
 )
 def test_information_overflow_exits_4_without_traceback(tmp_path, capsys, settings):
-    """A validated SNR whose information overflows a double is a numerical
-    failure (exit 4), not a LinAlgError traceback."""
+    """A validated SNR or waveform moment whose information overflows a double
+    is a numerical failure (exit 4), not a LinAlgError or OverflowError
+    traceback."""
     out = tmp_path / "bounds.csv"
     path = _write_config(tmp_path, {**settings, "n_trials": 1, "out": str(out)})
     assert main(["--config", path]) == 4
@@ -516,3 +534,72 @@ def test_unreadable_or_unrepresentable_input_exits_2(
     assert re.match(rf"configuration error: {message}", captured.err)
     assert len(captured.err.strip().splitlines()) == 1
     assert captured.out == ""
+
+
+# Each float field of a run across the whole double range it accepts.
+_MAX = sys.float_info.max
+_POSITIVE = st.floats(min_value=0.0, max_value=_MAX, exclude_min=True)
+_NON_NEGATIVE = st.floats(min_value=0.0, max_value=_MAX)
+_SNR_DB = st.floats(min_value=-_MAX, max_value=_MAX_SNR_DB)
+_FLOAT_FIELDS = {
+    **dict.fromkeys(
+        ("slot_spacing_s", "carrier_freq_hz", "observation_duration_s", "rms_duration_s",
+         "leo_distance_m", "receiver_distance_m", "bs_distance_m", "rel_tol"),
+        _POSITIVE,
+    ),
+    **dict.fromkeys(
+        ("eff_bandwidth_hz", "leo_speed_m_s", "receiver_speed_m_s", "leo_dir_perturb_rad",
+         "array_radius_wavelengths"),
+        _NON_NEGATIVE,
+    ),
+    "bcc": st.floats(min_value=-1.0, max_value=1.0),
+    **dict.fromkeys(("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"), _SNR_DB),
+}
+_COUNTS = {
+    "n_leo": st.integers(1, 2),
+    "n_bs": st.integers(0, 2),
+    "n_ant": st.integers(1, 3),
+    "n_slots": st.integers(1, 3),
+}
+
+
+@st.composite
+def _run_configs(draw):
+    """A raw run configuration that ``config_from_dict`` accepts: small
+    counts, any accepted float, and any command."""
+    raw = draw(st.fixed_dictionaries(
+        {
+            "command": st.sampled_from(("bound", "identifiability", "sweep")),
+            "case": st.sampled_from([c.value for c in Case]),
+            "seed": st.integers(0, 2**64 - 1),
+            "n_trials": st.integers(1, 2),
+            "format": st.sampled_from(("csv", "json")),
+            **_COUNTS,
+        },
+        optional=_FLOAT_FIELDS,
+    ))
+    if raw["command"] == "sweep":
+        axis = draw(st.sampled_from(SWEEP_AXES))
+        values = _COUNTS[axis] if axis in _COUNTS else _FLOAT_FIELDS[axis]
+        raw["sweep_axis"] = axis
+        raw["sweep_values"] = draw(st.lists(values, min_size=1, max_size=3))
+    elif raw["command"] == "identifiability":
+        for axis, counts in _COUNTS.items():
+            raw[f"grid_{axis}"] = draw(st.none() | st.lists(counts, min_size=1, max_size=2))
+    return raw
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(raw=_run_configs())
+def test_every_accepted_configuration_exits_with_a_documented_code(raw):
+    """The CLI error contract: whatever configuration validation accepts, a
+    command returns 0, 3 or 4 and never raises, at any double the fields
+    accept (overflow, underflow, degenerate or zero information)."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*outside the supported band")
+        config = config_from_dict(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = dataclasses.replace(config, out=f"{tmp}/out.{config.format}")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = run_command(config)
+    assert status in (0, 3, 4)

@@ -94,3 +94,36 @@ def test_invert_psd_floors_singular_modes():
 def test_invert_psd_rejects_indefinite():
     with pytest.raises(NumericalError):
         invert_psd(np.diag([1.0, -1.0]), floor_rel=1e-12)
+
+
+def test_stacked_invert_psd_equals_per_matrix_calls_bit_for_bit():
+    """One stacked inverse is each matrix's own, floored singular modes and an
+    all-zero matrix (whose inverse is zero) included."""
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(6, 5, 5))
+    scale = np.logspace(-8, 8, 5)
+    stack = scale[:, None] * (x @ x.mT) * scale
+    stack[1] = np.outer(stack[1, 0], stack[1, 0])  # rank one: four floored modes
+    stack[2, 3, :] = stack[2, :, 3] = 0.0  # an unobserved coordinate
+    stack[4] = 0.0
+    stack = stack.reshape(2, 3, 5, 5)
+    got = invert_psd(stack, floor_rel=1e-10)
+    assert got.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        assert got[index].tobytes() == invert_psd(stack[index], floor_rel=1e-10).tobytes()
+    assert not np.any(got[1, 1])
+    assert invert_psd(np.zeros((3, 0, 0)), floor_rel=1e-10).shape == (3, 0, 0)
+
+
+def test_indefinite_matrix_in_a_stack_raises_its_own_message():
+    """The first indefinite matrix in stack order raises what a call on it
+    alone raises."""
+    stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([-1.0, -1.0])])
+    for matrix, within, message in (
+        (stack[1], stack, "matrix is indefinite (min/max eigenvalue -5.000e-01)"),
+        (stack[2], stack[[0, 2]], "matrix is indefinite, not PSD"),
+    ):
+        for call in (matrix, within, within[None]):
+            with pytest.raises(NumericalError) as raised:
+                invert_psd(call, floor_rel=1e-12)
+            assert str(raised.value) == message

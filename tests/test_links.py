@@ -18,6 +18,7 @@ import pytest
 from leofim.geometry import SPEED_OF_LIGHT_M_S, BsState, DegenerateGeometryError
 from leofim.links import (
     LinkKind,
+    _dot3,
     _kinds,
     _link_pass,
     _sampled_scene,
@@ -339,3 +340,35 @@ def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
         for got, expected in pairs:
             assert got.shape == expected.shape
             assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_length_3_contractions_match_their_einsums_bit_for_bit():
+    """``_dot3`` reproduces each Einstein sum the link pass used to take, on
+    operands laid out as in the pass (the lever-arm and orientation partials
+    with their angle axis first) and on broadcast ones: the lever-arm
+    partials, the orientation partials over (trial, member, element, slot)
+    grids, and the Doppler projection."""
+    rng = np.random.default_rng(23)
+
+    def same(got, expected):
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    for n_trials in (1, 2, 5):
+        partials = rng.normal(size=(n_trials, 3, 3, 3))
+        for n_ant in (1, 2, 3, 4, 16, 32, 64):
+            antennas = rng.normal(size=(n_trials, n_ant, 3))
+            rotated = np.einsum("tiab,tub->tuia", partials, antennas)
+            by_angle = _dot3(np.moveaxis(partials, 1, 0)[:, :, None], antennas[None, :, :, None])
+            same(np.ascontiguousarray(np.moveaxis(by_angle, 0, 2)), rotated)
+            for members, n_slots in itertools.product((1, 2, 3, 4), (1, 2, 3, 5, 10, 20)):
+                dirs = rng.normal(size=(n_trials, members, n_ant, n_slots, 3))
+                same(
+                    np.ascontiguousarray(
+                        np.moveaxis(_dot3(dirs, by_angle[:, :, None, :, None]), 0, -1)
+                    ),
+                    np.einsum("tmuka,tuia->tmuki", dirs, rotated),
+                )
+                v_rel = rng.normal(size=(n_trials, members, 1, n_slots, 3))
+                for other in (v_rel, v_rel[:, :1, :, :1], dirs):
+                    same(_dot3(dirs, other), np.einsum("...i,...i->...", dirs, other))
