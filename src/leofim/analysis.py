@@ -12,7 +12,10 @@ array pass with a leading trial axis; each offset-group Gram is built once
 for all the family's trials and every configuration that slices it, each
 configuration's EFIM is bit for bit that of its own sampled scenario, and the
 verdicts of one (family, satellite count) come from one stacked eigenvalue
-call.
+call.  Bounds are arrays until a caller returns them: the PD trials of one
+(family, satellite count) are inverted by one stacked :func:`.invert_psd`,
+bit for bit the per-matrix inverses, and a sweep point's mean bounds average
+its trials' rows.
 """
 
 from __future__ import annotations
