@@ -347,12 +347,21 @@ def test_length_3_contractions_match_their_einsums_bit_for_bit():
     operands laid out as in the pass (the lever-arm and orientation partials
     with their angle axis first) and on broadcast ones: the lever-arm
     partials, the orientation partials over (trial, member, element, slot)
-    grids, and the Doppler projection."""
+    grids, and the Doppler projection.
+
+    The reference is a live ``np.einsum``, whose reduction order is internal to
+    numpy. ``(x0*y0 + x2*y2) + x1*y1`` was verified on numpy 2.4.6 (x86-64,
+    two SIMD lanes); if this fails after a numpy upgrade or on another SIMD
+    baseline, einsum's order changed there, and the link pass's bits no
+    longer match those of the Einstein sums it replaced."""
     rng = np.random.default_rng(23)
 
     def same(got, expected):
         assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == expected.tobytes(), (
+            f"np.einsum of numpy {np.__version__} no longer adds a length-3 axis as "
+            "(x0*y0 + x2*y2) + x1*y1, the order verified on numpy 2.4.6"
+        )
 
     for n_trials in (1, 2, 5):
         partials = rng.normal(size=(n_trials, 3, 3, 3))

@@ -1,16 +1,17 @@
 """Run the benchmark on two commits in alternating pairs and save one BENCH file.
 
-    python tools/pairs.py --parent REV --change REV [--pairs N] [--seconds S]
-        [--seeds 42 2001 ...] [--workloads NAME ...] [--control] [--out PATH]
+    python tools/pairs.py --parent REV --change REV [--workloads NAME ...]
+        [--control] [--out PATH] [--description TEXT]
 
 Both commits are exported with ``git archive`` into fresh temporary
 directories, so only committed files are measured.  For each workload, pair
-``i`` runs ``benches/run.py --workload W --seed S --seconds N --trace 0`` of
-both trees with the same seed (``seeds[i % len(seeds)]``); the parent runs
-first in even pairs and the change first in odd ones, so a drift of the
-machine's speed does not favour one side.  With ``--control`` the change side
-is a second archive of the parent: its spread is the noise floor a claim on
-the same machine has to clear.
+``i`` (``PAIRS`` of them) runs ``benches/run.py --workload W --seed S --trace
+0`` of both trees with the same seed (``SEEDS[i % len(SEEDS)]``); the run
+length is ``run.py``'s default, the ``run_seconds`` of ``BENCHMARK.json``.
+The parent runs first in even pairs and the change first in odd ones, so a
+drift of the machine's speed does not favour one side.  With ``--control``
+the change side is a second archive of the parent: its spread is the noise
+floor a claim on the same machine has to clear.
 
 The output (default: ``BENCH_<n>.json`` in the repository root, ``n`` one
 above the largest existing) holds ``runs``, one entry per run::
@@ -18,12 +19,9 @@ above the largest existing) holds ``runs``, one entry per run::
     {"tree": "parent"|"change", "workload", "seed", "pair", "first", "result"}
 
 where ``result`` is the last stdout line of ``run.py`` (or an ``error``), and
-``summary[workload][metric]`` for every end-to-end metric of
-``BENCHMARK.json``: each side's median and quartiles (``statistics.quantiles``,
-exclusive method), the parent's IQR, the change of the medians (absolute and
-relative), and in how many pairs the change was better.  The file is
-rewritten after every pair, so an interrupted series keeps what it measured.
-Only git and the repository are needed.
+a ``summary`` per workload (see ``summarize``).  The file is rewritten after
+every pair, so an interrupted series keeps what it measured.  Only git and the
+repository are needed.
 """
 
 from __future__ import annotations
@@ -39,7 +37,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SEEDS = [42, *range(2001, 2010)]
+PAIRS = 10
+SEEDS = [42, *range(2001, 2010)]
 
 
 def export(rev: str, dest: Path) -> str:
@@ -56,11 +55,11 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """The last stdout line of one ``benches/run.py`` run of ``tree``."""
     proc = subprocess.run(
         [sys.executable, "benches/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -77,18 +76,49 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _valid(result: dict) -> bool:
+    """A run counts only if it finished and passed ``run.py``'s correctness gate."""
+    return "error" not in result and result.get("correct") is True
+
+
+def _health(results: list[dict]) -> dict:
+    errored = sum("error" in r for r in results)
+    return {
+        "runs": len(results),
+        "errored": errored,
+        "incorrect": len(results) - errored - sum(_valid(r) for r in results),
+        "failed": sum(r.get("failed", 0) for r in results),
+        "attempted": sum(r.get("attempted", 0) for r in results),
+    }
+
+
 def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Per workload and end-to-end metric (``metrics`` maps its name to
-    ``"lower"`` or ``"higher"``, the better direction): both sides' medians
-    and quartiles, and the pairs the change won."""
+    """Per workload: ``health``, and per end-to-end metric (``metrics`` maps
+    its name to ``"lower"`` or ``"higher"``, the better direction) the stats
+    of both sides.
+
+    ``health[tree]`` counts that side's ``runs``, the ``errored`` ones (no
+    result line), the ``incorrect`` ones (``correct`` not true) and the
+    summed ``failed`` and ``attempted`` jobs of the runs that reported them;
+    ``valid`` is true when no run of either side errored or was incorrect.
+    Only valid runs enter ``metrics``: each side's median and quartiles
+    (``statistics.quantiles``, exclusive method), the parent's IQR, the
+    change of the medians (absolute and relative), and ``change_better_pairs``
+    out of ``pairs``, the pairs in which both runs are valid (``pairs_run``
+    counts every pair that ran)."""
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
+        own = [r for r in runs if r["workload"] == workload]
+        health = {
+            tree: _health([r["result"] for r in own if r["tree"] == tree])
+            for tree in ("parent", "change")
+        }
         per_metric = {}
         for name, better in metrics.items():
             sides: dict[str, dict[int, float]] = {"parent": {}, "change": {}}
-            for run in runs:
+            for run in own:
                 value = run["result"].get("metrics", {}).get(name, {}).get("value")
-                if run["workload"] == workload and value is not None:
+                if _valid(run["result"]) and value is not None:
                     sides[run["tree"]][run["pair"]] = value
             if not sides["parent"] or not sides["change"]:
                 continue
@@ -109,8 +139,13 @@ def summarize(runs: list[dict], metrics: dict[str, str]) -> dict:
                     sign * (sides["change"][p] - sides["parent"][p]) < 0 for p in pairs
                 ),
                 "pairs": len(pairs),
+                "pairs_run": len({r["pair"] for r in own}),
             }
-        summary[workload] = per_metric
+        summary[workload] = {
+            "health": health,
+            "valid": all(h["errored"] == 0 and h["incorrect"] == 0 for h in health.values()),
+            "metrics": per_metric,
+        }
     return summary
 
 
@@ -124,9 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--seeds", type=int, nargs="+", default=DEFAULT_SEEDS)
     parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--control", action="store_true",
                         help="run the parent against a second archive of itself")
@@ -148,16 +180,17 @@ def main(argv: list[str] | None = None) -> int:
             "parent": parent_sha,
             "change": change_sha,
             "control": args.control,
-            "command": f"benches/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+            "command": "benches/run.py --workload W --seed S --trace 0",
+            "run_seconds": benchmark["run_seconds"],
             "runs": [],
             "summary": {},
         }
         for workload in workloads:
-            for pair in range(args.pairs):
-                seed = args.seeds[pair % len(args.seeds)]
+            for pair in range(PAIRS):
+                seed = SEEDS[pair % len(SEEDS)]
                 order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
                 for tree in order:
-                    result = run_once(trees[tree], workload, seed, args.seconds)
+                    result = run_once(trees[tree], workload, seed)
                     payload["runs"].append({
                         "tree": tree, "workload": workload, "seed": seed,
                         "pair": pair, "first": order[0], "result": result,
@@ -169,11 +202,14 @@ def main(argv: list[str] | None = None) -> int:
                 out.write_text(json.dumps(payload, indent=1) + "\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    for workload, per_metric in payload["summary"].items():
-        for name, s in per_metric.items():
+    for workload, summary in payload["summary"].items():
+        for tree, h in summary["health"].items():
+            print(f"{workload} {tree}: {h['runs']} runs, {h['errored']} errored, "
+                  f"{h['incorrect']} incorrect, {h['failed']} of {h['attempted']} jobs failed")
+        for name, s in summary["metrics"].items():
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> "
                   f"{s['change']['median']:.6g} ({100 * s['median_change_rel']:+.1f} %, "
-                  f"{s['change_better_pairs']}/{s['pairs']} pairs better, "
+                  f"{s['change_better_pairs']}/{s['pairs']} valid pairs better of {s['pairs_run']}, "
                   f"parent IQR {s['parent_iqr']:.3g})")
     print(f"wrote {out}")
     return 0
