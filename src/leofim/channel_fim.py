@@ -28,6 +28,7 @@ import numpy as np
 
 from .links import LinkKind, LinkObservables, link_observables
 from .scenario import Scenario
+from .signals import _square
 
 _GAIN_INFO = 1.0 / (4.0 * np.pi**2)
 """Gain information per unit SNR: ``1 / (4 pi^2 |beta|^2)`` at the unit gain
@@ -110,9 +111,9 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     snr = obs.snr
     delays, dopplers = layout.delays, layout.dopplers
     time, freq, gain = layout.time_offset, layout.freq_offset, layout.gain
-    dop_weight = 0.5 * obs.carrier_freq**2 * obs.rms_duration**2
-    cross_weight = -0.5 * obs.carrier_freq * obs.rms_duration**2
-    eps_weight = 0.5 * obs.rms_duration**2
+    dop_weight = 0.5 * _square(obs.carrier_freq) * _square(obs.rms_duration)
+    cross_weight = -0.5 * obs.carrier_freq * _square(obs.rms_duration)
+    eps_weight = 0.5 * _square(obs.rms_duration)
     # Column j holds the observations Doppler j sums: every antenna for an
     # array link's per-slot shift, one (station, slot) for a station link.
     by_doppler = snr.reshape(1, -1) if layout.doppler_per_row else snr

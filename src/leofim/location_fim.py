@@ -10,9 +10,9 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
   difference is formed, so no digit is lost to cancellation.  The route runs
   on a leading trial axis (:func:`_efims`): the sweeps sample and link the
-  trials of one configuration family together and build each group's Gram
-  once for all of them and every sub-count that slices it; :func:`compute_efim` is the one-trial,
-  one-count case;
+  trials of one configuration family together, cut every sub-count's rows
+  from one build per trial chunking and form each Gram once for all trials;
+  :func:`compute_efim` is the one-trial, one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
   coordinates (gains and offsets of every link) are marginalized by a Schur
@@ -272,7 +272,8 @@ class _Pool:
     trial axis.  Only its Doppler Jacobians, which have no antenna axis, are
     copies: each member's scaled by ``f_c / f_1`` (see :func:`_efims`).
     ``carrier_sq = f_1^2`` and ``half_ao2 (members, 1, 1)`` come from the
-    members' signals, and ``snr``, like them, holds in every trial.
+    members' signals, and ``snr``, like them, holds in every trial.  A
+    sub-count's rows are built (:meth:`groups`) or cut (:meth:`cut`).
     """
 
     kind: LinkKind
@@ -324,10 +325,8 @@ class _Pool:
         stacked = (trials, *grid)
         omega = self.omega[stacked]
         n_trials = omega.shape[0]
-        snr = self.snr[grid]
-        w_tau = (snr * omega).reshape(n_trials, -1)
-        snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-        w_nu = (snr_dop * self.carrier_sq * self.half_ao2[grid[0]]).reshape(1, -1)
+        w_tau = (self.snr[grid] * omega).reshape(n_trials, -1)
+        w_nu = self._doppler_weights(key)
         g_tau = np.zeros((n_trials, w_tau.shape[1], layout.dim_interest))
         g_nu = np.zeros((n_trials, w_nu.shape[1], layout.dim_interest))
         for cols, dtau, dnu, put in kappa1_blocks(layout, self):
@@ -335,6 +334,26 @@ class _Pool:
             if dnu is not None:
                 put(g_nu[..., cols], dnu[stacked].reshape(n_trials, -1, 3))
         return [(g_tau, w_tau), (g_nu, w_nu)]
+
+    def _doppler_weights(self, key: tuple[int, int, int]) -> np.ndarray:
+        """``w_nu`` at ``key``: an array link sums SNR over the antennas it keeps."""
+        snr = self.snr[tuple(map(slice, key))]
+        snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
+        return (snr_dop * self.carrier_sq * self.half_ao2[: key[0]]).reshape(1, -1)
+
+    def cut(self, groups: list, built: tuple, key: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+        """:meth:`groups` at ``key``, cut from the ``groups`` of the same trials
+        at a ``built`` key that holds it as fresh C-contiguous copies: the Gram
+        centers rows in place, and a strided operand takes ``matmul`` off BLAS,
+        which changes the last bit.  An array link's Doppler grid has one row."""
+        (g_tau, w_tau), (g_nu, _) = groups
+        nu_rows = built[1] if self.kind is LinkKind.LEO_BS else 1
+        cuts = []
+        for a, rows in ((g_tau, built[1]), (w_tau, built[1]), (g_nu, nu_rows)):
+            part = a.reshape(len(a), built[0], rows, built[2], *a.shape[2:])
+            part = part[(slice(None), *map(slice, key))].copy()
+            cuts.append(part.reshape(len(a), -1, *a.shape[2:]))
+        return [(cuts[0], cuts[1]), (cuts[2], self._doppler_weights(key))]
 
 
 def _pools(batches: list[_Batch]) -> list[_Pool]:
@@ -373,11 +392,13 @@ def _efims(
     first elements and slots of the pools' links, and every trial of a family
     has the same shapes.  Pools of satellites beyond ``layout.n_leo`` are
     skipped; the rest go in link order, the station pool last.  Within a pool
-    each distinct sub-count's Grams are built once for all trials and added
+    each distinct sub-count's Grams are formed once for all trials and added
     to every cell that keeps it, so each cell sums its groups in the same
     order as a scenario sampled at its own counts: bit for bit its EFIM.
     Trials are taken a few at a time where one trial's rows are large, which
-    bounds the dense rows held at once.
+    bounds the dense rows one build holds (``_ROW_BYTES``).  Sub-counts with
+    the same trial chunks share a build at the largest of them that holds the
+    others, whose rows are copies cut from it; it is centered last.
     """
     dim = layout.dim_interest
     n_trials = pools[0].omega.shape[0]
@@ -388,12 +409,19 @@ def _efims(
         cells_by_key: dict[tuple[int, int, int], list[int]] = {}
         for cell, sub_count in enumerate(counts):
             cells_by_key.setdefault(pool.key(*sub_count), []).append(cell)
-        for key, cells in cells_by_key.items():
-            step = max(1, _ROW_BYTES // (8 * dim * max(1, math.prod(key))))
+        # Per chunking, the largest key holding a key is built, and centered last.
+        builds: dict[tuple[int, tuple[int, int, int]], list] = {}
+        for key in sorted(cells_by_key, key=lambda k: (math.prod(k), k), reverse=True):
+            step = min(n_trials, max(1, _ROW_BYTES // (8 * dim * max(1, math.prod(key)))))
+            held = (b for s, b in builds if s == step and all(n <= m for n, m in zip(key, b)))
+            builds.setdefault((step, next(held, key)), []).insert(0, key)
+        for (step, built), keys in builds.items():
             for start in range(0, n_trials, step):
                 trials = slice(start, start + step)
-                for g, w in pool.groups(layout, key, trials):
-                    gram = _centered_gram(g, w)
-                    for cell in cells:
-                        out[cell, trials] += gram
+                rows = pool.groups(layout, built, trials)
+                for key in keys:
+                    for g, w in rows if key == built else pool.cut(rows, built, key):
+                        gram = _centered_gram(g, w)
+                        for cell in cells_by_key[key]:
+                            out[cell, trials] += gram
     return sym(out)

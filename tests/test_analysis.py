@@ -338,6 +338,58 @@ def test_parameter_sweep_samples_and_links_each_trial_once_per_family(
     assert sum(len(scene.position) for scene in linked) == len(sampled)
 
 
+ACCEPTANCE1 = {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]}
+CLI_SWEEP = ScenarioConfig(
+    n_leo=2, n_bs=3, n_ant=4, n_slots=10, slot_spacing_s=50.0, bs_distance_m=5e5,
+    case=Case.RECEIVER_ONLY,
+)
+
+
+@pytest.mark.parametrize(
+    "sweep, builds",
+    [
+        # Per satellite count, each pool builds its rows once: (1 + 2 + 3) satellites
+        # times the receiver and station links, plus the station pool, three times.
+        (lambda: identifiability_sweep(ACCEPTANCE1, ScenarioConfig(), seed=42), 15),
+        # The 4- and 16-antenna keys share a five-trial chunk and one build; the
+        # 64-antenna key is alone in its chunking: two chunks per satellite, five for
+        # the station pool.
+        (lambda: parameter_sweep("n_ant", [4, 16, 64], CLI_SWEEP, seed=42), 12),
+    ],
+    ids=["acceptance1", "cli_sweep"],
+)
+def test_sweeps_cut_every_sub_count_from_one_build_per_chunking(sweep, builds, monkeypatch):
+    """A pool's sub-count rows that share a trial chunking are cut from one
+    build at the largest of them."""
+    from leofim import location_fim
+
+    calls = []
+    groups = location_fim._Pool.groups
+    monkeypatch.setattr(
+        location_fim._Pool,
+        "groups",
+        lambda pool, layout, key, trials: calls.append(key) or groups(pool, layout, key, trials),
+    )
+    sweep()
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("row_bytes", [1 << 10, 1 << 13, 1 << 16])
+def test_sweeps_match_per_configuration_sampling_across_trial_chunkings(row_bytes, monkeypatch):
+    """Small row budgets split a family's trials into chunks of one, two and
+    three trials, so some sub-counts share a build and others are alone, on a
+    grid with no stations and a single slot among its values."""
+    from leofim import location_fim
+
+    monkeypatch.setattr(location_fim, "_ROW_BYTES", row_bytes)
+    values = [16, 4, 1, 16, 2]
+    points = parameter_sweep("n_ant", values, WIDE, seed=42, n_trials=3)
+    assert points == _per_value_sweep("n_ant", values, WIDE, seed=42, n_trials=3)
+    grid = {"n_leo": [1, 2], "n_bs": [0, 2], "n_slots": [1, 3], "n_ant": [1, 4]}
+    table = identifiability_sweep(grid, WIDE, seed=7, n_trials=3)
+    assert table == _per_cell_sweep(grid, WIDE, seed=7, n_trials=3)
+
+
 def test_parameter_sweep_raises_on_degenerate_geometry():
     with pytest.raises(DegenerateGeometryError):
         parameter_sweep("n_ant", [1, 2], DEGENERATE, seed=3, n_trials=1)

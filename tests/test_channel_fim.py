@@ -88,6 +88,15 @@ def test_zero_snr_gives_zero_information():
         assert np.count_nonzero(fim.matrix) == 0
 
 
+def test_waveform_moment_overflow_follows_errstate():
+    """The Doppler and offset weights square the RMS duration as numpy
+    scalars: an overflow raises ``FloatingPointError`` under ``np.errstate``,
+    not Python's ``OverflowError``."""
+    sc = random_scenario(ScenarioConfig(rms_duration_s=1e200, n_ant=2), 1)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        assemble_channel_fim(sc)
+
+
 def test_link_fims_are_exactly_symmetric():
     sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=2, n_ant=3, n_slots=2), 4)
     for fim in _link_fims(sc, 1, 1, 0):

@@ -39,7 +39,11 @@ the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json`` and on a
 carrier-frequency and a slot-spacing sweep of the same template (each value
 its own family of five trials), for seeds 42 and 7 in both cases, and
 likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three trials, where
-the batched Gram and eigenvalue stacks are largest.
+the batched Gram and eigenvalue stacks are largest.  The raw factor-route
+stacks ``(cells, trials, dim, dim)`` that ``location_fim._efims`` returns are
+fingerprinted per satellite count of the acceptance-1 family and of the
+``n_ant`` 4/16/64 family of that template, sampled and linked once at their
+maxima as the sweeps do, for seeds 42 and 7 in both cases.
 ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its stdout
 (with the temporary output path replaced) and its exit code for every
 ``benches/configs/*.json`` at seeds 42 and 7.
@@ -48,6 +52,7 @@ the batched Gram and eigenvalue stacks are largest.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -85,6 +90,11 @@ PARAMETER_SWEEPS = {
 PARAMETER_CASES = [
     *((axis, PARAMETER_TEMPLATE, axis, values, 5) for axis, values in PARAMETER_SWEEPS.items()),
     ("large/n_ant", dict(PARAMETER_TEMPLATE, n_leo=4, n_bs=4, n_slots=20), "n_ant", [16, 32], 3),
+]
+# (name, grid, template knobs) of every family whose raw ``_efims`` stacks are hashed.
+EFIM_FAMILIES = [
+    ("acceptance1", ACCEPTANCE1, {}),
+    ("n_ant", {"n_ant": PARAMETER_SWEEPS["n_ant"]}, PARAMETER_TEMPLATE),
 ]
 CLI_CONFIGS = Path(__file__).resolve().parents[1] / "benches" / "configs"
 # (delay key, Doppler key) of each kappa1 block's signed partials.
@@ -162,12 +172,33 @@ def _observables(scenario, out: dict, tag: str) -> None:
                 out[f"{tag}/{name}{i}/{nu_key}"] = fingerprint(g_nu[:, cols].reshape(*obs.omega.shape, 3))
 
 
+def _efim_stacks(out: dict) -> None:
+    """Each family's ``_efims`` per satellite count, its trials sampled and
+    linked once at the family's maxima (as ``analysis._family_trials`` does)."""
+    from leofim.analysis import DEFAULT_N_TRIALS, GRID_AXES
+    from leofim.links import _kinds, _link_pass, _sampled_scene
+    from leofim.location_fim import _efims, _pools
+    from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds
+    from leofim.transform import LocationLayout
+
+    for seed, (name, grid, knobs), case in itertools.product(SEEDS, EFIM_FAMILIES, Case):
+        template = ScenarioConfig(**knobs, case=case)
+        n_leos, *values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
+        largest = dataclasses.replace(
+            template, **{axis: max(v) for axis, v in zip(GRID_AXES, [n_leos, *values])}
+        )
+        scene = _sampled_scene(largest, _sample(largest, derive_trial_seeds(seed, DEFAULT_N_TRIALS)))
+        pools = _pools(_link_pass(scene, _kinds(case)))
+        counts = [(n_bs, n_ant, n_slots) for n_bs, n_slots, n_ant in itertools.product(*values)]
+        for n_leo in n_leos:
+            efims = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
+            out[f"s{seed}/efims/{name}/{case.value}/L{n_leo}"] = fingerprint(efims)
+
+
 def _hand_built(seed: int, case):
     """A sampled L2 Q3 U4 K3 scenario rebuilt with what sampling never sets:
     ephemeris and frequency offsets, a per-observation SNR array and a station
     link on another carrier."""
-    import dataclasses
-
     from leofim.scenario import ScenarioConfig, random_scenario
     from leofim.signals import OffsetParams
 
@@ -255,6 +286,7 @@ def dump() -> dict:
                 r.pos_rmse_bound, r.vel_rmse_bound, r.orient_rmse_bound,
                 *r.leo_pos_offset_bound, *r.leo_vel_offset_bound,
             ])
+    _efim_stacks(out)
     _cli(out)
     return out
 
