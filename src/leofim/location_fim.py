@@ -337,7 +337,7 @@ class _Pool:
 
     def _doppler_weights(self, key: tuple[int, int, int]) -> np.ndarray:
         """``w_nu`` at ``key``: an array link sums SNR over the antennas it keeps."""
-        snr = self.snr[tuple(map(slice, key))]
+        snr = self.snr[: key[0], : key[1], : key[2]]
         snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
         return (snr_dop * self.carrier_sq * self.half_ao2[: key[0]]).reshape(1, -1)
 
@@ -347,13 +347,13 @@ class _Pool:
         centers rows in place, and a strided operand takes ``matmul`` off BLAS,
         which changes the last bit.  An array link's Doppler grid has one row."""
         (g_tau, w_tau), (g_nu, _) = groups
-        nu_rows = built[1] if self.kind is LinkKind.LEO_BS else 1
-        cuts = []
-        for a, rows in ((g_tau, built[1]), (w_tau, built[1]), (g_nu, nu_rows)):
-            part = a.reshape(len(a), built[0], rows, built[2], *a.shape[2:])
-            part = part[(slice(None), *map(slice, key))].copy()
-            cuts.append(part.reshape(len(a), -1, *a.shape[2:]))
-        return [(cuts[0], cuts[1]), (cuts[2], self._doppler_weights(key))]
+        (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[2]
+        grid = (slice(None), *map(slice, key))
+        nu_rows = rows if self.kind is LinkKind.LEO_BS else 1
+        g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(n, -1, dim)
+        w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(n, -1)
+        g_nu = g_nu.reshape(n, members, nu_rows, slots, dim)[grid].copy().reshape(n, -1, dim)
+        return [(g_tau, w_tau), (g_nu, self._doppler_weights(key))]
 
 
 def _pools(batches: list[_Batch]) -> list[_Pool]:
