@@ -396,9 +396,9 @@ def _efims(
     to every cell that keeps it, so each cell sums its groups in the same
     order as a scenario sampled at its own counts: bit for bit its EFIM.
     Trials are taken a few at a time where one trial's rows are large, which
-    bounds the dense rows one build holds (``_ROW_BYTES``).  Sub-counts with
-    the same trial chunks share a build at the largest of them that holds the
-    others, whose rows are copies cut from it; it is centered last.
+    bounds the dense rows one build holds (``_ROW_BYTES``).  A sub-count's
+    rows are copies cut from the build at the largest sub-count with the same
+    trial chunks that holds it, and each build is centered last.
     """
     dim = layout.dim_interest
     n_trials = pools[0].omega.shape[0]
