@@ -11,7 +11,8 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   difference is formed, so no digit is lost to cancellation.  The route runs
   on a leading trial axis (:func:`_efims`): the sweeps sample and link the
   trials of one configuration family together, cut every sub-count's rows
-  from one build per trial chunking and form each Gram once for all trials;
+  from one build per link kind and trial chunking and form each kind's
+  Grams (one offset group per satellite) in one call for all trials;
   :func:`compute_efim` is the one-trial, one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
@@ -30,7 +31,7 @@ transcription errors, and the tests check them against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -244,102 +245,113 @@ def compute_efim(scenario: Scenario) -> Efim:
 
 
 def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``F^T F (T, dim, dim)`` per trial of one offset group's rows ``F =
-    sqrt(w) (g - g_bar)``, with ``g_bar`` the ``w``-weighted mean row.
+    """``F^T F (..., dim, dim)`` per offset group of rows ``F = sqrt(w) (g -
+    g_bar)``, with ``g_bar`` the ``w``-weighted mean row.
 
-    ``g (T, n, dim)`` is overwritten; ``w`` is ``(T, n)``, or ``(1, n)`` when
-    it holds in every trial.  Weights are non-negative, so a trial whose
-    weights sum to zero has every row scaled to zero and a zero Gram: it is
-    informed by nothing.  A sum that overflows a double raises
-    :class:`NumericalError`: dividing by it would silently drop the mean.
+    ``g (..., n, dim)`` is overwritten; ``w (..., n)`` broadcasts against its
+    leading axes.  Weights are non-negative, so a group whose weights sum to
+    zero has every row scaled to zero and a zero Gram: it is informed by
+    nothing.  A sum that overflows a double raises :class:`NumericalError`:
+    dividing by it would silently drop the mean.
     """
     total = w.sum(axis=-1)
     if not np.isfinite(total).all():
         raise NumericalError("an offset group's weights sum beyond double range")
-    g -= (w[:, None, :] @ g) / np.where(total > 0.0, total, 1.0)[:, None, None]
-    g *= np.sqrt(w)[:, :, None]
+    g -= (w[..., None, :] @ g) / np.where(total > 0.0, total, 1.0)[..., None, None]
+    g *= np.sqrt(w)[..., None]
     return g.mT @ g
 
 
 @dataclass(frozen=True)
 class _Pool:
-    """One offset pair's observations over a leading trial axis: one link's,
-    or the station-receiver links' pooled along a station axis.
-    :func:`.kappa1_blocks` reads its ``jacobians`` and ``index`` as a link's.
+    """One link kind's offset groups over a leading trial axis, stacked on a
+    group axis: each satellite of a satellite link kind is its own group
+    (its link has its own offset pair), and the station-receiver links, which
+    share one offset pair, fold into a single group.  :func:`.kappa1_blocks`
+    reads its ``jacobians`` as a link's, one satellite at a time.
 
-    A pool views its link kind's :class:`.links._Batch` on the members it
-    pools, so its arrays lie on the grid ``(members, rows, slots)`` after the
-    trial axis.  Only its Doppler Jacobians, which have no antenna axis, are
-    copies: each member's scaled by ``f_c / f_1`` (see :func:`_efims`).
-    ``carrier_sq = f_1^2`` and ``half_ao2 (members, 1, 1)`` come from the
-    members' signals, and ``snr``, like them, holds in every trial.  A
+    A pool views its link kind's :class:`.links._Batch`, so its arrays lie on
+    the grid ``(members, rows, slots)`` after the trial axis.  Only the
+    station pool's Doppler Jacobians, which have no antenna axis, are copies:
+    each station's scaled by ``f_c / f_1`` (see :func:`_efims`).
+    ``carrier_sq`` (the Doppler weight's squared carrier: each satellite's
+    own, the first station's for every station) and ``half_ao2`` are
+    ``(members, 1, 1)``, and ``snr``, like them, holds in every trial.  A
     sub-count's rows are built (:meth:`groups`) or cut (:meth:`cut`).
     """
 
     kind: LinkKind
-    index: int
     jacobians: LinkJacobians
     omega: np.ndarray
     snr: np.ndarray
-    carrier_sq: float
+    carrier_sq: np.ndarray
     half_ao2: np.ndarray
 
     @classmethod
-    def of(cls, batch: _Batch, index: int, members: slice) -> "_Pool":
-        """The pool of ``batch``'s ``members``, the first of them ``index``."""
-        signals = batch.signals[members]
-        f_1 = signals[0].carrier_freq
-        scale = np.array([props.carrier_freq / f_1 for props in signals]).reshape(-1, 1, 1, 1)
-        jac = batch.jacobians
+    def of(cls, batch: _Batch) -> "_Pool":
+        """The pool of ``batch``'s members."""
+        signals, jac = batch.signals, batch.jacobians
+        carriers = [props.carrier_freq for props in signals]
+        if batch.kind is LinkKind.BS_RX:
+            scale = np.array([f_c / carriers[0] for f_c in carriers]).reshape(-1, 1, 1, 1)
+            jac = replace(jac, dnu_dp=jac.dnu_dp * scale, dnu_dv=jac.dnu_dv * scale)
+            carriers = carriers[:1] * len(carriers)
         return cls(
             kind=batch.kind,
-            index=index,
-            jacobians=LinkJacobians(
-                dtau_dp=jac.dtau_dp[:, members],
-                dtau_dv=jac.dtau_dv[:, members],
-                dtau_dphi=None if jac.dtau_dphi is None else jac.dtau_dphi[:, members],
-                dnu_dp=jac.dnu_dp[:, members] * scale,
-                dnu_dv=jac.dnu_dv[:, members] * scale,
-            ),
-            omega=batch.omega[:, members],
-            snr=batch.snr[members],
-            carrier_sq=_square(f_1),
+            jacobians=jac,
+            omega=batch.omega,
+            snr=batch.snr,
+            carrier_sq=np.array([_square(f_c) for f_c in carriers]).reshape(-1, 1, 1),
             half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
         )
 
-    def key(self, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
+    def key(self, n_leo: int, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
         """The members, rows and slots a sub-count keeps."""
-        members = n_bs if self.kind is LinkKind.BS_RX else 1
+        members = n_bs if self.kind is LinkKind.BS_RX else n_leo
         return members, n_bs if self.kind is LinkKind.LEO_BS else n_ant, n_slots
+
+    def _shape(self, key: tuple[int, int, int], rows: int) -> tuple[int, int]:
+        """``(groups, n)``: ``key``'s offset groups and the rows of each on a
+        grid of ``rows`` rows (explicit: a key may keep no rows)."""
+        members, _, slots = key
+        stations = self.kind is LinkKind.BS_RX
+        return (1, members * rows * slots) if stations else (members, rows * slots)
 
     def groups(
         self, layout: LocationLayout, key: tuple[int, int, int], trials: slice
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first
         ``key`` members, rows and slots: the delay and Doppler groups' rows
-        ``(T, n, dim)`` in interest coordinates, zero outside the blocks they
-        inform, flat in grid order, and their weights (see
-        :func:`_link_weights`) ``(T, n)``, or ``(1, n)`` for the Doppler
-        weights, which hold in every trial."""
-        grid = tuple(slice(n) for n in key)
-        stacked = (trials, *grid)
-        omega = self.omega[stacked]
-        n_trials = omega.shape[0]
-        w_tau = (self.snr[grid] * omega).reshape(n_trials, -1)
+        ``(T, groups, n, dim)`` in interest coordinates, zero outside the
+        blocks they inform, flat in grid order, and their weights (see
+        :func:`_link_weights`) ``(T, groups, n)``, or ``(1, groups, n)`` for
+        the Doppler weights, which hold in every trial."""
+        members, rows, slots = key
+        omega = self.omega[trials, :members, :rows, :slots]
+        n_trials = len(omega)
+        w_tau = self.snr[:members, :rows, :slots] * omega
+        w_tau = w_tau.reshape(n_trials, *self._shape(key, rows))
         w_nu = self._doppler_weights(key)
-        g_tau = np.zeros((n_trials, w_tau.shape[1], layout.dim_interest))
-        g_nu = np.zeros((n_trials, w_nu.shape[1], layout.dim_interest))
-        for cols, dtau, dnu, put in kappa1_blocks(layout, self):
-            put(g_tau[..., cols], dtau[stacked].reshape(n_trials, -1, 3))
-            if dnu is not None:
-                put(g_nu[..., cols], dnu[stacked].reshape(n_trials, -1, 3))
+        g_tau = np.zeros((*w_tau.shape, layout.dim_interest))
+        g_nu = np.zeros((n_trials, *w_nu.shape[1:], layout.dim_interest))
+        # Each satellite's rows go to its own group and offset blocks; the stations' to one group.
+        stations = self.kind is LinkKind.BS_RX
+        for group, member in enumerate([slice(members)] if stations else range(members)):
+            partials = (trials, member, slice(rows), slice(slots))
+            for cols, dtau, dnu, put in kappa1_blocks(layout, self, None if stations else member):
+                put(g_tau[:, group, :, cols], dtau[partials].reshape(n_trials, -1, 3))
+                if dnu is not None:
+                    put(g_nu[:, group, :, cols], dnu[partials].reshape(n_trials, -1, 3))
         return [(g_tau, w_tau), (g_nu, w_nu)]
 
     def _doppler_weights(self, key: tuple[int, int, int]) -> np.ndarray:
-        """``w_nu`` at ``key``: an array link sums SNR over the antennas it keeps."""
-        snr = self.snr[: key[0], : key[1], : key[2]]
+        """``w_nu (1, groups, n)`` at ``key``: an array link sums SNR over the
+        antennas it keeps."""
+        members, rows, slots = key
+        snr = self.snr[:members, :rows, :slots]
         snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-        return (snr_dop * self.carrier_sq * self.half_ao2[: key[0]]).reshape(1, -1)
+        w_nu = snr_dop * self.carrier_sq[:members] * self.half_ao2[:members]
+        return w_nu.reshape(1, *self._shape(key, snr_dop.shape[1]))
 
     def cut(self, groups: list, built: tuple, key: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
         """:meth:`groups` at ``key``, cut from the ``groups`` of the same trials
@@ -347,28 +359,24 @@ class _Pool:
         centers rows in place, and a strided operand takes ``matmul`` off BLAS,
         which changes the last bit.  An array link's Doppler grid has one row."""
         (g_tau, w_tau), (g_nu, _) = groups
-        (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[2]
+        (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[-1]
         grid = (slice(None), *map(slice, key))
         nu_rows = rows if self.kind is LinkKind.LEO_BS else 1
-        g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(n, -1, dim)
-        w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(n, -1)
-        g_nu = g_nu.reshape(n, members, nu_rows, slots, dim)[grid].copy().reshape(n, -1, dim)
-        return [(g_tau, w_tau), (g_nu, self._doppler_weights(key))]
+        w_nu = self._doppler_weights(key)
+        tau = (n, *self._shape(key, key[1]))
+        w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(tau)
+        g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(*w_tau.shape, dim)
+        g_nu = g_nu.reshape(n, members, nu_rows, slots, dim)[grid].copy()
+        return [(g_tau, w_tau), (g_nu.reshape(n, *w_nu.shape[1:], dim), w_nu)]
 
 
 def _pools(batches: list[_Batch]) -> list[_Pool]:
-    """The offset pools of a link pass's batches: one per satellite link, in
-    link order, then the station-receiver links' one pool."""
-    pools, stations = [], []
-    for batch in batches:
-        if batch.kind is LinkKind.BS_RX:
-            stations.append(_Pool.of(batch, 0, slice(None)))
-        else:
-            pools += [_Pool.of(batch, b, slice(b, b + 1)) for b in range(len(batch.signals))]
-    return pools + stations
+    """The offset pools of a link pass's batches, one per link kind: the
+    satellite kinds' in link order, then the station-receiver links'."""
+    return sorted(map(_Pool.of, batches), key=lambda pool: pool.kind is LinkKind.BS_RX)
 
 
-# About how many bytes of dense rows one offset group builds at once.
+# About how many bytes of dense rows one pool builds at once.
 _ROW_BYTES = 1 << 19
 
 
@@ -384,31 +392,32 @@ def _efims(
     centered at its weighted mean row and scaled by ``sqrt(w)``, and the EFIM
     is the sum of the groups' Grams ``F_g^T F_g``.  That equals the interest
     FIM minus every rank-one offset loss (:func:`_closed_form`) without
-    forming the difference: a Doppler group is weighted ``f_1^2 w_eps``, with
-    ``f_1`` its first member's carrier, and each member's rows are scaled by
-    ``f_c / f_1`` (exactly 1 for a shared carrier).
+    forming the difference: a satellite's Doppler group is weighted ``f_c^2
+    w_eps``, and the station group ``f_1^2 w_eps``, with ``f_1`` the first
+    station's carrier and each station's rows scaled by ``f_c / f_1``
+    (exactly 1 for a shared carrier).
 
     Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
-    first elements and slots of the pools' links, and every trial of a family
-    has the same shapes.  Pools of satellites beyond ``layout.n_leo`` are
-    skipped; the rest go in link order, the station pool last.  Within a pool
-    each distinct sub-count's Grams are formed once for all trials and added
-    to every cell that keeps it, so each cell sums its groups in the same
-    order as a scenario sampled at its own counts: bit for bit its EFIM.
-    Trials are taken a few at a time where one trial's rows are large, which
-    bounds the dense rows one build holds (``_ROW_BYTES``).  A sub-count's
-    rows are copies cut from the build at the largest sub-count with the same
-    trial chunks that holds it, and each build is centered last.
+    first elements and slots of the pools' links (a satellite pool keeps
+    ``layout.n_leo`` members), and every trial of a family has the same
+    shapes.  Pools go in link order, the station pool last.  Within a pool
+    each distinct sub-count's Grams ``(T, groups, dim, dim)`` come from one
+    stacked call per side, one contiguous BLAS product per (trial, group),
+    and are added to every cell that keeps it, each group's delay then
+    Doppler Gram, so each cell sums its groups in the same order as a
+    scenario sampled at its own counts: bit for bit its EFIM.  Trials are
+    taken a few at a time where one trial's rows are large, which bounds the
+    dense rows one build holds (``_ROW_BYTES``, all its members counted).  A
+    sub-count's rows are copies cut from the build at the largest sub-count
+    with the same trial chunks that holds it, and each build is centered last.
     """
     dim = layout.dim_interest
     n_trials = pools[0].omega.shape[0]
     out = np.zeros((len(counts), n_trials, dim, dim))
     for pool in pools:
-        if pool.kind is not LinkKind.BS_RX and pool.index >= layout.n_leo:
-            continue
         cells_by_key: dict[tuple[int, int, int], list[int]] = {}
         for cell, sub_count in enumerate(counts):
-            cells_by_key.setdefault(pool.key(*sub_count), []).append(cell)
+            cells_by_key.setdefault(pool.key(layout.n_leo, *sub_count), []).append(cell)
         # Per chunking, the largest key holding a key is built, and centered last.
         builds: dict[tuple[int, tuple[int, int, int]], list] = {}
         for key in sorted(cells_by_key, key=lambda k: (math.prod(k), k), reverse=True):
@@ -420,8 +429,12 @@ def _efims(
                 trials = slice(start, start + step)
                 rows = pool.groups(layout, built, trials)
                 for key in keys:
-                    for g, w in rows if key == built else pool.cut(rows, built, key):
-                        gram = _centered_gram(g, w)
-                        for cell in cells_by_key[key]:
-                            out[cell, trials] += gram
+                    tau, nu = (_centered_gram(g, w) for g, w in (
+                        rows if key == built else pool.cut(rows, built, key)
+                    ))
+                    for cell in cells_by_key[key]:
+                        total = out[cell, trials]
+                        for group in range(tau.shape[1]):
+                            total += tau[:, group]
+                            total += nu[:, group]
     return sym(out)

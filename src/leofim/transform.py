@@ -109,7 +109,7 @@ def _copy_negated(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 def kappa1_blocks(
-    layout: LocationLayout, obs: LinkObservables
+    layout: LocationLayout, obs: LinkObservables, index: int | None = None
 ) -> list[tuple[slice, np.ndarray, np.ndarray | None, Callable[..., None]]]:
     """(kappa1 slice, delay partials, Doppler partials, ``put``) per block the
     link informs; ``put(dst, src)`` writes ``src`` into ``dst`` with the
@@ -117,9 +117,9 @@ def kappa1_blocks(
 
     Links received by the array inform the receiver position, velocity and
     orientation (orientation has no Doppler partials: shifts are measured at
-    the array reference point).  Links transmitted by satellite ``b`` inform
-    its position and velocity offsets with the negated receiving-end
-    partials: a link sees the two ends' states only through their difference.
+    the array reference point).  Links transmitted by satellite ``index``
+    (default ``obs.index``) inform its position and velocity offsets with the
+    negated receiving-end partials: the link sees the ends' difference only.
     """
     jac = obs.jacobians
     blocks = []
@@ -130,9 +130,10 @@ def kappa1_blocks(
             (layout.orientation, jac.dtau_dphi, None, _copy),
         ]
     if obs.kind is not LinkKind.BS_RX:
+        b = obs.index if index is None else index
         blocks += [
-            (layout.pos_offset(obs.index), jac.dtau_dp, jac.dnu_dp, _copy_negated),
-            (layout.vel_offset(obs.index), jac.dtau_dv, jac.dnu_dv, _copy_negated),
+            (layout.pos_offset(b), jac.dtau_dp, jac.dnu_dp, _copy_negated),
+            (layout.vel_offset(b), jac.dtau_dv, jac.dnu_dv, _copy_negated),
         ]
     return blocks
 

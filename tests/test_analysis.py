@@ -348,19 +348,23 @@ CLI_SWEEP = ScenarioConfig(
 @pytest.mark.parametrize(
     "sweep, builds",
     [
-        # Per satellite count, each pool builds its rows once: (1 + 2 + 3) satellites
-        # times the receiver and station links, plus the station pool, three times.
-        (lambda: identifiability_sweep(ACCEPTANCE1, ScenarioConfig(), seed=42), 15),
+        # Per satellite count, each of the three pools (satellite-receiver,
+        # satellite-station, station-receiver) builds its rows once.
+        (lambda: identifiability_sweep(ACCEPTANCE1, ScenarioConfig(), seed=42), 9),
         # The 4- and 16-antenna keys share a five-trial chunk and one build; the
-        # 64-antenna key is alone in its chunking: two chunks per satellite, five for
-        # the station pool.
-        (lambda: parameter_sweep("n_ant", [4, 16, 64], CLI_SWEEP, seed=42), 12),
+        # 64-antenna key is alone in its chunking: three chunks of up to two trials
+        # for the satellite pool, five one-trial chunks for the station pool.
+        (lambda: parameter_sweep("n_ant", [4, 16, 64], CLI_SWEEP, seed=42), 10),
+        # One build per link kind, its four satellites stacked.
+        (lambda: compute_efim(random_scenario(
+            ScenarioConfig(n_leo=4, n_bs=4, n_ant=32, n_slots=20), derive_trial_seeds(42, 1)[0]
+        )), 3),
     ],
-    ids=["acceptance1", "cli_sweep"],
+    ids=["acceptance1", "cli_sweep", "large_scene"],
 )
 def test_sweeps_cut_every_sub_count_from_one_build_per_chunking(sweep, builds, monkeypatch):
-    """A pool's sub-count rows that share a trial chunking are cut from one
-    build at the largest of them."""
+    """A pool stacks its link kind's satellites, and its sub-count rows that
+    share a trial chunking are cut from one build at the largest of them."""
     from leofim import location_fim
 
     calls = []

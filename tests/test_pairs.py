@@ -1,6 +1,11 @@
 """The paired-benchmark summary of ``tools/pairs.py``."""
 
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -49,3 +54,43 @@ def test_summary_of_clean_runs_is_valid():
     job = summary["metrics"]["job_s"]
     assert (job["change_better_pairs"], job["pairs"], job["pairs_run"]) == (3, 3, 3)
     assert job["median_change_rel"] == -0.5
+
+
+def test_sigterm_removes_the_exported_trees(tmp_path):
+    """Stopped with SIGTERM while a run blocks, the tool removes its
+    temporary ``pairs-*`` directory before it exits."""
+    ready = tmp_path / "ready"
+    child = f"""
+import importlib.util, pathlib, sys, time
+spec = importlib.util.spec_from_file_location("pairs", {str(_spec.origin)!r})
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+def export(rev, dest):
+    (dest / "benches").mkdir(parents=True)
+    return rev
+
+def run_once(tree, workload, seed):
+    pathlib.Path({str(ready)!r}).touch()
+    time.sleep(60)
+
+pairs.export, pairs.run_once = export, run_once
+sys.exit(pairs.main(["--parent", "a", "--change", "b", "--workloads", "w",
+                     "--out", {str(tmp_path / "out.json")!r}]))
+"""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", child], env={**os.environ, "TMPDIR": str(tmp_path)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not ready.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert ready.exists(), "the run step was never reached"
+        assert list(tmp_path.glob("pairs-*")), "the trees were not exported"
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert list(tmp_path.glob("pairs-*")) == []

@@ -20,8 +20,9 @@ above the largest existing) holds ``runs``, one entry per run::
 
 where ``result`` is the last stdout line of ``run.py`` (or an ``error``), and
 a ``summary`` per workload (see ``summarize``).  The file is rewritten after
-every pair, so an interrupted series keeps what it measured.  Only git and the
-repository are needed.
+every pair, so an interrupted series keeps what it measured; stopped by
+SIGTERM or Ctrl-C, the tool still removes its temporary trees.  Only git and
+the repository are needed.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import json
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -170,6 +172,8 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     metrics = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     out = args.out or default_out()
+    # A SIGTERM (``kill``) exits through the ``finally`` below, which removes the trees.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     work = Path(tempfile.mkdtemp(prefix="pairs-"))
     try:
         trees = {"parent": work / "parent", "change": work / "change"}
