@@ -323,15 +323,14 @@ class _Pool:
         """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first
         ``key`` members, rows and slots: the delay and Doppler groups' rows
         ``(T, groups, n, dim)`` in interest coordinates, zero outside the
-        blocks they inform, flat in grid order, and their weights (see
-        :func:`_link_weights`) ``(T, groups, n)``, or ``(1, groups, n)`` for
-        the Doppler weights, which hold in every trial."""
+        blocks they inform, flat in grid order, and their weights ``(T,
+        groups, n)`` (see :func:`_link_weights`)."""
         members, rows, slots = key
         omega = self.omega[trials, :members, :rows, :slots]
         n_trials = len(omega)
         w_tau = self.snr[:members, :rows, :slots] * omega
         w_tau = w_tau.reshape(n_trials, *self._shape(key, rows))
-        w_nu = self._doppler_weights(key)
+        w_nu = self._doppler_weights(key, n_trials)
         g_tau = np.zeros((*w_tau.shape, layout.dim_interest))
         g_nu = np.zeros((n_trials, *w_nu.shape[1:], layout.dim_interest))
         # Each satellite's rows go to its own group and offset blocks; the stations' to one group.
@@ -344,14 +343,15 @@ class _Pool:
                     put(g_nu[:, group, :, cols], dnu[partials].reshape(n_trials, -1, 3))
         return [(g_tau, w_tau), (g_nu, w_nu)]
 
-    def _doppler_weights(self, key: tuple[int, int, int]) -> np.ndarray:
-        """``w_nu (1, groups, n)`` at ``key``: an array link sums SNR over the
-        antennas it keeps."""
+    def _doppler_weights(self, key: tuple[int, int, int], n_trials: int) -> np.ndarray:
+        """``w_nu (T, groups, n)`` at ``key``, the same in every trial but
+        stacked, so every Gram operand is a C-contiguous stack: an array link
+        sums SNR over the antennas it keeps."""
         members, rows, slots = key
         snr = self.snr[:members, :rows, :slots]
         snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
         w_nu = snr_dop * self.carrier_sq[:members] * self.half_ao2[:members]
-        return w_nu.reshape(1, *self._shape(key, snr_dop.shape[1]))
+        return np.repeat(w_nu.reshape(1, *self._shape(key, snr_dop.shape[1])), n_trials, axis=0)
 
     def cut(self, groups: list, built: tuple, key: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
         """:meth:`groups` at ``key``, cut from the ``groups`` of the same trials
@@ -362,7 +362,7 @@ class _Pool:
         (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[-1]
         grid = (slice(None), *map(slice, key))
         nu_rows = rows if self.kind is LinkKind.LEO_BS else 1
-        w_nu = self._doppler_weights(key)
+        w_nu = self._doppler_weights(key, n)
         tau = (n, *self._shape(key, key[1]))
         w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(tau)
         g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(*w_tau.shape, dim)
@@ -437,4 +437,5 @@ def _efims(
                         for group in range(tau.shape[1]):
                             total += tau[:, group]
                             total += nu[:, group]
+                del rows, tau, nu  # before the next build: one build's rows alive at a time
     return sym(out)

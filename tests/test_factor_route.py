@@ -21,9 +21,10 @@ from test_location_fim import _loewner_min
 
 from leofim.analysis import crlb
 from leofim.channel_fim import assemble_channel_fim
-from leofim.links import LinkKind, link_observables
-from leofim.location_fim import _link_weights, _rows, compute_efim, efim_schur_route
+from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
+from leofim.location_fim import _link_weights, _pools, _rows, compute_efim, efim_schur_route
 from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
+from leofim.signals import OffsetParams
 from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 ORACLE_CONFIGS = {
@@ -33,6 +34,7 @@ ORACLE_CONFIGS = {
     "n_ant_64": dataclasses.replace(WIDE, n_ant=64),
     "L4Q4U32K20": dataclasses.replace(WIDE, n_leo=4, n_bs=4, n_ant=32, n_slots=20),
     "mixed_carriers": FLAGSHIP,
+    "per_satellite_signals": dataclasses.replace(WIDE, n_leo=3),
 }
 
 
@@ -51,7 +53,24 @@ def _mixed_carriers(scenario):
     return dataclasses.replace(scenario, bs_rx_signals=tuple(signals))
 
 
-ORACLE_EDITS = {"mixed_carriers": _mixed_carriers}
+def _per_satellite_signals(scenario):
+    """Satellites of one link kind on their own signals: satellite 1's
+    downlink and satellite-station links at 28 GHz with their own RMS
+    duration, satellite 2's downlink with a per-observation SNR array and a
+    frequency offset, so each satellite's offset group is weighted apart."""
+    leo_rx, leo_bs = list(scenario.leo_rx_signals), list(scenario.leo_bs_signals)
+    leo_rx[1], leo_bs[1] = (dataclasses.replace(props, carrier_freq=28e9, rms_duration=3e-4)
+                            for props in (leo_rx[1], leo_bs[1]))
+    n_obs = scenario.n_ant * scenario.n_slots
+    snr_grid = np.linspace(20.0, 400.0, n_obs).reshape(scenario.n_ant, scenario.n_slots)
+    leo_rx[2] = dataclasses.replace(leo_rx[2], snr_linear=snr_grid)
+    offsets = list(scenario.leo_rx_offsets)
+    offsets[2] = OffsetParams(freq_offset=350.0)
+    return dataclasses.replace(scenario, leo_rx_signals=tuple(leo_rx),
+                               leo_bs_signals=tuple(leo_bs), leo_rx_offsets=tuple(offsets))
+
+
+ORACLE_EDITS = {"mixed_carriers": _mixed_carriers, "per_satellite_signals": _per_satellite_signals}
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -63,6 +82,33 @@ def test_factor_route_matches_schur_oracle(name, seed):
     oracle = _schur_oracle(scenario)
     gap = np.linalg.norm(factor - oracle, "fro") / np.linalg.norm(oracle, "fro")
     assert gap <= 1e-12, gap
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("case", list(Case))
+def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case):
+    """Each satellite of a stacked pool is its own offset group: its rows and
+    weights are bit for bit those of its own link (``_rows``,
+    ``_link_weights``), on satellites whose carriers, RMS durations, SNR grids
+    and frequency offsets differ.  The EFIM gap above cannot see a Doppler
+    weight taken from another satellite: delays carry nearly all of it."""
+    config = dataclasses.replace(ORACLE_CONFIGS["per_satellite_signals"], case=case)
+    scenario = _per_satellite_signals(random_scenario(config, seed))
+    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    links = link_observables(scenario, case)
+    stacks = [p for p in _pools(_link_pass(scene, _kinds(case))) if p.kind is not LinkKind.BS_RX]
+    assert [p.kind for p in stacks] == [k for k in _kinds(case) if k is not LinkKind.BS_RX]
+    for pool in stacks:
+        key = pool.key(scenario.n_leo, scenario.n_bs, scenario.n_ant, scenario.n_slots)
+        (g_tau, w_tau), (g_nu, w_nu) = pool.groups(layout, key, slice(None))
+        own = [obs for obs in links if obs.kind is pool.kind]
+        assert g_tau.shape[:2] == w_tau.shape[:2] == (1, len(own))
+        for b, obs in enumerate(own):
+            rows, weights = _rows(layout, obs), _link_weights(obs)
+            assert np.array_equal(g_tau[0, b], rows[0]) and np.array_equal(g_nu[0, b], rows[1])
+            assert np.array_equal(w_tau[0, b], weights[0]), (pool.kind, b)
+            assert np.array_equal(w_nu[0, b], weights[1]), (pool.kind, b)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

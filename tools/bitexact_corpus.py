@@ -32,7 +32,11 @@ cases.  A hand-built scenario (L2 Q3 U4 K3, built from a sampled one) with
 nonzero satellite position and velocity offsets and frequency offsets on
 every link, a per-observation SNR array on satellite 0's downlink, and the
 second station's link to the array at 28 GHz is fingerprinted by its
-per-link keys and its ``compute_efim``, for seeds 42 and 7 in both cases.
+per-link keys and its ``compute_efim``, for seeds 42 and 7 in both cases;
+so is a hand-built L3 Q3 U4 K4 scenario whose satellites' signals differ
+(satellite 1's downlink and satellite-station links at 28 GHz with their own
+RMS duration, satellite 2's downlink with a per-observation SNR array and a
+frequency offset), keyed ``<seed>/per_satellite/<case>``.
 ``parameter_sweep`` is fingerprinted per point (the worst verdict's
 ``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean bound) on
 the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json`` and on a
@@ -223,6 +227,24 @@ def _hand_built(seed: int, case):
     )
 
 
+def _per_satellite(seed: int, case):
+    """A sampled L3 Q3 U4 K4 scenario rebuilt so that the satellites of one
+    link kind differ in carrier, RMS duration, SNR grid and frequency offset."""
+    from leofim.scenario import ScenarioConfig, random_scenario
+    from leofim.signals import OffsetParams
+
+    sc = random_scenario(ScenarioConfig(n_leo=3, n_bs=3, n_ant=4, n_slots=4, case=case), seed)
+    leo_rx, leo_bs, offsets = [list(x) for x in (sc.leo_rx_signals, sc.leo_bs_signals,
+                                                 sc.leo_rx_offsets)]
+    leo_rx[1], leo_bs[1] = (dataclasses.replace(props, carrier_freq=28e9, rms_duration=3e-4)
+                            for props in (leo_rx[1], leo_bs[1]))
+    snr_grid = np.linspace(20.0, 400.0, sc.n_ant * sc.n_slots).reshape(sc.n_ant, sc.n_slots)
+    leo_rx[2] = dataclasses.replace(leo_rx[2], snr_linear=snr_grid)
+    offsets[2] = OffsetParams(freq_offset=350.0)
+    return dataclasses.replace(sc, leo_rx_signals=tuple(leo_rx), leo_bs_signals=tuple(leo_bs),
+                               leo_rx_offsets=tuple(offsets))
+
+
 def dump() -> dict:
     from leofim import (
         assemble_channel_fim,
@@ -268,6 +290,11 @@ def dump() -> dict:
     for seed, case in itertools.product(SEEDS, Case):
         scenario = _hand_built(seed, case)
         tag = f"s{seed}/hand_built/{case.value}"
+        _observables(scenario, out, tag)
+        out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
+    for seed, case in itertools.product(SEEDS, Case):
+        scenario = _per_satellite(seed, case)
+        tag = f"s{seed}/per_satellite/{case.value}"
         _observables(scenario, out, tag)
         out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
     for seed, (name, grid, knobs), case in itertools.product(SEEDS, SWEEP_CASES, Case):
