@@ -37,9 +37,9 @@ DEFAULT_N_TRIALS = 5
 
 SWEEP_AXES = ("n_ant", "carrier_freq_hz", "slot_spacing_s", "snr_db")
 GRID_AXES = ("n_leo", "n_bs", "n_slots", "n_ant")
-# The configuration fields a sampled scenario cannot slice.
+# The names of the configuration fields a sampled scenario cannot slice.
 _FAMILY_FIELDS = tuple(
-    f for f in dataclasses.fields(ScenarioConfig) if f.name not in GRID_AXES
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in GRID_AXES
 )
 
 
@@ -237,7 +237,7 @@ def _trials(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     families: dict[tuple, dict[int, list[int]]] = {}
     for i, config in enumerate(configs):
-        key = tuple(getattr(config, f.name) for f in _FAMILY_FIELDS)
+        key = tuple(getattr(config, name) for name in _FAMILY_FIELDS)
         families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
     trial_seeds = derive_trial_seeds(seed, n_trials)
     results: list = [None] * len(configs)

@@ -31,7 +31,7 @@ transcription errors, and the tests check them against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -250,14 +250,17 @@ def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     ``g (..., n, dim)`` is overwritten; ``w (..., n)`` broadcasts against its
     leading axes.  Weights are non-negative, so a group whose weights sum to
-    zero has every row scaled to zero and a zero Gram: it is informed by
-    nothing.  A sum that overflows a double raises :class:`NumericalError`:
-    dividing by it would silently drop the mean.
+    zero keeps its rows (its mean ``w @ g`` is zero, and is not divided),
+    scales every row to zero and has a zero Gram: it is informed by nothing.
+    A sum that overflows a double, or is NaN, raises :class:`NumericalError`:
+    dividing by it would silently drop the mean.  ``g.mT @ g`` is one BLAS
+    ``syrk`` per matrix, mirrored, so every Gram is exactly symmetric.
     """
-    total = w.sum(axis=-1)
-    if not np.isfinite(total).all():
+    total = w.sum(axis=-1)[..., None, None]
+    if not total.max(initial=0.0) < np.inf:
         raise NumericalError("an offset group's weights sum beyond double range")
-    g -= (w[..., None, :] @ g) / np.where(total > 0.0, total, 1.0)[..., None, None]
+    mean = w[..., None, :] @ g
+    g -= np.divide(mean, total, out=mean, where=total > 0.0)
     g *= np.sqrt(w)[..., None]
     return g.mT @ g
 
@@ -277,7 +280,9 @@ class _Pool:
     ``carrier_sq`` (the Doppler weight's squared carrier: each satellite's
     own, the first station's for every station) and ``half_ao2`` are
     ``(members, 1, 1)``, and ``snr``, like them, holds in every trial.  A
-    sub-count's rows are built (:meth:`groups`) or cut (:meth:`cut`).
+    sub-count's rows are built (:meth:`groups`) or cut (:meth:`cut`); its
+    Doppler weights are kept, read-only, for the pool's life (``_weights``):
+    a family's sweep asks for the station pool's at every satellite count.
     """
 
     kind: LinkKind
@@ -286,6 +291,7 @@ class _Pool:
     snr: np.ndarray
     carrier_sq: np.ndarray
     half_ao2: np.ndarray
+    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def of(cls, batch: _Batch) -> "_Pool":
@@ -346,12 +352,17 @@ class _Pool:
     def _doppler_weights(self, key: tuple[int, int, int], n_trials: int) -> np.ndarray:
         """``w_nu (T, groups, n)`` at ``key``, the same in every trial but
         stacked, so every Gram operand is a C-contiguous stack: an array link
-        sums SNR over the antennas it keeps."""
-        members, rows, slots = key
-        snr = self.snr[:members, :rows, :slots]
-        snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-        w_nu = snr_dop * self.carrier_sq[:members] * self.half_ao2[:members]
-        return np.repeat(w_nu.reshape(1, *self._shape(key, snr_dop.shape[1])), n_trials, axis=0)
+        sums SNR over the antennas it keeps.  Cached per ``(key, n_trials)``."""
+        w_nu = self._weights.get((key, n_trials))
+        if w_nu is None:
+            members, rows, slots = key
+            snr = self.snr[:members, :rows, :slots]
+            snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
+            w_nu = snr_dop * self.carrier_sq[:members] * self.half_ao2[:members]
+            w_nu = np.repeat(w_nu.reshape(1, *self._shape(key, snr_dop.shape[1])), n_trials, axis=0)
+            w_nu.flags.writeable = False
+            self._weights[key, n_trials] = w_nu
+        return w_nu
 
     def cut(self, groups: list, built: tuple, key: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
         """:meth:`groups` at ``key``, cut from the ``groups`` of the same trials
@@ -410,6 +421,8 @@ def _efims(
     dense rows one build holds (``_ROW_BYTES``, all its members counted).  A
     sub-count's rows are copies cut from the build at the largest sub-count
     with the same trial chunks that holds it, and each build is centered last.
+    Every Gram is exactly symmetric (:func:`_centered_gram`), and so are
+    their sums: the EFIMs need no symmetrization pass.
     """
     dim = layout.dim_interest
     n_trials = pools[0].omega.shape[0]
@@ -438,4 +451,4 @@ def _efims(
                             total += tau[:, group]
                             total += nu[:, group]
                 del rows, tau, nu  # before the next build: one build's rows alive at a time
-    return sym(out)
+    return out

@@ -37,6 +37,7 @@ kind with the trial axis first; :func:`random_scenario` is its one-trial case.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +201,7 @@ class ScenarioConfig:
             "bs_distance_m",
         ):
             value = getattr(self, label)
-            if not (np.isfinite(value) and value > 0.0):
+            if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{label} must be positive, got {value}")
         for label in (
             "eff_bandwidth_hz",
@@ -210,17 +211,17 @@ class ScenarioConfig:
             "array_radius_wavelengths",
         ):
             value = getattr(self, label)
-            if not (np.isfinite(value) and value >= 0.0):
+            if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} must be >= 0, got {value}")
-        if not (np.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
+        if not (math.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
             raise ValueError(f"bcc must lie in [-1, 1], got {self.bcc}")
         if self.rms_duration_s is not None and not (
-            np.isfinite(self.rms_duration_s) and self.rms_duration_s > 0.0
+            math.isfinite(self.rms_duration_s) and self.rms_duration_s > 0.0
         ):
             raise ValueError(f"rms_duration_s must be positive, got {self.rms_duration_s}")
         for label in ("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"):
             value = getattr(self, label)
-            if value is not None and not (np.isfinite(value) and value <= _MAX_SNR_DB):
+            if value is not None and not (math.isfinite(value) and value <= _MAX_SNR_DB):
                 raise ValueError(f"{label} must be finite and <= {_MAX_SNR_DB:g} dB, got {value}")
         if not isinstance(self.case, Case):
             raise ValueError(f"case must be a Case, got {self.case!r}")

@@ -21,9 +21,16 @@ from test_location_fim import _loewner_min
 
 from leofim.analysis import crlb
 from leofim.channel_fim import assemble_channel_fim
-from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
-from leofim.location_fim import _link_weights, _pools, _rows, compute_efim, efim_schur_route
-from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
+from leofim.links import LinkKind, _kinds, _link_pass, _sampled_scene, _scene, link_observables
+from leofim.location_fim import (
+    _efims,
+    _link_weights,
+    _pools,
+    _rows,
+    compute_efim,
+    efim_schur_route,
+)
+from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams
 from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
@@ -109,6 +116,39 @@ def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case
             assert np.array_equal(g_tau[0, b], rows[0]) and np.array_equal(g_nu[0, b], rows[1])
             assert np.array_equal(w_tau[0, b], weights[0]), (pool.kind, b)
             assert np.array_equal(w_nu[0, b], weights[1]), (pool.kind, b)
+
+
+SYMMETRY_CONFIGS = {
+    "L4Q4U32K20": ORACLE_CONFIGS["L4Q4U32K20"],
+    "no_stations": dataclasses.replace(WIDE, n_leo=2, n_bs=0),
+    "one_antenna": dataclasses.replace(WIDE, n_leo=2, n_ant=1),
+    "mixed_carriers": FLAGSHIP,
+    "dead_stations": dataclasses.replace(WIDE, n_leo=2, snr_db_bs_rx=-4000.0),
+}
+
+
+@pytest.mark.parametrize("case", list(Case))
+@pytest.mark.parametrize("name", list(SYMMETRY_CONFIGS))
+def test_factor_route_efims_are_exactly_symmetric(name, case):
+    """Every Gram ``F^T F`` is exactly symmetric, and so is every sum of
+    them, so the factor route's EFIMs are, bit for bit, with no
+    symmetrization: ``compute_efim``'s and every cell of an ``_efims`` stack
+    of three trials over every satellite count and a spread of sub-counts
+    (no stations, one antenna, one slot among them)."""
+    config = dataclasses.replace(SYMMETRY_CONFIGS[name], case=case)
+    scenario = ORACLE_EDITS.get(name, lambda sc: sc)(random_scenario(config, SEED))
+    matrix = compute_efim(scenario).matrix
+    assert np.array_equal(matrix, matrix.mT)
+    if name in ORACLE_EDITS:  # a per-link edit: the stack is the edited scenario's one trial
+        scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    else:
+        scene = _sampled_scene(config, _sample(config, derive_trial_seeds(SEED, 3)))
+    pools = _pools(_link_pass(scene, _kinds(case)))
+    counts = sorted({(n_bs, n_ant, n_slots) for n_bs in (0, config.n_bs)
+                     for n_ant in (1, config.n_ant) for n_slots in (1, config.n_slots)})
+    for n_leo in range(1, config.n_leo + 1):
+        stack = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
+        assert np.array_equal(stack, stack.mT), n_leo
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

@@ -28,6 +28,7 @@ from leofim.links import (
     leo_rx_observables,
     link_observables,
 )
+from leofim.linalg import NumericalError
 from leofim.location_fim import (
     _centered_gram,
     _efims,
@@ -265,6 +266,25 @@ def test_centered_gram_of_a_trial_whose_weights_sum_to_zero_is_zero():
         f = np.sqrt(w[trial])[:, None] * (g[trial] - (w[trial] @ g[trial]) / w[trial].sum())
         assert np.array_equal(grams[trial], f.T @ f)
     assert np.array_equal(_centered_gram(g.copy(), np.zeros((1, 6))), np.zeros((3, 4, 4)))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[1e308, 1e308], [np.inf, 1.0], [np.nan, 1.0]],
+    ids=["sum_overflows", "inf_weight", "nan_weight"],
+)
+def test_centered_gram_rejects_weights_summing_beyond_double_range(bad):
+    """A group whose weights sum to no finite double (an overflowing sum, an
+    infinite or a NaN weight) raises, in any group of a stack: its mean
+    cannot be formed, and a Gram without it would be silently wrong.  The
+    overflow is let pass silently, as numpy's default error state does
+    outside the CLI, so the check itself is what raises.  A sum of zero is
+    not an error (see the test above)."""
+    g = np.random.default_rng(5).normal(size=(2, 3, 4, 5))
+    w = np.ones((2, 3, 4))
+    w[1, 2, :2] = bad
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="beyond double range"):
+        _centered_gram(g, w)
 
 
 def test_public_entry_points_return_one_link_each():

@@ -1,6 +1,7 @@
 """Scenario generation: PRNG, configuration validation, sampled geometry."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,54 @@ def test_scenario_config_accepts_numpy_integer_counts():
     counts = dict(n_leo=np.int64(2), n_bs=np.int32(0), n_ant=np.int64(3), n_slots=np.uint8(2))
     sc = random_scenario(ScenarioConfig(**counts), 3)
     assert (sc.n_leo, sc.n_bs, sc.n_ant, sc.n_slots) == (2, 0, 3, 2)
+
+
+# Every float field of ScenarioConfig: its message's condition, and a finite
+# value out of its range.
+_POSITIVE = ("slot_spacing_s", "carrier_freq_hz", "observation_duration_s", "rms_duration_s",
+             "leo_distance_m", "receiver_distance_m", "bs_distance_m")
+_NON_NEGATIVE = ("eff_bandwidth_hz", "leo_speed_m_s", "receiver_speed_m_s",
+                 "leo_dir_perturb_rad", "array_radius_wavelengths")
+_SNRS = ("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs")
+FLOAT_FIELDS = {
+    **{name: ("must be positive", 0.0) for name in _POSITIVE},
+    **{name: ("must be >= 0", -1.0) for name in _NON_NEGATIVE},
+    "bcc": ("must lie in [-1, 1]", 1.5),
+    **{name: ("must be finite and <= 3082 dB", 4000.0) for name in _SNRS},
+}
+# The fields that accept ``None``: the optional ones, and ``snr_db``, whose
+# check skips ``None`` like the per-link SNRs' although it is typed ``float``.
+NONE_ACCEPTED = {"rms_duration_s", *_SNRS}
+
+
+def test_float_field_table_covers_every_float_field():
+    floats = {f.name for f in dataclasses.fields(ScenarioConfig) if "float" in str(f.type)}
+    assert floats == set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("name", list(FLOAT_FIELDS))
+def test_scenario_config_rejects_non_finite_and_out_of_range_floats(name):
+    """NaN, both infinities and a finite value out of range each raise
+    ``ValueError`` with the field's message, which shows the value."""
+    condition, out_of_range = FLOAT_FIELDS[name]
+    for value in (np.nan, np.inf, -np.inf, out_of_range):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {condition}, got {value}')}$"):
+            ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", list(FLOAT_FIELDS))
+def test_scenario_config_float_field_types(name):
+    """A string raises ``TypeError``, as does ``None`` where the field does
+    not accept it; numpy floats and Python ints are accepted as they are."""
+    with pytest.raises(TypeError):
+        ScenarioConfig(**{name: "1"})
+    if name in NONE_ACCEPTED:
+        assert getattr(ScenarioConfig(**{name: None}), name) is None
+    else:
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{name: None})
+    for value in (np.float64(1.0), 1):
+        assert getattr(ScenarioConfig(**{name: value}), name) is value
 
 
 def test_signal_props_default_and_override():
