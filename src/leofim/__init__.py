@@ -16,7 +16,6 @@ from .channel_fim import (
     ChannelLayout,
     GlobalChannelLayout,
     LinkFim,
-    LinkKind,
     assemble_channel_fim,
     link_fim,
 )
@@ -28,26 +27,21 @@ from .geometry import (
     LeoState,
     ReceiverState,
     SlotGrid,
-    rotation_matrix,
-    rotation_matrix_partials,
 )
 from .linalg import NumericalError, balanced_eigvalsh, invert_psd
 from .location_fim import (
     Efim,
     InterestFim,
-    LossMatrix,
-    assemble_information_loss,
     assemble_interest_fim,
     compute_efim,
     efim_lemma_route,
     efim_schur_route,
 )
-from .links import LinkJacobians
+from .links import LinkJacobians, LinkKind
 from .scenario import (
     Case,
     Scenario,
     ScenarioConfig,
-    SplitMix64,
     derive_trial_seeds,
     random_scenario,
 )
@@ -84,7 +78,6 @@ __all__ = [
     "LinkJacobians",
     "LinkKind",
     "LocationLayout",
-    "LossMatrix",
     "NotIdentifiableError",
     "NumericalError",
     "OffsetParams",
@@ -94,11 +87,9 @@ __all__ = [
     "SignalProps",
     "SlotGrid",
     "SPEED_OF_LIGHT_M_S",
-    "SplitMix64",
     "SweepPoint",
     "TransformationMatrix",
     "assemble_channel_fim",
-    "assemble_information_loss",
     "assemble_interest_fim",
     "balanced_eigvalsh",
     "build_transformation_matrix",
@@ -116,8 +107,6 @@ __all__ = [
     "parameter_sweep",
     "random_scenario",
     "rect_window_rms_duration",
-    "rotation_matrix",
-    "rotation_matrix_partials",
     "snr_from_db",
     "transform_fim",
 ]

@@ -206,7 +206,7 @@ def _family_trials(
     decided = []
     for n_leo, cells in by_leo.items():
         # One set of Grams per satellite count: no other count's fit it.
-        layout = LocationLayout(n_leo=n_leo, kappa2_channel_cols=())
+        layout = LocationLayout(n_leo=n_leo)
         sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
         efims = _efims(pools, layout, sub_counts)
         verdicts = [

@@ -88,34 +88,6 @@ def _rotations(euler: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rz @ ry @ rx, partials
 
 
-def rotation_matrix(angles: EulerAngles) -> np.ndarray:
-    """Rotation matrix ``Q = R_z(alpha) @ R_y(psi) @ R_x(phi)``.
-
-    Parameters
-    ----------
-    angles : EulerAngles
-        Yaw / pitch / roll in radians.
-
-    Returns
-    -------
-    numpy.ndarray
-        Proper orthogonal matrix of shape ``(3, 3)``.
-    """
-    return _rotations(angles.as_array())[0]
-
-
-def rotation_matrix_partials(angles: EulerAngles) -> np.ndarray:
-    """Partial derivatives of the rotation matrix w.r.t. each Euler angle.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(3, 3, 3)``; entry ``[i]`` is ``dQ/d(angle_i)`` with
-        angles ordered (alpha, psi, phi).
-    """
-    return _rotations(angles.as_array())[1]
-
-
 @dataclass(frozen=True)
 class SlotGrid:
     """Uniform observation grid: ``n_slots`` slots spaced ``spacing_s`` apart.

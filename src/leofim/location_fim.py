@@ -60,14 +60,6 @@ class InterestFim:
 
 
 @dataclass(frozen=True)
-class LossMatrix:
-    """Information lost to the unknown per-link gains and offsets."""
-
-    matrix: np.ndarray
-    layout: LocationLayout
-
-
-@dataclass(frozen=True)
 class Efim:
     """Equivalent FIM of the interest parameters."""
 
@@ -151,25 +143,9 @@ def assemble_interest_fim(scenario: Scenario) -> InterestFim:
     observations — its station links (q, k).  Offsets of distinct satellites
     never couple, and station links never touch receiver blocks' offsets.
     """
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     interest, _ = _closed_form(layout, link_observables(scenario, scenario.case))
     return InterestFim(matrix=interest, layout=layout)
-
-
-def assemble_information_loss(scenario: Scenario) -> LossMatrix:
-    """Information lost to the per-link clock and frequency offsets.
-
-    Each link's unknown clock offset removes the rank-one component
-    ``(sum w_tau dtau)(sum w_tau dtau)^T / (sum w_tau)`` from the blocks its
-    delays inform; the frequency offset does the same on the Doppler side with
-    carrier-weighted moments.  All station-receiver links share one offset
-    pair, so their moments and normalizers accumulate over stations before the
-    outer product is formed — which is what creates the printed cross-station
-    coupling terms.  Gains are information-orthogonal and lose nothing.
-    """
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
-    _, loss = _closed_form(layout, link_observables(scenario, scenario.case))
-    return LossMatrix(matrix=loss, layout=layout)
 
 
 def efim_lemma_route(scenario: Scenario) -> Efim:
@@ -178,7 +154,7 @@ def efim_lemma_route(scenario: Scenario) -> Efim:
     Every link's observables and Jacobian rows are evaluated once and shared
     by the interest and loss terms.
     """
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     interest, loss = _closed_form(layout, link_observables(scenario, scenario.case))
     return Efim(matrix=sym(interest - loss), layout=layout, case=scenario.case)
 
@@ -203,16 +179,15 @@ def efim_schur_route(
     Raises
     ------
     ValueError
-        If ``j_kappa`` does not match the layout, or its nuisance block has an
-        off-diagonal nonzero.
+        If ``j_kappa`` is not square, is smaller than the layout's interest
+        block, or its nuisance block has an off-diagonal nonzero.
     NumericalError
         If a coupled nuisance coordinate has no positive information
         ``c_i``, which a PSD ``J_kappa`` cannot produce.
     """
-    dim = layout.dim
-    if j_kappa.shape != (dim, dim):
-        raise ValueError(f"J_kappa shape {j_kappa.shape} does not match layout dim {dim}")
     n1 = layout.dim_interest
+    if j_kappa.ndim != 2 or j_kappa.shape[0] != j_kappa.shape[1] or len(j_kappa) < n1:
+        raise ValueError(f"J_kappa shape {j_kappa.shape} is not square with at least {n1} rows")
     j11 = j_kappa[:n1, :n1]
     j12 = j_kappa[:n1, n1:]
     j22 = j_kappa[n1:, n1:]
@@ -237,7 +212,7 @@ def efim_schur_route(
 def compute_efim(scenario: Scenario) -> Efim:
     """The EFIM of a scenario by the factor route (:func:`_efims`): one
     trial, one cell."""
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     pools = _pools(_link_pass(scene, _kinds(scenario.case)))
     matrix = _efims(pools, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]

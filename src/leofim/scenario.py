@@ -74,41 +74,6 @@ def _mix(z):
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """SplitMix64 pseudo-random stream (Steele, Lea & Flood's mixing constants),
-    one draw at a time: the scalar reference of the array streams the sampler
-    uses.
-
-    state advance: ``s += 0x9E3779B97F4A7C15``;
-    output mix: ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
-    z *= 0x94D049BB133111EB; z ^= z>>31``.
-    """
-
-    def __init__(self, seed: int):
-        self._state = int(seed) & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        return _mix(self._state)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        """Uniform double in [low, high) built from the top 53 bits."""
-        u = self.next_u64() >> 11
-        return low + (high - low) * (u * 2.0**-53)
-
-    def unit_vector(self) -> np.ndarray:
-        """Uniformly distributed direction on the unit sphere."""
-        z = self.uniform(-1.0, 1.0)
-        theta = self.uniform(0.0, 2.0 * np.pi)
-        r = np.sqrt(max(0.0, 1.0 - z * z))
-        return np.array([r * np.cos(theta), r * np.sin(theta), z])
-
-    def child(self, tag: int) -> "SplitMix64":
-        """Independent child stream for the given tag."""
-        forked = SplitMix64(self._state ^ (int(tag) & _MASK64))
-        return SplitMix64(forked.next_u64())
-
-
 # Array streams.  Every operation stays on uint64 arrays with ndim >= 1, which
 # wrap modulo 2**64: numpy uint64 *scalars* check overflow and raise under
 # ``np.errstate(over="raise")``.
@@ -121,7 +86,8 @@ def _states(seeds) -> np.ndarray:
 
 def _children(states: np.ndarray, tags: np.ndarray) -> np.ndarray:
     """States of the child streams ``tags`` of unconsumed streams ``states``,
-    broadcast (see :meth:`SplitMix64.child`)."""
+    broadcast: a child's state is the first output of the stream seeded
+    ``state ^ tag``."""
     return _mix((states ^ tags) + np.uint64(_GAMMA))
 
 
@@ -132,13 +98,15 @@ def _draws(states: np.ndarray, n: int) -> np.ndarray:
 
 
 def _uniform(bits: np.ndarray, low: float, high: float) -> np.ndarray:
-    """:meth:`SplitMix64.uniform` of each output in ``bits``."""
+    """The double in ``[low, high)`` of each output in ``bits``, built from
+    its top 53 bits."""
     return low + (high - low) * ((bits >> 11).astype(np.float64) * 2.0**-53)
 
 
 def _unit_vectors(bits: np.ndarray) -> np.ndarray:
-    """:meth:`SplitMix64.unit_vector` ``(..., 3)`` of consecutive output pairs
-    ``bits (..., 2)``."""
+    """Uniform directions on the unit sphere ``(..., 3)`` of consecutive
+    output pairs ``bits (..., 2)``: ``z`` uniform in [-1, 1) from the first,
+    the azimuth uniform in [0, 2*pi) from the second."""
     z = _uniform(bits[..., 0], -1.0, 1.0)
     theta = _uniform(bits[..., 1], 0.0, 2.0 * np.pi)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -221,7 +189,9 @@ class ScenarioConfig:
             raise ValueError(f"rms_duration_s must be positive, got {self.rms_duration_s}")
         for label in ("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"):
             value = getattr(self, label)
-            if value is not None and not (math.isfinite(value) and value <= _MAX_SNR_DB):
+            if value is None and label != "snr_db":
+                continue  # a per-link SNR left unset falls back to snr_db
+            if not (math.isfinite(value) and value <= _MAX_SNR_DB):
                 raise ValueError(f"{label} must be finite and <= {_MAX_SNR_DB:g} dB, got {value}")
         if not isinstance(self.case, Case):
             raise ValueError(f"case must be a Case, got {self.case!r}")

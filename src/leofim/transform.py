@@ -9,6 +9,10 @@ The estimation target is ``kappa = [kappa1; kappa2]`` with
     kappa2 = per-link gains and synchronization offsets, mirroring the
              assembled channel-vector ordering.
 
+The nuisance columns belong to the assembled channel layout
+(``GlobalChannelLayout.nuisance_cols``, one kappa2 coordinate each);
+:class:`LocationLayout` indexes ``kappa1`` alone.
+
 Delays and Doppler shifts relate to ``kappa1`` through the link geometry; the
 partials are evaluated with each link's observables (see ``links``),
 :func:`kappa1_blocks` alone maps them to kappa1 blocks with their signs, and
@@ -38,16 +42,13 @@ from .scenario import Scenario
 
 @dataclass(frozen=True)
 class LocationLayout:
-    """Index map of the location-parameter vector ``kappa``.
-
-    The interest block ``kappa1`` has dimension ``9 + 6*n_leo``; the nuisance
-    block ``kappa2`` holds one coordinate per channel gain/offset, ordered as
-    in the assembled channel vector (tracked by ``kappa2_channel_cols``, the
-    channel-vector column of each nuisance coordinate).
+    """Index map of the interest block ``kappa1`` of the location-parameter
+    vector ``kappa``, of dimension ``9 + 6*n_leo``.  The nuisance block
+    ``kappa2`` follows it, one coordinate per channel gain/offset; its columns
+    belong to the assembled channel layout (``glob.nuisance_cols``).
     """
 
     n_leo: int
-    kappa2_channel_cols: tuple[int, ...]
 
     @property
     def position(self) -> slice:
@@ -75,10 +76,6 @@ class LocationLayout:
     @property
     def dim_interest(self) -> int:
         return 9 + 6 * self.n_leo
-
-    @property
-    def dim(self) -> int:
-        return self.dim_interest + len(self.kappa2_channel_cols)
 
     def interest_blocks(self) -> list[tuple[str, slice]]:
         """Named 3x3 interest blocks in layout order."""
@@ -155,16 +152,17 @@ def build_transformation_matrix(
     """Build ``Upsilon`` for a scenario from its assembled channel layout.
 
     Every delay/Doppler column carries that observable's partials with respect
-    to the kappa1 blocks it depends on; gain and offset columns are unit
-    selections of their kappa2 rows.  The link observables and Jacobians come
-    from ``glob``'s sections, so ``glob`` must be the scenario's own layout.
+    to the kappa1 blocks it depends on; the gain and offset columns
+    (``glob.nuisance_cols``) are unit selections of the kappa2 rows, in order.
+    The link observables and Jacobians come from ``glob``'s sections, so
+    ``glob`` must be the scenario's own layout.
     """
-    loc = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=glob.nuisance_cols)
+    loc = LocationLayout(n_leo=scenario.n_leo)
+    cols = glob.nuisance_cols
 
-    upsilon = np.zeros((loc.dim, glob.dim))
+    upsilon = np.zeros((loc.dim_interest + len(cols), glob.dim))
     for sec in glob.sections:
         _place_link(upsilon, loc, sec)
-    cols = loc.kappa2_channel_cols
     upsilon[loc.dim_interest + np.arange(len(cols)), list(cols)] = 1.0
     return TransformationMatrix(matrix=upsilon, location_layout=loc)
 

@@ -102,7 +102,7 @@ def signed_partials(scenario, kind: LinkKind, index: int, obs=None) -> dict:
     link does not inform are absent.  ``obs`` is the link's observables, by
     default from its single-link entry point."""
     obs = _SINGLE_LINK[kind](scenario, index) if obs is None else obs
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     names = {
         cols.start: _BLOCK_NAMES[name.rstrip("_0123456789")]
         for name, cols in layout.interest_blocks()

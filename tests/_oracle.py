@@ -1,10 +1,14 @@
-"""Scalar geometry oracle: one point, one slot at a time.
+"""Scalar oracles: one point, one slot, one draw at a time.
 
 The link pass in ``leofim.links`` evaluates every (element, slot) pair in one
 broadcast.  These per-pair primitives are the independent reference it is
 checked against bit for bit (``test_links``), and the evaluation path of the
 finite-difference Jacobians (``_fd``).  Slot numbers run 1..``n_slots``; slot
 0 is the reference epoch at which every track parameter is defined.
+
+:class:`SplitMix64` is the scalar reference of the sampler's array streams
+(``leofim.scenario._draws``, ``_children``, ``_uniform`` and
+``_unit_vectors``), checked bit for bit in ``test_scenario``.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from leofim.geometry import (
     LeoState,
     ReceiverState,
     SlotGrid,
+    _rotations,
     as_vec3,
-    rotation_matrix,
 )
+from leofim.scenario import _GAMMA, _MASK64, _mix
 
 
 def time_of(grid: SlotGrid, k: int) -> float:
@@ -48,7 +53,7 @@ def antenna_position(receiver: ReceiverState, u: int, k: int, grid: SlotGrid) ->
     ``position + k*dt*velocity + Q @ antenna_offsets[u]``."""
     if not 0 <= u < receiver.n_antennas:
         raise ValueError(f"antenna index {u} outside [0, {receiver.n_antennas})")
-    q = rotation_matrix(receiver.orientation)
+    q = _rotations(receiver.orientation.as_array())[0]
     return receiver_reference(receiver, k, grid) + q @ receiver.antenna_offsets[u]
 
 
@@ -95,3 +100,38 @@ def doppler(direction: np.ndarray, v_rel: np.ndarray) -> float:
     minus receiver; positive when the link is closing."""
     d = as_vec3(direction, "direction")
     return float(d @ as_vec3(v_rel, "v_rel")) / SPEED_OF_LIGHT_M_S
+
+
+class SplitMix64:
+    """SplitMix64 pseudo-random stream (Steele, Lea & Flood's mixing constants),
+    one draw at a time: the scalar reference of the array streams the sampler
+    uses.
+
+    state advance: ``s += 0x9E3779B97F4A7C15``;
+    output mix: ``z ^= z>>30; z *= 0xBF58476D1CE4E5B9; z ^= z>>27;
+    z *= 0x94D049BB133111EB; z ^= z>>31``.
+    """
+
+    def __init__(self, seed: int):
+        self._state = int(seed) & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        """Uniform double in [low, high) built from the top 53 bits."""
+        u = self.next_u64() >> 11
+        return low + (high - low) * (u * 2.0**-53)
+
+    def unit_vector(self) -> np.ndarray:
+        """Uniformly distributed direction on the unit sphere."""
+        z = self.uniform(-1.0, 1.0)
+        theta = self.uniform(0.0, 2.0 * np.pi)
+        r = np.sqrt(max(0.0, 1.0 - z * z))
+        return np.array([r * np.cos(theta), r * np.sin(theta), z])
+
+    def child(self, tag: int) -> "SplitMix64":
+        """Independent child stream for the given tag."""
+        forked = SplitMix64(self._state ^ (int(tag) & _MASK64))
+        return SplitMix64(forked.next_u64())

@@ -25,8 +25,9 @@ from leofim.analysis import (
 from leofim.channel_fim import LinkKind, assemble_channel_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
+from leofim.links import link_observables
 from leofim.location_fim import (
-    assemble_information_loss,
+    _closed_form,
     assemble_interest_fim,
     compute_efim,
     efim_lemma_route,
@@ -37,7 +38,7 @@ from leofim.scenario import (
     derive_trial_seeds,
     random_scenario,
 )
-from leofim.transform import build_transformation_matrix, transform_fim
+from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 SEED = 42
 N_TRIALS = 5
@@ -213,7 +214,8 @@ def test_acceptance_5_structural_invariants():
         scenario = random_scenario(config, seed)
         channel, _ = assemble_channel_fim(scenario)
         interest = assemble_interest_fim(scenario).matrix
-        loss = assemble_information_loss(scenario).matrix
+        links = link_observables(scenario, scenario.case)
+        loss = _closed_form(LocationLayout(n_leo=scenario.n_leo), links)[1]
         efim = compute_efim(scenario).matrix
         for matrix in (channel, interest, loss, efim):
             denom = max(np.linalg.norm(matrix, "fro"), 1e-300)

@@ -38,8 +38,8 @@ DEGENERATE = ScenarioConfig(
 
 
 def _diag_efim(diag):
-    layout = LocationLayout(n_leo=1, kappa2_channel_cols=())
-    assert len(diag) == layout.dim
+    layout = LocationLayout(n_leo=1)
+    assert len(diag) == layout.dim_interest
     return Efim(
         matrix=np.diag(np.asarray(diag, dtype=float)),
         layout=layout,
@@ -96,7 +96,7 @@ def test_crlb_inverts_every_direction_its_verdict_counts():
     c = 1.0 - 2.0**-42  # position x/y nearly collinear: min/max ~ 1.1e-13
     matrix = np.eye(15)
     matrix[0, 1] = matrix[1, 0] = c
-    layout = LocationLayout(n_leo=1, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=1)
     efim = Efim(matrix=matrix, layout=layout, case=Case.WITH_BS)
     assert is_identifiable(efim, rel_tol=1e-15).is_pd
     report = crlb(efim, rel_tol=1e-15)

@@ -101,7 +101,7 @@ def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case
     weight taken from another satellite: delays carry nearly all of it."""
     config = dataclasses.replace(ORACLE_CONFIGS["per_satellite_signals"], case=case)
     scenario = _per_satellite_signals(random_scenario(config, seed))
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     links = link_observables(scenario, case)
     stacks = [p for p in _pools(_link_pass(scene, _kinds(case))) if p.kind is not LinkKind.BS_RX]
@@ -147,7 +147,7 @@ def test_factor_route_efims_are_exactly_symmetric(name, case):
     counts = sorted({(n_bs, n_ant, n_slots) for n_bs in (0, config.n_bs)
                      for n_ant in (1, config.n_ant) for n_slots in (1, config.n_slots)})
     for n_leo in range(1, config.n_leo + 1):
-        stack = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
+        stack = _efims(pools, LocationLayout(n_leo=n_leo), counts)
         assert np.array_equal(stack, stack.mT), n_leo
 
 
@@ -183,7 +183,7 @@ def _mp_vel_offset_bound(scenario):
     A frequency offset's group holds its members' Doppler rows in Hz, ``f_c
     dnu`` (formed here at 50 digits), with weights ``w_eps``, so the station
     links' shared offset is exact whatever their carriers."""
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     dim = layout.dim_interest
     groups = {}
     for n, obs in enumerate(link_observables(scenario, scenario.case)):

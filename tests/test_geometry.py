@@ -12,9 +12,8 @@ from leofim.geometry import (
     LeoState,
     ReceiverState,
     SlotGrid,
+    _rotations,
     as_vec3,
-    rotation_matrix,
-    rotation_matrix_partials,
 )
 
 from _oracle import (
@@ -53,23 +52,23 @@ def test_euler_angles_must_be_finite():
         EulerAngles(0.0, np.inf, 0.0)
 
 
-def test_rotation_matrix_frozen_quarter_turn():
-    q = rotation_matrix(EulerAngles(np.pi / 2, 0.0, 0.0))
+def test_rotations_frozen_quarter_turn():
+    q = _rotations(EulerAngles(np.pi / 2, 0.0, 0.0).as_array())[0]
     assert np.allclose(q @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-    assert np.allclose(rotation_matrix(EulerAngles(0, 0, 0)), np.eye(3))
+    assert np.allclose(_rotations(EulerAngles(0, 0, 0).as_array())[0], np.eye(3))
 
 
-def test_rotation_matrix_is_proper_orthogonal():
+def test_rotations_are_proper_orthogonal():
     rng = np.random.default_rng(7)
     for _ in range(20):
         angles = EulerAngles(*rng.uniform(-np.pi, np.pi, size=3))
-        q = rotation_matrix(angles)
+        q = _rotations(angles.as_array())[0]
         assert np.allclose(q.T @ q, np.eye(3), atol=1e-14)
         assert np.isclose(np.linalg.det(q), 1.0, atol=1e-14)
 
 
 def test_rotation_partials_frozen_at_zero():
-    d = rotation_matrix_partials(EulerAngles(0.0, 0.0, 0.0))
+    d = _rotations(EulerAngles(0.0, 0.0, 0.0).as_array())[1]
     d_alpha = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     d_phi = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
     assert np.allclose(d[0], d_alpha)
@@ -81,12 +80,12 @@ def test_rotation_partials_match_finite_differences():
     h = 1e-6
     for _ in range(10):
         a = rng.uniform(-1.5, 1.5, size=3)
-        exact = rotation_matrix_partials(EulerAngles(*a))
+        exact = _rotations(EulerAngles(*a).as_array())[1]
         for i in range(3):
             up, dn = a.copy(), a.copy()
             up[i] += h
             dn[i] -= h
-            fd = (rotation_matrix(EulerAngles(*up)) - rotation_matrix(EulerAngles(*dn))) / (2 * h)
+            fd = (_rotations(up)[0] - _rotations(dn)[0]) / (2 * h)
             assert np.allclose(exact[i], fd, atol=1e-8)
 
 

@@ -196,7 +196,7 @@ def _group_by_group_efim(scenario):
     arrays: each group's rows (a link's delays, its Dopplers; the station
     links pooled) centered at their weighted mean, scaled by ``sqrt(w)``, and
     their Grams summed in link order with the station pool last."""
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = LocationLayout(n_leo=scenario.n_leo)
     pools, stations = [], []
     for obs in link_observables(scenario, scenario.case):
         w_tau, w_nu, _ = _link_weights(obs)
@@ -240,7 +240,7 @@ def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     pools = _pools(_link_pass(stacked, _kinds(case)))
     counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
     for n_leo in [1, 3]:
-        efims = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
+        efims = _efims(pools, LocationLayout(n_leo=n_leo), counts)
         dim = 9 + 6 * n_leo
         assert efims.shape == (len(counts), len(trial_seeds), dim, dim)
         for (n_bs, n_ant, n_slots), cell in zip(counts, efims):

@@ -8,8 +8,9 @@ import pytest
 
 from leofim.channel_fim import assemble_channel_fim
 from leofim.linalg import NumericalError, balanced_eigvalsh, invert_psd, sym
+from leofim.links import link_observables
 from leofim.location_fim import (
-    assemble_information_loss,
+    _closed_form,
     assemble_interest_fim,
     compute_efim,
     efim_lemma_route,
@@ -23,6 +24,11 @@ def _scenario(seed, **overrides):
     base = dict(n_leo=1, n_bs=2, n_ant=2, n_slots=2)
     base.update(overrides)
     return random_scenario(ScenarioConfig(**base), seed)
+
+
+def _loss(sc):
+    """The information lost to the per-link offsets: the closed form's second term."""
+    return _closed_form(LocationLayout(n_leo=sc.n_leo), link_observables(sc, sc.case))[1]
 
 
 def _min_eig_ratio(matrix):
@@ -78,17 +84,17 @@ def test_cross_satellite_offset_blocks_are_zero():
 def test_information_loss_is_symmetric_psd():
     for seed in (35, 36):
         sc = _scenario(seed, n_leo=2, n_bs=2, n_ant=3, n_slots=3)
-        loss = assemble_information_loss(sc)
-        assert np.array_equal(loss.matrix, loss.matrix.T)
-        assert _min_eig_ratio(loss.matrix) >= -1e-9
+        loss = _loss(sc)
+        assert np.array_equal(loss, loss.T)
+        assert _min_eig_ratio(loss) >= -1e-9
 
 
 def test_lemma_route_is_interest_minus_loss():
     sc = _scenario(37)
     interest = assemble_interest_fim(sc)
-    loss = assemble_information_loss(sc)
+    loss = _loss(sc)
     efim = efim_lemma_route(sc)
-    assert np.allclose(efim.matrix, interest.matrix - loss.matrix, rtol=0.0, atol=1e-30)
+    assert np.allclose(efim.matrix, interest.matrix - loss, rtol=0.0, atol=1e-30)
 
 
 def test_efim_never_exceeds_interest_fim():
@@ -173,8 +179,10 @@ def test_schur_route_rejects_mismatched_layout():
     sc = _scenario(50)
     _, glob = assemble_channel_fim(sc)
     ups = build_transformation_matrix(sc, glob=glob)
-    with pytest.raises(ValueError):
-        efim_schur_route(np.eye(3), ups.location_layout)
+    n1 = ups.location_layout.dim_interest
+    for j_kappa in (np.eye(3), np.eye(n1 + 2)[:, :-1], np.eye(n1)[None]):
+        with pytest.raises(ValueError, match="is not square with at least"):
+            efim_schur_route(j_kappa, ups.location_layout)
 
 
 def test_receiver_only_case_has_no_satellite_station_information():
@@ -281,8 +289,8 @@ def test_closed_form_schur_step_matches_per_column_inverse_bit_for_bit(
 def test_schur_route_rejects_uninformed_coupled_nuisance(c):
     """A coupled nuisance coordinate without positive information cannot come
     from a PSD ``J_kappa``; it is reported instead of pseudo-inverted."""
-    layout = LocationLayout(n_leo=1, kappa2_channel_cols=(0,))
-    j_kappa = np.eye(layout.dim)
+    layout = LocationLayout(n_leo=1)
+    j_kappa = np.eye(layout.dim_interest + 1)
     j_kappa[0, -1] = j_kappa[-1, 0] = 1e-3
     j_kappa[-1, -1] = c
     with pytest.raises(NumericalError, match="no information"):

@@ -107,9 +107,9 @@ def test_transformation_matrix_shape_and_nuisance_rows():
     ups = build_transformation_matrix(sc, glob=glob)
     loc = ups.location_layout
     assert loc.dim_interest == 9 + 6 * 2
-    assert ups.matrix.shape == (loc.dim, glob.dim)
+    assert ups.matrix.shape == (loc.dim_interest + len(glob.nuisance_cols), glob.dim)
     # nuisance rows are unit selectors of their channel columns
-    for row, col in enumerate(loc.kappa2_channel_cols):
+    for row, col in enumerate(glob.nuisance_cols):
         expected = np.zeros(glob.dim)
         expected[col] = 1.0
         assert np.array_equal(ups.matrix[loc.dim_interest + row], expected)
@@ -136,12 +136,12 @@ def test_station_link_delay_columns_have_zero_offset_rows():
 def test_location_layout_counts_nuisance_columns():
     sc = _scenario(27)
     _, glob = assemble_channel_fim(sc)
-    loc = build_transformation_matrix(sc, glob=glob).location_layout
+    ups = build_transformation_matrix(sc, glob=glob)
     # per satellite-receiver link: gain + 2 offsets; stations: gain each + one
     # shared pair; per satellite-station link: gain + 2 offsets
     expected = 2 * 3 + (2 * 1 + 2) + 2 * 3
-    assert len(loc.kappa2_channel_cols) == expected
-    assert loc.dim == loc.dim_interest + expected
+    assert len(glob.nuisance_cols) == expected
+    assert len(ups.matrix) == ups.location_layout.dim_interest + expected
 
 
 @pytest.mark.parametrize(
@@ -172,7 +172,7 @@ def test_transform_fim_symmetrizes_and_checks_shapes():
     j_eta, glob = assemble_channel_fim(sc)
     ups = build_transformation_matrix(sc, glob=glob)
     j_kappa = transform_fim(j_eta, ups)
-    assert j_kappa.shape == (ups.location_layout.dim,) * 2
+    assert j_kappa.shape == (len(ups.matrix),) * 2
     assert np.array_equal(j_kappa, j_kappa.T)
     with pytest.raises(ValueError):
         transform_fim(j_eta[:-1, :-1], ups)

@@ -9,10 +9,12 @@ writes into each kappa1 block it informs (keyed by block: ``dtau_dp`` /
 ``dnu_dp`` receiver position, ``dtau_dvu`` / ``dnu_dvu`` velocity,
 ``dtau_dphi`` orientation, ``dtau_dpcheck`` / ``dnu_dpcheck`` and
 ``dtau_dvcheck`` / ``dnu_dvcheck`` satellite offsets), ``J_eta``, the
-nuisance columns ``kappa2_channel_cols``, ``Upsilon``, ``J_kappa``, the
-interest FIM, the information loss, the Schur-route and lemma-route EFIMs
-and the production EFIM (``compute_efim``, keyed ``<tag>/efim``) for each
-corpus entry, so two checkouts can be compared exactly:
+assembled layout's nuisance columns (``glob.nuisance_cols``, keyed
+``<tag>/kappa2_cols``), ``Upsilon``, ``J_kappa``, the interest FIM, the
+information loss (the second term of ``location_fim._closed_form``), the
+Schur-route and lemma-route EFIMs and the production EFIM (``compute_efim``,
+keyed ``<tag>/efim``) for each corpus entry, so two checkouts can be compared
+exactly:
 
     PYTHONPATH=<checkout A>/src python tools/bitexact_corpus.py dump a.json
     PYTHONPATH=<checkout B>/src python tools/bitexact_corpus.py dump b.json
@@ -111,6 +113,17 @@ BLOCK_KEYS = {
 }
 
 
+def _layout(n_leo: int):
+    """The ``LocationLayout`` of ``n_leo`` satellites, also on trees whose
+    layout still takes its nuisance columns as a second field."""
+    from leofim.transform import LocationLayout
+
+    try:
+        return LocationLayout(n_leo=n_leo)
+    except TypeError:
+        return LocationLayout(n_leo, ())
+
+
 def fingerprint(array) -> str:
     arr = np.ascontiguousarray(array, dtype=float)
     return f"{arr.shape}:{hashlib.sha256(arr.tobytes()).hexdigest()[:32]}"
@@ -153,13 +166,13 @@ def _observables(scenario, out: dict, tag: str) -> None:
     from leofim import links
     from leofim.location_fim import _rows
     from leofim.scenario import Case
-    from leofim.transform import LocationLayout, kappa1_blocks
+    from leofim.transform import kappa1_blocks
 
     entries = [("leo_rx", links.leo_rx_observables, b) for b in range(scenario.n_leo)]
     entries += [("bs_rx", links.bs_rx_observables, q) for q in range(scenario.n_bs)]
     if scenario.case is Case.WITH_BS:
         entries += [("leo_bs", links.leo_bs_observables, b) for b in range(scenario.n_leo)]
-    layout = LocationLayout(n_leo=scenario.n_leo, kappa2_channel_cols=())
+    layout = _layout(scenario.n_leo)
     for name, fn, i in entries:
         obs = fn(scenario, i)
         for field in OBS_FIELDS:
@@ -183,7 +196,6 @@ def _efim_stacks(out: dict) -> None:
     from leofim.links import _kinds, _link_pass, _sampled_scene
     from leofim.location_fim import _efims, _pools
     from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds
-    from leofim.transform import LocationLayout
 
     for seed, (name, grid, knobs), case in itertools.product(SEEDS, EFIM_FAMILIES, Case):
         template = ScenarioConfig(**knobs, case=case)
@@ -195,7 +207,7 @@ def _efim_stacks(out: dict) -> None:
         pools = _pools(_link_pass(scene, _kinds(case)))
         counts = [(n_bs, n_ant, n_slots) for n_bs, n_slots, n_ant in itertools.product(*values)]
         for n_leo in n_leos:
-            efims = _efims(pools, LocationLayout(n_leo=n_leo, kappa2_channel_cols=()), counts)
+            efims = _efims(pools, _layout(n_leo), counts)
             out[f"s{seed}/efims/{name}/{case.value}/L{n_leo}"] = fingerprint(efims)
 
 
@@ -256,7 +268,8 @@ def dump() -> dict:
         parameter_sweep,
         transform_fim,
     )
-    from leofim.location_fim import assemble_information_loss, assemble_interest_fim
+    from leofim.links import link_observables
+    from leofim.location_fim import _closed_form, assemble_interest_fim
     from leofim.scenario import Case, ScenarioConfig, random_scenario
 
     out: dict[str, str] = {}
@@ -270,7 +283,7 @@ def dump() -> dict:
         out[f"{tag}/j_eta"] = fingerprint(j_eta)
         upsilon = build_transformation_matrix(scenario, glob=glob)
         out[f"{tag}/upsilon"] = fingerprint(upsilon.matrix)
-        out[f"{tag}/kappa2_cols"] = fingerprint(upsilon.location_layout.kappa2_channel_cols)
+        out[f"{tag}/kappa2_cols"] = fingerprint(glob.nuisance_cols)
         j_kappa = transform_fim(j_eta, upsilon)
         del j_eta
         out[f"{tag}/j_kappa"] = fingerprint(j_kappa)
@@ -278,7 +291,8 @@ def dump() -> dict:
             efim_schur_route(j_kappa, upsilon.location_layout, case).matrix
         )
         out[f"{tag}/interest"] = fingerprint(assemble_interest_fim(scenario).matrix)
-        out[f"{tag}/loss"] = fingerprint(assemble_information_loss(scenario).matrix)
+        links = link_observables(scenario, case)
+        out[f"{tag}/loss"] = fingerprint(_closed_form(_layout(n_leo), links)[1])
         out[f"{tag}/lemma"] = fingerprint(efim_lemma_route(scenario).matrix)
         out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
     for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
