@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
-from .links import _kinds, _link_pass, _sampled_scene
+from .links import _kinds, _link_pass
 from .location_fim import Efim, _efims, _pools
 from .scenario import ScenarioConfig, _sample, derive_trial_seeds
 from .transform import LocationLayout
@@ -201,8 +201,7 @@ def _family_trials(
     members = [configs[i] for cells in by_leo.values() for i in cells]
     counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
     largest = dataclasses.replace(members[0], **counts)
-    scene = _sampled_scene(largest, _sample(largest, trial_seeds))
-    pools = _pools(_link_pass(scene, _kinds(largest.case)))
+    pools = _pools(_link_pass(_sample(largest, trial_seeds), _kinds(largest.case)))
     decided = []
     for n_leo, cells in by_leo.items():
         # One set of Grams per satellite count: no other count's fit it.

@@ -9,9 +9,11 @@ link kind, as one broadcast pass over ``(trial, member, element, slot, 3)``
 arrays: every satellite's links of a kind go in one pass, and every station's
 links to the array in one.  The receiver-array geometry the passes share
 (slot times, reference-point track, antenna lever arms and their orientation
-partials) is computed once per call.  A sweep's family of trials runs through
-it at once (:func:`_sampled_scene`); a :class:`.Scenario`'s links are its
-one-trial case (:func:`link_observables` and the single-link entry points).
+partials) and the satellites' per-slot states are computed once per call.
+The pass reads a :class:`.scenario._Scene`: a sweep's family of trials runs
+through it at once as sampled (:func:`.scenario._sample`), and
+:func:`_scene` converts a :class:`.Scenario` to the same type, its one-trial
+case (:func:`link_observables` and the single-link entry points).
 Delays are evaluated per receive element (antenna, or station for the
 satellite-station link); Doppler shifts are evaluated once per slot at the
 array reference point for receiver links, and per station otherwise.
@@ -36,7 +38,6 @@ order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,19 +46,12 @@ from .geometry import (
     _DEGENERATE_NORM,
     SPEED_OF_LIGHT_M_S,
     DegenerateGeometryError,
-    SlotGrid,
     _rotations,
 )
-from .scenario import Case, Scenario, ScenarioConfig, _link_signals, _Sample
+from .scenario import Case, LinkKind, Scenario, _Scene
 from .signals import SignalProps, effective_frequency, omega
 
 _C = SPEED_OF_LIGHT_M_S
-
-
-class LinkKind(enum.Enum):
-    LEO_RX = "leo_rx"
-    BS_RX = "bs_rx"
-    LEO_BS = "leo_bs"
 
 
 @dataclass(frozen=True)
@@ -144,42 +138,12 @@ def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.nda
     return perp / (_C * dists[..., None])
 
 
-@dataclass(frozen=True)
-class _Scene:
-    """What the link pass reads, trial axis first: the receiver's
-    ``position``, ``velocity`` and Euler angles ``euler (T, 3)`` and body-frame
-    ``antennas (T, U, 3)``; the satellites' offset-corrected positions and
-    velocities per slot ``leo_position``/``leo_velocity (T, L, K, 3)``; the
-    station positions ``bs_position (T, Q, 3)``; the slot times ``k_times
-    (K,)``; and per link kind, each member's signal properties and frequency
-    offset (a member is a satellite, or a station for station-receiver
-    links)."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    euler: np.ndarray
-    antennas: np.ndarray
-    leo_position: np.ndarray
-    leo_velocity: np.ndarray
-    bs_position: np.ndarray
-    k_times: np.ndarray
-    signals: dict[LinkKind, tuple[SignalProps, ...]]
-    freq_offsets: dict[LinkKind, tuple[float, ...]]
-
-
-def _leo_states(
-    position: np.ndarray,
-    speed: np.ndarray,
-    track: np.ndarray,
-    pos_offset: np.ndarray,
-    vel_offset: np.ndarray,
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _leo_states(scene: _Scene) -> tuple[np.ndarray, np.ndarray]:
     """Offset-corrected positions and velocities ``(T, L, K, 3)`` per slot of
-    satellites with epoch positions ``(T, L, 3)``, speeds ``(L,)``, tracks
-    ``(T, L, K, 3)`` and ephemeris offsets ``(L, 3)``."""
-    pos_offset, vel_offset = pos_offset[:, None, :], vel_offset[:, None, :]
-    moved = position[..., None, :] + (t * speed[:, None])[..., None] * track
+    a scene's satellites."""
+    t, speed, track = scene.k_times, scene.leo_speed, scene.leo_track
+    pos_offset, vel_offset = scene.leo_pos_offset[:, None, :], scene.leo_vel_offset[:, None, :]
+    moved = scene.leo_position[..., None, :] + (t * speed[:, None])[..., None] * track
     moved = moved + pos_offset + t[:, None] * vel_offset
     return moved, speed[:, None, None] * track + vel_offset
 
@@ -188,25 +152,19 @@ def _scene(scenario: Scenario, leos: range, bss: range) -> _Scene:
     """The one-trial scene of a scenario's satellites ``leos`` and stations
     ``bss``."""
     receiver, n_slots = scenario.receiver, scenario.n_slots
-    k_times = scenario.grid.times()
     sats = [scenario.leos[b] for b in leos]
-    leo_position, leo_velocity = _leo_states(
-        np.array([leo.position for leo in sats]).reshape(1, -1, 3),
-        np.array([leo.speed for leo in sats], dtype=float),
-        np.array([leo.track[:n_slots] for leo in sats]).reshape(1, -1, n_slots, 3),
-        np.array([leo.pos_offset for leo in sats]).reshape(-1, 3),
-        np.array([leo.vel_offset for leo in sats]).reshape(-1, 3),
-        k_times,
-    )
     return _Scene(
         position=receiver.position[None],
         velocity=receiver.velocity[None],
         euler=receiver.orientation.as_array()[None],
         antennas=receiver.antenna_offsets[None],
-        leo_position=leo_position,
-        leo_velocity=leo_velocity,
+        leo_position=np.array([leo.position for leo in sats]).reshape(1, -1, 3),
+        leo_speed=np.array([leo.speed for leo in sats], dtype=float),
+        leo_track=np.array([leo.track[:n_slots] for leo in sats]).reshape(1, -1, n_slots, 3),
+        leo_pos_offset=np.array([leo.pos_offset for leo in sats]).reshape(-1, 3),
+        leo_vel_offset=np.array([leo.vel_offset for leo in sats]).reshape(-1, 3),
         bs_position=np.array([scenario.bss[q].position for q in bss]).reshape(1, -1, 3),
-        k_times=k_times,
+        k_times=scenario.grid.times(),
         signals={
             LinkKind.LEO_RX: tuple(scenario.leo_rx_signals[b] for b in leos),
             LinkKind.BS_RX: tuple(scenario.bs_rx_signals[q] for q in bss),
@@ -217,38 +175,6 @@ def _scene(scenario: Scenario, leos: range, bss: range) -> _Scene:
             LinkKind.BS_RX: tuple(scenario.bs_rx_offset.freq_offset for _ in bss),
             LinkKind.LEO_BS: tuple(scenario.leo_bs_offsets[b].freq_offset for b in leos),
         },
-    )
-
-
-def _sampled_scene(config: ScenarioConfig, sample: _Sample) -> _Scene:
-    """The scene of a family's sampled trials (:func:`.scenario._sample`) at
-    ``config``: bit for bit the scenes of their :func:`.random_scenario`."""
-    n_leo, n_bs = config.n_leo, config.n_bs
-    k_times = SlotGrid(n_slots=config.n_slots, spacing_s=config.slot_spacing_s).times()
-    no_offsets = np.zeros((n_leo, 3))
-    leo_position, leo_velocity = _leo_states(
-        sample.leo_position,
-        np.full(n_leo, config.leo_speed_m_s, dtype=float),
-        sample.leo_track,
-        no_offsets,
-        no_offsets,
-        k_times,
-    )
-    kinds = (LinkKind.LEO_RX, LinkKind.BS_RX, LinkKind.LEO_BS)
-    members = dict(zip(kinds, (n_leo, n_bs, n_leo)))
-    return _Scene(
-        position=sample.position,
-        velocity=sample.velocity,
-        euler=sample.euler,
-        antennas=sample.antennas,
-        leo_position=leo_position,
-        leo_velocity=leo_velocity,
-        bs_position=sample.bs_position,
-        k_times=k_times,
-        signals={
-            kind: (props,) * members[kind] for kind, props in zip(kinds, _link_signals(config))
-        },
-        freq_offsets={kind: (0.0,) * count for kind, count in members.items()},
     )
 
 
@@ -285,6 +211,7 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
     """
     t = scene.k_times
     k_fac = t[:, None]
+    leo_position, leo_velocity = _leo_states(scene)
     kinds = [kind for kind in kinds if scene.signals[kind]]
     if any(kind is not LinkKind.LEO_BS for kind in kinds):
         rotation, partials = _rotations(scene.euler)
@@ -298,14 +225,14 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
     batches = []
     for kind in kinds:
         if kind is LinkKind.LEO_BS:
-            tx = scene.leo_position[:, :, None]
-            v_rel = scene.leo_velocity[:, :, None]
+            tx = leo_position[:, :, None]
+            v_rel = leo_velocity[:, :, None]
             dirs, dists = _directions(tx, scene.bs_position[:, None, :, None, :])
             dop_dirs, dop_dists = dirs, dists
         else:
             if kind is LinkKind.LEO_RX:
-                tx = scene.leo_position[:, :, None]
-                v_rel = scene.leo_velocity[:, :, None] - scene.velocity[:, None, None, None, :]
+                tx = leo_position[:, :, None]
+                v_rel = leo_velocity[:, :, None] - scene.velocity[:, None, None, None, :]
             else:
                 tx = scene.bs_position[:, :, None, None, :]
                 v_rel = -scene.velocity[:, None, None, None, :]

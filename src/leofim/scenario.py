@@ -31,7 +31,8 @@ place, which makes "more antennas never hurt" hold exactly, and lets
 identifiability sweeps and ``n_ant`` parameter sweeps sample each trial once
 per family of configurations, at the family's largest counts.  A family's
 trials are sampled together (:func:`_sample`), one array expression per draw
-kind with the trial axis first; :func:`random_scenario` is its one-trial case.
+kind with the trial axis first, into the scene the link pass reads
+(:func:`.links._link_pass`); :func:`random_scenario` is its one-trial case.
 """
 
 from __future__ import annotations
@@ -124,6 +125,12 @@ class Case(enum.Enum):
 
     WITH_BS = "with_bs"
     RECEIVER_ONLY = "receiver_only"
+
+
+class LinkKind(enum.Enum):
+    LEO_RX = "leo_rx"
+    BS_RX = "bs_rx"
+    LEO_BS = "leo_bs"
 
 
 @dataclass(frozen=True)
@@ -279,32 +286,44 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class _Sample:
-    """A family's sampled geometry, trial axis first: receiver ``position``,
-    ``velocity`` and Euler angles ``euler`` (yaw, pitch, roll) ``(T, 3)``,
-    body-frame ``antennas (T, U, 3)``, satellite epoch positions ``leo_position
-    (T, L, 3)`` and unit velocity directions ``leo_track (T, L, K, 3)``, and
-    station positions ``bs_position (T, Q, 3)``."""
+class _Scene:
+    """What the link pass reads, trial axis first: the receiver's
+    ``position``, ``velocity`` and Euler angles ``euler`` (yaw, pitch, roll)
+    ``(T, 3)`` and body-frame ``antennas (T, U, 3)``; the satellites' epoch
+    positions ``leo_position (T, L, 3)``, speeds ``leo_speed (L,)``, unit
+    velocity directions per slot ``leo_track (T, L, K, 3)`` and ephemeris
+    offsets ``leo_pos_offset``/``leo_vel_offset (L, 3)``; the station
+    positions ``bs_position (T, Q, 3)``; the slot times ``k_times (K,)``; and
+    per link kind, each member's signal properties and frequency offset (a
+    member is a satellite, or a station for station-receiver links)."""
 
     position: np.ndarray
     velocity: np.ndarray
     euler: np.ndarray
     antennas: np.ndarray
     leo_position: np.ndarray
+    leo_speed: np.ndarray
     leo_track: np.ndarray
+    leo_pos_offset: np.ndarray
+    leo_vel_offset: np.ndarray
     bs_position: np.ndarray
+    k_times: np.ndarray
+    signals: dict[LinkKind, tuple[SignalProps, ...]]
+    freq_offsets: dict[LinkKind, tuple[float, ...]]
 
 
-def _sample(config: ScenarioConfig, seeds) -> _Sample:
-    """The geometry of one trial per seed at ``config``'s counts, every draw
-    of every trial in one array pass (draw layout in the module docstring).
+def _sample(config: ScenarioConfig, seeds) -> _Scene:
+    """The scene of one trial per seed at ``config``'s counts, every draw of
+    every trial in one array pass (draw layout in the module docstring), with
+    no ephemeris or frequency offsets and every link of a kind given its
+    kind's signal properties.
 
     Each satellite's track is a base direction tilted independently each slot
     by up to ``leo_dir_perturb_rad``: one Rodrigues rotation per slot about a
     random axis.
     """
     roots = _states(seeds)[:, None]
-    n_ant, n_slots = config.n_ant, config.n_slots
+    n_leo, n_ant, n_slots = config.n_leo, config.n_ant, config.n_slots
 
     rx = _draws(_children(roots, np.uint64(_TAG_RECEIVER))[:, 0], 7)
     angles = np.stack([
@@ -316,7 +335,7 @@ def _sample(config: ScenarioConfig, seeds) -> _Sample:
     ant = _draws(_children(roots, np.uint64(_TAG_ANTENNAS))[:, 0], 2 * n_ant)
     radius = config.array_radius_wavelengths * SPEED_OF_LIGHT_M_S / config.carrier_freq_hz
 
-    leo_tags = np.arange(config.n_leo, dtype=np.uint64) + np.uint64(_TAG_LEO)
+    leo_tags = np.arange(n_leo, dtype=np.uint64) + np.uint64(_TAG_LEO)
     leo = _draws(_children(roots, leo_tags), 4 + 3 * n_slots)
     base = _unit_vectors(leo[..., 2:4])[..., None, :]
     slots = leo[..., 4:].reshape(*leo.shape[:2], n_slots, 3)
@@ -327,29 +346,33 @@ def _sample(config: ScenarioConfig, seeds) -> _Sample:
 
     bs_tags = np.arange(config.n_bs, dtype=np.uint64) + np.uint64(_TAG_BS)
     bs = _draws(_children(roots, bs_tags), 2)
-    return _Sample(
+    kinds = (LinkKind.LEO_RX, LinkKind.BS_RX, LinkKind.LEO_BS)
+    members = dict(zip(kinds, (n_leo, config.n_bs, n_leo)))
+    snrs_db = (config.snr_db_leo_rx, config.snr_db_bs_rx, config.snr_db_leo_bs)
+    return _Scene(
         position=config.receiver_distance_m * _unit_vectors(rx[:, 0:2]),
         velocity=config.receiver_speed_m_s * _unit_vectors(rx[:, 2:4]),
         euler=angles,
         antennas=radius * _unit_vectors(ant.reshape(-1, n_ant, 2)),
         leo_position=config.leo_distance_m * _unit_vectors(leo[..., 0:2]),
+        leo_speed=np.full(n_leo, config.leo_speed_m_s, dtype=float),
         leo_track=track / np.linalg.norm(track, axis=-1, keepdims=True),
+        leo_pos_offset=np.zeros((n_leo, 3)),
+        leo_vel_offset=np.zeros((n_leo, 3)),
         bs_position=config.bs_distance_m * _unit_vectors(bs),
-    )
-
-
-def _link_signals(config: ScenarioConfig) -> tuple[SignalProps, SignalProps, SignalProps]:
-    """The satellite-receiver, station-receiver and satellite-station links'
-    properties: every link of a kind has its kind's."""
-    return tuple(
-        config.signal_props(snr_db)
-        for snr_db in (config.snr_db_leo_rx, config.snr_db_bs_rx, config.snr_db_leo_bs)
+        k_times=SlotGrid(n_slots=n_slots, spacing_s=config.slot_spacing_s).times(),
+        signals={
+            kind: (config.signal_props(snr_db),) * members[kind]
+            for kind, snr_db in zip(kinds, snrs_db)
+        },
+        freq_offsets={kind: (0.0,) * count for kind, count in members.items()},
     )
 
 
 def random_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     """Sample a scenario from the reference campaign distribution: the
-    one-trial case of :func:`_sample`, validated as a :class:`Scenario`.
+    one-trial scene of :func:`_sample`, its link signals included, validated
+    as a :class:`Scenario`.
 
     Parameters
     ----------
@@ -362,27 +385,26 @@ def random_scenario(config: ScenarioConfig, seed: int) -> Scenario:
     -------
     Scenario
     """
-    sample = _sample(config, [seed])
-    alpha, psi, phi = (float(angle) for angle in sample.euler[0])
+    scene = _sample(config, [seed])
+    alpha, psi, phi = (float(angle) for angle in scene.euler[0])
     receiver = ReceiverState(
-        position=sample.position[0],
-        velocity=sample.velocity[0],
+        position=scene.position[0],
+        velocity=scene.velocity[0],
         orientation=EulerAngles(alpha=alpha, psi=psi, phi=phi),
-        antenna_offsets=sample.antennas[0],
+        antenna_offsets=scene.antennas[0],
     )
     leos = tuple(
         LeoState(position=position, speed=config.leo_speed_m_s, track=track)
-        for position, track in zip(sample.leo_position[0], sample.leo_track[0])
+        for position, track in zip(scene.leo_position[0], scene.leo_track[0])
     )
-    bss = tuple(BsState(position=position) for position in sample.bs_position[0])
-    leo_rx_props, bs_rx_props, leo_bs_props = _link_signals(config)
+    bss = tuple(BsState(position=position) for position in scene.bs_position[0])
     return Scenario(
         receiver=receiver,
         leos=leos,
         bss=bss,
         grid=SlotGrid(n_slots=config.n_slots, spacing_s=config.slot_spacing_s),
-        leo_rx_signals=tuple(leo_rx_props for _ in range(config.n_leo)),
-        bs_rx_signals=tuple(bs_rx_props for _ in range(config.n_bs)),
-        leo_bs_signals=tuple(leo_bs_props for _ in range(config.n_leo)),
+        leo_rx_signals=scene.signals[LinkKind.LEO_RX],
+        bs_rx_signals=scene.signals[LinkKind.BS_RX],
+        leo_bs_signals=scene.signals[LinkKind.LEO_BS],
         case=config.case,
     )

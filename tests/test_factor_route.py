@@ -21,7 +21,7 @@ from test_location_fim import _loewner_min
 
 from leofim.analysis import crlb
 from leofim.channel_fim import assemble_channel_fim
-from leofim.links import LinkKind, _kinds, _link_pass, _sampled_scene, _scene, link_observables
+from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
 from leofim.location_fim import (
     _efims,
     _link_weights,
@@ -142,7 +142,7 @@ def test_factor_route_efims_are_exactly_symmetric(name, case):
     if name in ORACLE_EDITS:  # a per-link edit: the stack is the edited scenario's one trial
         scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     else:
-        scene = _sampled_scene(config, _sample(config, derive_trial_seeds(SEED, 3)))
+        scene = _sample(config, derive_trial_seeds(SEED, 3))
     pools = _pools(_link_pass(scene, _kinds(case)))
     counts = sorted({(n_bs, n_ant, n_slots) for n_bs in (0, config.n_bs)
                      for n_ant in (1, config.n_ant) for n_slots in (1, config.n_slots)})

@@ -21,7 +21,6 @@ from leofim.links import (
     _dot3,
     _kinds,
     _link_pass,
-    _sampled_scene,
     _scene,
     bs_rx_observables,
     leo_bs_observables,
@@ -51,6 +50,10 @@ from _oracle import (
     unit_direction,
     velocity_at,
 )
+
+# The scene fields with a trial axis; the others hold in every trial.
+TRIAL_FIELDS = ("position", "velocity", "euler", "antennas", "leo_position", "leo_track", "bs_position")
+
 
 
 def _rx_oracle(scenario, kind, index):
@@ -230,12 +233,12 @@ def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     scenes = [_scene(sc, range(sc.n_leo), range(sc.n_bs)) for sc in (
         _offset_scenario(s, **big) for s in trial_seeds
     )]
-    # The trials' one-trial scenes stacked on the trial axis: the offsets are
-    # the same in every trial, and the link pass and pools are trial-batched.
+    # The trials' one-trial scenes stacked on the trial axis: the speeds,
+    # offsets and slot times are the same in every trial, and the link pass
+    # and pools are trial-batched.
     stacked = dataclasses.replace(scenes[0], **{
         field: np.concatenate([getattr(scene, field) for scene in scenes])
-        for field in ("position", "velocity", "euler", "antennas", "leo_position",
-                      "leo_velocity", "bs_position")
+        for field in TRIAL_FIELDS
     })
     pools = _pools(_link_pass(stacked, _kinds(case)))
     counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
@@ -313,7 +316,25 @@ FAMILY_SIZES = [
     dict(n_leo=2, n_bs=3, n_ant=64, n_slots=10, case=Case.RECEIVER_ONLY),
     dict(n_leo=3, n_bs=3, n_ant=4, n_slots=4, case=Case.WITH_BS),
     dict(n_leo=4, n_bs=4, n_ant=32, n_slots=20, case=Case.WITH_BS),
+    dict(n_leo=1, n_bs=0, n_ant=1, n_slots=1, case=Case.WITH_BS),
 ]
+
+
+def _scene_bytes(scene, t):
+    """Every field of trial ``t`` of a scene as bytes, by field name: the
+    trial's slice of each array with a trial axis, every other array whole,
+    and per link kind its members' signal properties and frequency offsets."""
+    out = {}
+    for field in dataclasses.fields(scene):
+        value = getattr(scene, field.name)
+        if field.name in ("signals", "freq_offsets"):
+            for kind, members in value.items():
+                rows = [dataclasses.astuple(m) if field.name == "signals" else m for m in members]
+                out[field.name, kind] = (len(rows), np.array(rows, dtype=float).tobytes())
+        else:
+            array = value[t] if field.name in TRIAL_FIELDS else value
+            out[field.name] = (array.shape, np.ascontiguousarray(array).tobytes())
+    return out
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -323,24 +344,18 @@ FAMILY_SIZES = [
 def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
     """A family's trials sampled and linked in one array pass are, trial by
     trial, the bytes of :func:`random_scenario` and :func:`link_observables`
-    at that trial's seed: every sampled array, ``omega``, ``snr`` and the five
+    at that trial's seed: every field of the sampled scene against that
+    scenario's own scene (speeds, offsets, slot times, and each kind's
+    signals and frequency offsets included), ``omega``, ``snr`` and the five
     Jacobians."""
     config = ScenarioConfig(**size, slot_spacing_s=50.0, bs_distance_m=5e5)
     trial_seeds = derive_trial_seeds(seed, 5)
-    sample = _sample(config, trial_seeds)
-    batches = _link_pass(_sampled_scene(config, sample), _kinds(config.case))
+    scene = _sample(config, trial_seeds)
+    batches = _link_pass(scene, _kinds(config.case))
     for t, trial_seed in enumerate(trial_seeds):
         sc = random_scenario(config, trial_seed)
-        receiver = sc.receiver
-        pairs = [
-            (sample.position[t], receiver.position),
-            (sample.velocity[t], receiver.velocity),
-            (sample.euler[t], receiver.orientation.as_array()),
-            (sample.antennas[t], receiver.antenna_offsets),
-            *((sample.leo_position[t, b], leo.position) for b, leo in enumerate(sc.leos)),
-            *((sample.leo_track[t, b], leo.track) for b, leo in enumerate(sc.leos)),
-            *((sample.bs_position[t, q], bs.position) for q, bs in enumerate(sc.bss)),
-        ]
+        assert _scene_bytes(scene, t) == _scene_bytes(_scene(sc, range(sc.n_leo), range(sc.n_bs)), 0)
+        pairs = []
         links = iter(link_observables(sc, config.case))
         for batch in batches:
             row = slice(None) if batch.kind is LinkKind.LEO_BS else 0

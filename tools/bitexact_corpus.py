@@ -190,10 +190,11 @@ def _observables(scenario, out: dict, tag: str) -> None:
 
 
 def _efim_stacks(out: dict) -> None:
-    """Each family's ``_efims`` per satellite count, its trials sampled and
-    linked once at the family's maxima (as ``analysis._family_trials`` does)."""
+    """Each family's ``_efims`` per satellite count, its trials sampled once at
+    the family's maxima into the scene ``_link_pass`` reads (as
+    ``analysis._family_trials`` does)."""
     from leofim.analysis import DEFAULT_N_TRIALS, GRID_AXES
-    from leofim.links import _kinds, _link_pass, _sampled_scene
+    from leofim.links import _kinds, _link_pass
     from leofim.location_fim import _efims, _pools
     from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds
 
@@ -203,7 +204,7 @@ def _efim_stacks(out: dict) -> None:
         largest = dataclasses.replace(
             template, **{axis: max(v) for axis, v in zip(GRID_AXES, [n_leos, *values])}
         )
-        scene = _sampled_scene(largest, _sample(largest, derive_trial_seeds(seed, DEFAULT_N_TRIALS)))
+        scene = _sample(largest, derive_trial_seeds(seed, DEFAULT_N_TRIALS))
         pools = _pools(_link_pass(scene, _kinds(case)))
         counts = [(n_bs, n_ant, n_slots) for n_bs, n_slots, n_ant in itertools.product(*values)]
         for n_leo in n_leos:
