@@ -11,11 +11,13 @@ counts form a family whose trials are sampled and linked together, in one
 array pass with a leading trial axis; each offset-group Gram is built once
 for all the family's trials and every configuration that slices it, each
 configuration's EFIM is bit for bit that of its own sampled scenario, and the
-verdicts of one (family, satellite count) come from one stacked eigenvalue
-call.  Bounds are arrays until a caller returns them: the PD trials of one
-(family, satellite count) are inverted by one stacked :func:`.invert_psd`,
-bit for bit the per-matrix inverses, and a sweep point's mean bounds average
-its trials' rows.
+spectra of one (family, satellite count) come from one stacked eigenvalue
+call.  Verdicts are arrays until a caller returns one: one array rule on the
+spectra's extremes ``lo, hi`` decides every trial (PD where ``hi > 0`` and
+``lo > rel_tol * hi``) and picks each configuration's worst trial (the first
+smallest ``lo / hi``).  So are bounds: the PD trials of one (family,
+satellite count) are inverted by one stacked :func:`.invert_psd`, bit for bit
+the per-matrix inverses, and a sweep point's mean bounds average its rows.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ DEFAULT_N_TRIALS = 5
 
 SWEEP_AXES = ("n_ant", "carrier_freq_hz", "slot_spacing_s", "snr_db")
 GRID_AXES = ("n_leo", "n_bs", "n_slots", "n_ant")
-# The names of the configuration fields a sampled scenario cannot slice.
-_FAMILY_FIELDS = tuple(
-    f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in GRID_AXES
-)
 
 
 class NotIdentifiableError(RuntimeError):
@@ -107,23 +105,26 @@ class CrlbReport:
         )
 
 
-def _as_matrix(efim: Efim | np.ndarray) -> np.ndarray:
-    return efim.matrix if isinstance(efim, Efim) else np.asarray(efim, dtype=float)
-
-
 def _verdict(
-    min_eig: float, max_eig: float, rel_tol: float, config: ScenarioConfig | None
+    is_pd: bool, min_eig: float, max_eig: float, rel_tol: float, config: ScenarioConfig | None
 ) -> IdentifiabilityVerdict:
-    """The verdict on a balanced spectrum's extremes."""
+    """The verdict ``is_pd`` on a balanced spectrum's extremes."""
     min_eig, max_eig = float(min_eig), float(max_eig)
     return IdentifiabilityVerdict(
-        is_pd=max_eig > 0.0 and min_eig > rel_tol * max_eig,
+        is_pd=bool(is_pd),
         min_eigenvalue=min_eig,
         max_eigenvalue=max_eig,
         condition_number=max_eig / min_eig if min_eig > 0.0 else np.inf,
         rel_tol=rel_tol,
         config=config,
     )
+
+
+def _is_pd(lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The PD rule on balanced spectrum extremes, elementwise.  A product
+    beyond float range is infinite, as a float's, under any ``np.errstate``."""
+    with np.errstate(over="ignore"):
+        return (hi > 0.0) & (lo > rel_tol * hi)
 
 
 def is_identifiable(
@@ -134,8 +135,10 @@ def is_identifiable(
     PD means ``min_eig > rel_tol * max_eig`` (and a positive maximum) after
     unit-diagonal balancing.
     """
-    eigvals = balanced_eigvalsh(_as_matrix(efim))
-    return _verdict(eigvals[0], eigvals[-1], rel_tol, None)
+    matrix = efim.matrix if isinstance(efim, Efim) else np.asarray(efim, dtype=float)
+    eigvals = balanced_eigvalsh(matrix)
+    lo, hi = eigvals[0], eigvals[-1]
+    return _verdict(_is_pd(lo, hi, rel_tol), lo, hi, rel_tol, None)
 
 
 def crlb(efim: Efim, rel_tol: float = DEFAULT_REL_TOL) -> CrlbReport:
@@ -165,86 +168,61 @@ def _bounds(matrices: np.ndarray, layout: LocationLayout, rel_tol: float) -> np.
     return np.sqrt(diag[:, starts] + diag[:, starts + 1] + diag[:, starts + 2])
 
 
-def _worst_verdict(verdicts: list[IdentifiabilityVerdict]) -> IdentifiabilityVerdict:
-    """The trial with the smallest relative minimum eigenvalue."""
-
-    def key(v: IdentifiabilityVerdict) -> float:
-        if v.max_eigenvalue <= 0.0:
-            return -np.inf
-        return v.min_eigenvalue / v.max_eigenvalue
-
-    return min(verdicts, key=key)
-
-
-def _family_trials(
-    by_leo: dict[int, list[int]],
+def _trials(
     configs: list[ScenarioConfig],
-    trial_seeds: list[int],
+    families: list[list[int]],
+    seed: int,
+    n_trials: int,
     rel_tol: float,
     with_bounds: bool,
-) -> list[tuple[int, list[IdentifiabilityVerdict], np.ndarray | None]]:
-    """``(index, verdicts, bounds)`` of every configuration of one family,
-    given its configurations' indices by satellite count: a verdict per trial
-    and, with ``with_bounds``, the trials' :func:`_bounds` ``(T, 3 +
-    2*n_leo)``, infinite in a trial that is not PD.
+) -> list[tuple]:
+    """Per configuration, its seeded trials decided: ``(lo, hi, pd, worst,
+    bounds)``, the balanced spectrum extremes ``lo, hi (T,)``, each trial's
+    :func:`_is_pd` verdict ``pd (T,)``, the ``worst`` trial (the first
+    smallest ``lo / hi``, any trial with ``hi <= 0`` below the others) and,
+    with ``with_bounds``, the trials' :func:`_bounds` ``(T, 3 + 2*n_leo)``,
+    infinite in a trial that is not PD.  Trial seeds derive from ``seed``
+    alone, so trials are paired across configurations, and a trial count
+    below one raises before any sampling.
 
-    Sampling is nested in the counts (:data:`GRID_AXES`), so the family's
-    trials are sampled and linked once, at its maxima, and together: one
-    :func:`.scenario._sample` and one :func:`.links._link_pass` over the
-    trial axis, whose arrays the offset pools view.  They live only for this
-    call.  Per satellite count, one :func:`_efims` over the pools gives every
-    configuration's EFIMs, bit for bit those of its own sampled scenario, and
-    one stacked :func:`balanced_eigvalsh` decides them all.  The PD trials
-    of all those configurations are bounded together, by one stacked
-    :func:`invert_psd`, reusing their verdicts.
-    """
-    members = [configs[i] for cells in by_leo.values() for i in cells]
-    counts = {a: max(getattr(c, a) for c in members) for a in GRID_AXES}
-    largest = dataclasses.replace(members[0], **counts)
-    pools = _pools(_link_pass(_sample(largest, trial_seeds), _kinds(largest.case)))
-    decided = []
-    for n_leo, cells in by_leo.items():
-        # One set of Grams per satellite count: no other count's fit it.
-        layout = LocationLayout(n_leo=n_leo)
-        sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in cells]
-        efims = _efims(pools, layout, sub_counts)
-        verdicts = [
-            [_verdict(eigvals[0], eigvals[-1], rel_tol, configs[i]) for eigvals in spectra]
-            for i, spectra in zip(cells, balanced_eigvalsh(efims))
-        ]
-        bounds = [None] * len(cells)
-        if with_bounds:
-            pd = np.array([[v.is_pd for v in trials] for trials in verdicts])
-            bounds = np.full((*pd.shape, len(layout.interest_blocks())), np.inf)
-            bounds[pd] = _bounds(efims[pd], layout, rel_tol)
-        decided += zip(cells, verdicts, bounds)
-    return decided
-
-
-def _trials(
-    configs: list[ScenarioConfig], seed: int, n_trials: int, rel_tol: float, with_bounds: bool
-) -> list[tuple[list[IdentifiabilityVerdict], np.ndarray | None]]:
-    """Per configuration, a verdict per seeded trial and, with
-    ``with_bounds``, the trials' bounds (see :func:`_family_trials`).
-
-    Configurations that differ only in their counts form one family; families
-    are decided one at a time, in first-seen order (:func:`_family_trials`).
-    Trial seeds derive from ``seed`` alone, so trials are paired across
-    configurations, and a trial count below one raises before any sampling.
+    ``families`` partitions the configurations' indices into sets that
+    differ only in their counts (:data:`GRID_AXES`).  Sampling is nested in
+    the counts, so a family's trials are sampled and linked once, at its
+    maxima, and together: one :func:`.scenario._sample` and one
+    :func:`.links._link_pass` over the trial axis, whose arrays the offset
+    pools view until the family is decided.  Per satellite count, one
+    :func:`_efims` over the pools gives every configuration's EFIMs, bit for
+    bit those of its own sampled scenario, one stacked
+    :func:`balanced_eigvalsh` gives their spectra, one array rule decides
+    every trial, and one stacked :func:`invert_psd` bounds the PD ones.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    families: dict[tuple, dict[int, list[int]]] = {}
-    for i, config in enumerate(configs):
-        key = tuple(getattr(config, name) for name in _FAMILY_FIELDS)
-        families.setdefault(key, {}).setdefault(config.n_leo, []).append(i)
     trial_seeds = derive_trial_seeds(seed, n_trials)
     results: list = [None] * len(configs)
-    for by_leo in families.values():
-        for i, verdicts, bounds in _family_trials(
-            by_leo, configs, trial_seeds, rel_tol, with_bounds
-        ):
-            results[i] = (verdicts, bounds)
+    for cells in families:
+        counts = {a: max(getattr(configs[i], a) for i in cells) for a in GRID_AXES}
+        largest = dataclasses.replace(configs[cells[0]], **counts)
+        pools = _pools(_link_pass(_sample(largest, trial_seeds), _kinds(largest.case)))
+        by_leo: dict[int, list[int]] = {}
+        for i in cells:
+            by_leo.setdefault(configs[i].n_leo, []).append(i)
+        for n_leo, group in by_leo.items():
+            # One set of Grams per satellite count: no other count's fit it.
+            layout = LocationLayout(n_leo=n_leo)
+            sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in group]
+            efims = _efims(pools, layout, sub_counts)
+            spectra = balanced_eigvalsh(efims)
+            lo, hi = spectra[..., 0], spectra[..., -1]
+            pd = _is_pd(lo, hi, rel_tol)
+            worst = np.divide(lo, hi, out=np.full_like(lo, -np.inf), where=hi > 0.0).argmin(-1)
+            bounds = [None] * len(group)
+            if with_bounds:
+                bounds = np.full((*pd.shape, len(layout.interest_blocks())), np.inf)
+                bounds[pd] = _bounds(efims[pd], layout, rel_tol)
+            for i, trials in zip(group, zip(lo, hi, pd, worst.tolist(), bounds)):
+                results[i] = trials
+        del pools  # before the next family samples
     return results
 
 
@@ -274,15 +252,19 @@ def identifiability_sweep(
     if unknown:
         raise ValueError(f"unknown grid axes: {sorted(unknown)}; valid: {GRID_AXES}")
     values = [grid.get(axis, [getattr(template, axis)]) for axis in GRID_AXES]
+    fields = vars(template)
     configs = [
-        dataclasses.replace(template, **dict(zip(GRID_AXES, counts)))
+        type(template)(**{**fields, **dict(zip(GRID_AXES, counts))})
         for counts in itertools.product(*values)
     ]
-    table: list[IdentifiabilityVerdict] = []
-    for verdicts, _ in _trials(configs, seed, n_trials, rel_tol, with_bounds=False):
-        worst = _worst_verdict(verdicts)
-        table.append(dataclasses.replace(worst, is_pd=all(v.is_pd for v in verdicts)))
-    return table
+    # The cells differ only in their counts: one family.
+    families = [list(range(len(configs)))] if configs else []
+    return [
+        _verdict(pd.all(), lo[worst], hi[worst], rel_tol, config)
+        for config, (lo, hi, pd, worst, _) in zip(
+            configs, _trials(configs, families, seed, n_trials, rel_tol, with_bounds=False)
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -338,18 +320,23 @@ def parameter_sweep(
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; valid: {SWEEP_AXES}")
     configs = [swept_config(template, axis, value) for value in values]
-    points = []
-    for value, config, (verdicts, bounds) in zip(
-        values, configs, _trials(configs, seed, n_trials, rel_tol, with_bounds=True)
-    ):
-        points.append(SweepPoint(
+    families: dict[float | None, list[int]] = {}
+    for i, value in enumerate(values):  # the values of a count axis slice one family
+        families.setdefault(None if axis in GRID_AXES else float(value), []).append(i)
+    return [
+        SweepPoint(
             axis=axis,
             value=float(value),
             config=config,
             # Trials on a contiguous last axis: each mean adds them as np.mean of a list does.
             report=CrlbReport.of(np.ascontiguousarray(bounds.T).mean(axis=-1)),
             n_trials=n_trials,
-            n_pd_trials=sum(v.is_pd for v in verdicts),
-            worst_verdict=_worst_verdict(verdicts),
-        ))
-    return points
+            n_pd_trials=int(pd.sum()),
+            worst_verdict=_verdict(pd[worst], lo[worst], hi[worst], rel_tol, config),
+        )
+        for value, config, (lo, hi, pd, worst, bounds) in zip(
+            values,
+            configs,
+            _trials(configs, list(families.values()), seed, n_trials, rel_tol, with_bounds=True),
+        )
+    ]

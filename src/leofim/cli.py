@@ -46,6 +46,7 @@ from .analysis import (
     CrlbReport,
     IdentifiabilityVerdict,
     _trials,
+    _verdict,
     identifiability_sweep,
     parameter_sweep,
     swept_config,
@@ -415,19 +416,20 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 
 def _run_bound(config: RunConfig) -> tuple[list[dict], int]:
     template = config.scenario_config()
-    ((verdicts, bounds),) = _trials(
-        [template], config.seed, config.n_trials, config.rel_tol, with_bounds=True
+    ((lo, hi, pd, _, bounds),) = _trials(
+        [template], [[0]], config.seed, config.n_trials, config.rel_tol, with_bounds=True
     )
     records = [
-        _record("bound", config.seed, template, verdict, CrlbReport.of(row), trial=trial)
-        for trial, (verdict, row) in enumerate(zip(verdicts, bounds))
+        _record("bound", config.seed, template,
+                _verdict(pd[t], lo[t], hi[t], config.rel_tol, template), CrlbReport.of(r), trial=t)
+        for t, r in enumerate(bounds)
     ]
     headers = ["trial", "is_pd", "pos [m]", "vel [m/s]", "orient [rad]",
                "leo_pos_off [m]", "leo_vel_off [m/s]"]
     columns = ("trial", "is_pd", *_BOUND_COLUMNS)
     rows = [[_fmt(r[c]) for c in columns] for r in records]
     _print_table(headers, rows)
-    return records, 0 if all(verdict.is_pd for verdict in verdicts) else 3
+    return records, 0 if pd.all() else 3
 
 
 def _run_identifiability(config: RunConfig) -> tuple[list[dict], int]:
@@ -490,7 +492,8 @@ def run_command(config: RunConfig) -> int:
 
     The output path is probed before the run, so an unwritable one fails at once.
     A floating-point overflow or invalid operation while computing is a
-    numerical failure, like a :class:`NumericalError`.
+    numerical failure, like a :class:`NumericalError`.  Any other library
+    ``ValueError`` but a :class:`ConfigError` exits 4 as well.
     """
     command = config.command
     if command not in COMMANDS:
@@ -513,11 +516,16 @@ def run_command(config: RunConfig) -> int:
                 records, status = _run_identifiability(config)
             else:
                 records, status = _run_sweep(config)
+    except ConfigError:
+        raise
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except DegenerateGeometryError as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
+        return 4
+    except ValueError as exc:
+        print(f"computation failed: {exc}", file=sys.stderr)
         return 4
     if config.out is not None:
         try:

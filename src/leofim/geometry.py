@@ -13,6 +13,7 @@ roll ``phi``), composed as ``Q = R_z(alpha) @ R_y(psi) @ R_x(phi)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,7 @@ class EulerAngles:
 
     def __post_init__(self):
         for label in ("alpha", "psi", "phi"):
-            if not np.isfinite(getattr(self, label)):
+            if not math.isfinite(getattr(self, label)):
                 raise ValueError(f"angle {label} must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -104,7 +105,7 @@ class SlotGrid:
     def __post_init__(self):
         if self.n_slots < 1:
             raise ValueError(f"n_slots must be >= 1, got {self.n_slots}")
-        if not (np.isfinite(self.spacing_s) and self.spacing_s > 0.0):
+        if not (math.isfinite(self.spacing_s) and self.spacing_s > 0.0):
             raise ValueError(f"spacing_s must be positive, got {self.spacing_s}")
 
     def slot_numbers(self) -> np.ndarray:
@@ -172,7 +173,8 @@ class LeoState:
         if track.ndim != 2 or track.shape[1] != 3 or track.shape[0] < 1:
             raise ValueError(f"track must have shape (n_slots, 3), got {track.shape}")
         norms = np.linalg.norm(track, axis=1)
-        if not np.allclose(norms, 1.0, atol=1e-9):
+        # np.allclose(norms, 1.0, atol=1e-9), written out: its default rtol is 1e-5.
+        if not np.all(np.abs(norms - 1.0) <= 1e-9 + 1e-5):
             raise ValueError("track rows must be unit vectors")
         object.__setattr__(self, "track", track)
         object.__setattr__(self, "pos_offset", as_vec3(self.pos_offset, "pos_offset"))

@@ -9,6 +9,7 @@ information with ``carrier_freq**2 * rms_duration**2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class OffsetParams:
     freq_offset: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.freq_offset):
+        if not math.isfinite(self.freq_offset):
             raise ValueError("freq_offset must be finite")
 
 
@@ -105,13 +106,13 @@ class SignalProps:
     carrier_freq: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.eff_bandwidth) and self.eff_bandwidth >= 0.0):
+        if not (math.isfinite(self.eff_bandwidth) and self.eff_bandwidth >= 0.0):
             raise ValueError(f"eff_bandwidth must be >= 0, got {self.eff_bandwidth}")
-        if not (np.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
+        if not (math.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
             raise ValueError(f"bcc must lie in [-1, 1], got {self.bcc}")
-        if not (np.isfinite(self.rms_duration) and self.rms_duration > 0.0):
+        if not (math.isfinite(self.rms_duration) and self.rms_duration > 0.0):
             raise ValueError(f"rms_duration must be > 0, got {self.rms_duration}")
-        if not (np.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
+        if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError(f"carrier_freq must be > 0, got {self.carrier_freq}")
         snr = np.asarray(self.snr_linear, dtype=float)
         if not (np.all(np.isfinite(snr)) and np.all(snr >= 0.0)):

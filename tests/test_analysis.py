@@ -10,6 +10,7 @@ import pytest
 from leofim.analysis import (
     GRID_AXES,
     CrlbReport,
+    IdentifiabilityVerdict,
     NotIdentifiableError,
     SweepPoint,
     crlb,
@@ -485,3 +486,98 @@ def test_parameter_sweep_mean_adds_its_trials_as_the_mean_of_a_list():
             assert got == tuple(float(np.mean(values)) for values in zip(*per_trial))
         else:
             assert got == float(np.mean(per_trial))
+
+
+# Per-trial balanced spectrum extremes ``(lo, hi)`` that the array rule must
+# decide as the scalar rule on each trial does.
+_TOL = 1e-10
+SYNTHETIC_SPECTRA = {
+    # Trials 1 and 2 tie at lo/hi = 1/4 with different extremes: the first is worst.
+    "exact_tie": ([(2.0, 4.0), (1.0, 4.0), (2.0, 8.0), (3.0, 3.0)], 1),
+    # No positive maximum reads -inf, below a ratio of 1e-300; the first such trial is worst.
+    "no_positive_max": ([(1e-300, 1.0), (0.0, 0.0), (-1.0, -0.5), (0.5, 1.0)], 1),
+    # At lo == rel_tol * hi a trial is not PD; one ulp above, it is.
+    "at_threshold": (
+        [(1.0, 1.0), (_TOL * 2.0, 2.0), (np.nextafter(_TOL * 2.0, 1.0), 2.0), (0.5, 1.0)],
+        1,
+    ),
+    "all_pd": ([(0.5, 1.0), (0.25, 1.0), (0.75, 1.5), (1.0, 1.0)], 1),
+}
+
+
+def _synthetic_spectra(monkeypatch, trials):
+    """Make every balanced spectrum the sweeps compute have ``trials``'
+    extremes, trial by trial, in every configuration of the stack."""
+    import leofim.analysis as analysis
+
+    lo, hi = np.array(trials, dtype=float).T
+
+    def spectra(efims):
+        out = np.empty(efims.shape[:-1])
+        out[...] = ((lo + hi) / 2.0)[:, None]
+        out[..., 0], out[..., -1] = lo, hi
+        return out
+
+    monkeypatch.setattr(analysis, "balanced_eigvalsh", spectra)
+
+
+def _scalar_verdicts(trials, config):
+    """Each trial's verdict by the scalar rule, and the worst by ``min``."""
+    verdicts = [
+        IdentifiabilityVerdict(
+            is_pd=hi > 0.0 and lo > _TOL * hi,
+            min_eigenvalue=lo,
+            max_eigenvalue=hi,
+            condition_number=hi / lo if lo > 0.0 else np.inf,
+            rel_tol=_TOL,
+            config=config,
+        )
+        for lo, hi in trials
+    ]
+    key = lambda v: v.min_eigenvalue / v.max_eigenvalue if v.max_eigenvalue > 0 else -np.inf
+    return verdicts, min(verdicts, key=key)
+
+
+@pytest.mark.parametrize("name", list(SYNTHETIC_SPECTRA))
+def test_array_rule_decides_synthetic_spectra_as_the_scalar_rule(name, monkeypatch):
+    """Both sweeps and the ``bound`` command: every PD flag, the PD trial
+    count and the worst trial (exact ties, ``hi <= 0`` and the threshold
+    itself included) are those the per-trial scalar rule gives."""
+    from leofim import cli
+
+    trials, worst = SYNTHETIC_SPECTRA[name]
+    _synthetic_spectra(monkeypatch, trials)
+    n = len(trials)
+
+    table = identifiability_sweep({"n_ant": [2, 4]}, WIDE, seed=3, n_trials=n, rel_tol=_TOL)
+    for cell in table:
+        verdicts, expected = _scalar_verdicts(trials, cell.config)
+        assert expected is verdicts[worst]
+        assert cell == dataclasses.replace(expected, is_pd=all(v.is_pd for v in verdicts))
+
+    for point in parameter_sweep("n_ant", [2, 4], WIDE, seed=3, n_trials=n, rel_tol=_TOL):
+        verdicts, expected = _scalar_verdicts(trials, point.config)
+        assert point.n_pd_trials == sum(v.is_pd for v in verdicts)
+        assert point.worst_verdict == expected
+
+    run = cli.RunConfig(**vars(WIDE), n_trials=n, rel_tol=_TOL)
+    records, status = cli._run_bound(run)
+    verdicts, _ = _scalar_verdicts(trials, WIDE)
+    assert status == (0 if all(v.is_pd for v in verdicts) else 3)
+    for record, v in zip(records, verdicts, strict=True):
+        got = [record[k] for k in ("is_pd", "min_eigenvalue", "max_eigenvalue", "condition_number")]
+        assert got == [v.is_pd, v.min_eigenvalue, v.max_eigenvalue, v.condition_number]
+
+
+def test_pd_rule_threshold_and_overflow():
+    """``lo == rel_tol * hi`` is not PD, and a product beyond float range is
+    infinite, not an error, under a raising ``np.errstate`` too."""
+    from leofim.analysis import _is_pd
+
+    hi = np.float64(2.0)
+    assert not _is_pd(_TOL * hi, hi, _TOL)
+    assert _is_pd(np.nextafter(_TOL * hi, 1.0), hi, _TOL)
+    with np.errstate(over="raise"):
+        assert not _is_pd(np.array([1.0]), np.array([2.0]), 1e308)[0]
+    assert not is_identifiable(np.eye(3), rel_tol=1.0).is_pd
+    assert is_identifiable(np.eye(3), rel_tol=np.nextafter(1.0, 0.0)).is_pd

@@ -274,6 +274,75 @@ def test_information_overflow_exits_4_without_traceback(tmp_path, capsys, settin
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("command", "sweep"),
+    [("identifiability", "identifiability_sweep"), ("sweep", "parameter_sweep")],
+)
+def test_library_value_error_exits_4_without_traceback(
+    tmp_path, capsys, monkeypatch, command, sweep
+):
+    """A library ``ValueError`` raised while a command computes is reported in
+    one stderr line with exit 4 and no output file; a ``ConfigError`` raised
+    there still exits 2."""
+    from leofim import cli
+
+    def fails(*args, **kwargs):
+        raise ValueError("singular configuration")
+
+    monkeypatch.setattr(cli, sweep, fails)
+    out = tmp_path / "out.csv"
+    settings = {**WIDE, "command": command, "out": str(out)}
+    if command == "sweep":
+        settings.update(sweep_axis="n_ant", sweep_values=[4])
+    path = _write_config(tmp_path, settings)
+    assert main(["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err == "computation failed: singular configuration\n"
+    assert not out.exists()
+
+    def config_error(*args, **kwargs):
+        raise ConfigError("sweep_axis: unusable")
+
+    monkeypatch.setattr(cli, sweep, config_error)
+    assert main(["--config", path]) == 2
+    assert capsys.readouterr().err == "configuration error: sweep_axis: unusable\n"
+
+
+@pytest.mark.parametrize(
+    ("command", "status"), [("bound", 3), ("identifiability", 0), ("sweep", 0)]
+)
+def test_rel_tol_near_float_max_decides_not_pd(tmp_path, capsys, command, status):
+    """``rel_tol * max_eig`` beyond float range is infinite, so no trial is PD,
+    under the commands' raising ``np.errstate`` too."""
+    out = tmp_path / "out.json"
+    settings = {**WIDE, "command": command, "rel_tol": 1e308, "out": str(out), "format": "json"}
+    if command == "sweep":
+        settings.update(sweep_axis="n_ant", sweep_values=[4])
+    assert main(["--config", _write_config(tmp_path, settings)]) == status
+    records = json.loads(out.read_text())
+    assert records and not any(record["is_pd"] for record in records)
+
+
+def test_bound_records_are_the_per_trial_verdicts(tmp_path):
+    """Each ``bound`` record carries its own trial's ``is_identifiable``
+    verdict, bit for bit."""
+    from leofim.analysis import is_identifiable
+    from leofim.location_fim import compute_efim
+    from leofim.scenario import derive_trial_seeds, random_scenario
+
+    out = tmp_path / "out.json"
+    settings = {**WIDE, "n_ant": 2, "n_trials": 4, "seed": 11, "out": str(out), "format": "json"}
+    main(["--config", _write_config(tmp_path, settings)])
+    records = json.loads(out.read_text())
+    template = config_from_dict(settings).scenario_config()
+    for record, seed in zip(records, derive_trial_seeds(11, 4), strict=True):
+        verdict = is_identifiable(compute_efim(random_scenario(template, seed)))
+        assert record["is_pd"] == verdict.is_pd
+        assert record["min_eigenvalue"] == verdict.min_eigenvalue
+        assert record["max_eigenvalue"] == verdict.max_eigenvalue
+        assert record["condition_number"] == verdict.condition_number
+
+
 def test_bound_writes_csv_and_exits_0(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     path = _write_config(tmp_path, {**WIDE, "out": str(out)})

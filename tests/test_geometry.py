@@ -136,6 +136,37 @@ def test_leo_state_track_must_be_unit():
         LeoState(position=np.zeros(3), speed=1.0, track=np.array([[1.0, 1.0, 0.0]]))
 
 
+def _norms_near_tolerance():
+    """Track-row norms one ulp and a few ulps either side of ``np.allclose``'s
+    bound ``|norm - 1| <= 1e-9 + 1e-5``, with ``1``, NaN and infinities."""
+    norms = [1.0, np.nan, np.inf, -np.inf, 0.0]
+    for edge in (1.0 + (1e-9 + 1e-5), 1.0 - (1e-9 + 1e-5)):
+        for step in range(-3, 4):
+            norms.append(edge + step * np.spacing(edge))
+    return norms
+
+
+@pytest.mark.parametrize("norm", _norms_near_tolerance())
+def test_leo_state_unit_track_check_matches_allclose(norm):
+    """The unit-row check gives ``np.allclose(norms, 1.0, atol=1e-9)``'s
+    verdict on every row norm at and around its bound, and on NaN and
+    infinities.  A row ``(x, 0, 0)`` has norm ``|x|`` exactly."""
+    track = np.array([[1.0, 0.0, 0.0], [norm, 0.0, 0.0]])
+    assert np.linalg.norm(track, axis=1)[1] == abs(norm) or np.isnan(norm)
+    if np.allclose(np.linalg.norm(track, axis=1), 1.0, atol=1e-9):
+        LeoState(position=np.zeros(3), speed=1.0, track=track)
+    else:
+        with pytest.raises(ValueError, match="unit vectors"):
+            LeoState(position=np.zeros(3), speed=1.0, track=track)
+
+
+def test_leo_state_unit_track_cases_straddle_the_tolerance():
+    accepted = [
+        np.allclose(abs(norm), 1.0, atol=1e-9) for norm in _norms_near_tolerance()[5:]
+    ]
+    assert 0 < sum(accepted) < len(accepted)
+
+
 def test_leo_position_epoch_and_first_slot():
     leo = LeoState(position=np.array([1.0, 0.0, 0.0]), speed=8000.0, track=np.array([[0.0, 0.0, 1.0]]))
     grid = SlotGrid(n_slots=1, spacing_s=1.0)

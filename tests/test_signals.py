@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from leofim.geometry import EulerAngles, SlotGrid
 from leofim.signals import (
     OffsetParams,
     SignalProps,
@@ -79,3 +80,58 @@ def test_signal_props_per_observation_snr():
         eff_bandwidth=1e8, bcc=0.0, rms_duration=1e-3, snr_linear=grid, carrier_freq=40e9
     )
     assert np.array_equal(props.snr_grid((2, 2)), grid)
+
+
+# Every scalar field these records check with ``math.isfinite``, built with
+# that field set to a value and every other field valid.
+SCALAR_FIELDS = {
+    "eff_bandwidth": lambda v: SignalProps(v, 0.0, 1e-3, 1.0, 1e9),
+    "bcc": lambda v: SignalProps(1e8, v, 1e-3, 1.0, 1e9),
+    "rms_duration": lambda v: SignalProps(1e8, 0.0, v, 1.0, 1e9),
+    "carrier_freq": lambda v: SignalProps(1e8, 0.0, 1e-3, 1.0, v),
+    "freq_offset": lambda v: OffsetParams(freq_offset=v),
+    "angle alpha": lambda v: EulerAngles(v, 0.0, 0.0),
+    "angle psi": lambda v: EulerAngles(0.0, v, 0.0),
+    "angle phi": lambda v: EulerAngles(0.0, 0.0, v),
+    "spacing_s": lambda v: SlotGrid(n_slots=1, spacing_s=v),
+}
+POSITIVE = ("rms_duration", "carrier_freq", "spacing_s")
+NON_NEGATIVE = ("eff_bandwidth", *POSITIVE)
+# (value, outcome in every field, {field: outcome} where the range decides);
+# an outcome is None (accepted) or the exception type.
+SCALAR_TABLE = {
+    "half": (0.5, None, {}),
+    "int": (1, None, {}),
+    "bool": (True, None, {}),
+    "float32": (np.float32(0.25), None, {}),
+    "0-d array": (np.array(0.5), None, {}),
+    "zero": (0.0, None, dict.fromkeys(POSITIVE, ValueError)),
+    "negative": (-0.5, None, dict.fromkeys(NON_NEGATIVE, ValueError)),
+    "two": (2.0, None, {"bcc": ValueError}),
+    "nan": (np.nan, ValueError, {}),
+    "inf": (np.inf, ValueError, {}),
+    "-inf": (-np.inf, ValueError, {}),
+    "int beyond int64": (10**300, None, {"bcc": ValueError}),
+    "int beyond float": (10**400, OverflowError, {}),
+    "None": (None, TypeError, {}),
+    "str": ("0.5", TypeError, {}),
+    "complex": (1j, TypeError, {}),
+    "1-element array": (np.array([0.5]), TypeError, {}),
+    "list": ([0.5], TypeError, {}),
+}
+
+
+@pytest.mark.parametrize("field", list(SCALAR_FIELDS))
+@pytest.mark.parametrize("name", list(SCALAR_TABLE))
+def test_scalar_field_checks_accept_and_reject_as_pinned(field, name):
+    """The finiteness and range checks of ``SignalProps``, ``OffsetParams``,
+    ``EulerAngles`` and ``SlotGrid``: a range or finiteness failure is a
+    ``ValueError`` naming the field, anything that is not a real number a
+    ``TypeError`` (an integer beyond float range an ``OverflowError``)."""
+    value, outcome, by_field = SCALAR_TABLE[name]
+    outcome = by_field.get(field, outcome)
+    if outcome is None:
+        SCALAR_FIELDS[field](value)
+    else:
+        with pytest.raises(outcome, match=f"^{field} " if outcome is ValueError else None):
+            SCALAR_FIELDS[field](value)

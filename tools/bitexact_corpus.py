@@ -25,7 +25,9 @@ L2 Q3 U16 K10 and L4 Q4 U32 K20 (``L`` satellites, ``Q`` stations, ``U``
 antennas, ``K`` slots) in both cases, plus L2 Q0 U4 K3 without stations;
 the scenario arrays alone are also hashed for seeds 0..19 at L2 Q2 U4 with
 every slot count from 1 to 20.  ``identifiability_sweep`` is fingerprinted per
-cell (``is_pd``, min and max eigenvalue) on the acceptance-1 counts grid and on
+cell (``is_pd``, min and max eigenvalue, and every verdict field as exact
+text, keyed ``<tag>/verdict``: condition number, ``rel_tol`` and the cell's
+configuration included) on the acceptance-1 counts grid and on
 a grid with no stations and a single slot among its values, for seeds 42 and 7
 in both cases.  A template whose station-receiver SNR (-4000 dB) underflows to
 zero, so the station pool informs nothing, is fingerprinted by its
@@ -40,7 +42,9 @@ so is a hand-built L3 Q3 U4 K4 scenario whose satellites' signals differ
 RMS duration, satellite 2's downlink with a per-observation SNR array and a
 frequency offset), keyed ``<seed>/per_satellite/<case>``.
 ``parameter_sweep`` is fingerprinted per point (the worst verdict's
-``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean bound) on
+``is_pd``, min and max eigenvalue, ``n_pd_trials`` and every mean bound; every
+field of the worst verdict as exact text, keyed ``<tag>/verdict``; the axis,
+value, ``n_trials`` and configuration, keyed ``<tag>/point``) on
 the ``n_ant`` 4/16/64 sweep of ``benches/configs/cli_sweep.json`` and on a
 carrier-frequency and a slot-spacing sweep of the same template (each value
 its own family of five trials), for seeds 42 and 7 in both cases, and
@@ -131,6 +135,12 @@ def fingerprint(array) -> str:
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _verdict_fields(verdict) -> str:
+    """Every field of an ``IdentifiabilityVerdict`` (its configuration in
+    full), as exact text: ``repr`` of a float round-trips its bits."""
+    return repr(tuple(getattr(verdict, f.name) for f in dataclasses.fields(verdict)))
 
 
 def _cli(out: dict) -> None:
@@ -317,17 +327,21 @@ def dump() -> dict:
             c = v.config
             tag = f"s{seed}/sweep/{name}/{case.value}/L{c.n_leo}Q{c.n_bs}U{c.n_ant}K{c.n_slots}"
             out[tag] = fingerprint([float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue])
+            out[f"{tag}/verdict"] = _verdict_fields(v)
     for seed, (name, knobs, axis, values, trials), case in itertools.product(
         SEEDS, PARAMETER_CASES, Case
     ):
         template = ScenarioConfig(**knobs, case=case)
         for p in parameter_sweep(axis, values, template, seed, n_trials=trials):
             v, r = p.worst_verdict, p.report
-            out[f"s{seed}/parameter_sweep/{name}/{case.value}/{p.value!r}"] = fingerprint([
+            tag = f"s{seed}/parameter_sweep/{name}/{case.value}/{p.value!r}"
+            out[tag] = fingerprint([
                 float(v.is_pd), v.min_eigenvalue, v.max_eigenvalue, p.n_pd_trials,
                 r.pos_rmse_bound, r.vel_rmse_bound, r.orient_rmse_bound,
                 *r.leo_pos_offset_bound, *r.leo_vel_offset_bound,
             ])
+            out[f"{tag}/verdict"] = _verdict_fields(v)
+            out[f"{tag}/point"] = repr((p.axis, p.value, p.n_trials, p.config))
     _efim_stacks(out)
     _cli(out)
     return out
