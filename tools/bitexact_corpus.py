@@ -202,7 +202,7 @@ def _observables(scenario, out: dict, tag: str) -> None:
 def _efim_stacks(out: dict) -> None:
     """Each family's ``_efims`` per satellite count, its trials sampled once at
     the family's maxima into the scene ``_link_pass`` reads (as
-    ``analysis._family_trials`` does)."""
+    ``analysis._trials`` does)."""
     from leofim.analysis import DEFAULT_N_TRIALS, GRID_AXES
     from leofim.links import _kinds, _link_pass
     from leofim.location_fim import _efims, _pools
