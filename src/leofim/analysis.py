@@ -30,7 +30,7 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import _kinds, _link_pass
-from .location_fim import Efim, _efims, _pools
+from .location_fim import Efim, _efims
 from .scenario import ScenarioConfig, _sample, derive_trial_seeds
 from .transform import LocationLayout
 
@@ -94,15 +94,6 @@ class CrlbReport:
     def infinite(cls, n_leo: int) -> "CrlbReport":
         """Report for a non-identifiable configuration: every bound infinite."""
         return cls.of(np.full(3 + 2 * n_leo, np.inf))
-
-    def scaled(self, factor: float) -> "CrlbReport":
-        return CrlbReport(
-            pos_rmse_bound=self.pos_rmse_bound * factor,
-            vel_rmse_bound=self.vel_rmse_bound * factor,
-            orient_rmse_bound=self.orient_rmse_bound * factor,
-            leo_pos_offset_bound=tuple(b * factor for b in self.leo_pos_offset_bound),
-            leo_vel_offset_bound=tuple(b * factor for b in self.leo_vel_offset_bound),
-        )
 
 
 def _verdict(
@@ -189,12 +180,13 @@ def _trials(
     differ only in their counts (:data:`GRID_AXES`).  Sampling is nested in
     the counts, so a family's trials are sampled and linked once, at its
     maxima, and together: one :func:`.scenario._sample` and one
-    :func:`.links._link_pass` over the trial axis, whose arrays the offset
-    pools view until the family is decided.  Per satellite count, one
-    :func:`_efims` over the pools gives every configuration's EFIMs, bit for
-    bit those of its own sampled scenario, one stacked
-    :func:`balanced_eigvalsh` gives their spectra, one array rule decides
-    every trial, and one stacked :func:`invert_psd` bounds the PD ones.
+    :func:`.links._link_pass` over the trial axis, whose batches (and the
+    Doppler weights they cache) live until the family is decided.  Per
+    satellite count, one :func:`_efims` over the batches gives every
+    configuration's EFIMs, bit for bit those of its own sampled scenario, one
+    stacked :func:`balanced_eigvalsh` gives their spectra, one array rule
+    decides every trial, and one stacked :func:`invert_psd` bounds the PD
+    ones.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -203,7 +195,7 @@ def _trials(
     for cells in families:
         counts = {a: max(getattr(configs[i], a) for i in cells) for a in GRID_AXES}
         largest = dataclasses.replace(configs[cells[0]], **counts)
-        pools = _pools(_link_pass(_sample(largest, trial_seeds), _kinds(largest.case)))
+        batches = _link_pass(_sample(largest, trial_seeds), _kinds(largest.case))
         by_leo: dict[int, list[int]] = {}
         for i in cells:
             by_leo.setdefault(configs[i].n_leo, []).append(i)
@@ -211,7 +203,7 @@ def _trials(
             # One set of Grams per satellite count: no other count's fit it.
             layout = LocationLayout(n_leo=n_leo)
             sub_counts = [(configs[i].n_bs, configs[i].n_ant, configs[i].n_slots) for i in group]
-            efims = _efims(pools, layout, sub_counts)
+            efims = _efims(batches, layout, sub_counts)
             spectra = balanced_eigvalsh(efims)
             lo, hi = spectra[..., 0], spectra[..., -1]
             pd = _is_pd(lo, hi, rel_tol)
@@ -222,7 +214,7 @@ def _trials(
                 bounds[pd] = _bounds(efims[pd], layout, rel_tol)
             for i, trials in zip(group, zip(lo, hi, pd, worst.tolist(), bounds)):
                 results[i] = trials
-        del pools  # before the next family samples
+        del batches  # before the next family samples
     return results
 
 

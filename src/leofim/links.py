@@ -38,7 +38,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .geometry import (
     _rotations,
 )
 from .scenario import Case, LinkKind, Scenario, _Scene
-from .signals import SignalProps, effective_frequency, omega
+from .signals import SignalProps, _square, effective_frequency, omega
 
 _C = SPEED_OF_LIGHT_M_S
 
@@ -186,8 +186,13 @@ class _Batch:
     stations for satellite-station links, and an array link's Doppler
     observations have one row, the array reference point.  ``omega (T, M,
     rows, K)`` and the Jacobians ``(T, M, rows, K, 3)`` lead with the trial
-    axis; ``snr (M, rows, K)`` holds in every trial.  ``signals`` holds each
-    member's properties.
+    axis; ``snr (M, rows, K)`` holds in every trial, and so do ``carrier_sq``
+    and ``half_ao2 (M, 1, 1)``, each member's squared carrier ``f_c^2`` and
+    ``a_o^2 / 2`` (the Doppler weight's factors).  ``signals`` holds each
+    member's properties.  The factor route (:mod:`.location_fim`) reads a
+    batch as it is, each satellite an offset group and the stations one;
+    ``_weights`` keeps, read-only for the batch's life, the Doppler weights
+    of every sub-count it asked for.
     """
 
     kind: LinkKind
@@ -195,6 +200,9 @@ class _Batch:
     snr: np.ndarray
     jacobians: LinkJacobians
     signals: tuple[SignalProps, ...]
+    carrier_sq: np.ndarray
+    half_ao2: np.ndarray
+    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
@@ -265,6 +273,8 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
                 dnu_dv=-dop_dirs / _C,
             ),
             signals=signals,
+            carrier_sq=np.array([_square(p.carrier_freq) for p in signals]).reshape(-1, 1, 1),
+            half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
         ))
     return batches
 

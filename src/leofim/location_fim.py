@@ -10,10 +10,11 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   centered rows scaled by ``sqrt(w)``.  No nuisance FIM and no information
   difference is formed, so no digit is lost to cancellation.  The route runs
   on a leading trial axis (:func:`_efims`): the sweeps sample and link the
-  trials of one configuration family together, cut every sub-count's rows
-  from one build per link kind and trial chunking and form each kind's
-  Grams (one offset group per satellite) in one call for all trials;
-  :func:`compute_efim` is the one-trial, one-count case;
+  trials of one configuration family together, read the link pass's
+  batches as they are, cut every sub-count's rows from one build per link
+  kind and trial chunking and form each kind's Grams (one offset group per
+  satellite) in one call for all trials; :func:`compute_efim` is the
+  one-trial, one-count case;
 * the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
   channel FIM is mapped through the transformation matrix and the nuisance
   coordinates (gains and offsets of every link) are marginalized by a Schur
@@ -31,13 +32,12 @@ transcription errors, and the tests check them against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import NumericalError, sym
 from .links import (
-    LinkJacobians,
     LinkKind,
     LinkObservables,
     _Batch,
@@ -214,8 +214,8 @@ def compute_efim(scenario: Scenario) -> Efim:
     trial, one cell."""
     layout = LocationLayout(n_leo=scenario.n_leo)
     scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
-    pools = _pools(_link_pass(scene, _kinds(scenario.case)))
-    matrix = _efims(pools, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
+    batches = _link_pass(scene, _kinds(scenario.case))
+    matrix = _efims(batches, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
     return Efim(matrix=matrix, layout=layout, case=scenario.case)
 
 
@@ -240,138 +240,102 @@ def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return g.mT @ g
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """One link kind's offset groups over a leading trial axis, stacked on a
-    group axis: each satellite of a satellite link kind is its own group
-    (its link has its own offset pair), and the station-receiver links, which
-    share one offset pair, fold into a single group.  :func:`.kappa1_blocks`
-    reads its ``jacobians`` as a link's, one satellite at a time.
+def _key(kind: LinkKind, n_leo: int, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
+    """The members, rows and slots of a ``kind`` batch that a sub-count keeps."""
+    members = n_bs if kind is LinkKind.BS_RX else n_leo
+    return members, n_bs if kind is LinkKind.LEO_BS else n_ant, n_slots
 
-    A pool views its link kind's :class:`.links._Batch`, so its arrays lie on
-    the grid ``(members, rows, slots)`` after the trial axis.  Only the
-    station pool's Doppler Jacobians, which have no antenna axis, are copies:
-    each station's scaled by ``f_c / f_1`` (see :func:`_efims`).
-    ``carrier_sq`` (the Doppler weight's squared carrier: each satellite's
-    own, the first station's for every station) and ``half_ao2`` are
-    ``(members, 1, 1)``, and ``snr``, like them, holds in every trial.  A
-    sub-count's rows are built (:meth:`groups`) or cut (:meth:`cut`); its
-    Doppler weights are kept, read-only, for the pool's life (``_weights``):
-    a family's sweep asks for the station pool's at every satellite count.
-    """
 
-    kind: LinkKind
-    jacobians: LinkJacobians
-    omega: np.ndarray
-    snr: np.ndarray
-    carrier_sq: np.ndarray
-    half_ao2: np.ndarray
-    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+def _shape(kind: LinkKind, key: tuple[int, int, int], rows: int) -> tuple[int, int]:
+    """``(groups, n)``: ``key``'s offset groups and the rows of each on a
+    grid of ``rows`` rows (explicit: a key may keep no rows)."""
+    members, _, slots = key
+    return (1, members * rows * slots) if kind is LinkKind.BS_RX else (members, rows * slots)
 
-    @classmethod
-    def of(cls, batch: _Batch) -> "_Pool":
-        """The pool of ``batch``'s members."""
-        signals, jac = batch.signals, batch.jacobians
-        carriers = [props.carrier_freq for props in signals]
-        if batch.kind is LinkKind.BS_RX:
-            scale = np.array([f_c / carriers[0] for f_c in carriers]).reshape(-1, 1, 1, 1)
-            jac = replace(jac, dnu_dp=jac.dnu_dp * scale, dnu_dv=jac.dnu_dv * scale)
-            carriers = carriers[:1] * len(carriers)
-        return cls(
-            kind=batch.kind,
-            jacobians=jac,
-            omega=batch.omega,
-            snr=batch.snr,
-            carrier_sq=np.array([_square(f_c) for f_c in carriers]).reshape(-1, 1, 1),
-            half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
-        )
 
-    def key(self, n_leo: int, n_bs: int, n_ant: int, n_slots: int) -> tuple[int, int, int]:
-        """The members, rows and slots a sub-count keeps."""
-        members = n_bs if self.kind is LinkKind.BS_RX else n_leo
-        return members, n_bs if self.kind is LinkKind.LEO_BS else n_ant, n_slots
+def _groups(
+    batch: _Batch, layout: LocationLayout, key: tuple[int, int, int], trials: slice
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first ``key``
+    members, rows and slots of ``batch``: the delay and Doppler groups' rows
+    ``(T, groups, n, dim)`` in interest coordinates, zero outside the blocks
+    they inform, flat in grid order, and their weights ``(T, groups, n)``
+    (see :func:`_link_weights`).  :func:`.kappa1_blocks` reads the batch's
+    Jacobians as a link's, one satellite at a time; each station's Doppler
+    rows are its partials scaled by ``f_c / f_1`` (see :func:`_efims`)."""
+    members, rows, slots = key
+    omega = batch.omega[trials, :members, :rows, :slots]
+    n_trials = len(omega)
+    w_tau = batch.snr[:members, :rows, :slots] * omega
+    w_tau = w_tau.reshape(n_trials, *_shape(batch.kind, key, rows))
+    w_nu = _doppler_weights(batch, key, n_trials)
+    g_tau = np.zeros((*w_tau.shape, layout.dim_interest))
+    g_nu = np.zeros((n_trials, *w_nu.shape[1:], layout.dim_interest))
+    # Each satellite's rows go to its own group and offset blocks; the stations' to one group.
+    stations = batch.kind is LinkKind.BS_RX
+    if stations:
+        carriers = np.array([props.carrier_freq for props in batch.signals[:members]])
+        scale = (carriers / batch.signals[0].carrier_freq).reshape(-1, 1, 1, 1)
+    for group, member in enumerate([slice(members)] if stations else range(members)):
+        partials = (trials, member, slice(rows), slice(slots))
+        for cols, dtau, dnu, put in kappa1_blocks(layout, batch, None if stations else member):
+            put(g_tau[:, group, :, cols], dtau[partials].reshape(n_trials, -1, 3))
+            if dnu is not None:
+                dnu = dnu[partials] * scale if stations else dnu[partials]
+                put(g_nu[:, group, :, cols], dnu.reshape(n_trials, -1, 3))
+    return [(g_tau, w_tau), (g_nu, w_nu)]
 
-    def _shape(self, key: tuple[int, int, int], rows: int) -> tuple[int, int]:
-        """``(groups, n)``: ``key``'s offset groups and the rows of each on a
-        grid of ``rows`` rows (explicit: a key may keep no rows)."""
-        members, _, slots = key
-        stations = self.kind is LinkKind.BS_RX
-        return (1, members * rows * slots) if stations else (members, rows * slots)
 
-    def groups(
-        self, layout: LocationLayout, key: tuple[int, int, int], trials: slice
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first
-        ``key`` members, rows and slots: the delay and Doppler groups' rows
-        ``(T, groups, n, dim)`` in interest coordinates, zero outside the
-        blocks they inform, flat in grid order, and their weights ``(T,
-        groups, n)`` (see :func:`_link_weights`)."""
+def _doppler_weights(batch: _Batch, key: tuple[int, int, int], n_trials: int) -> np.ndarray:
+    """``w_nu (T, groups, n)`` of ``batch`` at ``key``, the same in every
+    trial but stacked, so every Gram operand is a C-contiguous stack: an
+    array link sums SNR over the antennas it keeps, and every station is
+    weighted by the first station's ``f_1^2``.  Kept read-only in the
+    batch's cache per ``(key, n_trials)``: a family's sweep asks for the
+    station batch's at every satellite count."""
+    w_nu = batch._weights.get((key, n_trials))
+    if w_nu is None:
         members, rows, slots = key
-        omega = self.omega[trials, :members, :rows, :slots]
-        n_trials = len(omega)
-        w_tau = self.snr[:members, :rows, :slots] * omega
-        w_tau = w_tau.reshape(n_trials, *self._shape(key, rows))
-        w_nu = self._doppler_weights(key, n_trials)
-        g_tau = np.zeros((*w_tau.shape, layout.dim_interest))
-        g_nu = np.zeros((n_trials, *w_nu.shape[1:], layout.dim_interest))
-        # Each satellite's rows go to its own group and offset blocks; the stations' to one group.
-        stations = self.kind is LinkKind.BS_RX
-        for group, member in enumerate([slice(members)] if stations else range(members)):
-            partials = (trials, member, slice(rows), slice(slots))
-            for cols, dtau, dnu, put in kappa1_blocks(layout, self, None if stations else member):
-                put(g_tau[:, group, :, cols], dtau[partials].reshape(n_trials, -1, 3))
-                if dnu is not None:
-                    put(g_nu[:, group, :, cols], dnu[partials].reshape(n_trials, -1, 3))
-        return [(g_tau, w_tau), (g_nu, w_nu)]
-
-    def _doppler_weights(self, key: tuple[int, int, int], n_trials: int) -> np.ndarray:
-        """``w_nu (T, groups, n)`` at ``key``, the same in every trial but
-        stacked, so every Gram operand is a C-contiguous stack: an array link
-        sums SNR over the antennas it keeps.  Cached per ``(key, n_trials)``."""
-        w_nu = self._weights.get((key, n_trials))
-        if w_nu is None:
-            members, rows, slots = key
-            snr = self.snr[:members, :rows, :slots]
-            snr_dop = snr if self.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-            w_nu = snr_dop * self.carrier_sq[:members] * self.half_ao2[:members]
-            w_nu = np.repeat(w_nu.reshape(1, *self._shape(key, snr_dop.shape[1])), n_trials, axis=0)
-            w_nu.flags.writeable = False
-            self._weights[key, n_trials] = w_nu
-        return w_nu
-
-    def cut(self, groups: list, built: tuple, key: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`groups` at ``key``, cut from the ``groups`` of the same trials
-        at a ``built`` key that holds it as fresh C-contiguous copies: the Gram
-        centers rows in place, and a strided operand takes ``matmul`` off BLAS,
-        which changes the last bit.  An array link's Doppler grid has one row."""
-        (g_tau, w_tau), (g_nu, _) = groups
-        (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[-1]
-        grid = (slice(None), *map(slice, key))
-        nu_rows = rows if self.kind is LinkKind.LEO_BS else 1
-        w_nu = self._doppler_weights(key, n)
-        tau = (n, *self._shape(key, key[1]))
-        w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(tau)
-        g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(*w_tau.shape, dim)
-        g_nu = g_nu.reshape(n, members, nu_rows, slots, dim)[grid].copy()
-        return [(g_tau, w_tau), (g_nu.reshape(n, *w_nu.shape[1:], dim), w_nu)]
+        snr = batch.snr[:members, :rows, :slots]
+        snr_dop = snr if batch.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
+        carrier_sq = batch.carrier_sq[:1 if batch.kind is LinkKind.BS_RX else members]
+        w_nu = snr_dop * carrier_sq * batch.half_ao2[:members]
+        shape = _shape(batch.kind, key, snr_dop.shape[1])
+        w_nu = np.repeat(w_nu.reshape(1, *shape), n_trials, axis=0)
+        w_nu.flags.writeable = False
+        batch._weights[key, n_trials] = w_nu
+    return w_nu
 
 
-def _pools(batches: list[_Batch]) -> list[_Pool]:
-    """The offset pools of a link pass's batches, one per link kind: the
-    satellite kinds' in link order, then the station-receiver links'."""
-    return sorted(map(_Pool.of, batches), key=lambda pool: pool.kind is LinkKind.BS_RX)
+def _cut(
+    batch: _Batch, groups: list, built: tuple, key: tuple
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_groups` at ``key``, cut from the ``groups`` of the same trials
+    at a ``built`` key that holds it as fresh C-contiguous copies: the Gram
+    centers rows in place, and a strided operand takes ``matmul`` off BLAS,
+    which changes the last bit.  An array link's Doppler grid has one row."""
+    (g_tau, w_tau), (g_nu, _) = groups
+    (members, rows, slots), n, dim = built, len(w_tau), g_tau.shape[-1]
+    grid = (slice(None), *map(slice, key))
+    nu_rows = rows if batch.kind is LinkKind.LEO_BS else 1
+    w_nu = _doppler_weights(batch, key, n)
+    tau = (n, *_shape(batch.kind, key, key[1]))
+    w_tau = w_tau.reshape(n, members, rows, slots)[grid].copy().reshape(tau)
+    g_tau = g_tau.reshape(n, members, rows, slots, dim)[grid].copy().reshape(*w_tau.shape, dim)
+    g_nu = g_nu.reshape(n, members, nu_rows, slots, dim)[grid].copy()
+    return [(g_tau, w_tau), (g_nu.reshape(n, *w_nu.shape[1:], dim), w_nu)]
 
 
-# About how many bytes of dense rows one pool builds at once.
+# About how many bytes of dense rows one batch builds at once.
 _ROW_BYTES = 1 << 19
 
 
 def _efims(
-    pools: list[_Pool], layout: LocationLayout, counts: list[tuple[int, int, int]]
+    batches: list[_Batch], layout: LocationLayout, counts: list[tuple[int, int, int]]
 ) -> np.ndarray:
     """The factor route: the EFIMs ``(cells, T, dim, dim)`` at ``layout``'s
     satellite count of every stacked trial at each cell's ``(n_bs, n_ant,
-    n_slots)``.
+    n_slots)``, from a link pass's ``batches`` (:func:`.links._link_pass`).
 
     Each offset group (a link's delay rows with ``w_tau``, its Doppler rows
     with ``w_nu``; the station-receiver links pool theirs into one pair) is
@@ -383,29 +347,36 @@ def _efims(
     station's carrier and each station's rows scaled by ``f_c / f_1``
     (exactly 1 for a shared carrier).
 
-    Sampling is nested (see :mod:`.scenario`), so a sub-count's links are the
-    first elements and slots of the pools' links (a satellite pool keeps
-    ``layout.n_leo`` members), and every trial of a family has the same
-    shapes.  Pools go in link order, the station pool last.  Within a pool
-    each distinct sub-count's Grams ``(T, groups, dim, dim)`` come from one
-    stacked call per side, one contiguous BLAS product per (trial, group),
-    and are added to every cell that keeps it, each group's delay then
-    Doppler Gram, so each cell sums its groups in the same order as a
+    A batch is read as it is: each satellite of a satellite link kind is its
+    own offset group (its link has its own offset pair), and the stations'
+    links, which share one pair, fold into a single group.  A sub-count's
+    rows and weights are built (:func:`_groups`) from views of the batch's
+    arrays, never a copy of the batch, and the station rule is applied where
+    the rows are written and weighted.  Sampling is nested (see
+    :mod:`.scenario`), so a sub-count's links are the first elements and
+    slots of the batches' links (a satellite batch keeps ``layout.n_leo``
+    members), and every trial of a family has the same shapes.  Within a
+    batch each distinct sub-count's Grams ``(T, groups, dim, dim)`` come from
+    one stacked call per side, one contiguous BLAS product per (trial,
+    group), and are added to every cell that keeps it, each group's delay
+    then Doppler Gram, so each cell sums its groups in the same order as a
     scenario sampled at its own counts: bit for bit its EFIM.  Trials are
     taken a few at a time where one trial's rows are large, which bounds the
     dense rows one build holds (``_ROW_BYTES``, all its members counted).  A
-    sub-count's rows are copies cut from the build at the largest sub-count
-    with the same trial chunks that holds it, and each build is centered last.
-    Every Gram is exactly symmetric (:func:`_centered_gram`), and so are
-    their sums: the EFIMs need no symmetrization pass.
+    sub-count's rows are copies cut (:func:`_cut`) from the build at the
+    largest sub-count with the same trial chunks that holds it, and each
+    build is centered last.  Every Gram is exactly symmetric
+    (:func:`_centered_gram`), and so are their sums: the EFIMs need no
+    symmetrization pass.
     """
     dim = layout.dim_interest
-    n_trials = pools[0].omega.shape[0]
+    n_trials = batches[0].omega.shape[0]
     out = np.zeros((len(counts), n_trials, dim, dim))
-    for pool in pools:
+    # Link order, the station batch last: the order a cell sums its groups in.
+    for batch in sorted(batches, key=lambda b: b.kind is LinkKind.BS_RX):
         cells_by_key: dict[tuple[int, int, int], list[int]] = {}
         for cell, sub_count in enumerate(counts):
-            cells_by_key.setdefault(pool.key(layout.n_leo, *sub_count), []).append(cell)
+            cells_by_key.setdefault(_key(batch.kind, layout.n_leo, *sub_count), []).append(cell)
         # Per chunking, the largest key holding a key is built, and centered last.
         builds: dict[tuple[int, tuple[int, int, int]], list] = {}
         for key in sorted(cells_by_key, key=lambda k: (math.prod(k), k), reverse=True):
@@ -415,10 +386,10 @@ def _efims(
         for (step, built), keys in builds.items():
             for start in range(0, n_trials, step):
                 trials = slice(start, start + step)
-                rows = pool.groups(layout, built, trials)
+                rows = _groups(batch, layout, built, trials)
                 for key in keys:
                     tau, nu = (_centered_gram(g, w) for g, w in (
-                        rows if key == built else pool.cut(rows, built, key)
+                        rows if key == built else _cut(batch, rows, built, key)
                     ))
                     for cell in cells_by_key[key]:
                         total = out[cell, trials]

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from test_acceptance import _scaled
 
 from leofim.analysis import (
     GRID_AXES,
@@ -108,7 +109,7 @@ def test_crlb_inverts_every_direction_its_verdict_counts():
 
 def test_report_scaling_and_infinite():
     report = CrlbReport(1.0, 2.0, 3.0, (4.0,), (5.0,))
-    half = report.scaled(0.5)
+    half = _scaled(report, 0.5)
     assert half.pos_rmse_bound == 0.5
     assert half.leo_vel_offset_bound == (2.5,)
     inf = CrlbReport.infinite(2)
@@ -291,7 +292,7 @@ def _per_value_sweep(axis, values, template, seed, n_trials):
 def test_parameter_sweep_matches_per_value_sampling_exactly(seed, case):
     """Antenna counts out of order, repeated and down to one (infinite bounds);
     axes that are not nested; a template without stations; and one whose
-    station-receiver SNR underflows to zero, so the station pool informs no
+    station-receiver SNR underflows to zero, so the station group informs no
     trial."""
     template = dataclasses.replace(WIDE, case=case)
     for axis, values, base in (
@@ -349,12 +350,12 @@ CLI_SWEEP = ScenarioConfig(
 @pytest.mark.parametrize(
     "sweep, builds",
     [
-        # Per satellite count, each of the three pools (satellite-receiver,
+        # Per satellite count, each of the three batches (satellite-receiver,
         # satellite-station, station-receiver) builds its rows once.
         (lambda: identifiability_sweep(ACCEPTANCE1, ScenarioConfig(), seed=42), 9),
         # The 4- and 16-antenna keys share a five-trial chunk and one build; the
         # 64-antenna key is alone in its chunking: three chunks of up to two trials
-        # for the satellite pool, five one-trial chunks for the station pool.
+        # for the satellite batch, five one-trial chunks for the station batch.
         (lambda: parameter_sweep("n_ant", [4, 16, 64], CLI_SWEEP, seed=42), 10),
         # One build per link kind, its four satellites stacked.
         (lambda: compute_efim(random_scenario(
@@ -364,16 +365,16 @@ CLI_SWEEP = ScenarioConfig(
     ids=["acceptance1", "cli_sweep", "large_scene"],
 )
 def test_sweeps_cut_every_sub_count_from_one_build_per_chunking(sweep, builds, monkeypatch):
-    """A pool stacks its link kind's satellites, and its sub-count rows that
+    """A batch stacks its link kind's satellites, and its sub-count rows that
     share a trial chunking are cut from one build at the largest of them."""
     from leofim import location_fim
 
     calls = []
-    groups = location_fim._Pool.groups
+    groups = location_fim._groups
     monkeypatch.setattr(
-        location_fim._Pool,
-        "groups",
-        lambda pool, layout, key, trials: calls.append(key) or groups(pool, layout, key, trials),
+        location_fim,
+        "_groups",
+        lambda batch, layout, key, trials: calls.append(key) or groups(batch, layout, key, trials),
     )
     sweep()
     assert len(calls) == builds

@@ -10,6 +10,7 @@ Gram matrix.
 """
 
 import dataclasses
+import itertools
 
 import mpmath
 import numpy as np
@@ -24,8 +25,9 @@ from leofim.channel_fim import assemble_channel_fim
 from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
 from leofim.location_fim import (
     _efims,
+    _groups,
+    _key,
     _link_weights,
-    _pools,
     _rows,
     compute_efim,
     efim_schur_route,
@@ -54,7 +56,7 @@ def _schur_oracle(scenario):
 
 def _mixed_carriers(scenario):
     """The second station-receiver link moved to a 28 GHz carrier, so the
-    station pool's shared frequency offset sees two carriers."""
+    station group's shared frequency offset sees two carriers."""
     signals = list(scenario.bs_rx_signals)
     signals[1] = dataclasses.replace(signals[1], carrier_freq=28e9)
     return dataclasses.replace(scenario, bs_rx_signals=tuple(signals))
@@ -94,7 +96,7 @@ def test_factor_route_matches_schur_oracle(name, seed):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("case", list(Case))
 def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case):
-    """Each satellite of a stacked pool is its own offset group: its rows and
+    """Each satellite of a stacked batch is its own offset group: its rows and
     weights are bit for bit those of its own link (``_rows``,
     ``_link_weights``), on satellites whose carriers, RMS durations, SNR grids
     and frequency offsets differ.  The EFIM gap above cannot see a Doppler
@@ -104,18 +106,18 @@ def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case
     layout = LocationLayout(n_leo=scenario.n_leo)
     scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     links = link_observables(scenario, case)
-    stacks = [p for p in _pools(_link_pass(scene, _kinds(case))) if p.kind is not LinkKind.BS_RX]
-    assert [p.kind for p in stacks] == [k for k in _kinds(case) if k is not LinkKind.BS_RX]
-    for pool in stacks:
-        key = pool.key(scenario.n_leo, scenario.n_bs, scenario.n_ant, scenario.n_slots)
-        (g_tau, w_tau), (g_nu, w_nu) = pool.groups(layout, key, slice(None))
-        own = [obs for obs in links if obs.kind is pool.kind]
+    stacks = [b for b in _link_pass(scene, _kinds(case)) if b.kind is not LinkKind.BS_RX]
+    assert [b.kind for b in stacks] == [k for k in _kinds(case) if k is not LinkKind.BS_RX]
+    for batch in stacks:
+        key = _key(batch.kind, scenario.n_leo, scenario.n_bs, scenario.n_ant, scenario.n_slots)
+        (g_tau, w_tau), (g_nu, w_nu) = _groups(batch, layout, key, slice(None))
+        own = [obs for obs in links if obs.kind is batch.kind]
         assert g_tau.shape[:2] == w_tau.shape[:2] == (1, len(own))
         for b, obs in enumerate(own):
             rows, weights = _rows(layout, obs), _link_weights(obs)
             assert np.array_equal(g_tau[0, b], rows[0]) and np.array_equal(g_nu[0, b], rows[1])
-            assert np.array_equal(w_tau[0, b], weights[0]), (pool.kind, b)
-            assert np.array_equal(w_nu[0, b], weights[1]), (pool.kind, b)
+            assert np.array_equal(w_tau[0, b], weights[0]), (batch.kind, b)
+            assert np.array_equal(w_nu[0, b], weights[1]), (batch.kind, b)
 
 
 SYMMETRY_CONFIGS = {
@@ -143,12 +145,83 @@ def test_factor_route_efims_are_exactly_symmetric(name, case):
         scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     else:
         scene = _sample(config, derive_trial_seeds(SEED, 3))
-    pools = _pools(_link_pass(scene, _kinds(case)))
+    batches = _link_pass(scene, _kinds(case))
     counts = sorted({(n_bs, n_ant, n_slots) for n_bs in (0, config.n_bs)
                      for n_ant in (1, config.n_ant) for n_slots in (1, config.n_slots)})
     for n_leo in range(1, config.n_leo + 1):
-        stack = _efims(pools, LocationLayout(n_leo=n_leo), counts)
+        stack = _efims(batches, LocationLayout(n_leo=n_leo), counts)
         assert np.array_equal(stack, stack.mT), n_leo
+
+
+def _truncated(scenario, n_bs, n_ant, n_slots):
+    """``scenario`` on its first ``n_bs`` stations (and their signals), its
+    first ``n_ant`` antennas and its first ``n_slots`` slots."""
+    receiver = scenario.receiver
+    return dataclasses.replace(
+        scenario,
+        receiver=dataclasses.replace(receiver, antenna_offsets=receiver.antenna_offsets[:n_ant]),
+        bss=scenario.bss[:n_bs],
+        bs_rx_signals=scenario.bs_rx_signals[:n_bs],
+        grid=dataclasses.replace(scenario.grid, n_slots=n_slots),
+    )
+
+
+@pytest.mark.parametrize("case", list(Case))
+def test_mixed_station_carriers_cut_to_every_sub_count_bit_for_bit(case):
+    """Stations on two carriers through a cut: every cell of one ``_efims``
+    over the edited scenario's one trial (one antenna and one slot among the
+    sub-counts) is bit for bit the ``compute_efim`` of the same scenario
+    truncated to the cell's counts, which in turn matches the Schur oracle.
+    A station's Doppler rows carry ``f_c / f_1`` and its weight ``f_1^2``, so
+    a cut must keep the first station's carrier as the reference."""
+    scenario = _mixed_carriers(random_scenario(dataclasses.replace(FLAGSHIP, case=case), SEED))
+    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    counts = list(itertools.product([2, 3], [1, 4], [1, 3]))
+    stack = _efims(_link_pass(scene, _kinds(case)), LocationLayout(n_leo=scenario.n_leo), counts)
+    for sub_count, cell in zip(counts, stack):
+        small = _truncated(scenario, *sub_count)
+        expected = compute_efim(small).matrix
+        assert np.array_equal(cell[0], expected), sub_count
+        oracle = _schur_oracle(small)
+        gap = np.linalg.norm(expected - oracle, "fro") / np.linalg.norm(oracle, "fro")
+        assert gap <= 1e-12, (sub_count, gap)
+
+
+def test_efims_leave_their_batches_untouched_and_reuse_cached_doppler_weights():
+    """One family's batches (stations on two carriers) through ``_efims`` at
+    every satellite count, twice: both runs give the same stacks, every
+    batch's arrays keep their bytes, and the station batch caches one
+    read-only Doppler weight array per distinct ``(key, trial count)``, built
+    in the first run and reused by every later satellite count.  (All five
+    trials fit one chunk at these counts, so each key has one trial count.)"""
+    config = dataclasses.replace(WIDE, n_leo=3)
+    scene = _sample(config, derive_trial_seeds(SEED, N_TRIALS))
+    signals = list(scene.signals[LinkKind.BS_RX])
+    signals[1] = dataclasses.replace(signals[1], carrier_freq=28e9)
+    scene = dataclasses.replace(scene, signals={**scene.signals, LinkKind.BS_RX: tuple(signals)})
+    batches = _link_pass(scene, _kinds(config.case))
+    [stations] = [b for b in batches if b.kind is LinkKind.BS_RX]
+
+    def contents():
+        return [
+            (a.shape, a.tobytes())
+            for b in batches
+            for a in (b.omega, b.snr, *vars(b.jacobians).values())
+            if a is not None
+        ]
+
+    before = contents()
+    counts = list(itertools.product([0, 2, 3], [1, 4], [1, 4]))
+    runs, caches = [], []
+    for _ in range(2):
+        runs.append([_efims(batches, LocationLayout(n_leo=n), counts) for n in (1, 2, 3)])
+        caches.append(dict(stations._weights))
+    for first, second in zip(*runs):
+        assert first.tobytes() == second.tobytes()
+    assert contents() == before
+    assert set(caches[0]) == {(sub_count, N_TRIALS) for sub_count in counts}
+    assert all(caches[1][k] is w and not w.flags.writeable for k, w in caches[0].items())
+    assert caches[1].keys() == caches[0].keys()
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

@@ -32,7 +32,6 @@ from leofim.location_fim import (
     _centered_gram,
     _efims,
     _link_weights,
-    _pools,
     _rows,
     compute_efim,
 )
@@ -198,9 +197,9 @@ def _group_by_group_efim(scenario):
     """The factor route one trial and one offset group at a time, as 2-D
     arrays: each group's rows (a link's delays, its Dopplers; the station
     links pooled) centered at their weighted mean, scaled by ``sqrt(w)``, and
-    their Grams summed in link order with the station pool last."""
+    their Grams summed in link order with the station group last."""
     layout = LocationLayout(n_leo=scenario.n_leo)
-    pools, stations = [], []
+    groups, stations = [], []
     for obs in link_observables(scenario, scenario.case):
         w_tau, w_nu, _ = _link_weights(obs)
         g_tau, g_nu = _rows(layout, obs)
@@ -208,9 +207,9 @@ def _group_by_group_efim(scenario):
         if obs.kind is LinkKind.BS_RX:
             stations.append(member)
         else:
-            pools.append([member])
+            groups.append([member])
     gram = np.zeros((layout.dim_interest,) * 2)
-    for members in pools + ([stations] if stations else []):
+    for members in groups + ([stations] if stations else []):
         for group in zip(*members):
             g, w = (np.concatenate(parts) for parts in zip(*group))
             total = w.sum()
@@ -224,10 +223,10 @@ def _group_by_group_efim(scenario):
 @pytest.mark.parametrize("case", list(Case))
 def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     """The batched factor route over three trials stacked at the largest
-    counts (pools viewing one trial-batched link pass) gives, for every trial
-    and sub-count (no stations and a single slot among them), bit for bit the
-    EFIM of that trial's scenario sampled at that sub-count, and that EFIM is
-    bit for bit the group-by-group sum."""
+    counts (one trial-batched link pass) gives, for every trial and sub-count
+    (no stations and a single slot among them), bit for bit the EFIM of that
+    trial's scenario sampled at that sub-count, and that EFIM is bit for bit
+    the group-by-group sum."""
     big = dict(n_leo=3, n_bs=3, n_ant=5, n_slots=7, case=case)
     trial_seeds = derive_trial_seeds(seed, 3)
     scenes = [_scene(sc, range(sc.n_leo), range(sc.n_bs)) for sc in (
@@ -235,15 +234,15 @@ def test_selected_links_match_the_smaller_scenario_bit_for_bit(seed, case):
     )]
     # The trials' one-trial scenes stacked on the trial axis: the speeds,
     # offsets and slot times are the same in every trial, and the link pass
-    # and pools are trial-batched.
+    # is trial-batched.
     stacked = dataclasses.replace(scenes[0], **{
         field: np.concatenate([getattr(scene, field) for scene in scenes])
         for field in TRIAL_FIELDS
     })
-    pools = _pools(_link_pass(stacked, _kinds(case)))
+    batches = _link_pass(stacked, _kinds(case))
     counts = list(itertools.product([0, 2, 3], [1, 5], [1, 4, 7]))
     for n_leo in [1, 3]:
-        efims = _efims(pools, LocationLayout(n_leo=n_leo), counts)
+        efims = _efims(batches, LocationLayout(n_leo=n_leo), counts)
         dim = 9 + 6 * n_leo
         assert efims.shape == (len(counts), len(trial_seeds), dim, dim)
         for (n_bs, n_ant, n_slots), cell in zip(counts, efims):

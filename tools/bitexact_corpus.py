@@ -30,7 +30,7 @@ text, keyed ``<tag>/verdict``: condition number, ``rel_tol`` and the cell's
 configuration included) on the acceptance-1 counts grid and on
 a grid with no stations and a single slot among its values, for seeds 42 and 7
 in both cases.  A template whose station-receiver SNR (-4000 dB) underflows to
-zero, so the station pool informs nothing, is fingerprinted by its
+zero, so the station group informs nothing, is fingerprinted by its
 ``compute_efim`` and its acceptance-1 sweep, for seeds 42 and 7 in both
 cases.  A hand-built scenario (L2 Q3 U4 K3, built from a sampled one) with
 nonzero satellite position and velocity offsets and frequency offsets on
@@ -50,10 +50,11 @@ carrier-frequency and a slot-spacing sweep of the same template (each value
 its own family of five trials), for seeds 42 and 7 in both cases, and
 likewise on an ``n_ant`` 16/32 sweep at L4 Q4 K20 with three trials, where
 the batched Gram and eigenvalue stacks are largest.  The raw factor-route
-stacks ``(cells, trials, dim, dim)`` that ``location_fim._efims`` returns are
-fingerprinted per satellite count of the acceptance-1 family and of the
-``n_ant`` 4/16/64 family of that template, sampled and linked once at their
-maxima as the sweeps do, for seeds 42 and 7 in both cases.
+stacks ``(cells, trials, dim, dim)`` that ``location_fim._efims`` returns
+from the link pass's batches are fingerprinted per satellite count of the
+acceptance-1 family and of the ``n_ant`` 4/16/64 family of that template,
+sampled and linked once at their maxima as the sweeps do, for seeds 42 and 7
+in both cases.
 ``leofim.cli.main`` is fingerprinted by the bytes of its CSV, its stdout
 (with the temporary output path replaced) and its exit code for every
 ``benches/configs/*.json`` at seeds 42 and 7.
@@ -201,11 +202,11 @@ def _observables(scenario, out: dict, tag: str) -> None:
 
 def _efim_stacks(out: dict) -> None:
     """Each family's ``_efims`` per satellite count, its trials sampled once at
-    the family's maxima into the scene ``_link_pass`` reads (as
-    ``analysis._trials`` does)."""
+    the family's maxima into the scene ``_link_pass`` reads, and the pass's
+    batches read as they are (as ``analysis._trials`` does)."""
     from leofim.analysis import DEFAULT_N_TRIALS, GRID_AXES
     from leofim.links import _kinds, _link_pass
-    from leofim.location_fim import _efims, _pools
+    from leofim.location_fim import _efims
     from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds
 
     for seed, (name, grid, knobs), case in itertools.product(SEEDS, EFIM_FAMILIES, Case):
@@ -215,10 +216,10 @@ def _efim_stacks(out: dict) -> None:
             template, **{axis: max(v) for axis, v in zip(GRID_AXES, [n_leos, *values])}
         )
         scene = _sample(largest, derive_trial_seeds(seed, DEFAULT_N_TRIALS))
-        pools = _pools(_link_pass(scene, _kinds(case)))
+        batches = _link_pass(scene, _kinds(case))
         counts = [(n_bs, n_ant, n_slots) for n_bs, n_slots, n_ant in itertools.product(*values)]
         for n_leo in n_leos:
-            efims = _efims(pools, _layout(n_leo), counts)
+            efims = _efims(batches, _layout(n_leo), counts)
             out[f"s{seed}/efims/{name}/{case.value}/L{n_leo}"] = fingerprint(efims)
 
 
