@@ -190,9 +190,9 @@ class _Batch:
     and ``half_ao2 (M, 1, 1)``, each member's squared carrier ``f_c^2`` and
     ``a_o^2 / 2`` (the Doppler weight's factors).  ``signals`` holds each
     member's properties.  The factor route (:mod:`.location_fim`) reads a
-    batch as it is, each satellite an offset group and the stations one;
-    ``_weights`` keeps, read-only for the batch's life, the Doppler weights
-    of every sub-count it asked for.
+    batch as it is, each satellite an offset group and the stations one,
+    and keeps the Doppler weights it computes for each sub-count in
+    ``_weights``, read-only, for the batch's life.
     """
 
     kind: LinkKind
