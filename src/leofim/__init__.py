@@ -16,8 +16,12 @@ from .channel_fim import (
     ChannelLayout,
     GlobalChannelLayout,
     LinkFim,
+    TransformationMatrix,
     assemble_channel_fim,
+    build_transformation_matrix,
+    efim_schur_route,
     link_fim,
+    transform_fim,
 )
 from .geometry import (
     SPEED_OF_LIGHT_M_S,
@@ -32,10 +36,10 @@ from .linalg import NumericalError, balanced_eigvalsh, invert_psd
 from .location_fim import (
     Efim,
     InterestFim,
+    LocationLayout,
     assemble_interest_fim,
     compute_efim,
     efim_lemma_route,
-    efim_schur_route,
 )
 from .links import LinkJacobians, LinkKind
 from .scenario import (
@@ -52,12 +56,6 @@ from .signals import (
     omega,
     rect_window_rms_duration,
     snr_from_db,
-)
-from .transform import (
-    LocationLayout,
-    TransformationMatrix,
-    build_transformation_matrix,
-    transform_fim,
 )
 
 __version__ = "0.1.0"

@@ -30,9 +30,8 @@ import numpy as np
 
 from .linalg import balanced_eigvalsh, invert_psd
 from .links import _kinds, _link_pass
-from .location_fim import Efim, _efims
+from .location_fim import Efim, LocationLayout, _efims
 from .scenario import ScenarioConfig, _sample, derive_trial_seeds
-from .transform import LocationLayout
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_N_TRIALS = 5

@@ -1,4 +1,14 @@
-"""Fisher information of the per-link channel parameters.
+"""The dense oracle: ``J_eta -> Upsilon -> J_kappa -> Schur complement``.
+
+The assembled channel FIM ``J_eta`` (:func:`assemble_channel_fim`) maps
+through ``Upsilon`` (:func:`build_transformation_matrix`, whose delay and
+Doppler columns hold the partials :func:`.location_fim.kappa1_blocks` places)
+to ``J_kappa = Upsilon @ J_eta @ Upsilon.T`` (:func:`transform_fim`), and
+:func:`efim_schur_route` eliminates its nuisance block.  Production takes the
+factor route in :mod:`.location_fim` and never imports this module; within
+the package only ``__init__`` does, to re-export its names.  The tests,
+``tools/bitexact_corpus.py`` and the bench trace (``benches/tracing.py``) call
+it; it stays in the library until that trace stops, then moves out whole.
 
 For every link the observable parameter vector is ordered as
 
@@ -26,8 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import NumericalError, sym
 from .links import LinkKind, LinkObservables, link_observables
-from .scenario import Scenario
+from .location_fim import Efim, LocationLayout, kappa1_blocks
+from .scenario import Case, Scenario
 from .signals import _square
 
 _GAIN_INFO = 1.0 / (4.0 * np.pi**2)
@@ -226,3 +238,103 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
             for cols, local_cols in parts:
                 matrix[rows, cols] += fim[local_rows, local_cols]
     return matrix, layout
+
+
+@dataclass(frozen=True)
+class TransformationMatrix:
+    """``Upsilon`` with the layout of its location-parameter side."""
+
+    matrix: np.ndarray
+    location_layout: LocationLayout
+
+
+def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> None:
+    """Write one link's partials into its delay and Doppler columns."""
+    lay = sec.fim.layout
+    delays = slice(sec.offset + lay.delays.start, sec.offset + lay.delays.stop)
+    dopplers = slice(sec.offset + lay.dopplers.start, sec.offset + lay.dopplers.stop)
+    for rows, dtau, dnu, put in kappa1_blocks(loc, sec.fim.obs):
+        put(upsilon[rows, delays], dtau.reshape(-1, 3).T)
+        if dnu is not None:
+            put(upsilon[rows, dopplers], dnu.reshape(-1, 3).T)
+
+
+def build_transformation_matrix(
+    scenario: Scenario, *, glob: GlobalChannelLayout
+) -> TransformationMatrix:
+    """Build ``Upsilon`` for a scenario from its assembled channel layout.
+
+    Every delay/Doppler column carries that observable's partials with respect
+    to the kappa1 blocks it depends on; the gain and offset columns
+    (``glob.nuisance_cols``) are unit selections of the kappa2 rows, in order.
+    The link observables and Jacobians come from ``glob``'s sections, so
+    ``glob`` must be the scenario's own layout.
+    """
+    loc = LocationLayout(n_leo=scenario.n_leo)
+    cols = glob.nuisance_cols
+
+    upsilon = np.zeros((loc.dim_interest + len(cols), glob.dim))
+    for sec in glob.sections:
+        _place_link(upsilon, loc, sec)
+    upsilon[loc.dim_interest + np.arange(len(cols)), list(cols)] = 1.0
+    return TransformationMatrix(matrix=upsilon, location_layout=loc)
+
+
+def transform_fim(j_eta: np.ndarray, upsilon: TransformationMatrix) -> np.ndarray:
+    """Map a channel FIM to the location parameters: ``U @ J @ U.T``."""
+    u = upsilon.matrix
+    if u.shape[1] != j_eta.shape[0] or j_eta.shape[0] != j_eta.shape[1]:
+        raise ValueError(
+            f"dimension mismatch: Upsilon {u.shape} against J_eta {j_eta.shape}"
+        )
+    return sym(u @ j_eta @ u.T)
+
+
+def efim_schur_route(
+    j_kappa: np.ndarray,
+    layout: LocationLayout,
+    case: Case = Case.WITH_BS,
+) -> Efim:
+    """EFIM by the oracle route: Schur complement of the nuisance block of
+    the location-parameter FIM.
+
+    No observation carries two nuisance coordinates (a gain pairs only with
+    itself, a clock offset only with delays, a frequency offset only with
+    Dopplers).  With ``J_kappa = [[J11, J12], [J12^T, J22]]`` split at the
+    interest/nuisance boundary, ``J22 = diag(c_i)`` and the complement is
+    ``J11 - sum_i b_i c_i^-1 b_i^T`` over the columns ``b_i`` of ``J12`` that
+    are nonzero; an uncoupled column contributes exactly nothing.  All
+    ``c_i^-1`` are formed at once in closed form and the terms accumulate in
+    column order.
+
+    Raises
+    ------
+    ValueError
+        If ``j_kappa`` is not square, is smaller than the layout's interest
+        block, or its nuisance block has an off-diagonal nonzero.
+    NumericalError
+        If a coupled nuisance coordinate has no positive information
+        ``c_i``, which a PSD ``J_kappa`` cannot produce.
+    """
+    n1 = layout.dim_interest
+    if j_kappa.ndim != 2 or j_kappa.shape[0] != j_kappa.shape[1] or len(j_kappa) < n1:
+        raise ValueError(f"J_kappa shape {j_kappa.shape} is not square with at least {n1} rows")
+    j11 = j_kappa[:n1, :n1]
+    j12 = j_kappa[:n1, n1:]
+    j22 = j_kappa[n1:, n1:]
+    if np.count_nonzero(j22) > np.count_nonzero(np.diag(j22)):
+        raise ValueError("nuisance block of J_kappa is not diagonal")
+
+    coupled = np.flatnonzero(np.any(j12 != 0.0, axis=0))
+    c = np.diag(j22)[coupled]
+    if not np.all(c > 0.0):
+        raise NumericalError("a coupled nuisance coordinate carries no information")
+    # Exactly what ``invert_psd`` evaluates on a 1x1 block (balance by 1/sqrt(c),
+    # invert, unbalance); ``1/c`` differs in the last bit, and the tests read
+    # last-ULP rounding noise of numerically singular EFIMs.
+    s = 1.0 / np.sqrt(c)
+    c_inv = ((1.0 / ((c * s) * s)) * s) * s
+    loss = np.zeros_like(j11)
+    for i, ci in zip(coupled, c_inv):
+        loss += np.outer(j12[:, i] * ci, j12[:, i])
+    return Efim(matrix=sym(j11 - loss), layout=layout, case=case)

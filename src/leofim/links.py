@@ -23,7 +23,7 @@ plus the velocity-offset drift ``k*dt*vel_offset``.
 
 Partials are taken with respect to each link's receiving end (the array or
 the station) and the array orientation; a satellite's offset partials are
-their negation, applied by :func:`.transform.kappa1_blocks`, not stored.
+their negation, applied by :func:`.location_fim.kappa1_blocks`, not stored.
 
 Observations cover slot numbers 1..n_slots (times ``dt`` through
 ``n_slots*dt``); slot axis entry ``i`` holds slot number ``i+1``.  The epoch

@@ -1,6 +1,19 @@
-"""Fisher information of the location parameters, and the EFIM.
+"""Location parameters, their Fisher information, and the EFIM.
 
-Three routes produce the equivalent FIM (EFIM) of the interest parameters:
+``kappa = [kappa1; kappa2]``.  ``kappa1`` holds the receiver position,
+velocity and orientation (3 each), then every satellite's position offset and
+every satellite's velocity offset (3 each), indexed by :class:`LocationLayout`;
+``kappa2`` holds the per-link gains and synchronization offsets, whose columns
+belong to the assembled channel layout (``GlobalChannelLayout.nuisance_cols``).
+:func:`kappa1_blocks` alone maps a link's delay and Doppler partials (see
+``links``) to kappa1 blocks with their signs, for every route.  Delays are
+differentiated through the full position dependence (a velocity perturbs
+slot-k positions by ``k*dt``); Doppler shifts treat the propagation direction
+as a function of position-type parameters only, so velocity partials act on
+the relative velocity at a frozen direction.  Every information matrix,
+finite-difference check and EFIM route shares this convention.
+
+Two routes here produce the equivalent FIM (EFIM) of the interest parameters:
 
 * the **factor route** (production, :func:`compute_efim`): each link's delay
   and Doppler observations become dense Jacobian rows in interest
@@ -15,23 +28,22 @@ Three routes produce the equivalent FIM (EFIM) of the interest parameters:
   kind and trial chunking and form each kind's Grams (one offset group per
   satellite) in one call for all trials; :func:`compute_efim` is the
   one-trial, one-count case;
-* the **Schur route** (the oracle, :func:`efim_schur_route`): the assembled
-  channel FIM is mapped through the transformation matrix and the nuisance
-  coordinates (gains and offsets of every link) are marginalized by a Schur
-  complement; no observation carries two nuisance coordinates, so the
-  nuisance block is diagonal and is eliminated one coordinate at a time;
 * the **closed-form route** (:func:`efim_lemma_route`): from the same rows,
   the interest FIM minus the rank-one information loss ``m m^T / n`` of every
   offset's weighted moment ``m`` and normalizer ``n``.
 
-Centering a group of rows is exactly its rank-one loss, so all three compute
-the same quantity through different structure; disagreement localizes
-transcription errors, and the tests check them against each other.
+The **Schur route** (:func:`.channel_fim.efim_schur_route`), the dense
+oracle, eliminates the nuisance block of the transformed channel FIM; that
+module imports this one, never the reverse.  Centering a group of rows is
+exactly its rank-one loss, so all three compute the same quantity through
+different structure; disagreement localizes transcription errors, and the
+tests check them against each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +60,93 @@ from .links import (
 )
 from .scenario import Case, Scenario
 from .signals import _square
-from .transform import LocationLayout, kappa1_blocks
+
+
+@dataclass(frozen=True)
+class LocationLayout:
+    """Index map of the interest block ``kappa1`` of the location-parameter
+    vector ``kappa``, of dimension ``9 + 6*n_leo``.  The nuisance block
+    ``kappa2`` follows it, one coordinate per channel gain/offset; its columns
+    belong to the assembled channel layout (``glob.nuisance_cols``).
+    """
+
+    n_leo: int
+
+    @property
+    def position(self) -> slice:
+        return slice(0, 3)
+
+    @property
+    def velocity(self) -> slice:
+        return slice(3, 6)
+
+    @property
+    def orientation(self) -> slice:
+        return slice(6, 9)
+
+    def pos_offset(self, b: int) -> slice:
+        if not 0 <= b < self.n_leo:
+            raise ValueError(f"satellite index {b} outside [0, {self.n_leo})")
+        return slice(9 + 3 * b, 12 + 3 * b)
+
+    def vel_offset(self, b: int) -> slice:
+        if not 0 <= b < self.n_leo:
+            raise ValueError(f"satellite index {b} outside [0, {self.n_leo})")
+        start = 9 + 3 * self.n_leo + 3 * b
+        return slice(start, start + 3)
+
+    @property
+    def dim_interest(self) -> int:
+        return 9 + 6 * self.n_leo
+
+    def interest_blocks(self) -> list[tuple[str, slice]]:
+        """Named 3x3 interest blocks in layout order."""
+        blocks = [
+            ("position", self.position),
+            ("velocity", self.velocity),
+            ("orientation", self.orientation),
+        ]
+        blocks += [(f"pos_offset_{b}", self.pos_offset(b)) for b in range(self.n_leo)]
+        blocks += [(f"vel_offset_{b}", self.vel_offset(b)) for b in range(self.n_leo)]
+        return blocks
+
+
+def _copy(dst: np.ndarray, src: np.ndarray) -> None:
+    dst[...] = src
+
+
+def _copy_negated(dst: np.ndarray, src: np.ndarray) -> None:
+    np.negative(src, out=dst)
+
+
+def kappa1_blocks(
+    layout: LocationLayout, obs: LinkObservables, index: int | None = None
+) -> list[tuple[slice, np.ndarray, np.ndarray | None, Callable[..., None]]]:
+    """(kappa1 slice, delay partials, Doppler partials, ``put``) per block the
+    link informs; ``put(dst, src)`` writes ``src`` into ``dst`` with the
+    block's sign.
+
+    Links received by the array inform the receiver position, velocity and
+    orientation (orientation has no Doppler partials: shifts are measured at
+    the array reference point).  Links transmitted by satellite ``index``
+    (default ``obs.index``) inform its position and velocity offsets with the
+    negated receiving-end partials: the link sees the ends' difference only.
+    """
+    jac = obs.jacobians
+    blocks = []
+    if obs.kind is not LinkKind.LEO_BS:
+        blocks += [
+            (layout.position, jac.dtau_dp, jac.dnu_dp, _copy),
+            (layout.velocity, jac.dtau_dv, jac.dnu_dv, _copy),
+            (layout.orientation, jac.dtau_dphi, None, _copy),
+        ]
+    if obs.kind is not LinkKind.BS_RX:
+        b = obs.index if index is None else index
+        blocks += [
+            (layout.pos_offset(b), jac.dtau_dp, jac.dnu_dp, _copy_negated),
+            (layout.vel_offset(b), jac.dtau_dv, jac.dnu_dv, _copy_negated),
+        ]
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -157,56 +255,6 @@ def efim_lemma_route(scenario: Scenario) -> Efim:
     layout = LocationLayout(n_leo=scenario.n_leo)
     interest, loss = _closed_form(layout, link_observables(scenario, scenario.case))
     return Efim(matrix=sym(interest - loss), layout=layout, case=scenario.case)
-
-
-def efim_schur_route(
-    j_kappa: np.ndarray,
-    layout: LocationLayout,
-    case: Case = Case.WITH_BS,
-) -> Efim:
-    """EFIM by the oracle route: Schur complement of the nuisance block of
-    the location-parameter FIM.
-
-    No observation carries two nuisance coordinates (a gain pairs only with
-    itself, a clock offset only with delays, a frequency offset only with
-    Dopplers).  With ``J_kappa = [[J11, J12], [J12^T, J22]]`` split at the
-    interest/nuisance boundary, ``J22 = diag(c_i)`` and the complement is
-    ``J11 - sum_i b_i c_i^-1 b_i^T`` over the columns ``b_i`` of ``J12`` that
-    are nonzero; an uncoupled column contributes exactly nothing.  All
-    ``c_i^-1`` are formed at once in closed form and the terms accumulate in
-    column order.
-
-    Raises
-    ------
-    ValueError
-        If ``j_kappa`` is not square, is smaller than the layout's interest
-        block, or its nuisance block has an off-diagonal nonzero.
-    NumericalError
-        If a coupled nuisance coordinate has no positive information
-        ``c_i``, which a PSD ``J_kappa`` cannot produce.
-    """
-    n1 = layout.dim_interest
-    if j_kappa.ndim != 2 or j_kappa.shape[0] != j_kappa.shape[1] or len(j_kappa) < n1:
-        raise ValueError(f"J_kappa shape {j_kappa.shape} is not square with at least {n1} rows")
-    j11 = j_kappa[:n1, :n1]
-    j12 = j_kappa[:n1, n1:]
-    j22 = j_kappa[n1:, n1:]
-    if np.count_nonzero(j22) > np.count_nonzero(np.diag(j22)):
-        raise ValueError("nuisance block of J_kappa is not diagonal")
-
-    coupled = np.flatnonzero(np.any(j12 != 0.0, axis=0))
-    c = np.diag(j22)[coupled]
-    if not np.all(c > 0.0):
-        raise NumericalError("a coupled nuisance coordinate carries no information")
-    # Exactly what ``invert_psd`` evaluates on a 1x1 block (balance by 1/sqrt(c),
-    # invert, unbalance); ``1/c`` differs in the last bit, and the tests read
-    # last-ULP rounding noise of numerically singular EFIMs.
-    s = 1.0 / np.sqrt(c)
-    c_inv = ((1.0 / ((c * s) * s)) * s) * s
-    loss = np.zeros_like(j11)
-    for i, ci in zip(coupled, c_inv):
-        loss += np.outer(j12[:, i] * ci, j12[:, i])
-    return Efim(matrix=sym(j11 - loss), layout=layout, case=case)
 
 
 def compute_efim(scenario: Scenario) -> Efim:

@@ -3,16 +3,16 @@
 Everything here is rebuilt from the scalar oracle in ``_oracle`` (positions,
 ``unit_direction``, ``delay``, ``doppler``, ``velocity_at``), step sizes,
 frozen Doppler directions and relative velocities included, so the analytic
-partials that ``leofim.transform.kappa1_blocks`` writes, sign included, are
-checked against an independent evaluation path, never against the link pass
-that produced them.  :func:`signed_partials` reads those blocks under the
+partials that ``leofim.location_fim.kappa1_blocks`` writes, sign included,
+are checked against an independent evaluation path, never against the link
+pass that produced them.  :func:`signed_partials` reads those blocks under the
 names :func:`fd_link_jacobians` gives them.
 
-Differentiation conventions mirror the analytic ones: delays are differentiated
-through their full position dependence, while the Doppler velocity partials
-hold the propagation direction fixed (the direction is an input of the
-``doppler`` op) and the Doppler position partials hold the relative velocity
-fixed.
+Differentiation conventions mirror the analytic ones, which the
+``leofim.location_fim`` docstring states: delays are differentiated through
+their full position dependence, while the Doppler velocity partials hold the
+propagation direction fixed (the direction is an input of the ``doppler`` op)
+and the Doppler position partials hold the relative velocity fixed.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import dataclasses
 
 import numpy as np
 
-from leofim.channel_fim import LinkKind
 from leofim.geometry import SPEED_OF_LIGHT_M_S
-from leofim.links import bs_rx_observables, leo_bs_observables, leo_rx_observables
-from leofim.transform import LocationLayout, kappa1_blocks
+from leofim.links import LinkKind, bs_rx_observables, leo_bs_observables, leo_rx_observables
+from leofim.location_fim import LocationLayout, kappa1_blocks
 
 from _oracle import (
     antenna_position,

@@ -23,11 +23,12 @@ from leofim.analysis import (
     is_identifiable,
     parameter_sweep,
 )
-from leofim.channel_fim import LinkKind, assemble_channel_fim
+from leofim.channel_fim import assemble_channel_fim, build_transformation_matrix, transform_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
-from leofim.links import link_observables
+from leofim.links import LinkKind, link_observables
 from leofim.location_fim import (
+    LocationLayout,
     _closed_form,
     assemble_interest_fim,
     compute_efim,
@@ -39,7 +40,6 @@ from leofim.scenario import (
     derive_trial_seeds,
     random_scenario,
 )
-from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 SEED = 42
 N_TRIALS = 5

@@ -21,9 +21,8 @@ from leofim.analysis import (
     swept_config,
 )
 from leofim.geometry import DegenerateGeometryError
-from leofim.location_fim import Efim, compute_efim
+from leofim.location_fim import Efim, LocationLayout, compute_efim
 from leofim.scenario import Case, ScenarioConfig, derive_trial_seeds, random_scenario
-from leofim.transform import LocationLayout
 
 WIDE = ScenarioConfig(
     n_leo=1, n_bs=3, n_ant=4, n_slots=4, slot_spacing_s=50.0, bs_distance_m=5e5

@@ -1,12 +1,15 @@
 """Per-link channel-parameter FIMs and the global assembly."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leofim.channel_fim import LinkKind, assemble_channel_fim, link_fim
-from leofim.links import bs_rx_observables, leo_bs_observables, leo_rx_observables
+from leofim import channel_fim
+from leofim.channel_fim import assemble_channel_fim, link_fim
+from leofim.links import LinkKind, bs_rx_observables, leo_bs_observables, leo_rx_observables
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 
 
@@ -159,3 +162,28 @@ def test_bad_link_index_raises():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=1), 11)
     with pytest.raises(IndexError):
         link_fim(leo_rx_observables(sc, 5))
+
+
+def _imported_modules(node: ast.AST) -> set[str]:
+    """The absolute module names an import statement of ``leofim`` may bind:
+    ``from . import x`` may import ``leofim.x``."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    base = ".".join(filter(None, ["leofim" if node.level else None, node.module]))
+    return {base} | {f"{base}.{alias.name}" for alias in node.names}
+
+
+def test_only_the_package_root_imports_the_dense_oracle():
+    """The dense oracle imports production and is never imported by it: no
+    module of the package but ``__init__`` (which re-exports its names)
+    imports ``channel_fim``, at module level or inside a function."""
+    package = Path(channel_fim.__file__).parent
+    importers = sorted({
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "leofim.channel_fim" in _imported_modules(node)
+    })
+    assert importers == ["__init__.py"]

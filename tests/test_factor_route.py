@@ -21,20 +21,24 @@ from test_acceptance import BOUND_REL_TOL, FLAGSHIP, N_TRIALS, SEED, WIDE
 from test_location_fim import _loewner_min
 
 from leofim.analysis import crlb
-from leofim.channel_fim import assemble_channel_fim
+from leofim.channel_fim import (
+    assemble_channel_fim,
+    build_transformation_matrix,
+    efim_schur_route,
+    transform_fim,
+)
 from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
 from leofim.location_fim import (
+    LocationLayout,
     _efims,
     _groups,
     _key,
     _link_weights,
     _rows,
     compute_efim,
-    efim_schur_route,
 )
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams
-from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 ORACLE_CONFIGS = {
     "wide": WIDE,

@@ -29,6 +29,7 @@ from leofim.links import (
 )
 from leofim.linalg import NumericalError
 from leofim.location_fim import (
+    LocationLayout,
     _centered_gram,
     _efims,
     _link_weights,
@@ -37,7 +38,6 @@ from leofim.location_fim import (
 )
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
-from leofim.transform import LocationLayout
 
 from _fd import signed_partials
 from _oracle import (

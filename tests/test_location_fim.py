@@ -6,18 +6,22 @@ import itertools
 import numpy as np
 import pytest
 
-from leofim.channel_fim import assemble_channel_fim
+from leofim.channel_fim import (
+    assemble_channel_fim,
+    build_transformation_matrix,
+    efim_schur_route,
+    transform_fim,
+)
 from leofim.linalg import NumericalError, balanced_eigvalsh, invert_psd, sym
 from leofim.links import link_observables
 from leofim.location_fim import (
+    LocationLayout,
     _closed_form,
     assemble_interest_fim,
     compute_efim,
     efim_lemma_route,
-    efim_schur_route,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.transform import LocationLayout, build_transformation_matrix, transform_fim
 
 
 def _scenario(seed, **overrides):

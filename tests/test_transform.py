@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from leofim.channel_fim import LinkKind, assemble_channel_fim
-from leofim.links import leo_rx_observables
+from leofim.channel_fim import assemble_channel_fim, build_transformation_matrix, transform_fim
+from leofim.links import LinkKind, leo_rx_observables
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.transform import build_transformation_matrix, transform_fim
 
 from _fd import compare, fd_link_jacobians, signed_partials
 

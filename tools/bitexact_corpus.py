@@ -121,7 +121,7 @@ BLOCK_KEYS = {
 def _layout(n_leo: int):
     """The ``LocationLayout`` of ``n_leo`` satellites, also on trees whose
     layout still takes its nuisance columns as a second field."""
-    from leofim.transform import LocationLayout
+    from leofim.location_fim import LocationLayout
 
     try:
         return LocationLayout(n_leo=n_leo)
@@ -175,9 +175,8 @@ def _scenario(scenario, out: dict, tag: str) -> None:
 
 def _observables(scenario, out: dict, tag: str) -> None:
     from leofim import links
-    from leofim.location_fim import _rows
+    from leofim.location_fim import _rows, kappa1_blocks
     from leofim.scenario import Case
-    from leofim.transform import kappa1_blocks
 
     entries = [("leo_rx", links.leo_rx_observables, b) for b in range(scenario.n_leo)]
     entries += [("bs_rx", links.bs_rx_observables, q) for q in range(scenario.n_bs)]
