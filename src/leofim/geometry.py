@@ -134,6 +134,8 @@ class ReceiverState:
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position, "position"))
         object.__setattr__(self, "velocity", as_vec3(self.velocity, "velocity"))
+        if math.hypot(*self.velocity) >= SPEED_OF_LIGHT_M_S:
+            raise ValueError(f"velocity must be slower than light, got {self.velocity} m/s")
         offsets = np.asarray(self.antenna_offsets, dtype=float)
         if offsets.ndim != 2 or offsets.shape[1] != 3 or offsets.shape[0] < 1:
             raise ValueError(
@@ -169,6 +171,8 @@ class LeoState:
         object.__setattr__(self, "position", as_vec3(self.position, "position"))
         if not (np.isfinite(self.speed) and self.speed >= 0.0):
             raise ValueError(f"speed must be non-negative, got {self.speed}")
+        if self.speed >= SPEED_OF_LIGHT_M_S:
+            raise ValueError(f"speed must be slower than light, got {self.speed} m/s")
         track = np.asarray(self.track, dtype=float)
         if track.ndim != 2 or track.shape[1] != 3 or track.shape[0] < 1:
             raise ValueError(f"track must have shape (n_slots, 3), got {track.shape}")

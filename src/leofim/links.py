@@ -107,10 +107,14 @@ def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Raises
     ------
     DegenerateGeometryError
-        If any pair is closer than ~1 nm and no direction is defined.
+        If any pair is closer than ~1 nm and no direction is defined, or so
+        far apart that its range overflows a double.
     """
-    diff = rx - tx
-    dist = np.sqrt(np.vecdot(diff, diff))
+    with np.errstate(over="ignore"):  # reported below, not warned about
+        diff = rx - tx
+        dist = np.sqrt(np.vecdot(diff, diff))
+    if not dist.max(initial=0.0) < np.inf:
+        raise DegenerateGeometryError("a range overflows a double: coordinates too large")
     if np.any(dist < _DEGENERATE_NORM):
         raise DegenerateGeometryError(
             f"points separated by {dist.min():.3e} m define no direction"

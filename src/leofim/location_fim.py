@@ -28,9 +28,10 @@ Two routes here produce the equivalent FIM (EFIM) of the interest parameters:
   kind and trial chunking and form each kind's Grams (one offset group per
   satellite) in one call for all trials; :func:`compute_efim` is the
   one-trial, one-count case;
-* the **closed-form route** (:func:`efim_lemma_route`): from the same rows,
-  the interest FIM minus the rank-one information loss ``m m^T / n`` of every
-  offset's weighted moment ``m`` and normalizer ``n``.
+* the **closed-form route** (:func:`efim_lemma_route`): from the same rows and
+  weights (:func:`_groups`), the interest FIM minus the rank-one information
+  loss ``m m^T / n`` of every offset group's weighted moment ``m`` and
+  normalizer ``n``; no row is centered.
 
 The **Schur route** (:func:`.channel_fim.efim_schur_route`), the dense
 oracle, eliminates the nuisance block of the transformed channel FIM; that
@@ -49,17 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, sym
-from .links import (
-    LinkKind,
-    LinkObservables,
-    _Batch,
-    _kinds,
-    _link_pass,
-    _scene,
-    link_observables,
-)
+from .links import LinkKind, LinkObservables, _Batch, _kinds, _link_pass, _scene
 from .scenario import Case, Scenario
-from .signals import _square
 
 
 @dataclass(frozen=True)
@@ -166,68 +158,24 @@ class Efim:
     case: Case
 
 
-def _link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay, Doppler and frequency-offset weights of one link, flat.
-
-    Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
-    observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
-    and ``snr_k * a_o^2 / 2`` per Doppler observation (for array links
-    ``snr_k`` sums the slot's SNR over the antennas, since the shift is
-    common to the array).
-    """
-    snr = obs.snr
-    w_tau = snr * obs.omega
-    snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
-    half_ao2 = 0.5 * _square(obs.rms_duration)
-    w_nu = snr_dop * _square(obs.carrier_freq) * half_ao2
-    w_eps = snr_dop * half_ao2
-    return w_tau.ravel(), w_nu.ravel(), w_eps.ravel()
-
-
-def _rows(layout: LocationLayout, obs: LinkObservables) -> tuple[np.ndarray, np.ndarray]:
-    """One link's Jacobian rows in interest coordinates.
-
-    Returns ``g_tau (n_delays, dim_interest)`` and ``g_nu (n_dopplers,
-    dim_interest)``: row ``i`` is the gradient of observation ``i`` with
-    respect to kappa1, zero outside the blocks the link informs.
-    """
-    g_tau = np.zeros((obs.snr.size, layout.dim_interest))
-    g_nu = np.zeros((obs.omega.size, layout.dim_interest))
-    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
-        put(g_tau[:, cols], dtau.reshape(-1, 3))
-        if dnu is not None:
-            put(g_nu[:, cols], dnu.reshape(-1, 3))
-    return g_tau, g_nu
-
-
-def _closed_form(
-    layout: LocationLayout, links: list[LinkObservables]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interest FIM ``sum g^T diag(w) g`` and information loss, in one pass.
-
-    Each clock offset loses ``m m^T / n`` with ``m = w_tau @ g_tau``,
-    ``n = sum w_tau``; each frequency offset with ``m = (f_c w_eps) @ g_nu``,
-    ``n = sum w_eps``.  Station-receiver links share one offset pair and pool
-    ``m`` and ``n`` first.  An offset with ``n <= 0`` is unobserved (``m`` is
-    zero too) and loses nothing.
-    """
+def _closed_form(layout: LocationLayout, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Interest FIM ``sum g^T diag(w) g`` and information loss of a scenario:
+    each offset group of its one link pass, read as :func:`_efims` reads it
+    (:func:`_groups`), loses ``m m^T / n`` with ``m = w @ g`` and ``n = sum
+    w``, and none if ``n <= 0`` (``m`` is zero too).  Station rows scaled by
+    ``f_c / f_1`` and weighted ``f_1^2 w_eps`` lose what pooling the
+    stations' ``m = (f_c w_eps) @ g_nu`` and ``n = sum w_eps`` loses."""
     dim = layout.dim_interest
-    interest = np.zeros((dim, dim))
-    loss = np.zeros((dim, dim))
-    shared = [(np.zeros(dim), 0.0)] * 2
-    offsets = []
-    for obs in links:
-        w_tau, w_nu, w_eps = _link_weights(obs)
-        g_tau, g_nu = _rows(layout, obs)
-        interest += g_tau.T @ (w_tau[:, None] * g_tau) + g_nu.T @ (w_nu[:, None] * g_nu)
-        pair = [(w_tau @ g_tau, w_tau.sum()), ((obs.carrier_freq * w_eps) @ g_nu, w_eps.sum())]
-        if obs.kind is LinkKind.BS_RX:
-            shared = [(m + m_s, n + n_s) for (m, n), (m_s, n_s) in zip(pair, shared)]
-        else:
-            offsets += pair
-    for m, n in offsets + shared:
-        if n > 0.0:
-            loss += np.outer(m, m) / n
+    interest, loss = np.zeros((dim, dim)), np.zeros((dim, dim))
+    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    count = (scenario.n_bs, scenario.n_ant, scenario.n_slots)
+    for batch in _link_pass(scene, _kinds(scenario.case)):
+        for g, w in _groups(batch, layout, _key(batch.kind, layout.n_leo, *count), slice(None)):
+            g, w = g[0], w[0]
+            interest += (g.mT @ (w[..., None] * g)).sum(axis=0)
+            m, n = (w[:, None, :] @ g)[:, 0], w.sum(axis=-1)
+            m, n = m[n > 0.0], n[n > 0.0]
+            loss += (m[:, :, None] * m[:, None, :] / n[:, None, None]).sum(axis=0)
     return sym(interest), loss
 
 
@@ -242,18 +190,18 @@ def assemble_interest_fim(scenario: Scenario) -> InterestFim:
     never couple, and station links never touch receiver blocks' offsets.
     """
     layout = LocationLayout(n_leo=scenario.n_leo)
-    interest, _ = _closed_form(layout, link_observables(scenario, scenario.case))
+    interest, _ = _closed_form(layout, scenario)
     return InterestFim(matrix=interest, layout=layout)
 
 
 def efim_lemma_route(scenario: Scenario) -> Efim:
     """EFIM by the closed-form route: interest FIM minus information loss.
 
-    Every link's observables and Jacobian rows are evaluated once and shared
-    by the interest and loss terms.
+    Every offset group's rows and weights are built once, from one link
+    pass, and shared by the interest and loss terms.
     """
     layout = LocationLayout(n_leo=scenario.n_leo)
-    interest, loss = _closed_form(layout, link_observables(scenario, scenario.case))
+    interest, loss = _closed_form(layout, scenario)
     return Efim(matrix=sym(interest - loss), layout=layout, case=scenario.case)
 
 
@@ -307,8 +255,9 @@ def _groups(
     """``[(g_tau, w_tau), (g_nu, w_nu)]`` of ``trials`` on the first ``key``
     members, rows and slots of ``batch``: the delay and Doppler groups' rows
     ``(T, groups, n, dim)`` in interest coordinates, zero outside the blocks
-    they inform, flat in grid order, and their weights ``(T, groups, n)``
-    (see :func:`_link_weights`).  :func:`.kappa1_blocks` reads the batch's
+    they inform, flat in grid order, and their weights ``(T, groups, n)``:
+    ``snr * omega`` per delay, :func:`_doppler_weights` per Doppler shift.
+    :func:`.kappa1_blocks` reads the batch's
     Jacobians as a link's, one satellite at a time; each station's Doppler
     rows are its partials scaled by ``f_c / f_1`` (see :func:`_efims`)."""
     members, rows, slots = key
@@ -335,10 +284,11 @@ def _groups(
 
 
 def _doppler_weights(batch: _Batch, key: tuple[int, int, int], n_trials: int) -> np.ndarray:
-    """``w_nu (T, groups, n)`` of ``batch`` at ``key``, the same in every
-    trial but stacked, so every Gram operand is a C-contiguous stack: an
-    array link sums SNR over the antennas it keeps, and every station is
-    weighted by the first station's ``f_1^2``.  Kept read-only in the
+    """``w_nu (T, groups, n)`` of ``batch`` at ``key``, ``snr * f_c^2 * a_o^2
+    / 2`` per Doppler shift, the same in every trial but stacked, so every
+    Gram operand is a C-contiguous stack: an array link sums SNR over the
+    antennas it keeps, and every station is weighted by the first station's
+    ``f_1^2``.  Kept read-only in the
     batch's cache per ``(key, n_trials)``: a family's sweep asks for the
     station batch's at every satellite count."""
     w_nu = batch._weights.get((key, n_trials))

@@ -188,6 +188,8 @@ class ScenarioConfig:
             value = getattr(self, label)
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{label} must be >= 0, got {value}")
+            if label.endswith("speed_m_s") and value >= SPEED_OF_LIGHT_M_S:
+                raise ValueError(f"{label} must be slower than light, got {value}")
         if not (math.isfinite(self.bcc) and abs(self.bcc) <= 1.0):
             raise ValueError(f"bcc must lie in [-1, 1], got {self.bcc}")
         if self.rms_duration_s is not None and not (

@@ -114,8 +114,13 @@ class SignalProps:
             raise ValueError(f"rms_duration must be > 0, got {self.rms_duration}")
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError(f"carrier_freq must be > 0, got {self.carrier_freq}")
-        snr = np.asarray(self.snr_linear, dtype=float)
-        if not (np.all(np.isfinite(snr)) and np.all(snr >= 0.0)):
+        snr = self.snr_linear
+        if isinstance(snr, (float, int, np.number)):  # a scalar, checked without an array
+            valid = math.isfinite(snr) and snr >= 0.0
+        else:
+            snr = np.asarray(snr, dtype=float)
+            valid = np.all(np.isfinite(snr)) and np.all(snr >= 0.0)
+        if not valid:
             raise ValueError("snr_linear entries must be finite and >= 0")
 
     def snr_grid(self, shape: tuple[int, ...]) -> np.ndarray:

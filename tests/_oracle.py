@@ -9,6 +9,14 @@ finite-difference Jacobians (``_fd``).  Slot numbers run 1..``n_slots``; slot
 :class:`SplitMix64` is the scalar reference of the sampler's array streams
 (``leofim.scenario._draws``, ``_children``, ``_uniform`` and
 ``_unit_vectors``), checked bit for bit in ``test_scenario``.
+
+:func:`link_weights`, :func:`link_rows` and :func:`closed_form` are the
+closed-form route one link at a time: each link's own rows and weights, and
+the station links' shared offset pair pooled as ``m`` and ``n`` sums.  The
+factor route's batched rows and weights (``location_fim._groups``) are
+checked against the first two bit for bit (``test_factor_route``,
+``test_links``), and the library's closed form against the third;
+``tools/bitexact_corpus.py`` hashes each link's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +33,11 @@ from leofim.geometry import (
     _rotations,
     as_vec3,
 )
+from leofim.linalg import sym
+from leofim.links import LinkKind, LinkObservables
+from leofim.location_fim import LocationLayout, kappa1_blocks
 from leofim.scenario import _GAMMA, _MASK64, _mix
+from leofim.signals import _square
 
 
 def time_of(grid: SlotGrid, k: int) -> float:
@@ -135,3 +147,68 @@ class SplitMix64:
         """Independent child stream for the given tag."""
         forked = SplitMix64(self._state ^ (int(tag) & _MASK64))
         return SplitMix64(forked.next_u64())
+
+
+def link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay, Doppler and frequency-offset weights of one link, flat.
+
+    Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
+    observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
+    and ``snr_k * a_o^2 / 2`` per Doppler observation (for array links
+    ``snr_k`` sums the slot's SNR over the antennas, since the shift is
+    common to the array).
+    """
+    snr = obs.snr
+    w_tau = snr * obs.omega
+    snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
+    half_ao2 = 0.5 * _square(obs.rms_duration)
+    w_nu = snr_dop * _square(obs.carrier_freq) * half_ao2
+    w_eps = snr_dop * half_ao2
+    return w_tau.ravel(), w_nu.ravel(), w_eps.ravel()
+
+
+def link_rows(layout: LocationLayout, obs: LinkObservables) -> tuple[np.ndarray, np.ndarray]:
+    """One link's Jacobian rows in interest coordinates.
+
+    Returns ``g_tau (n_delays, dim_interest)`` and ``g_nu (n_dopplers,
+    dim_interest)``: row ``i`` is the gradient of observation ``i`` with
+    respect to kappa1, zero outside the blocks the link informs.
+    """
+    g_tau = np.zeros((obs.snr.size, layout.dim_interest))
+    g_nu = np.zeros((obs.omega.size, layout.dim_interest))
+    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
+        put(g_tau[:, cols], dtau.reshape(-1, 3))
+        if dnu is not None:
+            put(g_nu[:, cols], dnu.reshape(-1, 3))
+    return g_tau, g_nu
+
+
+def closed_form(
+    layout: LocationLayout, links: list[LinkObservables]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interest FIM ``sum g^T diag(w) g`` and information loss, in one pass.
+
+    Each clock offset loses ``m m^T / n`` with ``m = w_tau @ g_tau``,
+    ``n = sum w_tau``; each frequency offset with ``m = (f_c w_eps) @ g_nu``,
+    ``n = sum w_eps``.  Station-receiver links share one offset pair and pool
+    ``m`` and ``n`` first.  An offset with ``n <= 0`` is unobserved (``m`` is
+    zero too) and loses nothing.
+    """
+    dim = layout.dim_interest
+    interest = np.zeros((dim, dim))
+    loss = np.zeros((dim, dim))
+    shared = [(np.zeros(dim), 0.0)] * 2
+    offsets = []
+    for obs in links:
+        w_tau, w_nu, w_eps = link_weights(obs)
+        g_tau, g_nu = link_rows(layout, obs)
+        interest += g_tau.T @ (w_tau[:, None] * g_tau) + g_nu.T @ (w_nu[:, None] * g_nu)
+        pair = [(w_tau @ g_tau, w_tau.sum()), ((obs.carrier_freq * w_eps) @ g_nu, w_eps.sum())]
+        if obs.kind is LinkKind.BS_RX:
+            shared = [(m + m_s, n + n_s) for (m, n), (m_s, n_s) in zip(pair, shared)]
+        else:
+            offsets += pair
+    for m, n in offsets + shared:
+        if n > 0.0:
+            loss += np.outer(m, m) / n
+    return sym(interest), loss

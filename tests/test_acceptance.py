@@ -26,7 +26,7 @@ from leofim.analysis import (
 from leofim.channel_fim import assemble_channel_fim, build_transformation_matrix, transform_fim
 from leofim.cli import main
 from leofim.linalg import balanced_eigvalsh, invert_psd
-from leofim.links import LinkKind, link_observables
+from leofim.links import LinkKind
 from leofim.location_fim import (
     LocationLayout,
     _closed_form,
@@ -226,8 +226,7 @@ def test_acceptance_5_structural_invariants():
         scenario = random_scenario(config, seed)
         channel, _ = assemble_channel_fim(scenario)
         interest = assemble_interest_fim(scenario).matrix
-        links = link_observables(scenario, scenario.case)
-        loss = _closed_form(LocationLayout(n_leo=scenario.n_leo), links)[1]
+        loss = _closed_form(LocationLayout(n_leo=scenario.n_leo), scenario)[1]
         efim = compute_efim(scenario).matrix
         for matrix in (channel, interest, loss, efim):
             denom = max(np.linalg.norm(matrix, "fro"), 1e-300)

@@ -25,6 +25,7 @@ from leofim.cli import (
     run_command,
 )
 from leofim.analysis import SWEEP_AXES
+from leofim.geometry import SPEED_OF_LIGHT_M_S
 from leofim.scenario import _MAX_SNR_DB, Case, ScenarioConfig
 
 WIDE = {
@@ -181,6 +182,16 @@ def test_effective_config_round_trips():
 def test_main_rejects_bad_config_with_exit_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.json")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["leo_speed_m_s", "receiver_speed_m_s"])
+def test_speed_at_or_above_light_exits_2(tmp_path, capsys, field):
+    """A speed at or above ``c`` is a configuration error naming the field."""
+    path = _write_config(tmp_path, {field: SPEED_OF_LIGHT_M_S})
+    assert main(["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {field} must be slower than light")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_bound_exit_3_when_not_identifiable(tmp_path, capsys):
@@ -610,6 +621,7 @@ _MAX = sys.float_info.max
 _POSITIVE = st.floats(min_value=0.0, max_value=_MAX, exclude_min=True)
 _NON_NEGATIVE = st.floats(min_value=0.0, max_value=_MAX)
 _SNR_DB = st.floats(min_value=-_MAX, max_value=_MAX_SNR_DB)
+_SPEED = st.floats(min_value=0.0, max_value=SPEED_OF_LIGHT_M_S, exclude_max=True)
 _FLOAT_FIELDS = {
     **dict.fromkeys(
         ("slot_spacing_s", "carrier_freq_hz", "observation_duration_s", "rms_duration_s",
@@ -617,10 +629,9 @@ _FLOAT_FIELDS = {
         _POSITIVE,
     ),
     **dict.fromkeys(
-        ("eff_bandwidth_hz", "leo_speed_m_s", "receiver_speed_m_s", "leo_dir_perturb_rad",
-         "array_radius_wavelengths"),
-        _NON_NEGATIVE,
+        ("eff_bandwidth_hz", "leo_dir_perturb_rad", "array_radius_wavelengths"), _NON_NEGATIVE
     ),
+    **dict.fromkeys(("leo_speed_m_s", "receiver_speed_m_s"), _SPEED),
     "bcc": st.floats(min_value=-1.0, max_value=1.0),
     **dict.fromkeys(("snr_db", "snr_db_leo_rx", "snr_db_bs_rx", "snr_db_leo_bs"), _SNR_DB),
 }

@@ -30,15 +30,16 @@ from leofim.channel_fim import (
 from leofim.links import LinkKind, _kinds, _link_pass, _scene, link_observables
 from leofim.location_fim import (
     LocationLayout,
+    _closed_form,
     _efims,
     _groups,
     _key,
-    _link_weights,
-    _rows,
     compute_efim,
 )
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams
+
+from _oracle import closed_form, link_rows, link_weights
 
 ORACLE_CONFIGS = {
     "wide": WIDE,
@@ -101,8 +102,8 @@ def test_factor_route_matches_schur_oracle(name, seed):
 @pytest.mark.parametrize("case", list(Case))
 def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case):
     """Each satellite of a stacked batch is its own offset group: its rows and
-    weights are bit for bit those of its own link (``_rows``,
-    ``_link_weights``), on satellites whose carriers, RMS durations, SNR grids
+    weights are bit for bit those of its own link (``link_rows``,
+    ``link_weights``), on satellites whose carriers, RMS durations, SNR grids
     and frequency offsets differ.  The EFIM gap above cannot see a Doppler
     weight taken from another satellite: delays carry nearly all of it."""
     config = dataclasses.replace(ORACLE_CONFIGS["per_satellite_signals"], case=case)
@@ -118,10 +119,41 @@ def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case
         own = [obs for obs in links if obs.kind is batch.kind]
         assert g_tau.shape[:2] == w_tau.shape[:2] == (1, len(own))
         for b, obs in enumerate(own):
-            rows, weights = _rows(layout, obs), _link_weights(obs)
+            rows, weights = link_rows(layout, obs), link_weights(obs)
             assert np.array_equal(g_tau[0, b], rows[0]) and np.array_equal(g_nu[0, b], rows[1])
             assert np.array_equal(w_tau[0, b], weights[0]), (batch.kind, b)
             assert np.array_equal(w_nu[0, b], weights[1]), (batch.kind, b)
+
+
+CLOSED_FORM_CONFIGS = {
+    "flagship": FLAGSHIP,
+    "no_stations": ORACLE_CONFIGS["no_stations"],
+    "receiver_only": ORACLE_CONFIGS["receiver_only"],
+    "dead_stations": dataclasses.replace(WIDE, n_leo=2, snr_db_bs_rx=-4000.0),
+    "mixed_carriers": FLAGSHIP,
+    "per_satellite_signals": ORACLE_CONFIGS["per_satellite_signals"],
+    "L4Q4U32K20": ORACLE_CONFIGS["L4Q4U32K20"],
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", list(CLOSED_FORM_CONFIGS))
+def test_closed_form_on_batches_matches_the_per_link_reference(name, seed):
+    """The library's closed form, which reads the factor route's offset
+    groups, gives the interest FIM and information loss of the per-link
+    reference, whose station links pool their offset pair's ``m`` and ``n``
+    (``closed_form``).  The station group instead scales each station's
+    Doppler rows by ``f_c / f_1`` and weights them ``f_1^2 w_eps``: the
+    mixed-carrier stations check that the two agree, and the -4000 dB
+    stations (normalizer 0) that an unobserved group loses nothing."""
+    scenario = random_scenario(CLOSED_FORM_CONFIGS[name], seed)
+    scenario = ORACLE_EDITS.get(name, lambda sc: sc)(scenario)
+    layout = LocationLayout(n_leo=scenario.n_leo)
+    batched = _closed_form(layout, scenario)
+    per_link = closed_form(layout, link_observables(scenario, scenario.case))
+    for label, got, expected in zip(("interest", "loss"), batched, per_link):
+        gap = np.linalg.norm(got - expected, "fro") / np.linalg.norm(expected, "fro")
+        assert gap <= 1e-14, (label, gap)
 
 
 SYMMETRY_CONFIGS = {
@@ -253,8 +285,9 @@ def test_more_antennas_or_slots_never_lower_the_efim(
 
 def _mp_vel_offset_bound(scenario):
     """Satellite velocity-offset root-trace bound of the scenario's EFIM, with
-    the rows and weights of the production helpers and everything after them
-    (centering, Gram matrix, balanced inverse) at 50 digits.
+    each link's own rows and weights (``link_rows``, ``link_weights``) and
+    everything after them (centering, Gram matrix, balanced inverse) at 50
+    digits.
 
     A frequency offset's group holds its members' Doppler rows in Hz, ``f_c
     dnu`` (formed here at 50 digits), with weights ``w_eps``, so the station
@@ -263,8 +296,8 @@ def _mp_vel_offset_bound(scenario):
     dim = layout.dim_interest
     groups = {}
     for n, obs in enumerate(link_observables(scenario, scenario.case)):
-        w_tau, _, w_eps = _link_weights(obs)
-        g_tau, g_nu = _rows(layout, obs)
+        w_tau, _, w_eps = link_weights(obs)
+        g_tau, g_nu = link_rows(layout, obs)
         owner = "stations" if obs.kind is LinkKind.BS_RX else n
         groups.setdefault((owner, "delay"), []).append((g_tau, w_tau, 1.0))
         groups.setdefault((owner, "doppler"), []).append((g_nu, w_eps, obs.carrier_freq))

@@ -110,6 +110,21 @@ def test_receiver_state_validation():
     assert _receiver(offsets=np.zeros((4, 3))).n_antennas == 4
 
 
+@pytest.mark.parametrize("speed", [SPEED_OF_LIGHT_M_S, 1e9, 1e200])
+def test_states_reject_speeds_at_or_above_light(speed):
+    """The Doppler model is first order in ``v / c``: a satellite speed or a
+    receiver velocity magnitude at or above ``c`` is a ``ValueError`` that
+    names the field.  Just below ``c`` both are accepted."""
+    track = np.array([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^speed must be slower than light"):
+        LeoState(position=np.zeros(3), speed=speed, track=track)
+    with pytest.raises(ValueError, match="^velocity must be slower than light"):
+        _receiver(velocity=(0.0, 0.6 * speed, 0.8 * speed))
+    below = np.nextafter(SPEED_OF_LIGHT_M_S, 0.0)
+    assert LeoState(position=np.zeros(3), speed=below, track=track).speed == below
+    assert _receiver(velocity=(below, 0.0, 0.0)).velocity[0] == below
+
+
 def test_antenna_position_epoch_is_reference_point():
     rx = _receiver(position=(1.0, 2.0, 3.0), velocity=(25.0, 0.0, 0.0))
     grid = SlotGrid(n_slots=3, spacing_s=1.0)

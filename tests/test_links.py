@@ -11,6 +11,7 @@ path that must agree to the last bit.
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -32,9 +33,8 @@ from leofim.location_fim import (
     LocationLayout,
     _centered_gram,
     _efims,
-    _link_weights,
-    _rows,
     compute_efim,
+    efim_lemma_route,
 )
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams, effective_frequency, omega
@@ -44,6 +44,8 @@ from _oracle import (
     antenna_position,
     doppler,
     leo_position,
+    link_rows,
+    link_weights,
     receiver_reference,
     time_of,
     unit_direction,
@@ -201,8 +203,8 @@ def _group_by_group_efim(scenario):
     layout = LocationLayout(n_leo=scenario.n_leo)
     groups, stations = [], []
     for obs in link_observables(scenario, scenario.case):
-        w_tau, w_nu, _ = _link_weights(obs)
-        g_tau, g_nu = _rows(layout, obs)
+        w_tau, w_nu, _ = link_weights(obs)
+        g_tau, g_nu = link_rows(layout, obs)
         member = [(g_tau, w_tau), (g_nu, w_nu)]
         if obs.kind is LinkKind.BS_RX:
             stations.append(member)
@@ -309,6 +311,20 @@ def test_station_at_array_reference_point_raises():
     bs_rx_observables(moved, 0)
     with pytest.raises(DegenerateGeometryError):
         bs_rx_observables(moved, 1)
+
+
+def test_overflowing_range_raises_without_a_warning():
+    """A satellite moved to 1e150 times its position has a range whose
+    square overflows a double: both EFIM routes raise
+    ``DegenerateGeometryError`` instead of warning and dropping the link."""
+    sc = random_scenario(ScenarioConfig(), 42)
+    far = dataclasses.replace(sc.leos[0], position=1e150 * sc.leos[0].position)
+    sc = dataclasses.replace(sc, leos=(far,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (compute_efim, efim_lemma_route):
+            with pytest.raises(DegenerateGeometryError, match="range overflows"):
+                route(sc)
 
 
 FAMILY_SIZES = [

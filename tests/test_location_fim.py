@@ -13,7 +13,6 @@ from leofim.channel_fim import (
     transform_fim,
 )
 from leofim.linalg import NumericalError, balanced_eigvalsh, invert_psd, sym
-from leofim.links import link_observables
 from leofim.location_fim import (
     LocationLayout,
     _closed_form,
@@ -31,8 +30,8 @@ def _scenario(seed, **overrides):
 
 
 def _loss(sc):
-    """The information lost to the per-link offsets: the closed form's second term."""
-    return _closed_form(LocationLayout(n_leo=sc.n_leo), link_observables(sc, sc.case))[1]
+    """The information lost to the offset groups: the closed form's second term."""
+    return _closed_form(LocationLayout(n_leo=sc.n_leo), sc)[1]
 
 
 def _min_eig_ratio(matrix):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from leofim.geometry import SPEED_OF_LIGHT_M_S
 from leofim.scenario import (
     _TAG_LEO,
     Case,
@@ -146,6 +147,16 @@ NONE_ACCEPTED = {"rms_duration_s", *_SNRS[1:]}
 def test_float_field_table_covers_every_float_field():
     floats = {f.name for f in dataclasses.fields(ScenarioConfig) if "float" in str(f.type)}
     assert floats == set(FLOAT_FIELDS)
+
+
+@pytest.mark.parametrize("name", ["leo_speed_m_s", "receiver_speed_m_s"])
+@pytest.mark.parametrize("value", [SPEED_OF_LIGHT_M_S, 1e9])
+def test_scenario_config_rejects_speeds_at_or_above_light(name, value):
+    """A sampled speed at or above ``c`` is outside the first-order Doppler
+    model: a ``ValueError`` with the field's name and value."""
+    message = f"{name} must be slower than light, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScenarioConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", list(FLOAT_FIELDS))

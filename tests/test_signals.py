@@ -74,6 +74,19 @@ def test_signal_props_validation():
         SignalProps(eff_bandwidth=1e8, bcc=0.0, rms_duration=1e-3, snr_linear=-1.0, carrier_freq=1e9)
 
 
+@pytest.mark.parametrize(
+    "snr",
+    [np.nan, np.inf, -1.0, np.float64(np.nan), np.float64(np.inf), np.float64(-1.0),
+     np.array([[1.0, 2.0], [np.nan, 4.0]]), np.array([1.0, -1.0])],
+    ids=["nan", "inf", "-1", "np.nan", "np.inf", "np.-1", "array_nan", "array_-1"],
+)
+def test_signal_props_rejects_non_finite_or_negative_snr(snr):
+    """A scalar SNR (a float or a numpy scalar) and every entry of an SNR
+    array must be finite and >= 0."""
+    with pytest.raises(ValueError, match="^snr_linear entries must be finite and >= 0$"):
+        SignalProps(eff_bandwidth=1e8, bcc=0.0, rms_duration=1e-3, snr_linear=snr, carrier_freq=1e9)
+
+
 def test_signal_props_per_observation_snr():
     grid = np.array([[1.0, 2.0], [3.0, 4.0]])
     props = SignalProps(

@@ -8,7 +8,8 @@ every link's stored weights (``omega``, ``snr``) and the signed partials it
 writes into each kappa1 block it informs (keyed by block: ``dtau_dp`` /
 ``dnu_dp`` receiver position, ``dtau_dvu`` / ``dnu_dvu`` velocity,
 ``dtau_dphi`` orientation, ``dtau_dpcheck`` / ``dnu_dpcheck`` and
-``dtau_dvcheck`` / ``dnu_dvcheck`` satellite offsets), ``J_eta``, the
+``dtau_dvcheck`` / ``dnu_dvcheck`` satellite offsets, as the per-link
+reference ``tests/_oracle.link_rows`` writes them), ``J_eta``, the
 assembled layout's nuisance columns (``glob.nuisance_cols``, keyed
 ``<tag>/kappa2_cols``), ``Upsilon``, ``J_kappa``, the interest FIM, the
 information loss (the second term of ``location_fim._closed_form``), the
@@ -108,6 +109,8 @@ EFIM_FAMILIES = [
     ("n_ant", {"n_ant": PARAMETER_SWEEPS["n_ant"]}, PARAMETER_TEMPLATE),
 ]
 CLI_CONFIGS = Path(__file__).resolve().parents[1] / "benches" / "configs"
+# The per-link reference rows (``_oracle.link_rows``) live with the tests.
+TESTS = Path(__file__).resolve().parents[1] / "tests"
 # (delay key, Doppler key) of each kappa1 block's signed partials.
 BLOCK_KEYS = {
     "position": ("dtau_dp", "dnu_dp"),
@@ -175,8 +178,12 @@ def _scenario(scenario, out: dict, tag: str) -> None:
 
 def _observables(scenario, out: dict, tag: str) -> None:
     from leofim import links
-    from leofim.location_fim import _rows, kappa1_blocks
+    from leofim.location_fim import kappa1_blocks
     from leofim.scenario import Case
+
+    if str(TESTS) not in sys.path:
+        sys.path.append(str(TESTS))
+    from _oracle import link_rows
 
     entries = [("leo_rx", links.leo_rx_observables, b) for b in range(scenario.n_leo)]
     entries += [("bs_rx", links.bs_rx_observables, q) for q in range(scenario.n_bs)]
@@ -187,8 +194,8 @@ def _observables(scenario, out: dict, tag: str) -> None:
         obs = fn(scenario, i)
         for field in OBS_FIELDS:
             out[f"{tag}/{name}{i}/{field}"] = fingerprint(getattr(obs, field))
-        # The lemma route's rows hold every block's partials as they are written, sign included.
-        g_tau, g_nu = _rows(layout, obs)
+        # A link's reference rows hold every block's partials as they are written, sign included.
+        g_tau, g_nu = link_rows(layout, obs)
         informed = [block[0] for block in kappa1_blocks(layout, obs)]
         for block, cols in layout.interest_blocks():
             if cols not in informed:
@@ -279,7 +286,6 @@ def dump() -> dict:
         parameter_sweep,
         transform_fim,
     )
-    from leofim.links import link_observables
     from leofim.location_fim import _closed_form, assemble_interest_fim
     from leofim.scenario import Case, ScenarioConfig, random_scenario
 
@@ -302,8 +308,7 @@ def dump() -> dict:
             efim_schur_route(j_kappa, upsilon.location_layout, case).matrix
         )
         out[f"{tag}/interest"] = fingerprint(assemble_interest_fim(scenario).matrix)
-        links = link_observables(scenario, case)
-        out[f"{tag}/loss"] = fingerprint(_closed_form(_layout(n_leo), links)[1])
+        out[f"{tag}/loss"] = fingerprint(_closed_form(_layout(n_leo), scenario)[1])
         out[f"{tag}/lemma"] = fingerprint(efim_lemma_route(scenario).matrix)
         out[f"{tag}/efim"] = fingerprint(compute_efim(scenario).matrix)
     for seed, n_slots in itertools.product(SCENARIO_SEEDS, SCENARIO_SLOTS):
