@@ -10,7 +10,11 @@ the package only ``__init__`` does, to re-export its names.  The tests,
 ``tools/bitexact_corpus.py`` and the bench trace (``benches/tracing.py``) call
 it; it stays in the library until that trace stops, then moves out whole.
 
-For every link the observable parameter vector is ordered as
+A link is member ``m`` of its kind's one-trial batch
+(:func:`.links.link_observables`), read at ``[0, m]``: the oracle takes the
+batch's SNR, ``omega``, signal properties and Jacobians, and forms its
+Doppler and offset weights itself.  For every link the observable parameter
+vector is ordered as
 
     [delays (element-major, slot-minor), Doppler shifts, gain magnitude,
      clock offset, frequency offset]
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, sym
-from .links import LinkKind, LinkObservables, link_observables
+from .links import LinkKind, _Batch, link_observables
 from .location_fim import Efim, LocationLayout, kappa1_blocks
 from .scenario import Case, Scenario
 from .signals import _square
@@ -96,12 +100,14 @@ class ChannelLayout:
 
 @dataclass(frozen=True)
 class LinkFim:
-    """Fisher information of one link's channel parameters, with the link's
-    observables and Jacobians so later stages need not re-evaluate them."""
+    """Fisher information of one link's channel parameters, with the link
+    (member ``member`` of ``batch``, trial 0) so later stages read its
+    observables and Jacobians without re-evaluating them."""
 
     matrix: np.ndarray
     layout: ChannelLayout
-    obs: LinkObservables
+    batch: _Batch
+    member: int
 
 
 def _running_total(values: np.ndarray) -> np.ndarray:
@@ -110,7 +116,7 @@ def _running_total(values: np.ndarray) -> np.ndarray:
     return np.add.accumulate(np.concatenate([np.zeros((1, *values.shape[1:])), values]))[-1]
 
 
-def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
+def _fill_link_fim(layout: ChannelLayout, batch: _Batch, member: int) -> np.ndarray:
     """Common fill for all link kinds, written block by block.
 
     Each delay carries ``snr * omega`` on its diagonal and its negative
@@ -120,17 +126,17 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     Doppler) is their running total in row-major observation order.
     """
     fim = np.zeros((layout.dim, layout.dim))
-    snr = obs.snr
+    snr, props = batch.snr[member], batch.signals[member]
     delays, dopplers = layout.delays, layout.dopplers
     time, freq, gain = layout.time_offset, layout.freq_offset, layout.gain
-    dop_weight = 0.5 * _square(obs.carrier_freq) * _square(obs.rms_duration)
-    cross_weight = -0.5 * obs.carrier_freq * _square(obs.rms_duration)
-    eps_weight = 0.5 * _square(obs.rms_duration)
+    dop_weight = 0.5 * _square(props.carrier_freq) * _square(props.rms_duration)
+    cross_weight = -0.5 * props.carrier_freq * _square(props.rms_duration)
+    eps_weight = 0.5 * _square(props.rms_duration)
     # Column j holds the observations Doppler j sums: every antenna for an
     # array link's per-slot shift, one (station, slot) for a station link.
     by_doppler = snr.reshape(1, -1) if layout.doppler_per_row else snr
 
-    sw = (snr * obs.omega).ravel()
+    sw = (snr * batch.omega[0, member]).ravel()
     fim[delays, delays] = np.diag(sw)
     fim[delays, time] = fim[time, delays] = -sw
     fim[time, time] = _running_total(sw)
@@ -141,16 +147,18 @@ def _fill_link_fim(layout: ChannelLayout, obs: LinkObservables) -> np.ndarray:
     return fim
 
 
-def link_fim(obs: LinkObservables) -> LinkFim:
-    """Channel FIM of one link from its observables.
+def link_fim(batch: _Batch, member: int) -> LinkFim:
+    """Channel FIM of one link, member ``member`` of a one-trial ``batch``.
 
     For a station-receiver link the trailing (clock, frequency) offset
     coordinates are this link's view of the offsets shared by the whole
     station network; the assembler accumulates them into one global pair.
     """
-    n_rows, n_slots = obs.snr.shape
-    layout = ChannelLayout(n_rows=n_rows, n_slots=n_slots, doppler_per_row=obs.per_row_doppler)
-    return LinkFim(matrix=_fill_link_fim(layout, obs), layout=layout, obs=obs)
+    n_rows, n_slots = batch.snr[member].shape
+    per_row = batch.kind is LinkKind.LEO_BS
+    layout = ChannelLayout(n_rows=n_rows, n_slots=n_slots, doppler_per_row=per_row)
+    matrix = _fill_link_fim(layout, batch, member)
+    return LinkFim(matrix=matrix, layout=layout, batch=batch, member=member)
 
 
 @dataclass(frozen=True)
@@ -190,27 +198,25 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
     station-receiver link's offset information on one coordinate pair, which
     follows the last station-receiver link.
     """
-    links = link_observables(scenario, scenario.case)
-    stations = [n for n, obs in enumerate(links) if obs.kind is LinkKind.BS_RX]
-
     sections: list[LinkSection] = []
     nuisance: list[int] = []
     offset = 0
     shared: tuple[int, int] | None = None
-    for n, obs in enumerate(links):
-        fim = link_fim(obs)
-        sections.append(LinkSection(fim=fim, offset=offset))
-        lay = fim.layout
-        nuisance.append(offset + lay.gain)
-        if obs.kind is not LinkKind.BS_RX:
-            nuisance += [offset + lay.time_offset, offset + lay.freq_offset]
-            offset += lay.dim
-            continue
-        offset += lay.dim - 2  # shared offsets placed once, below
-        if n == stations[-1]:
-            shared = (offset, offset + 1)
-            nuisance += shared
-            offset += 2
+    for batch in link_observables(scenario, scenario.case):
+        for m in range(len(batch.signals)):
+            fim = link_fim(batch, m)
+            sections.append(LinkSection(fim=fim, offset=offset))
+            lay = fim.layout
+            nuisance.append(offset + lay.gain)
+            if batch.kind is not LinkKind.BS_RX:
+                nuisance += [offset + lay.time_offset, offset + lay.freq_offset]
+                offset += lay.dim
+                continue
+            offset += lay.dim - 2  # shared offsets placed once, below
+            if m == len(batch.signals) - 1:
+                shared = (offset, offset + 1)
+                nuisance += shared
+                offset += 2
 
     layout = GlobalChannelLayout(
         sections=tuple(sections),
@@ -223,7 +229,7 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
     for sec in layout.sections:
         fim = sec.fim.matrix
         n = fim.shape[0]
-        if sec.fim.obs.kind is not LinkKind.BS_RX:
+        if sec.fim.batch.kind is not LinkKind.BS_RX:
             block = slice(sec.offset, sec.offset + n)
             matrix[block, block] += fim
             continue
@@ -250,13 +256,13 @@ class TransformationMatrix:
 
 def _place_link(upsilon: np.ndarray, loc: LocationLayout, sec: LinkSection) -> None:
     """Write one link's partials into its delay and Doppler columns."""
-    lay = sec.fim.layout
+    lay, m = sec.fim.layout, sec.fim.member
     delays = slice(sec.offset + lay.delays.start, sec.offset + lay.delays.stop)
     dopplers = slice(sec.offset + lay.dopplers.start, sec.offset + lay.dopplers.stop)
-    for rows, dtau, dnu, put in kappa1_blocks(loc, sec.fim.obs):
-        put(upsilon[rows, delays], dtau.reshape(-1, 3).T)
+    for rows, dtau, dnu, put in kappa1_blocks(loc, sec.fim.batch, m):
+        put(upsilon[rows, delays], dtau[0, m].reshape(-1, 3).T)
         if dnu is not None:
-            put(upsilon[rows, dopplers], dnu.reshape(-1, 3).T)
+            put(upsilon[rows, dopplers], dnu[0, m].reshape(-1, 3).T)
 
 
 def build_transformation_matrix(

@@ -1,22 +1,25 @@
 """Per-link observables and their parameter Jacobians (internal).
 
-Everything downstream — channel information matrices, ``Upsilon``,
-information-loss terms — consumes links through these bundles, which carry
-only each link's delay/Doppler weights and partials.  The mapping from
-scene geometry to delays, Doppler shifts, weights and their partials
-lives in exactly one place, :func:`_link_pass`, and is evaluated once per
-link kind, as one broadcast pass over ``(trial, member, element, slot, 3)``
-arrays: every satellite's links of a kind go in one pass, and every station's
-links to the array in one.  The receiver-array geometry the passes share
-(slot times, reference-point track, antenna lever arms and their orientation
-partials) and the satellites' per-slot states are computed once per call.
-The pass reads a :class:`.scenario._Scene`: a sweep's family of trials runs
-through it at once as sampled (:func:`.scenario._sample`), and
-:func:`_scene` converts a :class:`.Scenario` to the same type, its one-trial
-case (:func:`link_observables` and the single-link entry points).
-Delays are evaluated per receive element (antenna, or station for the
-satellite-station link); Doppler shifts are evaluated once per slot at the
-array reference point for receiver links, and per station otherwise.
+Everything downstream — the factor and closed-form routes, and the dense
+oracle's channel information matrices and ``Upsilon`` — reads links as
+batches (:class:`_Batch`), one per link kind, which carry only each link's
+delay/Doppler weights and partials; a link is member ``m`` of its kind's
+batch, read at ``[trial, m]``.  The mapping from scene geometry to delays,
+Doppler shifts, weights and their partials lives in exactly one place,
+:func:`_link_pass`, and is evaluated once per link kind, as one broadcast
+pass over ``(trial, member, element, slot, 3)`` arrays: every satellite's
+links of a kind go in one pass, and every station's links to the array in
+one.  The receiver-array geometry the passes share (slot times,
+reference-point track, antenna lever arms and their orientation partials)
+and the satellites' per-slot states are computed once per call.  The pass
+reads a :class:`.scenario._Scene`: a sweep's family of trials runs through
+it at once as sampled (:func:`.scenario._sample`), and :func:`_scene`
+converts a :class:`.Scenario` to the same type, its one-trial case
+(:func:`link_observables`, and the single-link entry points, whose batches
+hold one member).  Delays are evaluated per receive element (antenna, or
+station for the satellite-station link); Doppler shifts are evaluated once
+per slot at the array reference point for receiver links, and per station
+otherwise.
 
 Satellite positions include the ephemeris offsets: the constant position error
 plus the velocity-offset drift ``k*dt*vel_offset``.
@@ -60,10 +63,11 @@ class LinkJacobians:
     (array reference point's, or station's) position ``p`` and velocity ``v``
     and, for array links only, the array orientation ``phi``.
 
-    Delay arrays have shape ``(n_rows, n_slots, 3)``; Doppler arrays are
-    ``(n_slots, 3)`` for array links and ``(n_rows, n_slots, 3)`` for
-    satellite-station links.  A :class:`_Batch` holds a link kind's with
-    leading ``(trial, member)`` axes.
+    Held by a :class:`_Batch` for its link kind: every array is ``(T, M,
+    rows, n_slots, 3)`` over trials and members.  Delay arrays have a row
+    per element (antenna, or station for satellite-station links); Doppler
+    arrays have one row, the array reference point, for array links and a
+    row per station for satellite-station links.
     """
 
     dtau_dp: np.ndarray
@@ -71,33 +75,6 @@ class LinkJacobians:
     dtau_dphi: np.ndarray | None
     dnu_dp: np.ndarray
     dnu_dv: np.ndarray
-
-
-@dataclass(frozen=True)
-class LinkObservables:
-    """Weights and Jacobians of one link: what the channel FIM, ``Upsilon``
-    and the closed-form EFIM read.
-
-    The element axis runs over antennas for links received by the array and
-    over stations for a satellite's links to the station network; ``snr
-    (n_rows, n_slots)`` is per delay observation.  ``omega`` has one entry per
-    Doppler observation: shape ``(n_slots,)`` at the array reference point for
-    array links, and the element grid ``(n_rows, n_slots)`` for
-    satellite-station links.
-    """
-
-    kind: LinkKind
-    index: int
-    omega: np.ndarray
-    snr: np.ndarray
-    rms_duration: float
-    carrier_freq: float
-    jacobians: LinkJacobians
-
-    @property
-    def per_row_doppler(self) -> bool:
-        """Whether Doppler shifts are observed per element (station links)."""
-        return self.kind is LinkKind.LEO_BS
 
 
 def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +87,7 @@ def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         If any pair is closer than ~1 nm and no direction is defined, or so
         far apart that its range overflows a double.
     """
-    with np.errstate(over="ignore"):  # reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned about
         diff = rx - tx
         dist = np.sqrt(np.vecdot(diff, diff))
     if not dist.max(initial=0.0) < np.inf:
@@ -144,11 +121,13 @@ def _doppler_position_partial(dirs: np.ndarray, dists: np.ndarray, v_rel: np.nda
 
 def _leo_states(scene: _Scene) -> tuple[np.ndarray, np.ndarray]:
     """Offset-corrected positions and velocities ``(T, L, K, 3)`` per slot of
-    a scene's satellites."""
+    a scene's satellites.  A position that overflows a double is left
+    infinite (or NaN) without a warning: :func:`_directions` names it."""
     t, speed, track = scene.k_times, scene.leo_speed, scene.leo_track
     pos_offset, vel_offset = scene.leo_pos_offset[:, None, :], scene.leo_vel_offset[:, None, :]
-    moved = scene.leo_position[..., None, :] + (t * speed[:, None])[..., None] * track
-    moved = moved + pos_offset + t[:, None] * vel_offset
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = scene.leo_position[..., None, :] + (t * speed[:, None])[..., None] * track
+        moved = moved + pos_offset + t[:, None] * vel_offset
     return moved, speed[:, None, None] * track + vel_offset
 
 
@@ -227,13 +206,14 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
     kinds = [kind for kind in kinds if scene.signals[kind]]
     if any(kind is not LinkKind.LEO_BS for kind in kinds):
         rotation, partials = _rotations(scene.euler)
-        centroid = scene.position[:, None, :] + t[:, None] * scene.velocity[:, None, :]
-        centroid = centroid[:, None, None]
         lever = scene.antennas @ rotation.mT
         # Lever-arm partials d(R u)_a / d(phi_i) of each antenna ``u``, as ``(i, T, U, a)``:
         # with the angle axis first, the orientation partials' products run along the slots.
         rotated = _dot3(np.moveaxis(partials, 1, 0)[:, :, None], scene.antennas[None, :, :, None])
-        elements = centroid + lever[:, None, :, None, :]
+        with np.errstate(over="ignore", invalid="ignore"):  # named by ``_directions``
+            centroid = scene.position[:, None, :] + t[:, None] * scene.velocity[:, None, :]
+            centroid = centroid[:, None, None]
+            elements = centroid + lever[:, None, :, None, :]
     batches = []
     for kind in kinds:
         if kind is LinkKind.LEO_BS:
@@ -289,52 +269,28 @@ def _kinds(case: Case) -> list[LinkKind]:
     return kinds + [LinkKind.LEO_BS] if case is Case.WITH_BS else kinds
 
 
-def _scenario_links(
-    scenario: Scenario, kinds: list[LinkKind], leos: range, bss: range
-) -> list[LinkObservables]:
-    """The one-trial link pass over a scenario's satellites ``leos`` and
-    stations ``bss``, one :class:`LinkObservables` per link, kind by kind."""
-    links = []
-    for batch in _link_pass(_scene(scenario, leos, bss), kinds):
-        jac = batch.jacobians
-        # An array link's Doppler observations have the one row of its reference point.
-        row = slice(None) if batch.kind is LinkKind.LEO_BS else 0
-        members = bss if batch.kind is LinkKind.BS_RX else leos
-        for m, (index, props) in enumerate(zip(members, batch.signals)):
-            links.append(LinkObservables(
-                kind=batch.kind,
-                index=index,
-                omega=batch.omega[0, m, row],
-                snr=batch.snr[m],
-                rms_duration=props.rms_duration,
-                carrier_freq=props.carrier_freq,
-                jacobians=LinkJacobians(
-                    dtau_dp=jac.dtau_dp[0, m],
-                    dtau_dv=jac.dtau_dv[0, m],
-                    dtau_dphi=None if jac.dtau_dphi is None else jac.dtau_dphi[0, m],
-                    dnu_dp=jac.dnu_dp[0, m, row],
-                    dnu_dv=jac.dnu_dv[0, m, row],
-                ),
-            ))
-    return links
+def leo_rx_observables(scenario: Scenario, b: int) -> _Batch:
+    """Satellite ``b``'s downlink to the receiver array: a one-trial,
+    one-member batch."""
+    return _link_pass(_scene(scenario, range(b, b + 1), range(0)), [LinkKind.LEO_RX])[0]
 
 
-def leo_rx_observables(scenario: Scenario, b: int) -> LinkObservables:
-    """Observables of satellite ``b``'s downlink to the receiver array."""
-    return _scenario_links(scenario, [LinkKind.LEO_RX], range(b, b + 1), range(0))[0]
+def bs_rx_observables(scenario: Scenario, q: int) -> _Batch:
+    """Station ``q``'s link to the receiver array: a one-trial, one-member
+    batch."""
+    return _link_pass(_scene(scenario, range(0), range(q, q + 1)), [LinkKind.BS_RX])[0]
 
 
-def bs_rx_observables(scenario: Scenario, q: int) -> LinkObservables:
-    """Observables of station ``q``'s link to the receiver array."""
-    return _scenario_links(scenario, [LinkKind.BS_RX], range(0), range(q, q + 1))[0]
+def leo_bs_observables(scenario: Scenario, b: int) -> _Batch:
+    """Satellite ``b``'s links to all base stations: a one-trial, one-member
+    batch."""
+    scene = _scene(scenario, range(b, b + 1), range(scenario.n_bs))
+    return _link_pass(scene, [LinkKind.LEO_BS])[0]
 
 
-def leo_bs_observables(scenario: Scenario, b: int) -> LinkObservables:
-    """Observables of satellite ``b``'s links to all base stations."""
-    return _scenario_links(scenario, [LinkKind.LEO_BS], range(b, b + 1), range(scenario.n_bs))[0]
-
-
-def link_observables(scenario: Scenario, case: Case) -> list[LinkObservables]:
-    """Every link the case observes, in assembly order: satellite-receiver,
-    station-receiver, then (with station observations) satellite-station."""
-    return _scenario_links(scenario, _kinds(case), range(scenario.n_leo), range(scenario.n_bs))
+def link_observables(scenario: Scenario, case: Case) -> list[_Batch]:
+    """The one-trial link pass over every link the case observes: one batch
+    per kind, in assembly order (satellite-receiver, station-receiver, then,
+    with station observations, satellite-station), member ``m`` the kind's
+    ``m``-th satellite or station."""
+    return _link_pass(_scene(scenario, range(scenario.n_leo), range(scenario.n_bs)), _kinds(case))

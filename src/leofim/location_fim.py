@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import NumericalError, sym
-from .links import LinkKind, LinkObservables, _Batch, _kinds, _link_pass, _scene
+from .links import LinkKind, _Batch, link_observables
 from .scenario import Case, Scenario
 
 
@@ -112,31 +112,32 @@ def _copy_negated(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 def kappa1_blocks(
-    layout: LocationLayout, obs: LinkObservables, index: int | None = None
+    layout: LocationLayout, batch: _Batch, index: int
 ) -> list[tuple[slice, np.ndarray, np.ndarray | None, Callable[..., None]]]:
-    """(kappa1 slice, delay partials, Doppler partials, ``put``) per block the
-    link informs; ``put(dst, src)`` writes ``src`` into ``dst`` with the
-    block's sign.
+    """(kappa1 slice, delay partials, Doppler partials, ``put``) per block a
+    link of ``batch`` informs; ``put(dst, src)`` writes ``src`` into ``dst``
+    with the block's sign.  The partials are the batch's whole Jacobian
+    arrays; a caller slices out its link's ``[trial, member]``.
 
     Links received by the array inform the receiver position, velocity and
     orientation (orientation has no Doppler partials: shifts are measured at
     the array reference point).  Links transmitted by satellite ``index``
-    (default ``obs.index``) inform its position and velocity offsets with the
-    negated receiving-end partials: the link sees the ends' difference only.
+    inform its position and velocity offsets with the negated receiving-end
+    partials: the link sees the ends' difference only.  A station-receiver
+    link informs no satellite's blocks and ignores ``index``.
     """
-    jac = obs.jacobians
+    jac = batch.jacobians
     blocks = []
-    if obs.kind is not LinkKind.LEO_BS:
+    if batch.kind is not LinkKind.LEO_BS:
         blocks += [
             (layout.position, jac.dtau_dp, jac.dnu_dp, _copy),
             (layout.velocity, jac.dtau_dv, jac.dnu_dv, _copy),
             (layout.orientation, jac.dtau_dphi, None, _copy),
         ]
-    if obs.kind is not LinkKind.BS_RX:
-        b = obs.index if index is None else index
+    if batch.kind is not LinkKind.BS_RX:
         blocks += [
-            (layout.pos_offset(b), jac.dtau_dp, jac.dnu_dp, _copy_negated),
-            (layout.vel_offset(b), jac.dtau_dv, jac.dnu_dv, _copy_negated),
+            (layout.pos_offset(index), jac.dtau_dp, jac.dnu_dp, _copy_negated),
+            (layout.vel_offset(index), jac.dtau_dv, jac.dnu_dv, _copy_negated),
         ]
     return blocks
 
@@ -167,9 +168,8 @@ def _closed_form(layout: LocationLayout, scenario: Scenario) -> tuple[np.ndarray
     stations' ``m = (f_c w_eps) @ g_nu`` and ``n = sum w_eps`` loses."""
     dim = layout.dim_interest
     interest, loss = np.zeros((dim, dim)), np.zeros((dim, dim))
-    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
     count = (scenario.n_bs, scenario.n_ant, scenario.n_slots)
-    for batch in _link_pass(scene, _kinds(scenario.case)):
+    for batch in link_observables(scenario, scenario.case):
         for g, w in _groups(batch, layout, _key(batch.kind, layout.n_leo, *count), slice(None)):
             g, w = g[0], w[0]
             interest += (g.mT @ (w[..., None] * g)).sum(axis=0)
@@ -209,8 +209,7 @@ def compute_efim(scenario: Scenario) -> Efim:
     """The EFIM of a scenario by the factor route (:func:`_efims`): one
     trial, one cell."""
     layout = LocationLayout(n_leo=scenario.n_leo)
-    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
-    batches = _link_pass(scene, _kinds(scenario.case))
+    batches = link_observables(scenario, scenario.case)
     matrix = _efims(batches, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
     return Efim(matrix=matrix, layout=layout, case=scenario.case)
 
@@ -257,9 +256,9 @@ def _groups(
     ``(T, groups, n, dim)`` in interest coordinates, zero outside the blocks
     they inform, flat in grid order, and their weights ``(T, groups, n)``:
     ``snr * omega`` per delay, :func:`_doppler_weights` per Doppler shift.
-    :func:`.kappa1_blocks` reads the batch's
-    Jacobians as a link's, one satellite at a time; each station's Doppler
-    rows are its partials scaled by ``f_c / f_1`` (see :func:`_efims`)."""
+    :func:`kappa1_blocks` places the batch's Jacobians, one satellite at a
+    time; each station's Doppler rows are its partials scaled by ``f_c /
+    f_1`` (see :func:`_efims`)."""
     members, rows, slots = key
     omega = batch.omega[trials, :members, :rows, :slots]
     n_trials = len(omega)
@@ -275,7 +274,7 @@ def _groups(
         scale = (carriers / batch.signals[0].carrier_freq).reshape(-1, 1, 1, 1)
     for group, member in enumerate([slice(members)] if stations else range(members)):
         partials = (trials, member, slice(rows), slice(slots))
-        for cols, dtau, dnu, put in kappa1_blocks(layout, batch, None if stations else member):
+        for cols, dtau, dnu, put in kappa1_blocks(layout, batch, group):
             put(g_tau[:, group, :, cols], dtau[partials].reshape(n_trials, -1, 3))
             if dnu is not None:
                 dnu = dnu[partials] * scale if stations else dnu[partials]

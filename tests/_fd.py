@@ -29,6 +29,7 @@ from _oracle import (
     antenna_position,
     delay,
     doppler,
+    doppler_rows,
     leo_position,
     receiver_reference,
     time_of,
@@ -95,23 +96,25 @@ _SINGLE_LINK = {
 }
 
 
-def signed_partials(scenario, kind: LinkKind, index: int, obs=None) -> dict:
+def signed_partials(scenario, kind: LinkKind, index: int, batch=None, member: int = 0) -> dict:
     """Every kappa1 block's partials of one link as ``kappa1_blocks`` writes
-    them, sign included, named as in :func:`fd_link_jacobians`; blocks the
-    link does not inform are absent.  ``obs`` is the link's observables, by
-    default from its single-link entry point."""
-    obs = _SINGLE_LINK[kind](scenario, index) if obs is None else obs
+    them, sign included, named and shaped as in :func:`fd_link_jacobians`
+    (an array link's Doppler partials without the batch's one row); blocks
+    the link does not inform are absent.  The link is member ``member`` of
+    the one-trial ``batch``, by default its single-link entry point's."""
+    batch = _SINGLE_LINK[kind](scenario, index) if batch is None else batch
     layout = LocationLayout(n_leo=scenario.n_leo)
     names = {
         cols.start: _BLOCK_NAMES[name.rstrip("_0123456789")]
         for name, cols in layout.interest_blocks()
     }
     out = {}
-    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
+    for cols, dtau, dnu, put in kappa1_blocks(layout, batch, index):
         tau_name, nu_name = names[cols.start]
-        out[tau_name] = np.empty_like(dtau)
-        put(out[tau_name], dtau)
+        out[tau_name] = np.empty_like(dtau[0, member])
+        put(out[tau_name], dtau[0, member])
         if dnu is not None:
+            dnu = dnu[0, member, doppler_rows(kind)]
             out[nu_name] = np.empty_like(dnu)
             put(out[nu_name], dnu)
     return out

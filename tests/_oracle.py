@@ -12,11 +12,14 @@ finite-difference Jacobians (``_fd``).  Slot numbers run 1..``n_slots``; slot
 
 :func:`link_weights`, :func:`link_rows` and :func:`closed_form` are the
 closed-form route one link at a time: each link's own rows and weights, and
-the station links' shared offset pair pooled as ``m`` and ``n`` sums.  The
-factor route's batched rows and weights (``location_fim._groups``) are
-checked against the first two bit for bit (``test_factor_route``,
-``test_links``), and the library's closed form against the third;
-``tools/bitexact_corpus.py`` hashes each link's rows.
+the station links' shared offset pair pooled as ``m`` and ``n`` sums.  A
+link is one member of a one-trial batch of ``leofim.links`` (the batches of
+``link_observables``, or a single-link entry point's one-member batch), read
+at ``[0, m]`` (:func:`link_members` lists them).  The factor route's
+batched rows and weights (``location_fim._groups``) are checked against the
+first two bit for bit (``test_factor_route``, ``test_links``), and the
+library's closed form against the third; ``tools/bitexact_corpus.py`` hashes
+each link's rows.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from leofim.geometry import (
     as_vec3,
 )
 from leofim.linalg import sym
-from leofim.links import LinkKind, LinkObservables
+from leofim.links import LinkKind, _Batch
 from leofim.location_fim import LocationLayout, kappa1_blocks
 from leofim.scenario import _GAMMA, _MASK64, _mix
 from leofim.signals import _square
@@ -149,8 +152,22 @@ class SplitMix64:
         return SplitMix64(forked.next_u64())
 
 
-def link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delay, Doppler and frequency-offset weights of one link, flat.
+def link_members(batches: list[_Batch]) -> list[tuple[_Batch, int]]:
+    """Every link of one-trial batches as ``(batch, member)``, in assembly
+    order."""
+    return [(batch, m) for batch in batches for m in range(len(batch.signals))]
+
+
+def doppler_rows(kind: LinkKind) -> slice | int:
+    """A link's Doppler rows in its batch: every station's for a
+    satellite-station link; an array link's one row, the reference point,
+    taken as an index so the per-link shape has no row axis."""
+    return slice(None) if kind is LinkKind.LEO_BS else 0
+
+
+def link_weights(batch: _Batch, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay, Doppler and frequency-offset weights of link ``m`` of a
+    one-trial batch, flat.
 
     Returns ``(w_tau, w_nu, w_eps)``: the delay weight ``snr * omega`` per
     observation, and the Doppler / offset weights ``snr_k * f_c^2 * a_o^2 / 2``
@@ -158,35 +175,37 @@ def link_weights(obs: LinkObservables) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``snr_k`` sums the slot's SNR over the antennas, since the shift is
     common to the array).
     """
-    snr = obs.snr
-    w_tau = snr * obs.omega
-    snr_dop = snr if obs.per_row_doppler else snr.sum(axis=0)
-    half_ao2 = 0.5 * _square(obs.rms_duration)
-    w_nu = snr_dop * _square(obs.carrier_freq) * half_ao2
+    snr, props = batch.snr[m], batch.signals[m]
+    w_tau = snr * batch.omega[0, m]
+    snr_dop = snr if batch.kind is LinkKind.LEO_BS else snr.sum(axis=0)
+    half_ao2 = 0.5 * _square(props.rms_duration)
+    w_nu = snr_dop * _square(props.carrier_freq) * half_ao2
     w_eps = snr_dop * half_ao2
     return w_tau.ravel(), w_nu.ravel(), w_eps.ravel()
 
 
-def link_rows(layout: LocationLayout, obs: LinkObservables) -> tuple[np.ndarray, np.ndarray]:
-    """One link's Jacobian rows in interest coordinates.
+def link_rows(
+    layout: LocationLayout, batch: _Batch, m: int, index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian rows in interest coordinates of link ``m`` of a one-trial
+    batch, whose satellite (if any) is ``index``.
 
     Returns ``g_tau (n_delays, dim_interest)`` and ``g_nu (n_dopplers,
     dim_interest)``: row ``i`` is the gradient of observation ``i`` with
     respect to kappa1, zero outside the blocks the link informs.
     """
-    g_tau = np.zeros((obs.snr.size, layout.dim_interest))
-    g_nu = np.zeros((obs.omega.size, layout.dim_interest))
-    for cols, dtau, dnu, put in kappa1_blocks(layout, obs):
-        put(g_tau[:, cols], dtau.reshape(-1, 3))
+    g_tau = np.zeros((batch.snr[m].size, layout.dim_interest))
+    g_nu = np.zeros((batch.omega[0, m].size, layout.dim_interest))
+    for cols, dtau, dnu, put in kappa1_blocks(layout, batch, index):
+        put(g_tau[:, cols], dtau[0, m].reshape(-1, 3))
         if dnu is not None:
-            put(g_nu[:, cols], dnu.reshape(-1, 3))
+            put(g_nu[:, cols], dnu[0, m].reshape(-1, 3))
     return g_tau, g_nu
 
 
-def closed_form(
-    layout: LocationLayout, links: list[LinkObservables]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interest FIM ``sum g^T diag(w) g`` and information loss, in one pass.
+def closed_form(layout: LocationLayout, batches: list[_Batch]) -> tuple[np.ndarray, np.ndarray]:
+    """Interest FIM ``sum g^T diag(w) g`` and information loss of a scenario's
+    one-trial ``batches``, link by link, in one pass.
 
     Each clock offset loses ``m m^T / n`` with ``m = w_tau @ g_tau``,
     ``n = sum w_tau``; each frequency offset with ``m = (f_c w_eps) @ g_nu``,
@@ -199,12 +218,13 @@ def closed_form(
     loss = np.zeros((dim, dim))
     shared = [(np.zeros(dim), 0.0)] * 2
     offsets = []
-    for obs in links:
-        w_tau, w_nu, w_eps = link_weights(obs)
-        g_tau, g_nu = link_rows(layout, obs)
+    for batch, member in link_members(batches):
+        w_tau, w_nu, w_eps = link_weights(batch, member)
+        g_tau, g_nu = link_rows(layout, batch, member, member)
         interest += g_tau.T @ (w_tau[:, None] * g_tau) + g_nu.T @ (w_nu[:, None] * g_nu)
-        pair = [(w_tau @ g_tau, w_tau.sum()), ((obs.carrier_freq * w_eps) @ g_nu, w_eps.sum())]
-        if obs.kind is LinkKind.BS_RX:
+        f_c = batch.signals[member].carrier_freq
+        pair = [(w_tau @ g_tau, w_tau.sum()), ((f_c * w_eps) @ g_nu, w_eps.sum())]
+        if batch.kind is LinkKind.BS_RX:
             shared = [(m + m_s, n + n_s) for (m, n), (m_s, n_s) in zip(pair, shared)]
         else:
             offsets += pair

@@ -48,14 +48,16 @@ def test_link_fim_hand_formula(sizes, observables):
     match to the bit.
     """
     sc = random_scenario(ScenarioConfig(**{"n_leo": 1, "n_bs": 1, "n_ant": 1, **sizes}), 2)
-    obs = observables(sc, 0)
+    batch = observables(sc, 0)
     # Uneven SNRs, so summing per-observation terms differs in the last bits
     # from weighting the summed SNR.
-    spread = np.sqrt(1 + np.arange(obs.snr.size)).reshape(obs.snr.shape)
-    obs = dataclasses.replace(obs, snr=obs.snr * spread)
-    fim = link_fim(obs)
+    spread = np.sqrt(1 + np.arange(batch.snr.size)).reshape(batch.snr.shape)
+    batch = dataclasses.replace(batch, snr=batch.snr * spread)
+    fim = link_fim(batch, 0)
     lay = fim.layout
-    f_c, alpha2 = obs.carrier_freq, obs.rms_duration**2
+    per_row = batch.kind is LinkKind.LEO_BS
+    snrs, omegas = batch.snr[0], batch.omega[0, 0]
+    f_c, alpha2 = batch.signals[0].carrier_freq, batch.signals[0].rms_duration**2
     dop, cross, eps = 0.5 * f_c**2 * alpha2, -0.5 * f_c * alpha2, 0.5 * alpha2
     gain = 1 / (4 * np.pi**2)  # unit gain magnitude
     delta, epsilon, beta = lay.time_offset, lay.freq_offset, lay.gain
@@ -63,10 +65,10 @@ def test_link_fim_hand_formula(sizes, observables):
     expected = np.zeros((lay.dim, lay.dim))
     for row in range(lay.n_rows):
         for k in range(lay.n_slots):
-            snr = float(obs.snr[row, k])
+            snr = float(snrs[row, k])
             tau = row * lay.n_slots + k
-            nu = lay.n_delays + (tau if obs.per_row_doppler else k)
-            sw = snr * float(obs.omega[row, k] if obs.per_row_doppler else obs.omega[k])
+            nu = lay.n_delays + (tau if per_row else k)
+            sw = snr * float(omegas[row, k] if per_row else omegas[0, k])
             for i, j, value in [
                 (tau, tau, sw), (tau, delta, -sw), (delta, tau, -sw), (delta, delta, sw),
                 (nu, nu, snr * dop), (nu, epsilon, snr * cross), (epsilon, nu, snr * cross),
@@ -79,9 +81,9 @@ def test_link_fim_hand_formula(sizes, observables):
 def _link_fims(scenario, b_rx, q, b_bs):
     """Channel FIMs of one link of each kind."""
     return (
-        link_fim(leo_rx_observables(scenario, b_rx)),
-        link_fim(bs_rx_observables(scenario, q)),
-        link_fim(leo_bs_observables(scenario, b_bs)),
+        link_fim(leo_rx_observables(scenario, b_rx), 0),
+        link_fim(bs_rx_observables(scenario, q), 0),
+        link_fim(leo_bs_observables(scenario, b_bs), 0),
     )
 
 
@@ -108,10 +110,10 @@ def test_link_fims_are_exactly_symmetric():
 
 def test_link_layout_dimensions():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=3, n_ant=4, n_slots=3), 5)
-    rx = link_fim(leo_rx_observables(sc, 0))
+    rx = link_fim(leo_rx_observables(sc, 0), 0)
     # 4*3 delays + 3 dopplers + 1 gain + time/frequency offsets
     assert rx.matrix.shape == (18, 18)
-    sb = link_fim(leo_bs_observables(sc, 0))
+    sb = link_fim(leo_bs_observables(sc, 0), 0)
     # 3*3 delays + 3*3 dopplers + 1 gain + 2 offsets
     assert sb.matrix.shape == (21, 21)
 
@@ -123,7 +125,7 @@ def test_assembled_dimension_counts_shared_station_clock():
     assert matrix.shape == (89, 89)
     assert layout.dim == 89
     assert np.array_equal(matrix, matrix.T)
-    kinds = [sec.fim.obs.kind for sec in layout.sections]
+    kinds = [sec.fim.batch.kind for sec in layout.sections]
     assert kinds.count(LinkKind.LEO_RX) == 1
     assert kinds.count(LinkKind.BS_RX) == 3
     assert kinds.count(LinkKind.LEO_BS) == 1
@@ -133,7 +135,7 @@ def test_assembled_bs_clock_accumulates_across_stations():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=2, n_ant=1, n_slots=1), 8)
     matrix, layout = assemble_channel_fim(sc)
     col = layout.shared_bs_offsets[0]
-    per_link = [link_fim(bs_rx_observables(sc, q)) for q in range(2)]
+    per_link = [link_fim(bs_rx_observables(sc, q), 0) for q in range(2)]
     expected = sum(f.matrix[f.layout.time_offset, f.layout.time_offset] for f in per_link)
     assert np.isclose(matrix[col, col], expected, rtol=1e-12)
 
@@ -141,7 +143,7 @@ def test_assembled_bs_clock_accumulates_across_stations():
 def test_receiver_only_case_drops_satellite_station_links():
     config = ScenarioConfig(n_leo=2, n_bs=3, n_ant=2, n_slots=2, case=Case.RECEIVER_ONLY)
     matrix, layout = assemble_channel_fim(random_scenario(config, 9))
-    kinds = [sec.fim.obs.kind for sec in layout.sections]
+    kinds = [sec.fim.batch.kind for sec in layout.sections]
     assert LinkKind.LEO_BS not in kinds
     assert kinds.count(LinkKind.LEO_RX) == 2
     assert kinds.count(LinkKind.BS_RX) == 3
@@ -161,7 +163,7 @@ def test_assembly_is_positive_semidefinite():
 def test_bad_link_index_raises():
     sc = random_scenario(ScenarioConfig(n_leo=1, n_bs=1), 11)
     with pytest.raises(IndexError):
-        link_fim(leo_rx_observables(sc, 5))
+        link_fim(leo_rx_observables(sc, 5), 0)
 
 
 def _imported_modules(node: ast.AST) -> set[str]:

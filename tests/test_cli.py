@@ -252,6 +252,24 @@ def test_degenerate_later_trial_exits_4_without_traceback(tmp_path, capsys, monk
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["bound", "identifiability"])
+@pytest.mark.parametrize(
+    "settings",
+    [{"slot_spacing_s": 1e306}, {"slot_spacing_s": 1e300, "leo_speed_m_s": 2.9e8}],
+    ids=["spacing_1e306", "spacing_1e300_speed_2.9e8"],
+)
+def test_overflowing_track_exits_4_as_degenerate_geometry(tmp_path, capsys, command, settings):
+    """Slot times that carry the tracks beyond double range are degenerate
+    geometry (exit 4, one stderr line naming the overflowing range), not a
+    numerical failure raised by an overflow warning ahead of the check."""
+    out = tmp_path / "bounds.csv"
+    settings = {**settings, "command": command, "n_trials": 1, "out": str(out)}
+    assert main(["--config", _write_config(tmp_path, settings)]) == 4
+    err = capsys.readouterr().err
+    assert err == "degenerate geometry: a range overflows a double: coordinates too large\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "settings",
     [

@@ -39,7 +39,7 @@ from leofim.location_fim import (
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
 from leofim.signals import OffsetParams
 
-from _oracle import closed_form, link_rows, link_weights
+from _oracle import closed_form, link_members, link_rows, link_weights
 
 ORACLE_CONFIGS = {
     "wide": WIDE,
@@ -110,16 +110,16 @@ def test_a_satellite_stack_holds_each_satellites_own_rows_and_weights(seed, case
     scenario = _per_satellite_signals(random_scenario(config, seed))
     layout = LocationLayout(n_leo=scenario.n_leo)
     scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
-    links = link_observables(scenario, case)
+    links = link_members(link_observables(scenario, case))
     stacks = [b for b in _link_pass(scene, _kinds(case)) if b.kind is not LinkKind.BS_RX]
     assert [b.kind for b in stacks] == [k for k in _kinds(case) if k is not LinkKind.BS_RX]
     for batch in stacks:
         key = _key(batch.kind, scenario.n_leo, scenario.n_bs, scenario.n_ant, scenario.n_slots)
         (g_tau, w_tau), (g_nu, w_nu) = _groups(batch, layout, key, slice(None))
-        own = [obs for obs in links if obs.kind is batch.kind]
+        own = [(link, m) for link, m in links if link.kind is batch.kind]
         assert g_tau.shape[:2] == w_tau.shape[:2] == (1, len(own))
-        for b, obs in enumerate(own):
-            rows, weights = link_rows(layout, obs), link_weights(obs)
+        for b, (link, m) in enumerate(own):
+            rows, weights = link_rows(layout, link, m, m), link_weights(link, m)
             assert np.array_equal(g_tau[0, b], rows[0]) and np.array_equal(g_nu[0, b], rows[1])
             assert np.array_equal(w_tau[0, b], weights[0]), (batch.kind, b)
             assert np.array_equal(w_nu[0, b], weights[1]), (batch.kind, b)
@@ -295,12 +295,13 @@ def _mp_vel_offset_bound(scenario):
     layout = LocationLayout(n_leo=scenario.n_leo)
     dim = layout.dim_interest
     groups = {}
-    for n, obs in enumerate(link_observables(scenario, scenario.case)):
-        w_tau, _, w_eps = link_weights(obs)
-        g_tau, g_nu = link_rows(layout, obs)
-        owner = "stations" if obs.kind is LinkKind.BS_RX else n
+    for batch, m in link_members(link_observables(scenario, scenario.case)):
+        w_tau, _, w_eps = link_weights(batch, m)
+        g_tau, g_nu = link_rows(layout, batch, m, m)
+        owner = "stations" if batch.kind is LinkKind.BS_RX else (batch.kind, m)
         groups.setdefault((owner, "delay"), []).append((g_tau, w_tau, 1.0))
-        groups.setdefault((owner, "doppler"), []).append((g_nu, w_eps, obs.carrier_freq))
+        f_c = batch.signals[m].carrier_freq
+        groups.setdefault((owner, "doppler"), []).append((g_nu, w_eps, f_c))
     mp = mpmath.mp
     with mp.workdps(50):
         columns = [[] for _ in range(dim)]

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from leofim.channel_fim import assemble_channel_fim
 from leofim.geometry import SPEED_OF_LIGHT_M_S, BsState, DegenerateGeometryError
 from leofim.links import (
     LinkKind,
@@ -43,7 +44,9 @@ from _fd import signed_partials
 from _oracle import (
     antenna_position,
     doppler,
+    doppler_rows,
     leo_position,
+    link_members,
     link_rows,
     link_weights,
     receiver_reference,
@@ -150,18 +153,19 @@ def _offset_scenario(seed, **overrides):
 @pytest.mark.parametrize("n_ant", [1, 4])
 def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
     sc = _offset_scenario(seed, n_leo=2, n_bs=3, n_ant=n_ant, n_slots=3, case=case)
-    links = link_observables(sc, case)
+    links = link_members(link_observables(sc, case))
     expected_kinds = [LinkKind.LEO_RX] * 2 + [LinkKind.BS_RX] * 3
     if case is Case.WITH_BS:
         expected_kinds += [LinkKind.LEO_BS] * 2
-    assert [obs.kind for obs in links] == expected_kinds
-    for obs in links:
-        reference = _link_oracle(sc, obs.kind, obs.index)
-        signed = signed_partials(sc, obs.kind, obs.index, obs)
+    assert [batch.kind for batch, _ in links] == expected_kinds
+    for batch, m in links:
+        reference = _link_oracle(sc, batch.kind, m)
+        signed = signed_partials(sc, batch.kind, m, batch, m)
+        weights = {"omega": batch.omega[0, m, doppler_rows(batch.kind)], "snr": batch.snr[m]}
         for name in reference:
-            got = signed[name] if name.startswith("d") else getattr(obs, name)
-            assert got.shape == reference[name].shape, (obs.kind, obs.index, name)
-            assert np.array_equal(got, reference[name]), (obs.kind, obs.index, name)
+            got = signed[name] if name.startswith("d") else weights[name]
+            assert got.shape == reference[name].shape, (batch.kind, m, name)
+            assert np.array_equal(got, reference[name]), (batch.kind, m, name)
 
 
 @pytest.mark.parametrize("case", list(Case))
@@ -174,25 +178,36 @@ def test_link_observables_match_single_link_entry_points_bit_for_bit(case):
         LinkKind.BS_RX: bs_rx_observables,
         LinkKind.LEO_BS: leo_bs_observables,
     }
-    for obs in link_observables(sc, case):
-        _assert_same_link(obs, single[obs.kind](sc, obs.index))
+    for batch, m in link_members(link_observables(sc, case)):
+        _assert_same_link(_link(batch, m), _link(single[batch.kind](sc, m), 0), (batch.kind, m))
 
 
-def _assert_same_link(got_from, expected_from, obs=None):
-    """Every field of two links, their Jacobians included, bit for bit."""
-    obs = got_from if obs is None else obs
-    for field in dataclasses.fields(got_from):
-        got, expected = getattr(got_from, field.name), getattr(expected_from, field.name)
-        label = (obs.kind, obs.index, field.name)
+def _link(batch, m, t=0):
+    """Every field of member ``m`` of a batch in trial ``t``, by name: its
+    kind, carrier and RMS duration, and its slice of every array, the
+    Jacobians included (an absent one as ``None``)."""
+    props, jac = batch.signals[m], batch.jacobians
+    fields = {"kind": batch.kind, "carrier_freq": props.carrier_freq,
+              "rms_duration": props.rms_duration, "omega": batch.omega[t, m],
+              "snr": batch.snr[m], "carrier_sq": batch.carrier_sq[m], "half_ao2": batch.half_ao2[m]}
+    for field in dataclasses.fields(jac):
+        array = getattr(jac, field.name)
+        fields[field.name] = None if array is None else array[t, m]
+    return fields
+
+
+def _assert_same_link(got_from, expected_from, label):
+    """Every field of two links (:func:`_link`), bit for bit."""
+    assert got_from.keys() == expected_from.keys(), label
+    for name, got in got_from.items():
+        expected = expected_from[name]
         if got is None or expected is None:
-            assert (got is None) is (expected is None), label
+            assert (got is None) is (expected is None), (*label, name)
         elif isinstance(got, np.ndarray):
-            assert got.shape == expected.shape, label
-            assert np.array_equal(got, expected), label
-        elif dataclasses.is_dataclass(got):
-            _assert_same_link(got, expected, obs)
+            assert got.shape == expected.shape, (*label, name)
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), (*label, name)
         else:
-            assert got == expected, label
+            assert got == expected, (*label, name)
 
 
 def _group_by_group_efim(scenario):
@@ -202,11 +217,11 @@ def _group_by_group_efim(scenario):
     their Grams summed in link order with the station group last."""
     layout = LocationLayout(n_leo=scenario.n_leo)
     groups, stations = [], []
-    for obs in link_observables(scenario, scenario.case):
-        w_tau, w_nu, _ = link_weights(obs)
-        g_tau, g_nu = link_rows(layout, obs)
+    for batch, m in link_members(link_observables(scenario, scenario.case)):
+        w_tau, w_nu, _ = link_weights(batch, m)
+        g_tau, g_nu = link_rows(layout, batch, m, m)
         member = [(g_tau, w_tau), (g_nu, w_nu)]
-        if obs.kind is LinkKind.BS_RX:
+        if batch.kind is LinkKind.BS_RX:
             stations.append(member)
         else:
             groups.append([member])
@@ -292,16 +307,22 @@ def test_centered_gram_rejects_weights_summing_beyond_double_range(bad):
 
 
 def test_public_entry_points_return_one_link_each():
+    """Each entry point returns a one-trial, one-member batch of its kind
+    holding the link at its index: the delay Jacobians on the SNR grid, and
+    Doppler rows per station for satellite-station links only."""
     sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=2, n_ant=3, n_slots=2), 5)
+    full = {batch.kind: batch for batch in link_observables(sc, sc.case)}
     for fn, kind, index in (
         (leo_rx_observables, LinkKind.LEO_RX, 1),
         (bs_rx_observables, LinkKind.BS_RX, 1),
         (leo_bs_observables, LinkKind.LEO_BS, 0),
     ):
-        obs = fn(sc, index)
-        assert (obs.kind, obs.index) == (kind, index)
-        assert obs.jacobians.dtau_dp.shape[:2] == obs.snr.shape
-        assert obs.per_row_doppler is (kind is LinkKind.LEO_BS)
+        batch = fn(sc, index)
+        assert (batch.kind, len(batch.signals)) == (kind, 1)
+        assert batch.signals[0] is full[kind].signals[index]
+        assert np.array_equal(batch.jacobians.dtau_dp[0, 0], full[kind].jacobians.dtau_dp[0, index])
+        assert batch.jacobians.dtau_dp.shape[:4] == (1, *batch.snr.shape)
+        assert batch.omega.shape[:3] == (1, 1, sc.n_bs if kind is LinkKind.LEO_BS else 1)
 
 
 def test_station_at_array_reference_point_raises():
@@ -323,6 +344,24 @@ def test_overflowing_range_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for route in (compute_efim, efim_lemma_route):
+            with pytest.raises(DegenerateGeometryError, match="range overflows"):
+                route(sc)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(slot_spacing_s=1e306), dict(slot_spacing_s=1e300, leo_speed_m_s=2.9e8)],
+    ids=["spacing_1e306", "spacing_1e300_speed_2.9e8"],
+)
+def test_overflowing_track_raises_before_any_warning(overrides):
+    """Slot times so long that the satellites' (and the array's) tracks leave
+    double range overflow before any range is formed: both EFIM routes and
+    the dense oracle raise ``DegenerateGeometryError``, and nothing warns
+    first, even under numpy's raising error state."""
+    sc = random_scenario(ScenarioConfig(**overrides), 42)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for route in (compute_efim, efim_lemma_route, assemble_channel_fim):
             with pytest.raises(DegenerateGeometryError, match="range overflows"):
                 route(sc)
 
@@ -361,35 +400,23 @@ def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
     trial, the bytes of :func:`random_scenario` and :func:`link_observables`
     at that trial's seed: every field of the sampled scene against that
     scenario's own scene (speeds, offsets, slot times, and each kind's
-    signals and frequency offsets included), ``omega``, ``snr`` and the five
-    Jacobians."""
+    signals and frequency offsets included), and every link's fields
+    (:func:`_link`): ``omega``, ``snr``, the Doppler weight factors and the
+    five Jacobians."""
     config = ScenarioConfig(**size, slot_spacing_s=50.0, bs_distance_m=5e5)
     trial_seeds = derive_trial_seeds(seed, 5)
     scene = _sample(config, trial_seeds)
     batches = _link_pass(scene, _kinds(config.case))
+    batches_of = {batch.kind: batch for batch in batches}
     for t, trial_seed in enumerate(trial_seeds):
         sc = random_scenario(config, trial_seed)
         assert _scene_bytes(scene, t) == _scene_bytes(_scene(sc, range(sc.n_leo), range(sc.n_bs)), 0)
-        pairs = []
-        links = iter(link_observables(sc, config.case))
-        for batch in batches:
-            row = slice(None) if batch.kind is LinkKind.LEO_BS else 0
-            for m in range(len(batch.signals)):
-                obs = next(links)
-                assert (obs.kind, obs.index) == (batch.kind, m)
-                pairs += [(batch.omega[t, m, row], obs.omega), (batch.snr[m], obs.snr)]
-                for field in dataclasses.fields(obs.jacobians):
-                    got = getattr(batch.jacobians, field.name)
-                    expected = getattr(obs.jacobians, field.name)
-                    if expected is None:
-                        assert got is None
-                        continue
-                    doppler = field.name.startswith("dnu")
-                    pairs.append((got[t, m, row] if doppler else got[t, m], expected))
-        assert next(links, None) is None
-        for got, expected in pairs:
-            assert got.shape == expected.shape
-            assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+        links = link_members(link_observables(sc, config.case))
+        assert [(batch.kind, m) for batch, m in links] == [
+            (batch.kind, m) for batch, m in link_members(batches)
+        ]
+        for batch, m in links:
+            _assert_same_link(_link(batches_of[batch.kind], m, t), _link(batch, m), (batch.kind, m))
 
 
 def test_length_3_contractions_match_their_einsums_bit_for_bit():

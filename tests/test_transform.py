@@ -25,7 +25,7 @@ def _observable_cols(sec):
 
 
 def _delay_cols(glob, kind, index):
-    sec = next(s for s in glob.sections if (s.fim.obs.kind, s.fim.obs.index) == (kind, index))
+    sec = next(s for s in glob.sections if (s.fim.batch.kind, s.fim.member) == (kind, index))
     lay = sec.fim.layout
     return sec.offset + np.arange(lay.delays.start, lay.delays.stop)
 
@@ -62,11 +62,12 @@ def test_satellite_offset_partials_mirror_receiver_ones():
     sc = _scenario(22)
     jac = leo_rx_observables(sc, 0).jacobians
     blocks = signed_partials(sc, LinkKind.LEO_RX, 0)
+    # The link's own partials: member 0 of trial 0, the Doppler ones at the array's one row.
     for receiver, offset, partial in (
-        ("dtau_dp", "dtau_dpcheck", jac.dtau_dp),
-        ("dtau_dvu", "dtau_dvcheck", jac.dtau_dv),
-        ("dnu_dp", "dnu_dpcheck", jac.dnu_dp),
-        ("dnu_dvu", "dnu_dvcheck", jac.dnu_dv),
+        ("dtau_dp", "dtau_dpcheck", jac.dtau_dp[0, 0]),
+        ("dtau_dvu", "dtau_dvcheck", jac.dtau_dv[0, 0]),
+        ("dnu_dp", "dnu_dpcheck", jac.dnu_dp[0, 0, 0]),
+        ("dnu_dvu", "dnu_dvcheck", jac.dnu_dv[0, 0, 0]),
     ):
         assert np.array_equal(blocks[receiver], partial), receiver
         assert np.array_equal(blocks[offset], -partial), offset
@@ -76,8 +77,8 @@ def test_delay_velocity_partial_scales_with_slot_time():
     sc = _scenario(23)
     jac = leo_rx_observables(sc, 0).jacobians
     times = sc.grid.slot_numbers() * sc.grid.spacing_s
-    expected = times[None, :, None] * jac.dtau_dp
-    assert np.allclose(jac.dtau_dv, expected, rtol=1e-12, atol=0.0)
+    expected = times[None, :, None] * jac.dtau_dp[0, 0]
+    assert np.allclose(jac.dtau_dv[0, 0], expected, rtol=1e-12, atol=0.0)
 
 
 def test_batch_jacobian_entries_match_finite_differences():

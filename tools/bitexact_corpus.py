@@ -4,7 +4,9 @@ A refactor of the numerical pipeline should leave its results unchanged to
 the last bit, not merely close.  This script hashes the raw bytes of every
 sampled scenario array (receiver position, velocity, antenna offsets and
 Euler angles; each satellite's position and track; each station's position),
-every link's stored weights (``omega``, ``snr``) and the signed partials it
+every link's stored weights (``omega``, ``snr``, read from its single-link
+entry point's one-member batch at the link's own shapes: an array link's
+Doppler grid without the batch's one row) and the signed partials it
 writes into each kappa1 block it informs (keyed by block: ``dtau_dp`` /
 ``dnu_dp`` receiver position, ``dtau_dvu`` / ``dnu_dvu`` velocity,
 ``dtau_dphi`` orientation, ``dtau_dpcheck`` / ``dnu_dpcheck`` and
@@ -79,7 +81,6 @@ SEEDS = (42, 7)
 SIZES = ((1, 3, 4, 3), (3, 3, 4, 4), (2, 3, 16, 10), (4, 4, 32, 20), (2, 0, 4, 3))
 SCENARIO_SEEDS = range(20)
 SCENARIO_SLOTS = range(1, 21)
-OBS_FIELDS = ("omega", "snr")
 ACCEPTANCE1 = {"n_leo": [1, 2, 3], "n_bs": [2, 3], "n_slots": [3, 4], "n_ant": [1, 2, 4]}
 # Station-receiver links whose SNR underflows to zero.
 DEAD_BS_RX = dict(snr_db_bs_rx=-4000.0)
@@ -183,7 +184,7 @@ def _observables(scenario, out: dict, tag: str) -> None:
 
     if str(TESTS) not in sys.path:
         sys.path.append(str(TESTS))
-    from _oracle import link_rows
+    from _oracle import doppler_rows, link_rows
 
     entries = [("leo_rx", links.leo_rx_observables, b) for b in range(scenario.n_leo)]
     entries += [("bs_rx", links.bs_rx_observables, q) for q in range(scenario.n_bs)]
@@ -191,19 +192,20 @@ def _observables(scenario, out: dict, tag: str) -> None:
         entries += [("leo_bs", links.leo_bs_observables, b) for b in range(scenario.n_leo)]
     layout = _layout(scenario.n_leo)
     for name, fn, i in entries:
-        obs = fn(scenario, i)
-        for field in OBS_FIELDS:
-            out[f"{tag}/{name}{i}/{field}"] = fingerprint(getattr(obs, field))
+        batch = fn(scenario, i)
+        omega, snr = batch.omega[0, 0, doppler_rows(batch.kind)], batch.snr[0]
+        out[f"{tag}/{name}{i}/omega"] = fingerprint(omega)
+        out[f"{tag}/{name}{i}/snr"] = fingerprint(snr)
         # A link's reference rows hold every block's partials as they are written, sign included.
-        g_tau, g_nu = link_rows(layout, obs)
-        informed = [block[0] for block in kappa1_blocks(layout, obs)]
+        g_tau, g_nu = link_rows(layout, batch, 0, i)
+        informed = [block[0] for block in kappa1_blocks(layout, batch, i)]
         for block, cols in layout.interest_blocks():
             if cols not in informed:
                 continue
             tau_key, nu_key = BLOCK_KEYS[block.rstrip("_0123456789")]
-            out[f"{tag}/{name}{i}/{tau_key}"] = fingerprint(g_tau[:, cols].reshape(*obs.snr.shape, 3))
+            out[f"{tag}/{name}{i}/{tau_key}"] = fingerprint(g_tau[:, cols].reshape(*snr.shape, 3))
             if nu_key is not None:
-                out[f"{tag}/{name}{i}/{nu_key}"] = fingerprint(g_nu[:, cols].reshape(*obs.omega.shape, 3))
+                out[f"{tag}/{name}{i}/{nu_key}"] = fingerprint(g_nu[:, cols].reshape(*omega.shape, 3))
 
 
 def _efim_stacks(out: dict) -> None:
