@@ -41,7 +41,7 @@ from .location_fim import (
     compute_efim,
     efim_lemma_route,
 )
-from .links import LinkJacobians, LinkKind
+from .links import LinkKind
 from .scenario import (
     Case,
     Scenario,
@@ -73,7 +73,6 @@ __all__ = [
     "InterestFim",
     "LeoState",
     "LinkFim",
-    "LinkJacobians",
     "LinkKind",
     "LocationLayout",
     "NotIdentifiableError",

@@ -202,7 +202,7 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
     nuisance: list[int] = []
     offset = 0
     shared: tuple[int, int] | None = None
-    for batch in link_observables(scenario, scenario.case):
+    for batch in link_observables(scenario):
         for m in range(len(batch.signals)):
             fim = link_fim(batch, m)
             sections.append(LinkSection(fim=fim, offset=offset))

@@ -57,26 +57,6 @@ from .signals import SignalProps, _square, effective_frequency, omega
 _C = SPEED_OF_LIGHT_M_S
 
 
-@dataclass(frozen=True)
-class LinkJacobians:
-    """Partials of one link's delays/Dopplers w.r.t. its receiving end's
-    (array reference point's, or station's) position ``p`` and velocity ``v``
-    and, for array links only, the array orientation ``phi``.
-
-    Held by a :class:`_Batch` for its link kind: every array is ``(T, M,
-    rows, n_slots, 3)`` over trials and members.  Delay arrays have a row
-    per element (antenna, or station for satellite-station links); Doppler
-    arrays have one row, the array reference point, for array links and a
-    row per station for satellite-station links.
-    """
-
-    dtau_dp: np.ndarray
-    dtau_dv: np.ndarray
-    dtau_dphi: np.ndarray | None
-    dnu_dp: np.ndarray
-    dnu_dv: np.ndarray
-
-
 def _directions(tx: np.ndarray, rx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit directions from ``tx`` toward ``rx`` and their ranges, broadcast
     over leading axes.
@@ -168,20 +148,27 @@ class _Batch:
     Arrays lie on the grid ``(members, rows, slots)``: rows are antennas, or
     stations for satellite-station links, and an array link's Doppler
     observations have one row, the array reference point.  ``omega (T, M,
-    rows, K)`` and the Jacobians ``(T, M, rows, K, 3)`` lead with the trial
+    rows, K)`` and the partials ``(T, M, rows, K, 3)`` lead with the trial
     axis; ``snr (M, rows, K)`` holds in every trial, and so do ``carrier_sq``
     and ``half_ao2 (M, 1, 1)``, each member's squared carrier ``f_c^2`` and
     ``a_o^2 / 2`` (the Doppler weight's factors).  ``signals`` holds each
-    member's properties.  The factor route (:mod:`.location_fim`) reads a
-    batch as it is, each satellite an offset group and the stations one,
-    and keeps the Doppler weights it computes for each sub-count in
-    ``_weights``, read-only, for the batch's life.
+    member's properties.  The partials w.r.t. the receiving end's position
+    and velocity are ``dtau_dp``, ``dtau_dv`` (delays), ``dnu_dp`` and
+    ``dnu_dv`` (Dopplers); ``dtau_dphi``, w.r.t. the array orientation, is
+    ``None`` for satellite-station links.  The factor route
+    (:mod:`.location_fim`) reads a batch as it is, each satellite an offset
+    group and the stations one, and keeps the Doppler weights it computes
+    for each sub-count in ``_weights``, read-only, for the batch's life.
     """
 
     kind: LinkKind
     omega: np.ndarray
     snr: np.ndarray
-    jacobians: LinkJacobians
+    dtau_dp: np.ndarray
+    dtau_dv: np.ndarray
+    dtau_dphi: np.ndarray | None
+    dnu_dp: np.ndarray
+    dnu_dv: np.ndarray
     signals: tuple[SignalProps, ...]
     carrier_sq: np.ndarray
     half_ao2: np.ndarray
@@ -209,7 +196,7 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
         lever = scene.antennas @ rotation.mT
         # Lever-arm partials d(R u)_a / d(phi_i) of each antenna ``u``, as ``(i, T, U, a)``:
         # with the angle axis first, the orientation partials' products run along the slots.
-        rotated = _dot3(np.moveaxis(partials, 1, 0)[:, :, None], scene.antennas[None, :, :, None])
+        dlever = _dot3(np.moveaxis(partials, 1, 0)[:, :, None], scene.antennas[None, :, :, None])
         with np.errstate(over="ignore", invalid="ignore"):  # named by ``_directions``
             centroid = scene.position[:, None, :] + t[:, None] * scene.velocity[:, None, :]
             centroid = centroid[:, None, None]
@@ -244,18 +231,14 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
             kind=kind,
             omega=weights,
             snr=np.stack([props.snr_grid(dists.shape[2:]) for props in signals]),
-            jacobians=LinkJacobians(
-                dtau_dp=dtau_dp,
-                # The two orders differ in the last bit; each matches its kind's scalar oracle.
-                dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
-                dtau_dphi=(
-                    np.moveaxis(_dot3(dirs, rotated[:, :, None, :, None]), 0, -1) / _C
-                    if array
-                    else None
-                ),
-                dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
-                dnu_dv=-dop_dirs / _C,
+            dtau_dp=dtau_dp,
+            # The two orders differ in the last bit; each matches its kind's scalar oracle.
+            dtau_dv=(k_fac * dirs) / _C if array else k_fac * dtau_dp,
+            dtau_dphi=(
+                np.moveaxis(_dot3(dirs, dlever[:, :, None, :, None]), 0, -1) / _C if array else None
             ),
+            dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
+            dnu_dv=-dop_dirs / _C,
             signals=signals,
             carrier_sq=np.array([_square(p.carrier_freq) for p in signals]).reshape(-1, 1, 1),
             half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
@@ -288,9 +271,10 @@ def leo_bs_observables(scenario: Scenario, b: int) -> _Batch:
     return _link_pass(scene, [LinkKind.LEO_BS])[0]
 
 
-def link_observables(scenario: Scenario, case: Case) -> list[_Batch]:
-    """The one-trial link pass over every link the case observes: one batch
-    per kind, in assembly order (satellite-receiver, station-receiver, then,
-    with station observations, satellite-station), member ``m`` the kind's
-    ``m``-th satellite or station."""
-    return _link_pass(_scene(scenario, range(scenario.n_leo), range(scenario.n_bs)), _kinds(case))
+def link_observables(scenario: Scenario) -> list[_Batch]:
+    """The one-trial link pass over every link the scenario's case observes:
+    one batch per kind, in assembly order (satellite-receiver,
+    station-receiver, then, with station observations, satellite-station),
+    member ``m`` the kind's ``m``-th satellite or station."""
+    scene = _scene(scenario, range(scenario.n_leo), range(scenario.n_bs))
+    return _link_pass(scene, _kinds(scenario.case))

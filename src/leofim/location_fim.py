@@ -116,7 +116,7 @@ def kappa1_blocks(
 ) -> list[tuple[slice, np.ndarray, np.ndarray | None, Callable[..., None]]]:
     """(kappa1 slice, delay partials, Doppler partials, ``put``) per block a
     link of ``batch`` informs; ``put(dst, src)`` writes ``src`` into ``dst``
-    with the block's sign.  The partials are the batch's whole Jacobian
+    with the block's sign.  The partials are the batch's whole partial
     arrays; a caller slices out its link's ``[trial, member]``.
 
     Links received by the array inform the receiver position, velocity and
@@ -126,18 +126,17 @@ def kappa1_blocks(
     partials: the link sees the ends' difference only.  A station-receiver
     link informs no satellite's blocks and ignores ``index``.
     """
-    jac = batch.jacobians
     blocks = []
     if batch.kind is not LinkKind.LEO_BS:
         blocks += [
-            (layout.position, jac.dtau_dp, jac.dnu_dp, _copy),
-            (layout.velocity, jac.dtau_dv, jac.dnu_dv, _copy),
-            (layout.orientation, jac.dtau_dphi, None, _copy),
+            (layout.position, batch.dtau_dp, batch.dnu_dp, _copy),
+            (layout.velocity, batch.dtau_dv, batch.dnu_dv, _copy),
+            (layout.orientation, batch.dtau_dphi, None, _copy),
         ]
     if batch.kind is not LinkKind.BS_RX:
         blocks += [
-            (layout.pos_offset(index), jac.dtau_dp, jac.dnu_dp, _copy_negated),
-            (layout.vel_offset(index), jac.dtau_dv, jac.dnu_dv, _copy_negated),
+            (layout.pos_offset(index), batch.dtau_dp, batch.dnu_dp, _copy_negated),
+            (layout.vel_offset(index), batch.dtau_dv, batch.dnu_dv, _copy_negated),
         ]
     return blocks
 
@@ -169,7 +168,7 @@ def _closed_form(layout: LocationLayout, scenario: Scenario) -> tuple[np.ndarray
     dim = layout.dim_interest
     interest, loss = np.zeros((dim, dim)), np.zeros((dim, dim))
     count = (scenario.n_bs, scenario.n_ant, scenario.n_slots)
-    for batch in link_observables(scenario, scenario.case):
+    for batch in link_observables(scenario):
         for g, w in _groups(batch, layout, _key(batch.kind, layout.n_leo, *count), slice(None)):
             g, w = g[0], w[0]
             interest += (g.mT @ (w[..., None] * g)).sum(axis=0)
@@ -209,7 +208,7 @@ def compute_efim(scenario: Scenario) -> Efim:
     """The EFIM of a scenario by the factor route (:func:`_efims`): one
     trial, one cell."""
     layout = LocationLayout(n_leo=scenario.n_leo)
-    batches = link_observables(scenario, scenario.case)
+    batches = link_observables(scenario)
     matrix = _efims(batches, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
     return Efim(matrix=matrix, layout=layout, case=scenario.case)
 

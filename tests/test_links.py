@@ -153,7 +153,7 @@ def _offset_scenario(seed, **overrides):
 @pytest.mark.parametrize("n_ant", [1, 4])
 def test_link_pass_matches_scalar_oracle_bit_for_bit(seed, case, n_ant):
     sc = _offset_scenario(seed, n_leo=2, n_bs=3, n_ant=n_ant, n_slots=3, case=case)
-    links = link_members(link_observables(sc, case))
+    links = link_members(link_observables(sc))
     expected_kinds = [LinkKind.LEO_RX] * 2 + [LinkKind.BS_RX] * 3
     if case is Case.WITH_BS:
         expected_kinds += [LinkKind.LEO_BS] * 2
@@ -178,21 +178,21 @@ def test_link_observables_match_single_link_entry_points_bit_for_bit(case):
         LinkKind.BS_RX: bs_rx_observables,
         LinkKind.LEO_BS: leo_bs_observables,
     }
-    for batch, m in link_members(link_observables(sc, case)):
+    for batch, m in link_members(link_observables(sc)):
         _assert_same_link(_link(batch, m), _link(single[batch.kind](sc, m), 0), (batch.kind, m))
 
 
 def _link(batch, m, t=0):
     """Every field of member ``m`` of a batch in trial ``t``, by name: its
     kind, carrier and RMS duration, and its slice of every array, the
-    Jacobians included (an absent one as ``None``)."""
-    props, jac = batch.signals[m], batch.jacobians
+    partials included (an absent one as ``None``)."""
+    props = batch.signals[m]
     fields = {"kind": batch.kind, "carrier_freq": props.carrier_freq,
               "rms_duration": props.rms_duration, "omega": batch.omega[t, m],
               "snr": batch.snr[m], "carrier_sq": batch.carrier_sq[m], "half_ao2": batch.half_ao2[m]}
-    for field in dataclasses.fields(jac):
-        array = getattr(jac, field.name)
-        fields[field.name] = None if array is None else array[t, m]
+    for name in ("dtau_dp", "dtau_dv", "dtau_dphi", "dnu_dp", "dnu_dv"):
+        array = getattr(batch, name)
+        fields[name] = None if array is None else array[t, m]
     return fields
 
 
@@ -217,7 +217,7 @@ def _group_by_group_efim(scenario):
     their Grams summed in link order with the station group last."""
     layout = LocationLayout(n_leo=scenario.n_leo)
     groups, stations = [], []
-    for batch, m in link_members(link_observables(scenario, scenario.case)):
+    for batch, m in link_members(link_observables(scenario)):
         w_tau, w_nu, _ = link_weights(batch, m)
         g_tau, g_nu = link_rows(layout, batch, m, m)
         member = [(g_tau, w_tau), (g_nu, w_nu)]
@@ -311,7 +311,7 @@ def test_public_entry_points_return_one_link_each():
     holding the link at its index: the delay Jacobians on the SNR grid, and
     Doppler rows per station for satellite-station links only."""
     sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=2, n_ant=3, n_slots=2), 5)
-    full = {batch.kind: batch for batch in link_observables(sc, sc.case)}
+    full = {batch.kind: batch for batch in link_observables(sc)}
     for fn, kind, index in (
         (leo_rx_observables, LinkKind.LEO_RX, 1),
         (bs_rx_observables, LinkKind.BS_RX, 1),
@@ -320,8 +320,8 @@ def test_public_entry_points_return_one_link_each():
         batch = fn(sc, index)
         assert (batch.kind, len(batch.signals)) == (kind, 1)
         assert batch.signals[0] is full[kind].signals[index]
-        assert np.array_equal(batch.jacobians.dtau_dp[0, 0], full[kind].jacobians.dtau_dp[0, index])
-        assert batch.jacobians.dtau_dp.shape[:4] == (1, *batch.snr.shape)
+        assert np.array_equal(batch.dtau_dp[0, 0], full[kind].dtau_dp[0, index])
+        assert batch.dtau_dp.shape[:4] == (1, *batch.snr.shape)
         assert batch.omega.shape[:3] == (1, 1, sc.n_bs if kind is LinkKind.LEO_BS else 1)
 
 
@@ -402,7 +402,7 @@ def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
     scenario's own scene (speeds, offsets, slot times, and each kind's
     signals and frequency offsets included), and every link's fields
     (:func:`_link`): ``omega``, ``snr``, the Doppler weight factors and the
-    five Jacobians."""
+    five partials."""
     config = ScenarioConfig(**size, slot_spacing_s=50.0, bs_distance_m=5e5)
     trial_seeds = derive_trial_seeds(seed, 5)
     scene = _sample(config, trial_seeds)
@@ -411,7 +411,7 @@ def test_family_pass_matches_per_trial_scenarios_bit_for_bit(size, seed):
     for t, trial_seed in enumerate(trial_seeds):
         sc = random_scenario(config, trial_seed)
         assert _scene_bytes(scene, t) == _scene_bytes(_scene(sc, range(sc.n_leo), range(sc.n_bs)), 0)
-        links = link_members(link_observables(sc, config.case))
+        links = link_members(link_observables(sc))
         assert [(batch.kind, m) for batch, m in links] == [
             (batch.kind, m) for batch, m in link_members(batches)
         ]

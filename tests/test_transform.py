@@ -60,14 +60,14 @@ def test_satellite_offset_partials_mirror_receiver_ones():
     """A satellite-receiver link writes its receiver partials into the
     receiver blocks and their exact negation into the satellite's offsets."""
     sc = _scenario(22)
-    jac = leo_rx_observables(sc, 0).jacobians
+    batch = leo_rx_observables(sc, 0)
     blocks = signed_partials(sc, LinkKind.LEO_RX, 0)
     # The link's own partials: member 0 of trial 0, the Doppler ones at the array's one row.
     for receiver, offset, partial in (
-        ("dtau_dp", "dtau_dpcheck", jac.dtau_dp[0, 0]),
-        ("dtau_dvu", "dtau_dvcheck", jac.dtau_dv[0, 0]),
-        ("dnu_dp", "dnu_dpcheck", jac.dnu_dp[0, 0, 0]),
-        ("dnu_dvu", "dnu_dvcheck", jac.dnu_dv[0, 0, 0]),
+        ("dtau_dp", "dtau_dpcheck", batch.dtau_dp[0, 0]),
+        ("dtau_dvu", "dtau_dvcheck", batch.dtau_dv[0, 0]),
+        ("dnu_dp", "dnu_dpcheck", batch.dnu_dp[0, 0, 0]),
+        ("dnu_dvu", "dnu_dvcheck", batch.dnu_dv[0, 0, 0]),
     ):
         assert np.array_equal(blocks[receiver], partial), receiver
         assert np.array_equal(blocks[offset], -partial), offset
@@ -75,10 +75,10 @@ def test_satellite_offset_partials_mirror_receiver_ones():
 
 def test_delay_velocity_partial_scales_with_slot_time():
     sc = _scenario(23)
-    jac = leo_rx_observables(sc, 0).jacobians
+    batch = leo_rx_observables(sc, 0)
     times = sc.grid.slot_numbers() * sc.grid.spacing_s
-    expected = times[None, :, None] * jac.dtau_dp[0, 0]
-    assert np.allclose(jac.dtau_dv[0, 0], expected, rtol=1e-12, atol=0.0)
+    expected = times[None, :, None] * batch.dtau_dp[0, 0]
+    assert np.allclose(batch.dtau_dv[0, 0], expected, rtol=1e-12, atol=0.0)
 
 
 def test_batch_jacobian_entries_match_finite_differences():
