@@ -221,10 +221,13 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
         nu = np.vecdot(dop_dirs, v_rel) / _C
         signals = scene.signals[kind]
         weights = np.empty(nu.shape)
-        # Member by member: ``omega`` squares each member's bandwidth as a float.
-        for m, (props, offset) in enumerate(zip(signals, scene.freq_offsets[kind])):
-            f_o = effective_frequency(props.carrier_freq, nu[:, m], offset)
-            weights[:, m] = omega(props.eff_bandwidth, props.bcc, f_o)
+        with np.errstate(over="ignore", invalid="ignore"):  # named by ``location_fim._groups``
+            # Member by member: ``omega`` squares each member's bandwidth as a float.
+            for m, (props, offset) in enumerate(zip(signals, scene.freq_offsets[kind])):
+                f_o = effective_frequency(props.carrier_freq, nu[:, m], offset)
+                weights[:, m] = omega(props.eff_bandwidth, props.bcc, f_o)
+            carrier_sq = np.array([_square(p.carrier_freq) for p in signals])
+            half_ao2 = np.array([0.5 * _square(p.rms_duration) for p in signals])
         array = kind is not LinkKind.LEO_BS
         dtau_dp = dirs / _C
         batches.append(_Batch(
@@ -240,8 +243,8 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
             dnu_dp=_doppler_position_partial(dop_dirs, dop_dists, v_rel),
             dnu_dv=-dop_dirs / _C,
             signals=signals,
-            carrier_sq=np.array([_square(p.carrier_freq) for p in signals]).reshape(-1, 1, 1),
-            half_ao2=np.array([0.5 * _square(p.rms_duration) for p in signals]).reshape(-1, 1, 1),
+            carrier_sq=carrier_sq.reshape(-1, 1, 1),
+            half_ao2=half_ao2.reshape(-1, 1, 1),
         ))
     return batches
 

@@ -257,13 +257,27 @@ def _groups(
     ``snr * omega`` per delay, :func:`_doppler_weights` per Doppler shift.
     :func:`kappa1_blocks` places the batch's Jacobians, one satellite at a
     time; each station's Doppler rows are its partials scaled by ``f_c /
-    f_1`` (see :func:`_efims`)."""
+    f_1`` (see :func:`_efims`).
+
+    Raises
+    ------
+    NumericalError
+        If a weight overflows a double (or is NaN): its rows would carry no
+        defined information.
+    """
     members, rows, slots = key
     omega = batch.omega[trials, :members, :rows, :slots]
     n_trials = len(omega)
-    w_tau = batch.snr[:members, :rows, :slots] * omega
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        w_tau = batch.snr[:members, :rows, :slots] * omega
+        w_nu = _doppler_weights(batch, key, n_trials)
+    for w, name in (
+        (w_tau, "delay weight snr * omega"),
+        (w_nu, "Doppler weight snr * f_c^2 * a_o^2 / 2"),
+    ):
+        if not w.max(initial=0.0) < np.inf:
+            raise NumericalError(f"a {batch.kind.value} link's {name} overflows a double")
     w_tau = w_tau.reshape(n_trials, *_shape(batch.kind, key, rows))
-    w_nu = _doppler_weights(batch, key, n_trials)
     g_tau = np.zeros((*w_tau.shape, layout.dim_interest))
     g_nu = np.zeros((n_trials, *w_nu.shape[1:], layout.dim_interest))
     # Each satellite's rows go to its own group and offset blocks; the stations' to one group.

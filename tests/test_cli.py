@@ -304,6 +304,22 @@ def test_information_overflow_exits_4_without_traceback(tmp_path, capsys, settin
 
 
 @pytest.mark.parametrize(
+    "settings",
+    [{"snr_db": 3000}, {"eff_bandwidth_hz": 1e300}],
+    ids=["snr_3000_db", "bandwidth_1e300"],
+)
+def test_overflowing_link_weight_exits_4_with_the_named_error(tmp_path, capsys, settings):
+    """A delay weight beyond double range reaches the CLI as the library's
+    named error, not as the numpy overflow that formed it."""
+    out = tmp_path / "bounds.csv"
+    path = _write_config(tmp_path, {**settings, "command": "bound", "n_trials": 1, "out": str(out)})
+    assert main(["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical failure: a leo_rx link's delay weight snr * omega overflows a double\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     ("command", "sweep"),
     [("identifiability", "identifiability_sweep"), ("sweep", "parameter_sweep")],
 )

@@ -366,6 +366,39 @@ def test_overflowing_track_raises_before_any_warning(overrides):
                 route(sc)
 
 
+_DELAY_OVERFLOW = "a leo_rx link's delay weight snr * omega overflows a double"
+_DOPPLER_OVERFLOW = "a leo_rx link's Doppler weight snr * f_c^2 * a_o^2 / 2 overflows a double"
+
+
+@pytest.mark.parametrize(
+    ("field", "message"),
+    [
+        ("snr_linear", _DELAY_OVERFLOW),
+        ("eff_bandwidth", _DELAY_OVERFLOW),
+        ("carrier_freq", _DELAY_OVERFLOW),
+        ("rms_duration", _DOPPLER_OVERFLOW),
+        ("freq_offset", _DELAY_OVERFLOW),
+    ],
+)
+def test_overflowing_link_weight_raises_one_named_error(field, message):
+    """Every satellite-receiver link at a signal property (or a frequency
+    offset) of 1e300 has weights beyond double range: both EFIM routes raise
+    the same ``NumericalError`` naming the weight, and nothing warns first,
+    even under numpy's raising error state."""
+    sc = random_scenario(ScenarioConfig(), 42)
+    if field == "freq_offset":
+        sc = dataclasses.replace(sc, leo_rx_offsets=(OffsetParams(freq_offset=1e300),) * sc.n_leo)
+    else:
+        signals = tuple(dataclasses.replace(s, **{field: 1e300}) for s in sc.leo_rx_signals)
+        sc = dataclasses.replace(sc, leo_rx_signals=signals)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for route in (compute_efim, efim_lemma_route):
+            with pytest.raises(NumericalError) as caught:
+                route(sc)
+            assert str(caught.value) == message, route.__name__
+
+
 FAMILY_SIZES = [
     dict(n_leo=2, n_bs=3, n_ant=64, n_slots=10, case=Case.RECEIVER_ONLY),
     dict(n_leo=3, n_bs=3, n_ant=4, n_slots=4, case=Case.WITH_BS),
