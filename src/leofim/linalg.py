@@ -78,7 +78,8 @@ def invert_psd(matrix: np.ndarray, floor_rel: float) -> np.ndarray:
     NumericalError
         If a balanced matrix has a significantly negative eigenvalue, i.e. the
         input was not PSD to working precision; the message is that of the
-        first such matrix in stack order.
+        first such matrix in stack order.  Also if an inverse overflows a
+        double, as when the information is near the bottom of double range.
     """
     if matrix.shape[-1] == 0:
         return np.zeros_like(matrix)
@@ -96,6 +97,9 @@ def invert_psd(matrix: np.ndarray, floor_rel: float) -> np.ndarray:
         )
     keep = (eigvals > (floor_rel * top)[..., None]) & ~empty[..., None]
     inv_vals = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=keep)
-    inverse = _balanced((eigvecs * inv_vals[..., None, :]) @ eigvecs.mT, scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        inverse = _balanced((eigvecs * inv_vals[..., None, :]) @ eigvecs.mT, scale)
     inverse[empty] = 0.0
+    if not np.all(np.isfinite(inverse)):
+        raise NumericalError("the inverse overflows a double: too little information")
     return inverse

@@ -158,6 +158,14 @@ class Efim:
     case: Case
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, whose entries must all be finite doubles."""
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
+    return matrix
+
+
+@np.errstate(over="ignore", invalid="ignore")  # its callers name non-finite results
 def _closed_form(layout: LocationLayout, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Interest FIM ``sum g^T diag(w) g`` and information loss of a scenario:
     each offset group of its one link pass, read as :func:`_efims` reads it
@@ -190,7 +198,7 @@ def assemble_interest_fim(scenario: Scenario) -> InterestFim:
     """
     layout = LocationLayout(n_leo=scenario.n_leo)
     interest, _ = _closed_form(layout, scenario)
-    return InterestFim(matrix=interest, layout=layout)
+    return InterestFim(matrix=_finite(interest), layout=layout)
 
 
 def efim_lemma_route(scenario: Scenario) -> Efim:
@@ -201,7 +209,9 @@ def efim_lemma_route(scenario: Scenario) -> Efim:
     """
     layout = LocationLayout(n_leo=scenario.n_leo)
     interest, loss = _closed_form(layout, scenario)
-    return Efim(matrix=sym(interest - loss), layout=layout, case=scenario.case)
+    with np.errstate(over="ignore", invalid="ignore"):  # named by ``_finite``
+        matrix = sym(interest - loss)
+    return Efim(matrix=_finite(matrix), layout=layout, case=scenario.case)
 
 
 def compute_efim(scenario: Scenario) -> Efim:
@@ -210,7 +220,7 @@ def compute_efim(scenario: Scenario) -> Efim:
     layout = LocationLayout(n_leo=scenario.n_leo)
     batches = link_observables(scenario)
     matrix = _efims(batches, layout, [(scenario.n_bs, scenario.n_ant, scenario.n_slots)])[0, 0]
-    return Efim(matrix=matrix, layout=layout, case=scenario.case)
+    return Efim(matrix=_finite(matrix), layout=layout, case=scenario.case)
 
 
 def _centered_gram(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -340,6 +350,7 @@ def _cut(
 _ROW_BYTES = 1 << 19
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the verdict names non-finite information
 def _efims(
     batches: list[_Batch], layout: LocationLayout, counts: list[tuple[int, int, int]]
 ) -> np.ndarray:

@@ -319,6 +319,18 @@ def test_overflowing_link_weight_exits_4_with_the_named_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_bounds_beyond_double_range_exit_4_with_the_named_error(tmp_path, capsys):
+    """An SNR of -3200 dB leaves a PD EFIM whose inverse overflows a double:
+    the library's named error, not the numpy overflow."""
+    out = tmp_path / "bounds.csv"
+    settings = {"command": "bound", "snr_db": -3200, "slot_spacing_s": 50, "bs_distance_m": 5e5}
+    path = _write_config(tmp_path, {**settings, "n_trials": 1, "out": str(out)})
+    assert main(["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical failure: the inverse overflows a double: too little information\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     ("command", "sweep"),
     [("identifiability", "identifiability_sweep"), ("sweep", "parameter_sweep")],

@@ -66,6 +66,13 @@ def test_balanced_eigvalsh_rejects_non_finite_entries(bad):
         balanced_eigvalsh(stack[1])
 
 
+def test_invert_psd_names_an_inverse_beyond_double_range():
+    """Information at the bottom of double range balances to a unit spectrum,
+    but its inverse overflows: a named error, not a warning and an inf."""
+    with np.errstate(all="raise"), pytest.raises(NumericalError, match="inverse overflows"):
+        invert_psd(np.diag([5e-324, 1.0]), floor_rel=1e-12)
+
+
 def test_invert_psd_identity_and_inverse():
     inv = invert_psd(np.eye(3), floor_rel=1e-12)
     assert np.allclose(inv, np.eye(3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from leofim.location_fim import (
     efim_lemma_route,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
+from leofim.signals import OffsetParams
 
 
 def _scenario(seed, **overrides):
@@ -142,6 +144,28 @@ def test_zero_snr_link_yields_finite_efim():
     for route in (efim_lemma_route, compute_efim):
         efim = route(sc)
         assert np.all(np.isfinite(efim.matrix))
+
+
+def test_information_beyond_double_range_raises_without_a_warning():
+    """Rows this long (1e112 m lever arms) under weights this large (a 1e112
+    Hz bandwidth) have Grams beyond double range: both EFIM routes raise
+    ``NumericalError``, and nothing warns first.  A 1e130 Hz frequency offset
+    overflows only the closed form's rank-one losses ``m m^T``, so the lemma
+    route raises and the factor route, which forms no loss, stays finite."""
+    sc = _scenario(42)
+    arms = 1e112 * sc.receiver.antenna_offsets
+    receiver = dataclasses.replace(sc.receiver, antenna_offsets=arms)
+    signals = tuple(dataclasses.replace(s, eff_bandwidth=1e112) for s in sc.leo_rx_signals)
+    long_rows = dataclasses.replace(sc, receiver=receiver, leo_rx_signals=signals)
+    offsets = (OffsetParams(freq_offset=1e130),) * sc.n_leo
+    offset = dataclasses.replace(sc, leo_rx_offsets=offsets)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for scenario, route in [(long_rows, compute_efim), (long_rows, efim_lemma_route),
+                                (offset, efim_lemma_route)]:
+            with pytest.raises(NumericalError, match="non-finite entries"):
+                route(scenario)
+        assert np.all(np.isfinite(compute_efim(offset).matrix))
 
 
 def test_more_antennas_add_information():

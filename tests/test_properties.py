@@ -8,17 +8,25 @@ root-trace bound is unchanged.  Relabeling satellites and stations permutes
 the satellite-offset blocks and leaves the receiver blocks alone.  Both
 properties run on the production route (``compute_efim`` then ``crlb``) over
 well-conditioned random geometries.
+
+A third property scales every physical quantity of a sampled scenario by any
+finite double: both EFIM routes, the verdict and the bounds either return
+finite numbers without a numpy warning or raise a named error.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from leofim.analysis import crlb, is_identifiable
-from leofim.location_fim import compute_efim
+from leofim.analysis import NotIdentifiableError, crlb, is_identifiable
+from leofim.geometry import BsState, EulerAngles, LeoState, ReceiverState, SlotGrid
+from leofim.linalg import NumericalError
+from leofim.location_fim import compute_efim, efim_lemma_route
 from leofim.scenario import Case, ScenarioConfig, random_scenario
+from leofim.signals import OffsetParams
 
 REL_TOL = 1e-8
 MIN_BALANCED_RATIO = 1e-6
@@ -133,3 +141,107 @@ def test_relabeling_satellites_and_stations_permutes_only_their_offset_bounds(sc
     pos_offsets = 3 + np.asarray(leo_order)
     expected = np.concatenate([before[:3], before[pos_offsets], before[pos_offsets + n_leo]])
     np.testing.assert_allclose(after, expected, rtol=REL_TOL, atol=0.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+SCALED = (
+    "receiver_position", "leo_position", "bs_position", "receiver_velocity", "leo_speed",
+    "antennas", "euler", "slot_spacing", "snr", "bandwidth", "carrier", "rms_duration",
+)
+
+
+def _scaled(scenario, factors, freq_offset):
+    """The scenario with each quantity of ``SCALED`` multiplied by its factor
+    in ``factors`` (1 if absent; every link's signal properties alike) and
+    every link's frequency offset set to ``freq_offset`` Hz; an invalid
+    result raises a ``ValueError`` from the constructor that checks it.  The
+    products are formed without warnings: a non-finite one is the
+    constructor's to reject."""
+    scale = dict.fromkeys(SCALED, 1.0) | factors
+
+    def signals(props):
+        return dataclasses.replace(
+            props,
+            snr_linear=scale["snr"] * props.snr_linear,
+            eff_bandwidth=scale["bandwidth"] * props.eff_bandwidth,
+            carrier_freq=scale["carrier"] * props.carrier_freq,
+            rms_duration=scale["rms_duration"] * props.rms_duration,
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rx = scenario.receiver
+        receiver = ReceiverState(
+            position=scale["receiver_position"] * rx.position,
+            velocity=scale["receiver_velocity"] * rx.velocity,
+            orientation=EulerAngles(*(scale["euler"] * rx.orientation.as_array())),
+            antenna_offsets=scale["antennas"] * rx.antenna_offsets,
+        )
+        leos = tuple(
+            LeoState(
+                position=scale["leo_position"] * leo.position,
+                speed=scale["leo_speed"] * leo.speed,
+                track=leo.track,
+            )
+            for leo in scenario.leos
+        )
+        bss = tuple(BsState(position=scale["bs_position"] * bs.position) for bs in scenario.bss)
+        offset = OffsetParams(freq_offset=freq_offset)
+        return dataclasses.replace(
+            scenario,
+            receiver=receiver,
+            leos=leos,
+            bss=bss,
+            grid=SlotGrid(scenario.n_slots, scale["slot_spacing"] * scenario.grid.spacing_s),
+            leo_rx_signals=tuple(map(signals, scenario.leo_rx_signals)),
+            bs_rx_signals=tuple(map(signals, scenario.bs_rx_signals)),
+            leo_bs_signals=tuple(map(signals, scenario.leo_bs_signals)),
+            leo_rx_offsets=(offset,) * scenario.n_leo,
+            bs_rx_offset=offset,
+            leo_bs_offsets=(offset,) * scenario.n_leo,
+        )
+
+
+def _check_route(route, scenario):
+    """``route``'s EFIM, its verdict and its bounds: finite, or a named error."""
+    try:
+        efim = route(scenario)
+    except (NumericalError, ValueError):  # ``DegenerateGeometryError`` is a ``ValueError``
+        return
+    assert np.all(np.isfinite(efim.matrix)), route.__name__
+    try:
+        verdict = is_identifiable(efim)
+    except NumericalError:
+        return
+    assert np.isfinite([verdict.min_eigenvalue, verdict.max_eigenvalue]).all(), route.__name__
+    try:
+        report = crlb(efim)
+    except (NotIdentifiableError, NumericalError):
+        return
+    bounds = [report.pos_rmse_bound, report.vel_rmse_bound, report.orient_rmse_bound]
+    bounds += [*report.leo_pos_offset_bound, *report.leo_vel_offset_bound]
+    assert np.all(np.isfinite(bounds)), route.__name__
+
+
+@settings(properties, max_examples=150)
+@given(
+    scenario=scenarios,
+    case=st.sampled_from(list(Case)),
+    # A few quantities at a time, so most examples reach the information routes.
+    factors=st.dictionaries(st.sampled_from(SCALED), finite, max_size=3),
+    freq_offset=st.one_of(st.just(0.0), finite),
+)
+def test_any_finite_scenario_gives_finite_results_or_a_named_error(
+    scenario, case, factors, freq_offset
+):
+    """No numpy warning, at any finite input, from either EFIM route, the
+    verdict or the bounds.  The two routes' verdicts are not compared: near
+    the PD threshold they legitimately differ."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            scenario = _scaled(dataclasses.replace(scenario, case=case), factors, freq_offset)
+        except ValueError:
+            return
+        for route in (compute_efim, efim_lemma_route):
+            _check_route(route, scenario)
