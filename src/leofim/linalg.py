@@ -46,6 +46,15 @@ def _balanced(matrix: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return sym(balanced)
 
 
+def _finite(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, once every entry is known to be a finite double; an
+    infinite or NaN entry (information that overflowed) raises
+    :class:`NumericalError`."""
+    if not np.all(np.isfinite(matrix)):
+        raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
+    return matrix
+
+
 def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of the unit-diagonal-balanced symmetric part, ascending.
 
@@ -58,8 +67,7 @@ def balanced_eigvalsh(matrix: np.ndarray) -> np.ndarray:
         If any entry is infinite or NaN, as when the information overflows a
         double.
     """
-    if not np.all(np.isfinite(matrix)):
-        raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
+    _finite(matrix)
     if matrix.shape[-1] == 0:
         return np.zeros(matrix.shape[:-1])
     return np.linalg.eigvalsh(_balanced(matrix, balance_scale(matrix)))

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, sym
+from .linalg import NumericalError, _finite, sym
 from .links import LinkKind, _Batch, link_observables
 from .scenario import Case, Scenario
 
@@ -156,13 +156,6 @@ class Efim:
     matrix: np.ndarray
     layout: LocationLayout
     case: Case
-
-
-def _finite(matrix: np.ndarray) -> np.ndarray:
-    """``matrix``, whose entries must all be finite doubles."""
-    if not np.all(np.isfinite(matrix)):
-        raise NumericalError("information matrix has non-finite entries (overflow or NaN)")
-    return matrix
 
 
 @np.errstate(over="ignore", invalid="ignore")  # its callers name non-finite results
@@ -273,14 +266,15 @@ def _groups(
     ------
     NumericalError
         If a weight overflows a double (or is NaN): its rows would carry no
-        defined information.
+        defined information.  Both callers, :func:`_efims` and
+        :func:`_closed_form`, ignore numpy's overflow warnings, so this is
+        all that is reported.
     """
     members, rows, slots = key
     omega = batch.omega[trials, :members, :rows, :slots]
     n_trials = len(omega)
-    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
-        w_tau = batch.snr[:members, :rows, :slots] * omega
-        w_nu = _doppler_weights(batch, key, n_trials)
+    w_tau = batch.snr[:members, :rows, :slots] * omega
+    w_nu = _doppler_weights(batch, key, n_trials)
     for w, name in (
         (w_tau, "delay weight snr * omega"),
         (w_nu, "Doppler weight snr * f_c^2 * a_o^2 / 2"),
