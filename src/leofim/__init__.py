@@ -50,7 +50,6 @@ from .scenario import (
     random_scenario,
 )
 from .signals import (
-    OffsetParams,
     SignalProps,
     effective_frequency,
     omega,
@@ -77,7 +76,6 @@ __all__ = [
     "LocationLayout",
     "NotIdentifiableError",
     "NumericalError",
-    "OffsetParams",
     "ReceiverState",
     "Scenario",
     "ScenarioConfig",

@@ -133,11 +133,6 @@ def _scene(scenario: Scenario, leos: range, bss: range) -> _Scene:
             LinkKind.BS_RX: tuple(scenario.bs_rx_signals[q] for q in bss),
             LinkKind.LEO_BS: tuple(scenario.leo_bs_signals[b] for b in leos),
         },
-        freq_offsets={
-            LinkKind.LEO_RX: tuple(scenario.leo_rx_offsets[b].freq_offset for b in leos),
-            LinkKind.BS_RX: tuple(scenario.bs_rx_offset.freq_offset for _ in bss),
-            LinkKind.LEO_BS: tuple(scenario.leo_bs_offsets[b].freq_offset for b in leos),
-        },
     )
 
 
@@ -223,8 +218,8 @@ def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:
         weights = np.empty(nu.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # named by ``location_fim._groups``
             # Member by member: ``omega`` squares each member's bandwidth as a float.
-            for m, (props, offset) in enumerate(zip(signals, scene.freq_offsets[kind])):
-                f_o = effective_frequency(props.carrier_freq, nu[:, m], offset)
+            for m, props in enumerate(signals):
+                f_o = effective_frequency(props.carrier_freq, nu[:, m], props.freq_offset)
                 weights[:, m] = omega(props.eff_bandwidth, props.bcc, f_o)
             carrier_sq = np.array([_square(p.carrier_freq) for p in signals])
             half_ao2 = np.array([0.5 * _square(p.rms_duration) for p in signals])

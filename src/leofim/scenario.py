@@ -51,7 +51,7 @@ from .geometry import (
     SlotGrid,
     SPEED_OF_LIGHT_M_S,
 )
-from .signals import OffsetParams, SignalProps, rect_window_rms_duration, snr_from_db
+from .signals import SignalProps, rect_window_rms_duration, snr_from_db
 
 _MASK64 = (1 << 64) - 1
 
@@ -227,11 +227,12 @@ class ScenarioConfig:
 class Scenario:
     """One fully specified estimation problem.
 
-    Signal properties and synchronization offsets are held per link: indexed
-    by satellite for satellite-receiver and satellite-station links, by
-    station for station-receiver links.  All base stations share a single
-    receiver-side clock/frequency offset pair (``bs_rx_offset``) because the
-    station network is mutually synchronized.
+    Signal properties, each link's frequency offset included, are held per
+    link: indexed by satellite for satellite-receiver and satellite-station
+    links, by station for station-receiver links.  All base stations share a
+    single receiver-side clock/frequency offset pair because the station
+    network is mutually synchronized, so every ``bs_rx_signals`` entry must
+    carry the same ``freq_offset``.
     """
 
     receiver: ReceiverState
@@ -242,9 +243,6 @@ class Scenario:
     bs_rx_signals: tuple[SignalProps, ...]
     leo_bs_signals: tuple[SignalProps, ...]
     case: Case = Case.WITH_BS
-    leo_rx_offsets: tuple[OffsetParams, ...] | None = None
-    bs_rx_offset: OffsetParams = OffsetParams()
-    leo_bs_offsets: tuple[OffsetParams, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "leos", tuple(self.leos))
@@ -258,17 +256,13 @@ class Scenario:
             raise ValueError("need one satellite-receiver SignalProps per satellite")
         if len(self.bs_rx_signals) != self.n_bs:
             raise ValueError("need one station-receiver SignalProps per station")
+        if len({props.freq_offset for props in self.bs_rx_signals}) > 1:
+            raise ValueError("station-receiver links share one frequency offset")
         if len(self.leo_bs_signals) != self.n_leo:
             raise ValueError("need one satellite-station SignalProps per satellite")
         for leo in self.leos:
             if leo.track.shape[0] < self.grid.n_slots:
                 raise ValueError("satellite track shorter than the slot grid")
-        for name in ("leo_rx_offsets", "leo_bs_offsets"):
-            offsets = getattr(self, name)
-            offsets = tuple(OffsetParams() for _ in self.leos) if offsets is None else tuple(offsets)
-            object.__setattr__(self, name, offsets)
-        if len(self.leo_rx_offsets) != self.n_leo or len(self.leo_bs_offsets) != self.n_leo:
-            raise ValueError("need one OffsetParams per satellite and link type")
 
     @property
     def n_leo(self) -> int:
@@ -296,8 +290,9 @@ class _Scene:
     velocity directions per slot ``leo_track (T, L, K, 3)`` and ephemeris
     offsets ``leo_pos_offset``/``leo_vel_offset (L, 3)``; the station
     positions ``bs_position (T, Q, 3)``; the slot times ``k_times (K,)``; and
-    per link kind, each member's signal properties and frequency offset (a
-    member is a satellite, or a station for station-receiver links)."""
+    per link kind, each member's signal properties, its frequency offset
+    included (a member is a satellite, or a station for station-receiver
+    links)."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -311,7 +306,6 @@ class _Scene:
     bs_position: np.ndarray
     k_times: np.ndarray
     signals: dict[LinkKind, tuple[SignalProps, ...]]
-    freq_offsets: dict[LinkKind, tuple[float, ...]]
 
 
 def _sample(config: ScenarioConfig, seeds) -> _Scene:
@@ -367,7 +361,6 @@ def _sample(config: ScenarioConfig, seeds) -> _Scene:
             kind: (config.signal_props(snr_db),) * members[kind]
             for kind, snr_db in zip(kinds, snrs_db)
         },
-        freq_offsets={kind: (0.0,) * count for kind, count in members.items()},
     )
 
 

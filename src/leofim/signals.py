@@ -4,7 +4,9 @@ A transmitted pulse enters the bounds only through a handful of moments: its
 effective (RMS) bandwidth, its bandwidth-duration cross-correlation, its RMS
 time duration, and the post-processing SNR of the link.  Delay information
 scales with the squared effective frequency moment ``omega`` and Doppler
-information with ``carrier_freq**2 * rms_duration**2``.
+information with ``carrier_freq**2 * rms_duration**2``.  One
+:class:`SignalProps` describes one link, its receiver-side frequency offset
+included: that offset shifts the effective carrier, and so ``omega``.
 """
 
 from __future__ import annotations
@@ -74,29 +76,16 @@ def omega(eff_bandwidth: float, bcc: float, eff_freq: float) -> float:
 
 
 @dataclass(frozen=True)
-class OffsetParams:
-    """Receiver-side carrier frequency offset (Hz) of one link.
-
-    It shifts the effective frequency and so the delay weight.  The clock
-    bias is a nuisance whose information, not its value, enters the bounds,
-    so it is not held.
-    """
-
-    freq_offset: float = 0.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.freq_offset):
-            raise ValueError("freq_offset must be finite")
-
-
-@dataclass(frozen=True)
 class SignalProps:
-    """Waveform moments and link SNR for one link type.
+    """Waveform moments, SNR and receiver-side frequency offset of one link.
 
     ``snr_linear`` is either a scalar applied to every observation of the link
     or an array broadcastable to the link's (element, slot) observation grid,
     for per-observation SNR control.  The waveform moments are per-link
-    scalars: the same pulse is transmitted in every slot.
+    scalars: the same pulse is transmitted in every slot.  ``freq_offset``
+    (Hz) shifts the effective frequency and so the delay weight; the clock
+    bias is a nuisance whose information, not its value, enters the bounds,
+    so it is not held.
     """
 
     eff_bandwidth: float
@@ -104,6 +93,7 @@ class SignalProps:
     rms_duration: float
     snr_linear: float | np.ndarray
     carrier_freq: float
+    freq_offset: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.eff_bandwidth) and self.eff_bandwidth >= 0.0):
@@ -114,6 +104,8 @@ class SignalProps:
             raise ValueError(f"rms_duration must be > 0, got {self.rms_duration}")
         if not (math.isfinite(self.carrier_freq) and self.carrier_freq > 0.0):
             raise ValueError(f"carrier_freq must be > 0, got {self.carrier_freq}")
+        if not math.isfinite(self.freq_offset):
+            raise ValueError("freq_offset must be finite")
         snr = self.snr_linear
         if isinstance(snr, (float, int, np.number)):  # a scalar, checked without an array
             valid = math.isfinite(snr) and snr >= 0.0

@@ -38,7 +38,7 @@ from leofim.location_fim import (
     efim_lemma_route,
 )
 from leofim.scenario import Case, ScenarioConfig, _sample, derive_trial_seeds, random_scenario
-from leofim.signals import OffsetParams, effective_frequency, omega
+from leofim.signals import effective_frequency, omega
 
 from _fd import signed_partials
 from _oracle import (
@@ -66,9 +66,9 @@ def _rx_oracle(scenario, kind, index):
     grid, receiver = scenario.grid, scenario.receiver
     n_ant, n_slots = scenario.n_ant, scenario.n_slots
     if kind is LinkKind.LEO_RX:
-        props, offsets = scenario.leo_rx_signals[index], scenario.leo_rx_offsets[index]
+        props = scenario.leo_rx_signals[index]
     else:
-        props, offsets = scenario.bs_rx_signals[index], scenario.bs_rx_offset
+        props = scenario.bs_rx_signals[index]
     out = {name: np.zeros((n_ant, n_slots, 3)) for name in ("dtau_dp", "dtau_dvu")}
     out["dnu_dvu"] = np.zeros((n_slots, 3))
     nu = np.zeros(n_slots)
@@ -91,7 +91,7 @@ def _rx_oracle(scenario, kind, index):
         out["dtau_dpcheck"] = -out["dtau_dp"]
         out["dtau_dvcheck"] = -out["dtau_dvu"]
         out["dnu_dvcheck"] = -out["dnu_dvu"]
-    return _with_weights(out, nu, (n_ant, n_slots), props, offsets)
+    return _with_weights(out, nu, (n_ant, n_slots), props)
 
 
 def _leo_bs_oracle(scenario, b):
@@ -111,14 +111,13 @@ def _leo_bs_oracle(scenario, b):
             out["dtau_dpcheck"][q, i] = -d / SPEED_OF_LIGHT_M_S
             out["dtau_dvcheck"][q, i] = time_of(grid, k) * out["dtau_dpcheck"][q, i]
             out["dnu_dvcheck"][q, i] = d / SPEED_OF_LIGHT_M_S
-    props, offsets = scenario.leo_bs_signals[b], scenario.leo_bs_offsets[b]
-    return _with_weights(out, nu, (n_bs, n_slots), props, offsets)
+    return _with_weights(out, nu, (n_bs, n_slots), scenario.leo_bs_signals[b])
 
 
-def _with_weights(out, nu, shape, props, offsets):
+def _with_weights(out, nu, shape, props):
     """``out`` plus the link's ``omega`` (per Doppler shift ``nu``) and ``snr``
     (per delay observation of an element-by-slot grid of ``shape``)."""
-    f_o = [effective_frequency(props.carrier_freq, v, offsets.freq_offset) for v in nu.ravel()]
+    f_o = [effective_frequency(props.carrier_freq, v, props.freq_offset) for v in nu.ravel()]
     omegas = [omega(props.eff_bandwidth, props.bcc, f) for f in f_o]
     out["omega"] = np.array(omegas).reshape(nu.shape)
     out["snr"] = np.full(shape, float(props.snr_linear))
@@ -142,9 +141,15 @@ def _offset_scenario(seed, **overrides):
     return dataclasses.replace(
         sc,
         leos=leos,
-        leo_rx_offsets=tuple(OffsetParams(freq_offset=120.0 + b) for b in range(sc.n_leo)),
-        bs_rx_offset=OffsetParams(freq_offset=-40.0),
-        leo_bs_offsets=tuple(OffsetParams(freq_offset=7.5 * b) for b in range(sc.n_leo)),
+        leo_rx_signals=tuple(
+            dataclasses.replace(props, freq_offset=120.0 + b)
+            for b, props in enumerate(sc.leo_rx_signals)
+        ),
+        bs_rx_signals=tuple(dataclasses.replace(props, freq_offset=-40.0) for props in sc.bs_rx_signals),
+        leo_bs_signals=tuple(
+            dataclasses.replace(props, freq_offset=7.5 * b)
+            for b, props in enumerate(sc.leo_bs_signals)
+        ),
     )
 
 
@@ -379,11 +384,8 @@ def test_overflowing_link_weight_raises_one_named_error(field):
     the same ``NumericalError`` naming the weight, and nothing warns first,
     even under numpy's raising error state."""
     sc = random_scenario(ScenarioConfig(), 42)
-    if field == "freq_offset":
-        sc = dataclasses.replace(sc, leo_rx_offsets=(OffsetParams(freq_offset=1e300),) * sc.n_leo)
-    else:
-        signals = tuple(dataclasses.replace(s, **{field: 1e300}) for s in sc.leo_rx_signals)
-        sc = dataclasses.replace(sc, leo_rx_signals=signals)
+    signals = tuple(dataclasses.replace(s, **{field: 1e300}) for s in sc.leo_rx_signals)
+    sc = dataclasses.replace(sc, leo_rx_signals=signals)
     message = _DOPPLER_OVERFLOW if field == "rms_duration" else _DELAY_OVERFLOW
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -404,13 +406,13 @@ FAMILY_SIZES = [
 def _scene_bytes(scene, t):
     """Every field of trial ``t`` of a scene as bytes, by field name: the
     trial's slice of each array with a trial axis, every other array whole,
-    and per link kind its members' signal properties and frequency offsets."""
+    and per link kind its members' signal properties."""
     out = {}
     for field in dataclasses.fields(scene):
         value = getattr(scene, field.name)
-        if field.name in ("signals", "freq_offsets"):
+        if field.name == "signals":
             for kind, members in value.items():
-                rows = [dataclasses.astuple(m) if field.name == "signals" else m for m in members]
+                rows = [dataclasses.astuple(m) for m in members]
                 out[field.name, kind] = (len(rows), np.array(rows, dtype=float).tobytes())
         else:
             array = value[t] if field.name in TRIAL_FIELDS else value

@@ -22,7 +22,6 @@ from leofim.location_fim import (
     efim_lemma_route,
 )
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.signals import OffsetParams
 
 
 def _scenario(seed, **overrides):
@@ -157,8 +156,8 @@ def test_information_beyond_double_range_raises_without_a_warning():
     receiver = dataclasses.replace(sc.receiver, antenna_offsets=arms)
     signals = tuple(dataclasses.replace(s, eff_bandwidth=1e112) for s in sc.leo_rx_signals)
     long_rows = dataclasses.replace(sc, receiver=receiver, leo_rx_signals=signals)
-    offsets = (OffsetParams(freq_offset=1e130),) * sc.n_leo
-    offset = dataclasses.replace(sc, leo_rx_offsets=offsets)
+    offsets = tuple(dataclasses.replace(s, freq_offset=1e130) for s in sc.leo_rx_signals)
+    offset = dataclasses.replace(sc, leo_rx_signals=offsets)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for scenario, route in [(long_rows, compute_efim), (long_rows, efim_lemma_route),

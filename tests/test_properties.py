@@ -26,7 +26,6 @@ from leofim.geometry import BsState, EulerAngles, LeoState, ReceiverState, SlotG
 from leofim.linalg import NumericalError
 from leofim.location_fim import compute_efim, efim_lemma_route
 from leofim.scenario import Case, ScenarioConfig, random_scenario
-from leofim.signals import OffsetParams
 
 REL_TOL = 1e-8
 MIN_BALANCED_RATIO = 1e-6
@@ -109,8 +108,6 @@ def _relabeled(scenario, leo_order, bs_order):
         leos=pick(scenario.leos, leo_order),
         leo_rx_signals=pick(scenario.leo_rx_signals, leo_order),
         leo_bs_signals=pick(scenario.leo_bs_signals, leo_order),
-        leo_rx_offsets=pick(scenario.leo_rx_offsets, leo_order),
-        leo_bs_offsets=pick(scenario.leo_bs_offsets, leo_order),
         bss=pick(scenario.bss, bs_order),
         bs_rx_signals=pick(scenario.bs_rx_signals, bs_order),
     )
@@ -167,6 +164,7 @@ def _scaled(scenario, factors, freq_offset):
             eff_bandwidth=scale["bandwidth"] * props.eff_bandwidth,
             carrier_freq=scale["carrier"] * props.carrier_freq,
             rms_duration=scale["rms_duration"] * props.rms_duration,
+            freq_offset=freq_offset,
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,7 +184,6 @@ def _scaled(scenario, factors, freq_offset):
             for leo in scenario.leos
         )
         bss = tuple(BsState(position=scale["bs_position"] * bs.position) for bs in scenario.bss)
-        offset = OffsetParams(freq_offset=freq_offset)
         return dataclasses.replace(
             scenario,
             receiver=receiver,
@@ -196,9 +193,6 @@ def _scaled(scenario, factors, freq_offset):
             leo_rx_signals=tuple(map(signals, scenario.leo_rx_signals)),
             bs_rx_signals=tuple(map(signals, scenario.bs_rx_signals)),
             leo_bs_signals=tuple(map(signals, scenario.leo_bs_signals)),
-            leo_rx_offsets=(offset,) * scenario.n_leo,
-            bs_rx_offset=offset,
-            leo_bs_offsets=(offset,) * scenario.n_leo,
         )
 
 

@@ -317,9 +317,13 @@ def test_scenario_counts_and_shared_bs_clock():
     assert sc.n_leo == 2 and sc.n_bs == 3 and sc.n_ant == 4 and sc.n_slots == 3
     assert len(sc.leo_rx_signals) == 2
     assert len(sc.bs_rx_signals) == 3
-    assert len(sc.leo_rx_offsets) == 2
     # one clock/frequency offset pair for the whole station network
-    assert not isinstance(sc.bs_rx_offset, tuple)
+    stations = list(sc.bs_rx_signals)
+    stations[1] = dataclasses.replace(stations[1], freq_offset=5.0)
+    with pytest.raises(ValueError, match="^station-receiver links share one frequency offset$"):
+        dataclasses.replace(sc, bs_rx_signals=tuple(stations))
+    shifted = tuple(dataclasses.replace(props, freq_offset=5.0) for props in stations)
+    assert dataclasses.replace(sc, bs_rx_signals=shifted).bs_rx_signals == shifted
 
 
 def test_scenario_validation_rejects_mismatched_lists():

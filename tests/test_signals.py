@@ -5,7 +5,6 @@ import pytest
 
 from leofim.geometry import EulerAngles, SlotGrid
 from leofim.signals import (
-    OffsetParams,
     SignalProps,
     effective_frequency,
     omega,
@@ -52,10 +51,12 @@ def test_omega_broadcasts():
 
 
 def test_offset_params_validation():
-    p = OffsetParams(freq_offset=10.0)
-    assert p.freq_offset == 10.0
-    with pytest.raises(ValueError):
-        OffsetParams(freq_offset=np.nan)
+    """A link's frequency offset is the last field of its ``SignalProps``,
+    zero by default, and must be finite."""
+    assert SignalProps(1e8, 0.0, 1e-3, 1.0, 1e9).freq_offset == 0.0
+    assert SignalProps(1e8, 0.0, 1e-3, 1.0, 1e9, freq_offset=10.0).freq_offset == 10.0
+    with pytest.raises(ValueError, match="^freq_offset must be finite$"):
+        SignalProps(1e8, 0.0, 1e-3, 1.0, 1e9, freq_offset=np.nan)
 
 
 def test_signal_props_validation():
@@ -102,7 +103,7 @@ SCALAR_FIELDS = {
     "bcc": lambda v: SignalProps(1e8, v, 1e-3, 1.0, 1e9),
     "rms_duration": lambda v: SignalProps(1e8, 0.0, v, 1.0, 1e9),
     "carrier_freq": lambda v: SignalProps(1e8, 0.0, 1e-3, 1.0, v),
-    "freq_offset": lambda v: OffsetParams(freq_offset=v),
+    "freq_offset": lambda v: SignalProps(1e8, 0.0, 1e-3, 1.0, 1e9, v),
     "angle alpha": lambda v: EulerAngles(v, 0.0, 0.0),
     "angle psi": lambda v: EulerAngles(0.0, v, 0.0),
     "angle phi": lambda v: EulerAngles(0.0, 0.0, v),
@@ -137,8 +138,8 @@ SCALAR_TABLE = {
 @pytest.mark.parametrize("field", list(SCALAR_FIELDS))
 @pytest.mark.parametrize("name", list(SCALAR_TABLE))
 def test_scalar_field_checks_accept_and_reject_as_pinned(field, name):
-    """The finiteness and range checks of ``SignalProps``, ``OffsetParams``,
-    ``EulerAngles`` and ``SlotGrid``: a range or finiteness failure is a
+    """The finiteness and range checks of ``SignalProps``, ``EulerAngles``
+    and ``SlotGrid``: a range or finiteness failure is a
     ``ValueError`` naming the field, anything that is not a real number a
     ``TypeError`` (an integer beyond float range an ``OverflowError``)."""
     value, outcome, by_field = SCALAR_TABLE[name]

@@ -236,7 +236,6 @@ def _hand_built(seed: int, case):
     ephemeris and frequency offsets, a per-observation SNR array and a station
     link on another carrier."""
     from leofim.scenario import ScenarioConfig, random_scenario
-    from leofim.signals import OffsetParams
 
     sc = random_scenario(ScenarioConfig(n_leo=2, n_bs=3, n_ant=4, n_slots=3, case=case), seed)
     leos = tuple(
@@ -244,18 +243,18 @@ def _hand_built(seed: int, case):
         for b, leo in enumerate(sc.leos)
     )
     snr_grid = np.linspace(50.0, 150.0, sc.n_ant * sc.n_slots).reshape(sc.n_ant, sc.n_slots)
-    leo_rx_signals = (dataclasses.replace(sc.leo_rx_signals[0], snr_linear=snr_grid),
-                      *sc.leo_rx_signals[1:])
-    bs_rx_signals = list(sc.bs_rx_signals)
+    leo_rx_signals = [dataclasses.replace(props, freq_offset=120.0 + b)
+                      for b, props in enumerate(sc.leo_rx_signals)]
+    leo_rx_signals[0] = dataclasses.replace(leo_rx_signals[0], snr_linear=snr_grid)
+    bs_rx_signals = [dataclasses.replace(props, freq_offset=-40.0) for props in sc.bs_rx_signals]
     bs_rx_signals[1] = dataclasses.replace(bs_rx_signals[1], carrier_freq=28e9)
     return dataclasses.replace(
         sc,
         leos=leos,
-        leo_rx_signals=leo_rx_signals,
+        leo_rx_signals=tuple(leo_rx_signals),
         bs_rx_signals=tuple(bs_rx_signals),
-        leo_rx_offsets=tuple(OffsetParams(freq_offset=120.0 + b) for b in range(sc.n_leo)),
-        bs_rx_offset=OffsetParams(freq_offset=-40.0),
-        leo_bs_offsets=tuple(OffsetParams(freq_offset=7.5 * b) for b in range(sc.n_leo)),
+        leo_bs_signals=tuple(dataclasses.replace(props, freq_offset=7.5 * b)
+                             for b, props in enumerate(sc.leo_bs_signals)),
     )
 
 
@@ -263,18 +262,14 @@ def _per_satellite(seed: int, case):
     """A sampled L3 Q3 U4 K4 scenario rebuilt so that the satellites of one
     link kind differ in carrier, RMS duration, SNR grid and frequency offset."""
     from leofim.scenario import ScenarioConfig, random_scenario
-    from leofim.signals import OffsetParams
 
     sc = random_scenario(ScenarioConfig(n_leo=3, n_bs=3, n_ant=4, n_slots=4, case=case), seed)
-    leo_rx, leo_bs, offsets = [list(x) for x in (sc.leo_rx_signals, sc.leo_bs_signals,
-                                                 sc.leo_rx_offsets)]
+    leo_rx, leo_bs = list(sc.leo_rx_signals), list(sc.leo_bs_signals)
     leo_rx[1], leo_bs[1] = (dataclasses.replace(props, carrier_freq=28e9, rms_duration=3e-4)
                             for props in (leo_rx[1], leo_bs[1]))
     snr_grid = np.linspace(20.0, 400.0, sc.n_ant * sc.n_slots).reshape(sc.n_ant, sc.n_slots)
-    leo_rx[2] = dataclasses.replace(leo_rx[2], snr_linear=snr_grid)
-    offsets[2] = OffsetParams(freq_offset=350.0)
-    return dataclasses.replace(sc, leo_rx_signals=tuple(leo_rx), leo_bs_signals=tuple(leo_bs),
-                               leo_rx_offsets=tuple(offsets))
+    leo_rx[2] = dataclasses.replace(leo_rx[2], snr_linear=snr_grid, freq_offset=350.0)
+    return dataclasses.replace(sc, leo_rx_signals=tuple(leo_rx), leo_bs_signals=tuple(leo_bs))
 
 
 def dump() -> dict:
