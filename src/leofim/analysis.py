@@ -179,8 +179,8 @@ def _trials(
     differ only in their counts (:data:`GRID_AXES`).  Sampling is nested in
     the counts, so a family's trials are sampled and linked once, at its
     maxima, and together: one :func:`.scenario._sample` and one
-    :func:`.links._link_pass` over the trial axis, whose batches (and the
-    Doppler weights they cache) live until the family is decided.  Per
+    :func:`.links._link_pass` over the trial axis, whose batches live until
+    the family is decided.  Per
     satellite count, one :func:`_efims` over the batches gives every
     configuration's EFIMs, bit for bit those of its own sampled scenario, one
     stacked :func:`balanced_eigvalsh` gives their spectra, one array rule

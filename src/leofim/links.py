@@ -41,7 +41,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,8 +152,7 @@ class _Batch:
     ``dnu_dv`` (Dopplers); ``dtau_dphi``, w.r.t. the array orientation, is
     ``None`` for satellite-station links.  The factor route
     (:mod:`.location_fim`) reads a batch as it is, each satellite an offset
-    group and the stations one, and keeps the Doppler weights it computes
-    for each sub-count in ``_weights``, read-only, for the batch's life.
+    group and the stations one.
     """
 
     kind: LinkKind
@@ -167,7 +166,6 @@ class _Batch:
     signals: tuple[SignalProps, ...]
     carrier_sq: np.ndarray
     half_ao2: np.ndarray
-    _weights: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def _link_pass(scene: _Scene, kinds: list[LinkKind]) -> list[_Batch]:

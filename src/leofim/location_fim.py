@@ -304,21 +304,14 @@ def _doppler_weights(batch: _Batch, key: tuple[int, int, int], n_trials: int) ->
     / 2`` per Doppler shift, the same in every trial but stacked, so every
     Gram operand is a C-contiguous stack: an array link sums SNR over the
     antennas it keeps, and every station is weighted by the first station's
-    ``f_1^2``.  Kept read-only in the
-    batch's cache per ``(key, n_trials)``: a family's sweep asks for the
-    station batch's at every satellite count."""
-    w_nu = batch._weights.get((key, n_trials))
-    if w_nu is None:
-        members, rows, slots = key
-        snr = batch.snr[:members, :rows, :slots]
-        snr_dop = snr if batch.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
-        carrier_sq = batch.carrier_sq[:1 if batch.kind is LinkKind.BS_RX else members]
-        w_nu = snr_dop * carrier_sq * batch.half_ao2[:members]
-        shape = _shape(batch.kind, key, snr_dop.shape[1])
-        w_nu = np.repeat(w_nu.reshape(1, *shape), n_trials, axis=0)
-        w_nu.flags.writeable = False
-        batch._weights[key, n_trials] = w_nu
-    return w_nu
+    ``f_1^2``."""
+    members, rows, slots = key
+    snr = batch.snr[:members, :rows, :slots]
+    snr_dop = snr if batch.kind is LinkKind.LEO_BS else snr.sum(axis=1, keepdims=True)
+    carrier_sq = batch.carrier_sq[:1 if batch.kind is LinkKind.BS_RX else members]
+    w_nu = snr_dop * carrier_sq * batch.half_ao2[:members]
+    shape = _shape(batch.kind, key, snr_dop.shape[1])
+    return np.repeat(w_nu.reshape(1, *shape), n_trials, axis=0)
 
 
 def _cut(
