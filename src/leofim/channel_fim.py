@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NumericalError, sym
+from .linalg import NumericalError, _finite, sym
 from .links import LinkKind, _Batch, link_observables
 from .location_fim import Efim, LocationLayout, kappa1_blocks
 from .scenario import Case, Scenario
@@ -189,6 +189,7 @@ class GlobalChannelLayout:
     nuisance_cols: tuple[int, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # named by ``_finite``
 def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelLayout]:
     """Assemble the channel FIM over every link the scenario's case observes.
 
@@ -197,6 +198,13 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
     station-network offsets are the single exception, accumulating every
     station-receiver link's offset information on one coordinate pair, which
     follows the last station-receiver link.
+
+    Raises
+    ------
+    NumericalError
+        If an entry overflows a double (or is NaN), as when a link's weights
+        lie beyond double range; numpy's warnings are ignored, so this is
+        all that is reported.
     """
     sections: list[LinkSection] = []
     nuisance: list[int] = []
@@ -243,7 +251,7 @@ def assemble_channel_fim(scenario: Scenario) -> tuple[np.ndarray, GlobalChannelL
         for rows, local_rows in parts:
             for cols, local_cols in parts:
                 matrix[rows, cols] += fim[local_rows, local_cols]
-    return matrix, layout
+    return _finite(matrix), layout
 
 
 @dataclass(frozen=True)

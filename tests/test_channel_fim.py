@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from leofim import channel_fim
 from leofim.channel_fim import assemble_channel_fim, link_fim
+from leofim.linalg import NumericalError
 from leofim.links import LinkKind, bs_rx_observables, leo_bs_observables, leo_rx_observables
 from leofim.scenario import Case, ScenarioConfig, random_scenario
 
@@ -93,13 +95,23 @@ def test_zero_snr_gives_zero_information():
         assert np.count_nonzero(fim.matrix) == 0
 
 
-def test_waveform_moment_overflow_follows_errstate():
-    """The Doppler and offset weights square the RMS duration as numpy
-    scalars: an overflow raises ``FloatingPointError`` under ``np.errstate``,
-    not Python's ``OverflowError``."""
-    sc = random_scenario(ScenarioConfig(rms_duration_s=1e200, n_ant=2), 1)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        assemble_channel_fim(sc)
+@pytest.mark.parametrize(
+    "field", ["snr_linear", "eff_bandwidth", "carrier_freq", "rms_duration", "freq_offset"]
+)
+def test_overflowing_link_information_raises_the_named_error(field):
+    """Every satellite-receiver link at a signal property (or a frequency
+    offset) of 1e300 has information beyond double range: the assembled
+    ``J_eta`` raises the ``NumericalError`` that names non-finite
+    information, not an ``OverflowError``, and nothing warns first, even
+    under numpy's raising error state."""
+    sc = random_scenario(ScenarioConfig(), 42)
+    signals = tuple(dataclasses.replace(s, **{field: 1e300}) for s in sc.leo_rx_signals)
+    sc = dataclasses.replace(sc, leo_rx_signals=signals)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as caught:
+            assemble_channel_fim(sc)
+    assert str(caught.value) == "information matrix has non-finite entries (overflow or NaN)"
 
 
 def test_link_fims_are_exactly_symmetric():

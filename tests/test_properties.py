@@ -10,8 +10,9 @@ properties run on the production route (``compute_efim`` then ``crlb``) over
 well-conditioned random geometries.
 
 A third property scales every physical quantity of a sampled scenario by any
-finite double: both EFIM routes, the verdict and the bounds either return
-finite numbers without a numpy warning or raise a named error.
+finite double: the dense oracle's channel FIM, both EFIM routes, the verdict
+and the bounds either return finite numbers without a numpy warning or raise
+a named error.
 """
 
 import dataclasses
@@ -22,7 +23,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leofim.analysis import NotIdentifiableError, crlb, is_identifiable
-from leofim.geometry import BsState, EulerAngles, LeoState, ReceiverState, SlotGrid
+from leofim.channel_fim import assemble_channel_fim
+from leofim.geometry import (
+    BsState,
+    DegenerateGeometryError,
+    EulerAngles,
+    LeoState,
+    ReceiverState,
+    SlotGrid,
+)
 from leofim.linalg import NumericalError
 from leofim.location_fim import compute_efim, efim_lemma_route
 from leofim.scenario import Case, ScenarioConfig, random_scenario
@@ -228,14 +237,21 @@ def _check_route(route, scenario):
 def test_any_finite_scenario_gives_finite_results_or_a_named_error(
     scenario, case, factors, freq_offset
 ):
-    """No numpy warning, at any finite input, from either EFIM route, the
-    verdict or the bounds.  The two routes' verdicts are not compared: near
-    the PD threshold they legitimately differ."""
+    """No numpy warning, at any finite input, from the dense oracle's channel
+    FIM, either EFIM route, the verdict or the bounds.  The two routes'
+    verdicts are not compared: near the PD threshold they legitimately
+    differ."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             scenario = _scaled(dataclasses.replace(scenario, case=case), factors, freq_offset)
         except ValueError:
             return
+        try:
+            j_eta, _ = assemble_channel_fim(scenario)
+        except (DegenerateGeometryError, NumericalError):
+            pass
+        else:
+            assert np.all(np.isfinite(j_eta))
         for route in (compute_efim, efim_lemma_route):
             _check_route(route, scenario)
