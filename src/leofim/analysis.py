@@ -180,12 +180,11 @@ def _trials(
     the counts, so a family's trials are sampled and linked once, at its
     maxima, and together: one :func:`.scenario._sample` and one
     :func:`.links._link_pass` over the trial axis, whose batches live until
-    the family is decided.  Per
-    satellite count, one :func:`_efims` over the batches gives every
-    configuration's EFIMs, bit for bit those of its own sampled scenario, one
-    stacked :func:`balanced_eigvalsh` gives their spectra, one array rule
-    decides every trial, and one stacked :func:`invert_psd` bounds the PD
-    ones.
+    the family is decided.  Per satellite count, one :func:`_efims` over the
+    batches gives every configuration's EFIMs, bit for bit those of its own
+    sampled scenario, one stacked :func:`balanced_eigvalsh` gives their
+    spectra, one array rule decides every trial, and one stacked
+    :func:`invert_psd` bounds the PD ones.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
