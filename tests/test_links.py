@@ -145,7 +145,9 @@ def _offset_scenario(seed, **overrides):
             dataclasses.replace(props, freq_offset=120.0 + b)
             for b, props in enumerate(sc.leo_rx_signals)
         ),
-        bs_rx_signals=tuple(dataclasses.replace(props, freq_offset=-40.0) for props in sc.bs_rx_signals),
+        bs_rx_signals=tuple(
+            dataclasses.replace(props, freq_offset=-40.0) for props in sc.bs_rx_signals
+        ),
         leo_bs_signals=tuple(
             dataclasses.replace(props, freq_offset=7.5 * b)
             for b, props in enumerate(sc.leo_bs_signals)
